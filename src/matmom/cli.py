@@ -234,7 +234,7 @@ def _cmd_gap_check(args, tol) -> int:
         "determinate": False,
         "regular_type": analysis.regular_type,
         "grid_points": int(analysis.grid.size),
-        "non_regular_at": [p.lam for p in analysis.points if not p.invertible][:10],
+        "non_regular_at": analysis.grid[~analysis.invertible][:10].tolist(),
     }
     status = 0 if analysis.regular_type else 2
     if args.F is not None:

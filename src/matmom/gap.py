@@ -6,6 +6,11 @@ moving unitary matrix family over the whole set.  The family is sampled
 on a finite grid; a found parameter is always re-verified through the
 atoms of its canonical solution, so positive answers are sound while a
 failed search is only inconclusive.
+
+analyze_gap holds the sampled family as arrays with one row per grid
+point: invertibility, W (NaN where the shifted operator is not
+invertible) and half-chord margins.  It orthogonalizes GRID_BLOCK points
+per stacked Gram-Schmidt pass, which bounds the memory of long grids.
 """
 
 from __future__ import annotations
@@ -17,14 +22,62 @@ import numpy as np
 
 from .errors import ParameterError, RankError
 from .hilbert_space import (BasisCollection, HilbertRep, OrthoBasisSet, ip_matrix,
-                            orthonormalize, shifted_domain_images)
+                            orthonormalize_stack, shifted_domain_images)
 from .moment_model import AtomicMeasure, DEFAULT_TOL, GapSpec, Tolerances
-from .nevanlinna import NevanlinnaCoefficients, canonical_solution, check_constant_admissible
+from .nevanlinna import (NevanlinnaCoefficients, canonical_solution, check_constant_admissible,
+                         random_unitary)
 
 GRID_SPACING = 0.01
 MIN_GRID_POINTS = 101
 MAX_GRID_POINTS = 20001
 CHEB_CLUSTER_POINTS = 65
+GRID_BLOCK = 1024  # grid points per stacked Gram-Schmidt pass; bounds the stack's memory
+
+
+def _gap_stack(rep: HilbertRep, lams: np.ndarray, tol: Tolerances):
+    """Stacked Gram-Schmidt of x_{k+N} - lam x_k (k < dN), then x_0..x_{N-1}, at every lam."""
+    dN = rep.dN
+    shifted = rep.X[None, :, rep.N: rep.N + dN] - lams[:, None, None] * rep.X[None, :, :dN]
+    lead = np.broadcast_to(rep.X[None, :, : rep.N], (lams.size, rep.r, rep.N))
+    return orthonormalize_stack(np.concatenate([shifted, lead], axis=2), tol.rank_tol)
+
+
+def _well_conditioned(mats: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """Per matrix of a stack: every singular value above inv_tol * max(1, largest)."""
+    svals = np.linalg.svd(mats, compute_uv=False)
+    return np.all(svals > tol.inv_tol * np.maximum(1.0, svals[:, :1]), axis=1)
+
+
+def _shift_matrices(rep, bases, vectors, keep, lams, tol):
+    """(m_shift, invertible) at each lam.  m_shift (n, dN, kappa) has zero rows at dropped
+    range inputs, which leave its singular values alone; invertible needs exactly
+    kappa > 0 range survivors and well-conditioned m_shift."""
+    dN, kappa = rep.dN, bases.kappa
+    images = shifted_domain_images(rep, bases.domain.expansions, lams)
+    m_shift = np.swapaxes(vectors[:, :, :dN].conj(), 1, 2) @ images
+    invertible = (keep[:, :dN].sum(axis=1) == kappa) & (kappa > 0)
+    return m_shift, invertible & _well_conditioned(m_shift, tol)
+
+
+def _w_tilde_stack(rep, bases, vectors, keep, lams, tol) -> np.ndarray:
+    """W at each lam from the defect survivors; RankError at the first lam where
+    the defect dimension differs from delta or its projection is singular."""
+    dN, delta = rep.dN, bases.delta
+    sizes = keep[:, dN:].sum(axis=1)
+    bad = sizes != delta
+    rows = np.swapaxes(vectors[~bad, :, dN:], 1, 2)[keep[~bad, dN:]]  # survivors in input order
+    defect = np.swapaxes(rows.reshape(int((~bad).sum()), delta, rep.r), 1, 2)
+    m_s = ip_matrix(bases.defect_basis.vectors, defect)
+    m_q = ip_matrix(bases.codefect_basis.vectors, defect)
+    bad[~bad] = ~_well_conditioned(m_s, tol)
+    if bad.any():
+        i = int(np.argmax(bad))
+        lam = float(lams[i])
+        raise RankError(f"defect dimension at lam={lam} is {sizes[i]}, expected {delta}"
+                        if sizes[i] != delta else
+                        f"projection matrix at lam={lam} is numerically singular")
+    factor = (lams + 1j) / (lams - 1j)
+    return factor[:, None, None] * (m_q @ np.linalg.inv(m_s))
 
 
 def gap_basis(rep: HilbertRep, lam: float, tol: Tolerances = DEFAULT_TOL):
@@ -33,45 +86,12 @@ def gap_basis(rep: HilbertRep, lam: float, tol: Tolerances = DEFAULT_TOL):
     Orthogonalizes x_{k+N} - lam x_k for k = 0..dN-1 and then the leading
     block x_0..x_{N-1}; the split of survivors gives the two families.
     """
-    dN = rep.dN
-    shifted = rep.X[:, rep.N: rep.N + dN] - float(lam) * rep.X[:, :dN]
-    seq = np.concatenate([shifted, rep.X[:, : rep.N]], axis=1)
-    gs = orthonormalize(seq, tol.rank_tol)
-    lead = sum(1 for s in gs.source_indices if s < dN)
-    range_part = OrthoBasisSet(
-        vectors=gs.vectors[:, :lead],
-        source_indices=gs.source_indices[:lead],
-        expansions=gs.expansions[:lead],
-    )
-    defect_part = OrthoBasisSet(
-        vectors=gs.vectors[:, lead:],
-        source_indices=gs.source_indices[lead:],
-        expansions=gs.expansions[lead:],
-    )
-    return range_part, defect_part
-
-
-def _shift_matrix(rep, bases, range_part, lam, tol):
-    images = shifted_domain_images(rep, bases.domain.expansions, lam=float(lam))
-    m_shift = ip_matrix(range_part.vectors, images)
-    if m_shift.shape[0] != m_shift.shape[1] or m_shift.shape[0] == 0:
-        return m_shift, False
-    svals = np.linalg.svd(m_shift, compute_uv=False)
-    return m_shift, bool(svals[-1] > tol.inv_tol * max(1.0, svals[0]))
-
-
-def _w_from_defect(bases, defect_part, lam, tol):
-    if defect_part.size != bases.delta:
-        raise RankError(
-            f"defect dimension at lam={lam} is {defect_part.size}, expected {bases.delta}")
-    m_s = ip_matrix(bases.defect_basis.vectors, defect_part.vectors)
-    m_q = ip_matrix(bases.codefect_basis.vectors, defect_part.vectors)
-    svals = np.linalg.svd(m_s, compute_uv=False)
-    if svals.size and svals[-1] <= tol.inv_tol * max(1.0, svals[0]):
-        raise RankError(f"projection matrix at lam={lam} is numerically singular")
-    lam = float(lam)
-    factor = (lam + 1j) / (lam - 1j)
-    return factor * (m_q @ np.linalg.inv(m_s))
+    vectors, expansions, keep = _gap_stack(rep, np.array([float(lam)]), tol)
+    kept = np.flatnonzero(keep[0])
+    return tuple(
+        OrthoBasisSet(vectors=vectors[0][:, cols], source_indices=tuple(int(c) for c in cols),
+                      expansions=expansions[0][cols])
+        for cols in (kept[kept < rep.dN], kept[kept >= rep.dN]))
 
 
 def regular_type_check(rep: HilbertRep, bases: BasisCollection, lam: float,
@@ -81,52 +101,35 @@ def regular_type_check(rep: HilbertRep, bases: BasisCollection, lam: float,
     Returns (matrix, invertible).  A dimension mismatch between the two
     families already rules out regular type.
     """
-    range_part, _ = gap_basis(rep, lam, tol)
-    return _shift_matrix(rep, bases, range_part, lam, tol)
+    lams = np.array([float(lam)])
+    vectors, _, keep = _gap_stack(rep, lams, tol)
+    m_shift, invertible = _shift_matrices(rep, bases, vectors, keep, lams, tol)
+    return m_shift[0][keep[0, : rep.dN]], bool(invertible[0])
 
 
 def w_tilde(rep: HilbertRep, bases: BasisCollection, lam: float,
             tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Moving unitary matrix comparing the lam-defect basis with both i-defect bases."""
-    _, defect_part = gap_basis(rep, lam, tol)
-    return _w_from_defect(bases, defect_part, lam, tol)
-
-
-@dataclass(frozen=True, eq=False)
-class GapPoint:
-    lam: float
-    shift_matrix: np.ndarray
-    invertible: bool
-    w_tilde: np.ndarray | None
+    lams = np.array([float(lam)])
+    vectors, _, keep = _gap_stack(rep, lams, tol)
+    return _w_tilde_stack(rep, bases, vectors, keep, lams, tol)[0]
 
 
 @dataclass(frozen=True, eq=False)
 class GapAnalysis:
+    """Gap data with row i for grid[i]: invertible (n,) marks regular-type points,
+    w_tilde (n, delta, delta) holds W there and NaN elsewhere, margins (n,) is
+    half the larger spectral-norm chord of W to a neighbouring sample (chords
+    touching a non-invertible point count 0)."""
+
     grid: np.ndarray
-    points: tuple
-    regular_type: bool
-    margins: np.ndarray | None = None  # per-point half-chord motion margins
+    invertible: np.ndarray
+    w_tilde: np.ndarray
+    margins: np.ndarray
 
-    def point_margins(self) -> np.ndarray:
-        if self.margins is not None:
-            return self.margins
-        return _half_chord_margins(self.points)
-
-
-def _half_chord_margins(points) -> np.ndarray:
-    chords = []
-    for prev, cur in zip(points, points[1:]):
-        if prev.w_tilde is None or cur.w_tilde is None:
-            chords.append(0.0)
-        else:
-            chords.append(float(np.linalg.norm(cur.w_tilde - prev.w_tilde, 2)))
-    margins = np.zeros(len(points))
-    for i in range(len(points)):
-        if i > 0:
-            margins[i] = max(margins[i], 0.5 * chords[i - 1])
-        if i < len(chords):
-            margins[i] = max(margins[i], 0.5 * chords[i])
-    return margins
+    @property
+    def regular_type(self) -> bool:
+        return bool(self.invertible.all())
 
 
 def spectral_bound(rep: HilbertRep) -> float:
@@ -165,20 +168,21 @@ def analyze_gap(rep: HilbertRep, bases: BasisCollection, spec: GapSpec,
     """Per-point regular-type and unitary-family data over the sampling grid."""
     if grid is None:
         grid = gap_grid(spec, spectral_bound(rep))
-    records = []
-    regular = True
-    for lam in grid:
-        range_part, defect_part = gap_basis(rep, float(lam), tol)
-        m_shift, invertible = _shift_matrix(rep, bases, range_part, float(lam), tol)
-        w_val = None
-        if invertible:
-            w_val = _w_from_defect(bases, defect_part, float(lam), tol)
-        else:
-            regular = False
-        records.append(GapPoint(lam=float(lam), shift_matrix=m_shift,
-                                invertible=invertible, w_tilde=w_val))
-    return GapAnalysis(grid=np.asarray(grid, dtype=float), points=tuple(records),
-                       regular_type=regular, margins=_half_chord_margins(records))
+    grid = np.asarray(grid, dtype=float)
+    invertible = np.zeros(grid.size, dtype=bool)
+    w_all = np.full((grid.size, bases.delta, bases.delta), np.nan, dtype=complex)
+    for start in range(0, grid.size, GRID_BLOCK):
+        lams = grid[start: start + GRID_BLOCK]
+        vectors, _, keep = _gap_stack(rep, lams, tol)
+        _, inv = _shift_matrices(rep, bases, vectors, keep, lams, tol)
+        invertible[start: start + lams.size] = inv
+        w_all[start: start + lams.size][inv] = _w_tilde_stack(
+            rep, bases, vectors[inv], keep[inv], lams[inv], tol)
+    chords = np.diff(w_all, axis=0)
+    chords[~(invertible[1:] & invertible[:-1])] = 0.0
+    half = 0.5 * np.linalg.norm(chords, ord=2, axis=(1, 2))
+    margins = np.maximum(np.pad(half, (1, 0)), np.pad(half, (0, 1)))[: grid.size]  # n=0: no chords
+    return GapAnalysis(grid=grid, invertible=invertible, w_tilde=w_all, margins=margins)
 
 
 @dataclass(frozen=True)
@@ -217,14 +221,12 @@ def check_gap_class(F: np.ndarray, Xi: np.ndarray, analysis: GapAnalysis,
     if unit_dev > tol.psd_tol:
         failures.append((None, "B"))
 
-    margins = analysis.point_margins()
-    for i, point in enumerate(analysis.points):
-        if point.w_tilde is None:
-            failures.append((point.lam, "C"))
-            continue
-        svals = np.linalg.svd(F - point.w_tilde, compute_uv=False)
-        if svals[-1] <= max(tol.inv_tol * max(1.0, svals[0]), margins[i]):
-            failures.append((point.lam, "C"))
+    inv = analysis.invertible
+    svals = np.linalg.svd(F[None] - analysis.w_tilde[inv], compute_uv=False)
+    hit = ~inv
+    hit[inv] = svals[:, -1] <= np.maximum(tol.inv_tol * np.maximum(1.0, svals[:, 0]),
+                                          analysis.margins[inv])
+    failures.extend((float(lam), "C") for lam in analysis.grid[hit])
     return GapClassDecision(accepted=not failures, failures=tuple(failures))
 
 
@@ -318,7 +320,7 @@ def gap_solvable_search(rep: HilbertRep, bases: BasisCollection,
     if analysis is None:
         analysis = analyze_gap(rep, bases, spec, tol)
     if not analysis.regular_type:
-        witness = next(p.lam for p in analysis.points if not p.invertible)
+        witness = float(analysis.grid[~analysis.invertible][0])
         return GapSearchResult(status="not_regular", witness=witness)
     xi = nc.Xi
 
@@ -327,14 +329,10 @@ def gap_solvable_search(rep: HilbertRep, bases: BasisCollection,
         f_vals = np.exp(1j * thetas)
         # vectorized class test for unimodular scalars: admissible means staying
         # off the forbidden value, condition C means clearing every margin
-        w_arr = np.array([p.w_tilde[0, 0] for p in analysis.points]) \
-            if analysis.points else np.zeros(0, dtype=complex)
-        margins = np.maximum(analysis.point_margins(), tol.inv_tol) \
-            if analysis.points else np.zeros(0)
+        margins = np.maximum(analysis.margins, tol.inv_tol)
+        dist = np.abs(f_vals[:, None] - analysis.w_tilde[None, :, 0, 0])
         ok = np.abs(f_vals - complex(xi[0, 0])) > tol.inv_tol
-        if w_arr.size:
-            dist = np.abs(f_vals[:, None] - w_arr[None, :])
-            ok &= np.all(dist > margins[None, :], axis=1)
+        ok &= np.all(dist > margins[None, :], axis=1)
         arcs = _circular_arcs(ok)
         arcs.sort(key=lambda a: -a[1])
         tries = 0
@@ -363,11 +361,8 @@ def gap_solvable_search(rep: HilbertRep, bases: BasisCollection,
         return GapSearchResult(status="exhausted")
 
     rng = np.random.default_rng(seed)
-    delta = bases.delta
     for _ in range(int(budget)):
-        g = rng.normal(size=(delta, delta)) + 1j * rng.normal(size=(delta, delta))
-        q, r = np.linalg.qr(g)
-        F = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+        F = random_unitary(rng, bases.delta)
         measure = _try_candidate(rep, bases, F, xi, analysis, spec, tol)
         if measure is not None:
             return GapSearchResult(status="found", F=F, measure=measure)

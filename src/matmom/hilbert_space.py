@@ -81,46 +81,59 @@ class OrthoBasisSet:
         return self.vectors.shape[1]
 
 
-def _project_out(w, exp, basis, expans):
-    for q, eq in zip(basis, expans):
-        c = np.vdot(q, w)  # (w, q) = q* w
-        w = w - c * q
-        exp = exp - c * eq
-    return w, exp
+def _norms(w: np.ndarray) -> np.ndarray:
+    """Euclidean norms along the last axis."""
+    return np.sqrt(np.vecdot(w, w).real)
+
+
+def orthonormalize_stack(seq: np.ndarray, rank_tol: float = DEFAULT_TOL.rank_tol):
+    """Modified Gram-Schmidt over the columns of every matrix of an (n, r, m) stack.
+
+    An input is discarded when its residual norm falls to or below
+    rank_tol * max(1, input norm).  A single re-orthogonalization pass runs,
+    for the matrices that need it, whenever the residual norm drops below
+    sqrt(rank_tol) times that scale, which keeps rank decisions stable near
+    the cutoff.  Input order is preserved and survivors are normalized
+    without any phase adjustment.  Each new basis vector is projected out
+    of all later inputs at once, which gives every input the projections
+    of column-by-column MGS in the same order.  A dropped input leaves a
+    zero column, so matrices with different survivors share one loop.
+
+    Returns (vectors, expansions, keep): vectors (n, r, m) with zero columns
+    at dropped inputs, expansions (n, m, m) with the matching zero rows, and
+    the (n, m) boolean mask of surviving inputs.
+    """
+    seq = np.asarray(seq, dtype=complex)
+    n, r, m = seq.shape
+    # row j: input j with its expansion e_j appended, projected in place, then q_j
+    work = np.concatenate([np.swapaxes(seq, 1, 2), np.broadcast_to(np.eye(m), (n, m, m))], axis=2)
+    keep = np.zeros((n, m), dtype=bool)
+    scale = np.maximum(1.0, _norms(work[:, :, :r]))
+    again_at, drop_at = math.sqrt(rank_tol) * scale, rank_tol * scale
+    for idx in range(m):
+        w = work[:, idx]
+        norm_out = _norms(w[:, :r])
+        again = norm_out <= again_at[:, idx]
+        if again.any():
+            for k in np.flatnonzero(keep[:, :idx].any(axis=0)):
+                c = np.where(again, np.vecdot(work[:, k, :r], w[:, :r]), 0.0)
+                w -= c[:, None] * work[:, k]
+            norm_out = _norms(w[:, :r])
+        kept = norm_out > drop_at[:, idx]
+        keep[:, idx] = kept
+        w /= np.where(kept, norm_out, np.inf)[:, None]  # a dropped input becomes zero
+        if kept.any():
+            c = np.vecdot(w[:, None, :r], work[:, idx + 1:, :r])
+            work[:, idx + 1:] -= c[:, :, None] * w[:, None, :]
+    return np.swapaxes(work[:, :, :r], 1, 2), work[:, :, r:], keep
 
 
 def orthonormalize(vectors: np.ndarray, rank_tol: float = DEFAULT_TOL.rank_tol) -> OrthoBasisSet:
-    """Modified Gram-Schmidt over the columns, discarding dependent inputs.
-
-    An input is discarded when its residual norm falls to or below
-    rank_tol * max(1, input norm).  A single re-orthogonalization pass runs
-    whenever the residual norm drops below sqrt(rank_tol) times that scale,
-    which keeps rank decisions stable near the cutoff.  Input order is
-    preserved and survivors are normalized without any phase adjustment.
-    """
-    vectors = np.asarray(vectors, dtype=complex)
-    r, n = vectors.shape
-    basis: list = []
-    expans: list = []
-    sources: list = []
-    for idx in range(n):
-        w = vectors[:, idx].copy()
-        exp = np.zeros(n, dtype=complex)
-        exp[idx] = 1.0
-        norm_in = float(np.linalg.norm(w))
-        scale = max(1.0, norm_in)
-        w, exp = _project_out(w, exp, basis, expans)
-        if float(np.linalg.norm(w)) <= math.sqrt(rank_tol) * scale:
-            w, exp = _project_out(w, exp, basis, expans)
-        norm_out = float(np.linalg.norm(w))
-        if norm_out <= rank_tol * scale:
-            continue
-        basis.append(w / norm_out)
-        expans.append(exp / norm_out)
-        sources.append(idx)
-    vec_mat = np.column_stack(basis) if basis else np.zeros((r, 0), dtype=complex)
-    exp_mat = np.vstack(expans) if expans else np.zeros((0, n), dtype=complex)
-    return OrthoBasisSet(vectors=vec_mat, source_indices=tuple(sources), expansions=exp_mat)
+    """orthonormalize_stack of one (r, m) matrix, keeping only the survivors."""
+    vectors, expansions, keep = orthonormalize_stack(np.asarray(vectors)[None], rank_tol)
+    cols = np.flatnonzero(keep[0])
+    return OrthoBasisSet(vectors=vectors[0][:, cols], source_indices=tuple(int(c) for c in cols),
+                         expansions=expansions[0][cols])
 
 
 def factor_gram(h: HankelPair, tol: Tolerances = DEFAULT_TOL, N: int | None = None,
@@ -161,17 +174,18 @@ def factor_gram(h: HankelPair, tol: Tolerances = DEFAULT_TOL, N: int | None = No
 
 
 def shifted_domain_images(rep: HilbertRep, expansions: np.ndarray,
-                          lam: float | None = None) -> np.ndarray:
+                          lam: float | np.ndarray | None = None) -> np.ndarray:
     """Columns (A - lam) f for domain vectors f given by expansion rows over x_0..x_{dN-1}.
 
     The shift A maps x_k to x_{k+N}, so the image is read off by reindexing
-    the expansion; no linear solve is involved.
+    the expansion; no linear solve is involved.  An array of n lam values
+    gives an (n, r, m) stack, one block of columns per value.
     """
     dN = rep.dN
     coeff = expansions[:, :dN].T  # (dN, m)
     images = rep.X[:, rep.N: rep.N + dN] @ coeff
-    if lam is not None and lam != 0.0:
-        images = images - lam * (rep.X[:, :dN] @ coeff)
+    if lam is not None:
+        images = images - np.multiply.outer(lam, rep.X[:, :dN] @ coeff)
     return images
 
 

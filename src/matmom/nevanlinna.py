@@ -372,6 +372,14 @@ def transform_via_resolvent(rep: HilbertRep, bases: BasisCollection, F, z,
     return vals.reshape(z_arr.shape + (rep.N, rep.N))
 
 
+def random_unitary(rng: np.random.Generator, delta: int) -> np.ndarray:
+    """Haar-random delta x delta unitary: QR of a complex Gaussian matrix with
+    the phases of R's diagonal moved into Q."""
+    g = rng.normal(size=(delta, delta)) + 1j * rng.normal(size=(delta, delta))
+    q, r = np.linalg.qr(g)
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
 def find_admissible_unitary(Xi: np.ndarray, tol: Tolerances = DEFAULT_TOL,
                             seed: int = 0, tries: int = 128) -> np.ndarray:
     """Deterministically search for an admissible unitary constant parameter."""
@@ -385,9 +393,7 @@ def find_admissible_unitary(Xi: np.ndarray, tol: Tolerances = DEFAULT_TOL,
     else:
         rng = np.random.default_rng(seed)
         for _ in range(tries):
-            g = rng.normal(size=(delta, delta)) + 1j * rng.normal(size=(delta, delta))
-            q, r = np.linalg.qr(g)
-            F = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+            F = random_unitary(rng, delta)
             if check_constant_admissible(F, Xi, tol):
                 return F
     raise ParameterError("no admissible unitary parameter found within the search budget")

@@ -4,7 +4,7 @@ import pytest
 from matmom import (AtomicMeasure, MomentSequence, analyze, assemble_coefficients,
                     check_constant_admissible)
 from matmom.errors import ParameterError
-from matmom.nevanlinna import extension_matrix
+from matmom.nevanlinna import extension_matrix, random_unitary
 
 
 def example21_matrices():
@@ -35,7 +35,13 @@ def point_mass_state():
 
 def random_measure(rng, n_dim, n_atoms, spread=2.5, min_gap=0.35):
     """Well-separated atoms with uniformly positive definite weights, so rank
-    decisions stay far from the tolerance cutoffs."""
+    decisions stay far from the tolerance cutoffs.
+
+    Raises ValueError when n_atoms atoms min_gap apart cannot fit in
+    [-spread, spread], where rejection sampling would never end.
+    """
+    if (n_atoms - 1) * min_gap > 2 * spread:
+        raise ValueError(f"{n_atoms} atoms {min_gap} apart do not fit in [-{spread}, {spread}]")
     while True:
         t = np.sort(rng.uniform(-spread, spread, n_atoms))
         if n_atoms == 1 or np.diff(t).min() >= min_gap:
@@ -50,12 +56,6 @@ def random_measure(rng, n_dim, n_atoms, spread=2.5, min_gap=0.35):
 
 def moments_from_measure(measure, n_dim, d):
     return MomentSequence.from_matrices(n_dim, d, measure.moments(2 * d + 1, dim=n_dim))
-
-
-def random_unitary(rng, n):
-    g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    q, r = np.linalg.qr(g)
-    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
 
 
 def pick_parameter(rng, state, nc, min_fixed_dist=0.1, tries=48):

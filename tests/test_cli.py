@@ -181,3 +181,30 @@ def test_input_errors_exit_1(tmp_path):
     assert run_cli("evaluate", str(garbage)).returncode == 1  # missing required options
     proc = run_cli("gap-check", "-", "--delta", "(oops)", stdin=EX21_DOC)
     assert proc.returncode == 1
+
+
+# stdout of the per-point gap analysis these commands ran on before it was batched
+GAP_STDOUT = [
+    (("gap-check", "--delta", "(-1,1)"), 0,
+     '{"determinate": false, "regular_type": true, "grid_points": 265, "non_regular_at": []}\n'),
+    (("gap-check", "--delta", "(0,2)"), 2,
+     '{"determinate": false, "regular_type": false, "grid_points": 265, '
+     '"non_regular_at": [1]}\n'),
+    (("gap-check", "--delta", "(-1,3)"), 2,
+     '{"determinate": false, "regular_type": false, "grid_points": 465, '
+     '"non_regular_at": [1.0000000000000002]}\n'),
+    (("gap-solve", "--delta", "(-1,1)"), 0,
+     '{"atoms": [{"t": -6.8395839721023419, "W": [[[0.0035562555112191659, 0], [0, 0]], '
+     '[[0, 0], [0, 0]]]}, {"t": 1, "W": [[[0, 0], [0, 0]], [[0, 0], [1, 0]]]}, '
+     '{"t": 1.5899325436986915, "W": [[[0.32977707782211407, 0], [0, 0]], [[0, 0], [0, 0]]]}], '
+     '"verify": {"passed": true, "tol": 1e-08, "max_deviation": 4.4408920985006262e-16, '
+     '"max_per_moment": [5.5511151231257827e-17, 0, 4.4408920985006262e-16]}, '
+     '"F": [[[0.67301251350977309, 0.7396310949786099]]]}\n'),
+]
+
+
+@pytest.mark.parametrize("args, status, stdout", GAP_STDOUT)
+def test_gap_stdout_unchanged(ex21_path, args, status, stdout):
+    proc = run_cli(args[0], ex21_path, *args[1:])
+    assert proc.returncode == status
+    assert proc.stdout == stdout

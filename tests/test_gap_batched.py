@@ -1,0 +1,159 @@
+"""The stacked Gram-Schmidt and the batched gap analysis against a column-by-column
+reference: one modified Gram-Schmidt loop per matrix and one SVD per grid point."""
+
+import math
+
+import numpy as np
+import pytest
+
+import matmom.gap as gap
+from matmom import GapSpec, analyze, analyze_gap, regular_type_check, w_tilde
+from matmom.hilbert_space import orthonormalize_stack, shifted_domain_images
+from matmom.moment_model import DEFAULT_TOL
+
+from conftest import moments_from_measure, random_measure
+
+
+def mgs_reference(mat, rank_tol=DEFAULT_TOL.rank_tol):
+    """Left-looking MGS of the columns: (vectors, source indices, expansions) of the survivors."""
+    r, m = mat.shape
+    basis, expans, sources = [], [], []
+    for idx in range(m):
+        w = mat[:, idx].astype(complex)
+        exp = np.zeros(m, dtype=complex)
+        exp[idx] = 1.0
+        scale = max(1.0, float(np.linalg.norm(w)))
+        for sweep in range(2):
+            if sweep and np.linalg.norm(w) > math.sqrt(rank_tol) * scale:
+                break
+            for q, eq in zip(basis, expans):
+                c = np.vdot(q, w)
+                w, exp = w - c * q, exp - c * eq
+        norm_out = float(np.linalg.norm(w))
+        if norm_out > rank_tol * scale:
+            basis.append(w / norm_out)
+            expans.append(exp / norm_out)
+            sources.append(idx)
+    return (np.column_stack(basis) if basis else np.zeros((r, 0), dtype=complex),
+            tuple(sources), np.array(expans).reshape(len(sources), m))
+
+
+def point_reference(rep, bases, lam, tol=DEFAULT_TOL):
+    """(shift matrix, invertible, W or None) at one lam, from mgs_reference."""
+    vectors, sources, _ = mgs_reference(gap_sequences(rep, [lam])[0], tol.rank_tol)
+    in_range = np.array(sources) < rep.dN
+    images = shifted_domain_images(rep, bases.domain.expansions, lam)
+    m_shift = vectors[:, in_range].conj().T @ images
+    invertible = m_shift.shape[0] == m_shift.shape[1] > 0
+    if invertible:
+        svals = np.linalg.svd(m_shift, compute_uv=False)
+        invertible = svals[-1] > tol.inv_tol * max(1.0, svals[0])
+    if not invertible:
+        return m_shift, False, None
+    defect = vectors[:, ~in_range]
+    assert defect.shape[1] == bases.delta
+    m_s = bases.defect_basis.vectors.conj().T @ defect
+    m_q = bases.codefect_basis.vectors.conj().T @ defect
+    return m_shift, True, (lam + 1j) / (lam - 1j) * (m_q @ np.linalg.inv(m_s))
+
+
+def gap_sequences(rep, lams):
+    """The (n, r, dN+N) stack [x_{k+N} - lam x_k for k < dN, x_0..x_{N-1}] at each lam."""
+    dN = rep.dN
+    return np.stack([
+        np.concatenate([rep.X[:, rep.N: rep.N + dN] - lam * rep.X[:, :dN], rep.X[:, : rep.N]],
+                       axis=1)
+        for lam in lams])
+
+
+def random_indeterminate_states():
+    states = []
+    for seed, (n_dim, d, n_atoms) in enumerate([(2, 1, 4), (2, 2, 5), (3, 1, 4), (3, 2, 4)]):
+        measure = random_measure(np.random.default_rng(7100 + seed), n_dim, n_atoms)
+        state = analyze(moments_from_measure(measure, n_dim, d))
+        assert not state.determinate
+        states.append((state, [t for t, _ in measure.atoms]))
+    return states
+
+
+def assert_stack_matches_loop(seq):
+    vectors, expansions, keep = orthonormalize_stack(seq)
+    for i, mat in enumerate(seq):
+        ref_vectors, ref_sources, ref_expansions = mgs_reference(mat)
+        cols = np.flatnonzero(keep[i])
+        assert tuple(cols) == ref_sources
+        assert np.abs(vectors[i][:, cols] - ref_vectors).max(initial=0.0) < 1e-12
+        assert np.abs(expansions[i][cols] - ref_expansions).max(initial=0.0) < 1e-12
+        assert not vectors[i][:, ~keep[i]].any() and not expansions[i][~keep[i]].any()
+
+
+def test_stack_matches_loop_on_golden_grid(ex21):
+    lams = np.concatenate([np.linspace(-1.0, 1.0, 103)[1:-1], [1.0]])  # 1 is not regular
+    seq = gap_sequences(ex21.rep, lams)
+    assert_stack_matches_loop(seq)
+    _, _, keep = orthonormalize_stack(seq)
+    dN = ex21.rep.dN
+    assert keep[:-1, :dN].all() and keep[-1, :dN].sum() == dN - 1  # x_3 - x_1 vanishes at 1
+
+
+def test_stack_matches_loop_on_random_instances():
+    for state, locs in random_indeterminate_states():
+        lams = np.concatenate([np.linspace(-3.0, 3.0, 61), locs])
+        assert_stack_matches_loop(gap_sequences(state.rep, lams))
+
+
+def test_stack_drops_and_reorthogonalizes_per_matrix():
+    rng = np.random.default_rng(5)
+    v, u = rng.normal(size=(2, 4)) + 1j * rng.normal(size=(2, 4))
+    seq = np.stack([np.column_stack([v, v + 1e-6 * u]),  # residual below sqrt(rank_tol): 2nd pass
+                    np.column_stack([v, 2 * v]),          # dependent: dropped
+                    np.column_stack([u, v]),
+                    np.zeros((4, 2))])
+    vectors, expansions, keep = orthonormalize_stack(seq)
+    assert keep.tolist() == [[True, True], [True, False], [True, True], [False, False]]
+    for i, mat in enumerate(seq):
+        # each matrix comes out bit for bit as when orthogonalized alone
+        alone = orthonormalize_stack(seq[i: i + 1])
+        assert all(np.array_equal(a[0], b[i]) for a, b in zip(alone, (vectors, expansions, keep)))
+        ref_vectors, ref_sources, _ = mgs_reference(mat)
+        assert tuple(np.flatnonzero(keep[i])) == ref_sources
+        # the near-dependent pair amplifies roundoff by 1e6; the second pass restores
+        # orthogonality, which one pass leaves at about 1e-10
+        assert np.abs(vectors[i][:, keep[i]] - ref_vectors).max(initial=0.0) < 1e-9
+        q = vectors[i][:, keep[i]]
+        assert np.abs(q.conj().T @ q - np.eye(q.shape[1])).max(initial=0.0) < 1e-14
+    shapes = [a.shape for a in orthonormalize_stack(np.zeros((0, 3, 2)))]
+    assert shapes == [(0, 3, 2), (0, 2, 2), (0, 2)]
+
+
+def assert_same_analysis(a, b):
+    assert np.array_equal(a.grid, b.grid)
+    assert np.array_equal(a.invertible, b.invertible)
+    assert np.array_equal(a.w_tilde, b.w_tilde, equal_nan=True)
+    assert np.array_equal(a.margins, b.margins)
+
+
+@pytest.mark.parametrize("delta_text", ["(0,2)", "(-1,3)"])
+def test_analysis_independent_of_block_split(ex21, monkeypatch, delta_text):
+    spec = GapSpec.parse(delta_text)
+    whole = analyze_gap(ex21.rep, ex21.bases, spec)
+    assert not whole.regular_type and np.isnan(whole.w_tilde[~whole.invertible]).all()
+    monkeypatch.setattr(gap, "GRID_BLOCK", 7)
+    assert_same_analysis(analyze_gap(ex21.rep, ex21.bases, spec), whole)
+
+
+def test_analysis_rows_match_point_reference(ex21, monkeypatch):
+    monkeypatch.setattr(gap, "GRID_BLOCK", 16)
+    cases = [(ex21, np.linspace(-2.0, 2.0, 41))]  # not of regular type at 1
+    cases += [(state, np.concatenate([np.linspace(-3.0, 3.0, 41), locs]))
+              for state, locs in random_indeterminate_states()]
+    for state, grid in cases:
+        analysis = analyze_gap(state.rep, state.bases, GapSpec.parse(""), grid=grid)
+        for i, lam in enumerate(grid):
+            m_ref, invertible, w_ref = point_reference(state.rep, state.bases, lam)
+            m_shift, one_point = regular_type_check(state.rep, state.bases, lam)
+            assert analysis.invertible[i] == one_point == invertible
+            assert m_shift.shape == m_ref.shape and np.abs(m_shift - m_ref).max() < 1e-12
+            if invertible:
+                assert np.abs(analysis.w_tilde[i] - w_ref).max() < 1e-12
+                assert np.abs(w_tilde(state.rep, state.bases, lam) - w_ref).max() < 1e-12
