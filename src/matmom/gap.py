@@ -32,6 +32,7 @@ MIN_GRID_POINTS = 101
 MAX_GRID_POINTS = 20001
 CHEB_CLUSTER_POINTS = 65
 GRID_BLOCK = 1024  # grid points per stacked Gram-Schmidt pass; bounds the stack's memory
+ARC_SCAN_BLOCK = 256  # grid points per step of the delta=1 angle scan; bounds its memory
 
 
 def _gap_stack(rep: HilbertRep, lams: np.ndarray, tol: Tolerances):
@@ -305,6 +306,20 @@ def _try_candidate(rep, bases, F, xi, analysis, spec, tol):
     return measure
 
 
+def _feasible_angles(f_vals: np.ndarray, xi: np.ndarray, analysis: GapAnalysis,
+                     tol: Tolerances) -> np.ndarray:
+    """Class test for unimodular scalars f_vals at once: admissible means staying
+    off the forbidden value, condition C means clearing every margin.  The grid
+    is scanned ARC_SCAN_BLOCK points at a time."""
+    margins = np.maximum(analysis.margins, tol.inv_tol)
+    w = analysis.w_tilde[:, 0, 0]
+    ok = np.abs(f_vals - complex(xi[0, 0])) > tol.inv_tol
+    for start in range(0, w.size, ARC_SCAN_BLOCK):
+        block = slice(start, start + ARC_SCAN_BLOCK)
+        ok &= np.all(np.abs(f_vals[:, None] - w[None, block]) > margins[None, block], axis=1)
+    return ok
+
+
 def gap_solvable_search(rep: HilbertRep, bases: BasisCollection,
                         nc: NevanlinnaCoefficients, spec: GapSpec, budget: int = 1000,
                         tol: Tolerances = DEFAULT_TOL, seed: int = 0,
@@ -326,14 +341,7 @@ def gap_solvable_search(rep: HilbertRep, bases: BasisCollection,
 
     if bases.delta == 1:
         thetas = np.linspace(0.0, 2.0 * np.pi, max(int(budget), 8), endpoint=False)
-        f_vals = np.exp(1j * thetas)
-        # vectorized class test for unimodular scalars: admissible means staying
-        # off the forbidden value, condition C means clearing every margin
-        margins = np.maximum(analysis.margins, tol.inv_tol)
-        dist = np.abs(f_vals[:, None] - analysis.w_tilde[None, :, 0, 0])
-        ok = np.abs(f_vals - complex(xi[0, 0])) > tol.inv_tol
-        ok &= np.all(dist > margins[None, :], axis=1)
-        arcs = _circular_arcs(ok)
+        arcs = _circular_arcs(_feasible_angles(np.exp(1j * thetas), xi, analysis, tol))
         arcs.sort(key=lambda a: -a[1])
         tries = 0
         step = 2.0 * np.pi / thetas.size

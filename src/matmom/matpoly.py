@@ -31,7 +31,8 @@ def polyval(coeffs: np.ndarray, z) -> np.ndarray:
     z = np.asarray(z, dtype=complex)
     out = np.zeros_like(z)
     for c in coeffs[::-1]:
-        out = out * z + c
+        out *= z
+        out += c
     return out
 
 
@@ -110,9 +111,11 @@ class MatrixPolynomial:
     def __call__(self, z) -> np.ndarray:
         """Evaluate at scalar or array z; returns shape z.shape + (p, q)."""
         z = np.asarray(z, dtype=complex)
+        zz = z[..., None, None]
         out = np.zeros(z.shape + self.shape, dtype=complex)
         for c in self.coeffs[::-1]:
-            out = out * z[..., None, None] + c
+            out *= zz
+            out += c
         return out
 
     def __add__(self, other: "MatrixPolynomial") -> "MatrixPolynomial":

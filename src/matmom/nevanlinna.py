@@ -26,6 +26,7 @@ from .matpoly import MatrixPolynomial, interpolation_nodes, poly_trim, polyval
 from .moment_model import AtomicMeasure, DEFAULT_TOL, Tolerances, hermitize
 
 FIXED_POINT_TOL = 1e-8  # unitary extension eigenvalues this close to 1 are rejected
+JACOBI_SWEEPS = 30      # cyclic sweeps before the stacked Jacobi SVD reports non-convergence
 
 
 @dataclass(frozen=True, eq=False)
@@ -218,27 +219,103 @@ def assemble_coefficients(rep: HilbertRep, bases: BasisCollection,
 def _verify_coefficient_identity(nc: NevanlinnaCoefficients) -> None:
     # the adjugate polynomial times the i-block must collapse to k(z)/(z+i) I
     eye = np.eye(nc.tau)
-    for z in (0.31 + 0.83j, -0.67 + 1.62j, 1.13 + 0.44j):
+    points = (0.31 + 0.83j, -0.67 + 1.62j, 1.13 + 0.44j)
+    for z, kz in zip(points, polyval(nc.k, np.array(points))):
         a0z = eye - ((z - 1j) / (z + 1j)) * nc.a0
         det, adj = _adjugate_samples(nc.a0, z)
         lhs = adj @ a0z
-        rhs = (polyval(nc.k, z) / (z + 1j)) * eye
+        rhs = (kz / (z + 1j)) * eye
         scale = 1.0 + float(np.abs(rhs).max(initial=0.0))
         if float(np.abs(lhs - rhs).max(initial=0.0)) > 1e-8 * scale:
             raise RankError("coefficient identity violated; interpolation degrees inconsistent")
 
 
+def _jacobi_svd(a: np.ndarray):
+    """One-sided (Hestenes) Jacobi SVD of every matrix of an (n, k, k) stack.
+
+    Returns (b, v, s) with a @ v = b, v unitary, the columns of b orthogonal
+    and s (n, k) their norms, the singular values in no particular order.
+    Cyclic sweeps rotate column pairs, each rotation one array operation over
+    the matrices not yet converged; a matrix converges when a whole sweep
+    leaves every pair's cosine |b_p^H b_q| / (|b_p| |b_q|) at most k * eps.
+    For k = 1 there is no pair to rotate.  Raises EvaluationError on
+    non-finite entries and when JACOBI_SWEEPS sweeps leave some matrix
+    unconverged.
+    """
+    n, k = a.shape[0], a.shape[-1]
+    if not np.isfinite(a).all():
+        raise EvaluationError("stacked Jacobi SVD received non-finite matrix entries")
+    # cols[p] holds column p of every b above column p of every v, matrices on the last axis
+    cols = np.empty((k, 2 * k, n), dtype=complex)
+    cols[:, :k] = np.transpose(a, (2, 1, 0))
+    cols[:, k:] = np.eye(k)[:, :, None]
+    pairs = [(p, q) for p in range(k) for q in range(p + 1, k)]
+    cutoff = k * np.finfo(float).eps
+    active = np.arange(n)
+    sweeps = 0
+    while pairs and active.size:
+        if sweeps == JACOBI_SWEEPS:
+            raise EvaluationError(
+                f"stacked Jacobi SVD did not converge in {JACOBI_SWEEPS} sweeps "
+                f"({active.size} of {n} matrices)")
+        sweeps += 1
+        w = cols if active.size == n else cols[:, :, active]
+        moved = np.zeros(active.size, dtype=bool)
+        for p, q in pairs:
+            x, y = w[p], w[q]
+            alpha = (x[:k].real ** 2 + x[:k].imag ** 2).sum(axis=0)
+            beta = (y[:k].real ** 2 + y[:k].imag ** 2).sum(axis=0)
+            gamma = (x[:k].conj() * y[:k]).sum(axis=0)
+            mag = np.abs(gamma)
+            rot = ~(mag <= cutoff * np.sqrt(alpha * beta))  # NaN from overflow never converges
+            if not rot.any():
+                continue
+            moved |= rot
+            # tangent of the rotation angle that zeroes gamma, the smaller root
+            h = 0.5 * (beta - alpha)
+            t = np.divide(mag, h + np.copysign(np.sqrt(h * h + mag * mag), h),
+                          out=np.zeros_like(mag), where=rot)
+            phase = np.divide(gamma.conj(), mag, out=np.ones_like(gamma), where=rot)
+            c = 1.0 / np.sqrt(1.0 + t * t)
+            s = c * t
+            w[p], w[q] = c * x - (s * phase) * y, s * x + (c * phase) * y
+        if w is not cols:
+            cols[:, :, active] = w
+        active = active[moved]
+    b = cols[:, :k]
+    s = np.sqrt((b.real ** 2 + b.imag ** 2).sum(axis=1)).T
+    return np.transpose(b, (2, 1, 0)), np.transpose(cols[:, k:], (2, 1, 0)), s
+
+
 def _parameter_values(F, delta: int, points: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """The parameter checked to be a contraction: a (delta, delta) matrix for
+    constant F, one SVD in all; an (n, delta, delta) stack of F(z) for callable F."""
     if callable(F):
-        vals = np.stack([np.asarray(F(z), dtype=complex).reshape(delta, delta) for z in points])
+        vals = np.empty((points.size, delta, delta), dtype=complex)
+        for i, z in enumerate(points):
+            vals[i] = np.asarray(F(z), dtype=complex).reshape(delta, delta)
+        largest = float(_jacobi_svd(vals)[2].max(initial=0.0))
     else:
-        fixed = np.asarray(F, dtype=complex).reshape(delta, delta)
-        vals = np.broadcast_to(fixed, (points.size, delta, delta)).copy()
-    svals = np.linalg.svd(vals, compute_uv=False)
-    worst = float(svals[:, 0].max(initial=0.0))
-    if worst > 1.0 + tol.psd_tol:
-        raise ParameterError(f"parameter is not a contraction (largest singular value {worst:.6f})")
+        vals = np.asarray(F, dtype=complex).reshape(delta, delta)
+        largest = float(np.linalg.svd(vals, compute_uv=False)[0])
+    if largest > 1.0 + tol.psd_tol:
+        raise ParameterError(
+            f"parameter is not a contraction (largest singular value {largest:.6f})")
     return vals
+
+
+def _stack_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b over the points: a (n, p, k) and b (n, k, q) stacks, or a constant
+    (k, q) b.  A constant b multiplies the whole stack in one matrix product;
+    two stacks are multiplied by k broadcast products, since the inner
+    dimension is delta and one BLAS call per point costs more than the
+    arithmetic."""
+    if b.ndim == 2:
+        return (a.reshape(-1, b.shape[0]) @ b).reshape(a.shape[:2] + b.shape[1:])
+    out = a[:, :, :1] * b[:, :1, :]
+    for j in range(1, a.shape[2]):
+        out += a[:, :, j: j + 1] * b[:, j: j + 1, :]
+    return out
 
 
 def evaluate_transform(nc: NevanlinnaCoefficients, F, z,
@@ -249,6 +326,13 @@ def evaluate_transform(nc: NevanlinnaCoefficients, F, z,
     delta x delta contraction or a callable z -> matrix.  Returns the
     transform of the transposed measure: entry (j, k) integrates
     1/(t - z) against dm_{k,j}.
+
+    A constant F is checked to be a contraction once and multiplies the
+    coefficient stacks directly; a callable F costs one Python call per
+    point and its values are checked with the stacked SVD below.  One
+    stacked one-sided Jacobi SVD of the pivot matrices (z+i) k(z) I + C(z) F
+    over all points gives both the singular-pivot test and the solve, so no
+    LAPACK call is made per point.
     """
     z_arr = np.asarray(z, dtype=complex)
     flat = np.atleast_1d(z_arr).ravel()
@@ -266,15 +350,19 @@ def evaluate_transform(nc: NevanlinnaCoefficients, F, z,
     cz = nc.C_poly(flat)
     dz = nc.D_poly(flat)
 
-    pivot = ((flat + 1j) * kz)[:, None, None] * np.eye(nc.delta) + cz @ f_vals
-    svals = np.linalg.svd(pivot, compute_uv=False)
-    bad = svals[:, -1] <= tol.inv_tol * np.maximum(1.0, svals[:, 0])
+    pivot = ((flat + 1j) * kz)[:, None, None] * np.eye(nc.delta) + _stack_product(cz, f_vals)
+    b, v, svals = _jacobi_svd(pivot)
+    smin = svals.min(axis=1)
+    bad = smin <= tol.inv_tol * np.maximum(1.0, svals.max(axis=1))
     if np.any(bad):
         idx = int(np.nonzero(bad)[0][0])
         raise EvaluationError(
-            f"singular pivot at z={flat[idx]}: smallest singular value {svals[idx, -1]:.3e} "
+            f"singular pivot at z={flat[idx]}: smallest singular value {smin[idx]:.3e} "
             "(parameter not admissible at this point, or z is a root of k)")
-    inner = bz @ f_vals @ np.linalg.solve(pivot, dz)
+    # pivot = b v^H with b's columns orthogonal, so pivot^{-1} = v diag(s^-2) b^H
+    solved = _stack_product(v, _stack_product(np.swapaxes(b.conj(), 1, 2), dz)
+                            / (svals ** 2)[:, :, None])
+    inner = _stack_product(_stack_product(bz, f_vals), solved)
     pref = 2j / ((flat ** 2 + 1.0) ** 2 * kz)
     out = pref[:, None, None] * (az + inner)
     if z_arr.ndim == 0:

@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 EX21_DOC = json.dumps({
@@ -208,3 +209,34 @@ def test_gap_stdout_unchanged(ex21_path, args, status, stdout):
     proc = run_cli(args[0], ex21_path, *args[1:])
     assert proc.returncode == status
     assert proc.stdout == stdout
+
+
+# `evaluate` output on the 2x2 golden input before the transform was batched
+EVALUATE_VALUES = {
+    "[[0,0]]": [
+        [[[0.068807339449541247, 0.10397553516819538], [0, 0]],
+         [[0, 0], [0.19999999999999962, 0.40000000000000063]]],
+        [[[0.20987153482082715, 0.14983096686951999], [0, -0]],
+         [[0, -0], [1.5999999999999932, 0.7999999999999986]]],
+        [[[0.052797564687975876, 0.056645357686453186], [-0, 0]],
+         [[-0, 0], [0.16393442622950749, 0.19672131147541069]]]],
+    "[[0.6,0.8]]": [
+        [[[0.080226904376012889, 0.10264721772015098], [0, 0]],
+         [[0, 0], [0.19999999999999962, 0.40000000000000063]]],
+        [[[0.29395249532959916, 0.068876434480931628], [0, -0]],
+         [[0, -0], [1.5999999999999932, 0.7999999999999986]]],
+        [[[0.054982817869416022, 0.054066437571591859], [-0, 0]],
+         [[-0, 0], [0.16393442622950749, 0.19672131147541069]]]],
+}
+
+
+def test_evaluate_values_unchanged(ex21_path):
+    for f_arg, expected in EVALUATE_VALUES.items():
+        proc = run_cli("evaluate", ex21_path, "--F", f_arg,
+                       "--z=2j", "--z=0.5+0.25j", "--z=-1.5+3j")
+        assert proc.returncode == 0
+        values = json.loads(proc.stdout)["values"]
+        assert [v["z"] for v in values] == [[0, 2], [0.5, 0.25], [-1.5, 3]]
+        got, want = np.array([v["value"] for v in values]), np.array(expected)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()

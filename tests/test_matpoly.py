@@ -75,3 +75,31 @@ def test_zero_polynomial_is_canonical():
     total = z + z
     assert total.coeffs.shape == (1, 2, 2)
     assert np.all(total.coeffs == 0)
+
+
+def two_temporary_horner(coeffs, z, shape=()):
+    """Horner's rule building two temporaries per step (the former loop)."""
+    z = np.asarray(z, dtype=complex)
+    out = np.zeros(z.shape + shape, dtype=complex)
+    zz = z[(...,) + (None,) * len(shape)]
+    for c in coeffs[::-1]:
+        out = out * zz + c
+    return out
+
+
+def test_in_place_horner_bit_identical():
+    rng = np.random.default_rng(3)
+    zs = rng.normal(size=257) * 10.0 + 1j * 10.0 ** rng.uniform(-3.0, 1.0, 257)
+    scalar = rng.normal(size=9) + 1j * rng.normal(size=9)
+    matrix = rng.normal(size=(7, 3, 2)) + 1j * rng.normal(size=(7, 3, 2))
+    for z in (zs, zs.reshape(257, 1), zs[5], 0.5 + 2j):
+        assert np.array_equal(MatrixPolynomial(matrix)(z), two_temporary_horner(matrix, z, (3, 2)))
+    assert np.array_equal(polyval(scalar, zs), two_temporary_horner(scalar, zs))
+    assert np.array_equal(polyval(scalar, zs.reshape(257, 1)),
+                          two_temporary_horner(scalar, zs.reshape(257, 1)))
+    # a scalar z now runs the same array loop as an array of points; the former
+    # loop used numpy's scalar arithmetic there, which may round differently
+    for z in zs[:16]:
+        assert polyval(scalar, z) == polyval(scalar, np.array([z]))[0]
+        scale = abs(polyval(np.abs(scalar), abs(z)))
+        assert abs(polyval(scalar, z) - two_temporary_horner(scalar, z)) <= 1e-14 * scale
