@@ -20,7 +20,7 @@ from .moment_model import (AtomicMeasure, GapSpec, Tolerances, distribution_csv_
                            matrix_from_json, matrix_to_json, parse_moments, verify_moments,
                            write_distribution_csv)
 from .nevanlinna import (assemble_coefficients, canonical_solution, evaluate_transform,
-                         forbidden_matrix)
+                         forbidden_matrix, outside_domain)
 from .solvability import build_block_hankel, check_solvable
 
 _TOL_OPTIONS = ("hermitian_tol", "psd_tol", "rank_tol", "inv_tol", "moment_tol", "gap_tol")
@@ -197,11 +197,16 @@ def _cmd_evaluate(args, tol) -> int:
         return 2
     nc = assemble_coefficients(state.rep, state.bases, tol)
     F = _parse_parameter(args.F)
-    values = []
-    for z in _parse_z_values(args.z):
-        t_val = evaluate_transform(nc, F, z, tol)
-        values.append({"z": [z.real, z.imag], "value": matrix_to_json(t_val)})
-    _emit({"values": values})
+    points = _parse_z_values(args.z)
+    # one call on the points before the first one outside the domain, which is
+    # then evaluated alone to raise: errors come in the order of the points
+    outside = np.flatnonzero(outside_domain(np.array(points)))
+    stop = int(outside[0]) if outside.size else len(points)
+    t_vals = evaluate_transform(nc, F, np.array(points[:stop]), tol)
+    if outside.size:
+        evaluate_transform(nc, F, points[stop], tol)
+    _emit({"values": [{"z": [z.real, z.imag], "value": matrix_to_json(t_val)}
+                      for z, t_val in zip(points, t_vals)]})
     return 0
 
 

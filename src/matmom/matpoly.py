@@ -3,7 +3,8 @@
 Coefficients are stored lowest degree first.  Polynomials produced from
 point samples use nodes placed strictly inside the upper half-plane
 (Chebyshev-spaced real parts shifted by +i), where all matrices inverted
-during sampling are provably nonsingular.
+during sampling are provably nonsingular.  The sampled function is called
+once, on the whole node array, and must return one value per node.
 """
 
 from __future__ import annotations
@@ -47,10 +48,13 @@ def poly_trim(coeffs: np.ndarray, rel_tol: float = 1e-12) -> np.ndarray:
 
 
 def poly_from_samples(fn, degree: int) -> np.ndarray:
-    """Recover scalar polynomial coefficients from degree+1 point samples."""
+    """Recover scalar polynomial coefficients from degree+1 point samples.
+
+    fn is called once with the (degree+1,) node array and returns the
+    (degree+1,) sample values."""
     nodes = interpolation_nodes(degree + 1)
     vander = np.vander(nodes, degree + 1, increasing=True)
-    values = np.array([fn(z) for z in nodes], dtype=complex)
+    values = np.asarray(fn(nodes), dtype=complex).reshape(degree + 1)
     return poly_trim(np.linalg.solve(vander, values))
 
 
@@ -89,13 +93,17 @@ class MatrixPolynomial:
 
     @classmethod
     def from_samples(cls, fn, degree: int, shape: tuple) -> "MatrixPolynomial":
-        """Interpolate a matrix-valued polynomial from degree+1 samples of fn."""
+        """Interpolate a matrix-valued polynomial from degree+1 samples of fn.
+
+        fn is called once with the (degree+1,) node array and returns the
+        (degree+1, p, q) stack of sample values.  An empty shape never calls fn.
+        """
         p, q = shape
         if p == 0 or q == 0:
             return cls(np.zeros((1, p, q), dtype=complex))
         nodes = interpolation_nodes(degree + 1)
         vander = np.vander(nodes, degree + 1, increasing=True)
-        values = np.stack([np.asarray(fn(z), dtype=complex).reshape(p * q) for z in nodes])
+        values = np.asarray(fn(nodes), dtype=complex).reshape(degree + 1, p * q)
         coeffs = np.linalg.solve(vander, values).reshape(degree + 1, p, q)
         return cls(coeffs).trim()
 

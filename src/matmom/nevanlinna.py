@@ -22,7 +22,7 @@ import numpy as np
 from .determinate import cluster_eigh
 from .errors import EvaluationError, ParameterError, RankError
 from .hilbert_space import BasisCollection, HilbertRep, ip_matrix
-from .matpoly import MatrixPolynomial, interpolation_nodes, poly_trim, polyval
+from .matpoly import MatrixPolynomial, interpolation_nodes, poly_from_samples, polyval
 from .moment_model import AtomicMeasure, DEFAULT_TOL, Tolerances, hermitize
 
 FIXED_POINT_TOL = 1e-8  # unitary extension eigenvalues this close to 1 are rejected
@@ -128,18 +128,41 @@ def check_constant_admissible(F: np.ndarray, Xi: np.ndarray,
     return bool(reach < 1.0 - tol.inv_tol)
 
 
-def _adjugate_samples(a0: np.ndarray, z: complex):
-    """det and adjugate of (z+i) I - (z-i) a0 at one upper half-plane node."""
-    tau = a0.shape[0]
-    m = (z + 1j) * np.eye(tau) - (z - 1j) * a0
-    det = complex(np.linalg.det(m))
-    adj = det * np.linalg.inv(m)
+def _node_stack(a0: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """(z+i) I - (z-i) a0 at every upper half-plane node: an (n, tau, tau) stack."""
+    m = (nodes - 1j)[:, None, None] * a0
+    np.negative(m, out=m)
+    diag = np.arange(a0.shape[0])
+    m[:, diag, diag] += (nodes + 1j)[:, None]
+    return m
+
+
+def _adjugate_stack(a0: np.ndarray, nodes: np.ndarray):
+    """det and adjugate of (z+i) I - (z-i) a0 at every upper half-plane node.
+
+    Returns the (n,) determinants and the (n, tau, tau) adjugates det * inv,
+    from one batched det and one batched inverse over the node stack.
+    """
+    m = _node_stack(a0, nodes)
+    det = np.linalg.det(m)
+    adj = np.linalg.inv(m)
+    # det as the first operand rounds as det * inv(m) of one node does; adj *= det does not
+    np.multiply(det[:, None, None], adj, out=adj)
     return det, adj
 
 
 def assemble_coefficients(rep: HilbertRep, bases: BasisCollection,
                           tol: Tolerances = DEFAULT_TOL) -> NevanlinnaCoefficients:
-    """Build all transform coefficients from inner products of the basis families."""
+    """Build all transform coefficients from inner products of the basis families.
+
+    k, A, B, C and D are interpolated from samples at upper half-plane nodes
+    (matpoly.interpolation_nodes) with exact degree bounds: tau+1 nodes for k,
+    tau+4 for A, and one set of tau+3 nodes shared by B, C and D.  k's samples
+    are one batched det; those of A and of B, C, D come from one stacked
+    adjugate each (one batched det and one batched inverse) and broadcast
+    products over the stack; only one node set's stack is alive at a time.  The result is checked against the
+    adjugate identity at three fixed points (RankError when it fails).
+    """
     if bases.delta == 0:
         raise ParameterError("problem is determinate; the parametrization is for the indeterminate case")
     tau, delta, rho, n_dim = bases.tau, bases.delta, bases.rho, rep.N
@@ -157,53 +180,42 @@ def assemble_coefficients(rep: HilbertRep, bases: BasisCollection,
     chat = ip_matrix(up, v)                   # (v_k, u'_j)
     k_mat = ip_matrix(u, bases.y[:, :n_dim])[:rho]  # (y_k, u_j), leading rows only
 
-    gamma = rep.gram()
-
     # cubic correction: entry (j, k) collects gamma values with shifted indices
-    inner = np.zeros((3, n_dim, n_dim), dtype=complex)
-    for j in range(n_dim):
-        for k in range(n_dim):
-            g_kj = gamma[k, j]
-            g_sk_j = gamma[k + n_dim, j]
-            g_sk_sj = gamma[k + n_dim, j + n_dim]
-            inner[0, j, k] = g_sk_sj - 1j * g_sk_j + g_kj
-            inner[1, j, k] = g_sk_j - 1j * g_kj
-            inner[2, j, k] = g_kj
+    gamma = rep.gram()
+    g_kj = gamma[:n_dim, :n_dim].T
+    g_sk_j = gamma[n_dim:2 * n_dim, :n_dim].T
+    g_sk_sj = gamma[n_dim:2 * n_dim, n_dim:2 * n_dim].T
+    inner = np.stack([g_sk_sj - 1j * g_sk_j + g_kj, g_sk_j - 1j * g_kj, g_kj])
     psi = MatrixPolynomial(inner).scale(np.array([-0.5, 0.5j]))  # times (i/2)(z+i)
 
-    k_coeffs = poly_trim(np.array(
-        np.linalg.solve(
-            np.vander(interpolation_nodes(tau + 1), tau + 1, increasing=True),
-            [_adjugate_samples(a0, z)[0] for z in interpolation_nodes(tau + 1)],
-        ), dtype=complex))
-
-    def adjugate_at(z):
-        return _adjugate_samples(a0, z)[1]
-
-    atil = MatrixPolynomial.from_samples(adjugate_at, max(tau - 1, 0), (tau, tau))
+    k_coeffs = poly_from_samples(lambda z: np.linalg.det(_node_stack(a0, z)), tau)
 
     kc = k_mat.conj().T  # (N, rho)
 
     def a_fn(z):
-        det, adj = _adjugate_samples(a0, z)
-        return (z + 1j) * (kc @ adj[:rho, :rho] @ k_mat) + det * psi(z)
-
-    def b_fn(z):
-        _, adj = _adjugate_samples(a0, z)
-        return -(z * z + 1.0) * (kc @ adj[:rho, :] @ w_mat)
-
-    def c_fn(z):
-        det, adj = _adjugate_samples(a0, z)
-        return (-z + 1j) * (det * t_mat + (z - 1j) * (chat @ adj @ w_mat))
-
-    def d_fn(z):
-        _, adj = _adjugate_samples(a0, z)
-        return -(z - 1j) * (chat @ adj[:, :rho] @ k_mat)
+        det, adj = _adjugate_stack(a0, z)
+        return (z + 1j)[:, None, None] * (kc @ adj[:, :rho, :rho] @ k_mat) \
+            + det[:, None, None] * psi(z)
 
     a_poly = MatrixPolynomial.from_samples(a_fn, tau + 3, (n_dim, n_dim))
+
+    # B, C and D share the tau+3 nodes that from_samples passes to each of them
+    det, adj = _adjugate_stack(a0, interpolation_nodes(tau + 3))
+
+    def b_fn(z):
+        return -(z * z + 1.0)[:, None, None] * (kc @ adj[:, :rho, :] @ w_mat)
+
+    def c_fn(z):
+        zz = z[:, None, None]
+        return (-zz + 1j) * (det[:, None, None] * t_mat + (zz - 1j) * (chat @ adj @ w_mat))
+
+    def d_fn(z):
+        return -(z - 1j)[:, None, None] * (chat @ adj[:, :, :rho] @ k_mat)
+
     b_poly = MatrixPolynomial.from_samples(b_fn, tau + 2, (n_dim, delta))
     c_poly = MatrixPolynomial.from_samples(c_fn, tau + 2, (delta, delta))
     d_poly = MatrixPolynomial.from_samples(d_fn, tau + 2, (delta, n_dim))
+    del det, adj
 
     xi = forbidden_matrix(bases, tol)
 
@@ -219,15 +231,14 @@ def assemble_coefficients(rep: HilbertRep, bases: BasisCollection,
 def _verify_coefficient_identity(nc: NevanlinnaCoefficients) -> None:
     # the adjugate polynomial times the i-block must collapse to k(z)/(z+i) I
     eye = np.eye(nc.tau)
-    points = (0.31 + 0.83j, -0.67 + 1.62j, 1.13 + 0.44j)
-    for z, kz in zip(points, polyval(nc.k, np.array(points))):
-        a0z = eye - ((z - 1j) / (z + 1j)) * nc.a0
-        det, adj = _adjugate_samples(nc.a0, z)
-        lhs = adj @ a0z
-        rhs = (kz / (z + 1j)) * eye
-        scale = 1.0 + float(np.abs(rhs).max(initial=0.0))
-        if float(np.abs(lhs - rhs).max(initial=0.0)) > 1e-8 * scale:
-            raise RankError("coefficient identity violated; interpolation degrees inconsistent")
+    points = np.array([0.31 + 0.83j, -0.67 + 1.62j, 1.13 + 0.44j])
+    _, adj = _adjugate_stack(nc.a0, points)
+    zz = points[:, None, None]
+    lhs = adj @ (eye - ((zz - 1j) / (zz + 1j)) * nc.a0)
+    rhs = (polyval(nc.k, points) / (points + 1j))[:, None, None] * eye
+    scale = 1.0 + np.abs(rhs).max(axis=(1, 2), initial=0.0)
+    if np.any(np.abs(lhs - rhs).max(axis=(1, 2), initial=0.0) > 1e-8 * scale):
+        raise RankError("coefficient identity violated; interpolation degrees inconsistent")
 
 
 def _jacobi_svd(a: np.ndarray):
@@ -318,11 +329,19 @@ def _stack_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def outside_domain(z) -> np.ndarray:
+    """Mask of the points of z outside the transform's domain: the closed
+    lower half-plane and the point i."""
+    z = np.asarray(z, dtype=complex)
+    return (z.imag <= 0.0) | (np.abs(z - 1j) < 1e-10)
+
+
 def evaluate_transform(nc: NevanlinnaCoefficients, F, z,
                        tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Evaluate the solution transform for parameter F at z (scalar or array).
 
-    z must lie in the open upper half-plane away from i.  F is a constant
+    z must lie in the open upper half-plane away from i (EvaluationError for
+    the first point of z that does not, see outside_domain).  F is a constant
     delta x delta contraction or a callable z -> matrix.  Returns the
     transform of the transposed measure: entry (j, k) integrates
     1/(t - z) against dm_{k,j}.
@@ -338,9 +357,10 @@ def evaluate_transform(nc: NevanlinnaCoefficients, F, z,
     flat = np.atleast_1d(z_arr).ravel()
     if flat.size == 0:
         return np.zeros(z_arr.shape + (nc.N, nc.N), dtype=complex)
-    if np.any(flat.imag <= 0.0):
-        raise EvaluationError("z must lie in the open upper half-plane")
-    if np.any(np.abs(flat - 1j) < 1e-10):
+    outside = np.flatnonzero(outside_domain(flat))
+    if outside.size:
+        if flat[outside[0]].imag <= 0.0:
+            raise EvaluationError("z must lie in the open upper half-plane")
         raise EvaluationError("z = i is excluded from the transform domain")
 
     f_vals = _parameter_values(F, nc.delta, flat, tol)

@@ -240,3 +240,22 @@ def test_evaluate_values_unchanged(ex21_path):
         got, want = np.array([v["value"] for v in values]), np.array(expected)
         assert got.shape == want.shape
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+# `evaluate` errors before the points were evaluated in one call: the first
+# point that raises decides, in the order the points are given
+EVALUATE_ERRORS = [
+    (("[[0,0]]", "--z=2j", "--z=0.5-1j", "--z=3j"),
+     '{"error": "z must lie in the open upper half-plane"}\n'),
+    (("[[1.5,0]]", "--z=2j", "--z=0.5-1j"),
+     '{"error": "parameter is not a contraction (largest singular value 1.500000)"}\n'),
+    (("[[0,0]]", "--z=1j", "--z=0.5-1j"),
+     '{"error": "z = i is excluded from the transform domain"}\n'),
+]
+
+
+@pytest.mark.parametrize("args, stdout", EVALUATE_ERRORS)
+def test_evaluate_errors_unchanged(ex21_path, args, stdout):
+    proc = run_cli("evaluate", ex21_path, "--F", *args)
+    assert proc.returncode == 2
+    assert proc.stdout == stdout
