@@ -1,19 +1,23 @@
 """Command-line interface: JSON in, JSON/CSV out.
 
-Exit codes: 0 success, 1 input error, 2 infeasible or misused subcommand
-(e.g. asking for the unique solution of an indeterminate problem).
+Exit codes: 0 success, 1 input error (including non-finite numbers such as
+NaN or Infinity in any input), 2 infeasible or misused subcommand (e.g.
+asking for the unique solution of an indeterminate problem), 3 numerical
+failure: a rank inconsistency, or an emitted measure whose own verify
+block fails.
 """
 
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import sys
 
 import numpy as np
 
 from . import analyze
-from .errors import InputError, MatMomError, SolvabilityError
+from .errors import InputError, MatMomError, RankError, SolvabilityError
 from .determinate import build_determinate_model, solve_determinate
 from .gap import analyze_gap, check_gap_class, gap_solvable_search, verify_gap
 from .moment_model import (AtomicMeasure, GapSpec, Tolerances, distribution_csv_rows, dumps,
@@ -79,9 +83,12 @@ def _parse_z_values(values) -> list:
             if not token:
                 continue
             try:
-                points.append(complex(token))
+                point = complex(token)
             except ValueError as exc:
                 raise InputError(f"cannot parse z value {token!r}") from exc
+            if not cmath.isfinite(point):
+                raise InputError(f"z value {token!r} is not finite")
+            points.append(point)
     if not points:
         raise InputError("at least one --z value is required")
     return points
@@ -91,16 +98,39 @@ def _emit(obj) -> None:
     sys.stdout.write(dumps(obj) + "\n")
 
 
-def _measure_payload(measure: AtomicMeasure, ms, tol: Tolerances) -> dict:
+def _analyze(args, tol, determinate=None):
+    """Parse the moments, then --delta when the command has one, then analyse.
+
+    Returns (state, spec); spec is None without --delta.  A required problem
+    kind (determinate True or False) that does not hold is an error.
+    """
+    ms = parse_moments(_read_text(args.input), tol)
+    spec = GapSpec.parse(args.delta) if "delta" in args else None
+    state = analyze(ms, tol)
+    if determinate is not None and state.determinate != determinate:
+        raise MatMomError("moment problem is indeterminate; use parametrize/canonical"
+                          if determinate else "moment problem is determinate; use solve")
+    return state, spec
+
+
+def _unique_solution(state) -> AtomicMeasure:
+    return solve_determinate(build_determinate_model(state.rep, state.bases))
+
+
+def _emit_measure(args, measure: AtomicMeasure, ms, tol: Tolerances, **extra) -> int:
+    """Write the measure, its verify block and extra keys, and the CSV when asked.
+
+    Returns the exit status: 3 when the measure fails its own verification.
+    """
     report = verify_moments(measure, ms, tol.moment_tol)
     payload = measure.to_json_obj()
     payload["verify"] = report.to_json_obj()
-    return payload
-
-
-def _write_csv(path: str, measure: AtomicMeasure, dim: int) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        write_distribution_csv(fh, dim, distribution_csv_rows(measure, dim=dim))
+    payload.update(extra)
+    _emit(payload)
+    if args.csv:
+        with open(args.csv, "w", encoding="utf-8", newline="") as fh:
+            write_distribution_csv(fh, ms.N, distribution_csv_rows(measure, dim=ms.N))
+    return 0 if report.passed else 3
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -158,43 +188,24 @@ def _cmd_check(args, tol) -> int:
 
 
 def _cmd_inspect(args, tol) -> int:
-    ms = parse_moments(_read_text(args.input), tol)
-    state = analyze(ms, tol)
+    state, _ = _analyze(args, tol)
     _emit(state.dimensions())
     return 0
 
 
 def _cmd_solve(args, tol) -> int:
-    ms = parse_moments(_read_text(args.input), tol)
-    state = analyze(ms, tol)
-    if not state.determinate:
-        _emit({"error": "moment problem is indeterminate; use parametrize/canonical"})
-        return 2
-    dm = build_determinate_model(state.rep, state.bases)
-    measure = solve_determinate(dm)
-    _emit(_measure_payload(measure, ms, tol))
-    if args.csv:
-        _write_csv(args.csv, measure, ms.N)
-    return 0
+    state, _ = _analyze(args, tol, determinate=True)
+    return _emit_measure(args, _unique_solution(state), state.moments, tol)
 
 
 def _cmd_parametrize(args, tol) -> int:
-    ms = parse_moments(_read_text(args.input), tol)
-    state = analyze(ms, tol)
-    if state.determinate:
-        _emit({"error": "moment problem is determinate; use solve"})
-        return 2
-    nc = assemble_coefficients(state.rep, state.bases, tol)
-    _emit(nc.to_json_obj())
+    state, _ = _analyze(args, tol, determinate=False)
+    _emit(assemble_coefficients(state.rep, state.bases, tol).to_json_obj())
     return 0
 
 
 def _cmd_evaluate(args, tol) -> int:
-    ms = parse_moments(_read_text(args.input), tol)
-    state = analyze(ms, tol)
-    if state.determinate:
-        _emit({"error": "moment problem is determinate; use solve"})
-        return 2
+    state, _ = _analyze(args, tol, determinate=False)
     nc = assemble_coefficients(state.rep, state.bases, tol)
     F = _parse_parameter(args.F)
     points = _parse_z_values(args.z)
@@ -211,27 +222,16 @@ def _cmd_evaluate(args, tol) -> int:
 
 
 def _cmd_canonical(args, tol) -> int:
-    ms = parse_moments(_read_text(args.input), tol)
-    state = analyze(ms, tol)
-    if state.determinate:
-        _emit({"error": "moment problem is determinate; use solve"})
-        return 2
+    state, _ = _analyze(args, tol, determinate=False)
     F = _parse_parameter(args.F)
     measure = canonical_solution(state.rep, state.bases, F, tol)
-    _emit(_measure_payload(measure, ms, tol))
-    if args.csv:
-        _write_csv(args.csv, measure, ms.N)
-    return 0
+    return _emit_measure(args, measure, state.moments, tol)
 
 
 def _cmd_gap_check(args, tol) -> int:
-    ms = parse_moments(_read_text(args.input), tol)
-    spec = GapSpec.parse(args.delta)
-    state = analyze(ms, tol)
+    state, spec = _analyze(args, tol)
     if state.determinate:
-        dm = build_determinate_model(state.rep, state.bases)
-        measure = solve_determinate(dm)
-        respects = verify_gap(measure, spec, tol)
+        respects = verify_gap(_unique_solution(state), spec, tol)
         _emit({"determinate": True, "unique_solution_respects_gap": respects})
         return 0 if respects else 2
     analysis = analyze_gap(state.rep, state.bases, spec, tol)
@@ -253,19 +253,13 @@ def _cmd_gap_check(args, tol) -> int:
 
 
 def _cmd_gap_solve(args, tol) -> int:
-    ms = parse_moments(_read_text(args.input), tol)
-    spec = GapSpec.parse(args.delta)
-    state = analyze(ms, tol)
+    if args.budget < 1:
+        raise InputError(f"--budget must be at least 1, got {args.budget}")
+    state, spec = _analyze(args, tol)
     if state.determinate:
-        dm = build_determinate_model(state.rep, state.bases)
-        measure = solve_determinate(dm)
+        measure = _unique_solution(state)
         if verify_gap(measure, spec, tol):
-            payload = _measure_payload(measure, ms, tol)
-            payload["determinate"] = True
-            _emit(payload)
-            if args.csv:
-                _write_csv(args.csv, measure, ms.N)
-            return 0
+            return _emit_measure(args, measure, state.moments, tol, determinate=True)
         _emit({"determinate": True,
                "error": "the unique solution has mass inside the gap; infeasible"})
         return 2
@@ -273,12 +267,8 @@ def _cmd_gap_solve(args, tol) -> int:
     result = gap_solvable_search(state.rep, state.bases, nc, spec,
                                  budget=args.budget, tol=tol, seed=args.seed)
     if result.found:
-        payload = _measure_payload(result.measure, ms, tol)
-        payload["F"] = matrix_to_json(result.F)
-        _emit(payload)
-        if args.csv:
-            _write_csv(args.csv, result.measure, ms.N)
-        return 0
+        return _emit_measure(args, result.measure, state.moments, tol,
+                             F=matrix_to_json(result.F))
     if result.status == "not_regular":
         _emit({"error": "no solution with this gap exists: regular type fails",
                "witness_lambda": result.witness})
@@ -334,7 +324,7 @@ def main(argv=None) -> int:
         return 2
     except MatMomError as exc:
         _emit({"error": str(exc)})
-        return 2
+        return 3 if isinstance(exc, RankError) else 2
 
 
 if __name__ == "__main__":

@@ -31,10 +31,6 @@ class DeterminateModel:
     def kappa(self) -> int:
         return self.MA.shape[0]
 
-    @property
-    def N(self) -> int:
-        return self.R.shape[1]
-
 
 def build_determinate_model(rep: HilbertRep, bases: BasisCollection) -> DeterminateModel:
     if bases.kappa_prime != 0:
@@ -46,39 +42,52 @@ def build_determinate_model(rep: HilbertRep, bases: BasisCollection) -> Determin
     return DeterminateModel(R=R, MA=MA)
 
 
-def cluster_eigh(m: np.ndarray, cluster_tol: float):
-    """Hermitian eigendecomposition with nearby eigenvalues merged.
+def spectral_measure(a: np.ndarray, xc: np.ndarray) -> AtomicMeasure:
+    """Atoms of the spectral measure of the Hermitian matrix a compressed to the columns of xc.
 
-    Yields (location, projector) pairs in increasing order of location;
-    projectors of merged eigenvalues are summed so repeated spectrum from
-    block structure becomes a single PSD weight.
+    Eigenvalues closer than 1e-8 (1 + ||a||) are merged into one atom at
+    their mean, so repeated spectrum from block structure becomes a single
+    PSD weight.  The weight is xc* P xc for the summed eigenprojection P,
+    transposed back from the transform's transposed convention.
     """
-    if m.shape[0] == 0:
-        return
-    evals, evecs = np.linalg.eigh(m)
+    if a.shape[0] == 0:
+        return AtomicMeasure(atoms=())
+    cluster_tol = 1e-8 * (1.0 + float(np.linalg.norm(a, 2)))
+    evals, evecs = np.linalg.eigh(a)
+    atoms = []
     start = 0
     for i in range(1, len(evals) + 1):
         if i == len(evals) or evals[i] - evals[i - 1] > cluster_tol:
             vecs = evecs[:, start:i]
-            yield float(evals[start:i].mean()), vecs @ vecs.conj().T
+            proj = vecs @ vecs.conj().T
+            atoms.append((float(evals[start:i].mean()), hermitize((xc.conj().T @ proj @ xc).T)))
             start = i
+    return AtomicMeasure(atoms=tuple(atoms))
+
+
+def resolvent_transform(a: np.ndarray, xc: np.ndarray, z) -> np.ndarray:
+    """Values xc* (a - z I)^{-1} xc at non-real z (scalar or array), one linear solve per point.
+
+    Returns shape z.shape + (n, n) for the n columns of xc: the transform of
+    the transposed measure, entry (j, k) integrating 1/(t - z) against dm_{k,j}.
+    """
+    z_arr = np.asarray(z, dtype=complex)
+    flat = np.atleast_1d(z_arr).ravel()
+    real = flat[flat.imag == 0.0]
+    if real.size:
+        raise EvaluationError(f"z must be non-real, got {complex(real[0])}")
+    eye = np.eye(a.shape[0])
+    vals = [xc.conj().T @ np.linalg.solve(a - w * eye, xc) for w in flat]
+    return np.array(vals, dtype=complex).reshape(z_arr.shape + (xc.shape[1],) * 2)
 
 
 def solve_determinate(dm: DeterminateModel) -> AtomicMeasure:
     """Spectral extraction of the unique solution.
 
     The transform R*(MA - z)^{-1} R expands into simple fractions over the
-    eigenvalues of MA; each residue, transposed back from the transform's
-    transposed convention, is the weight matrix at that eigenvalue.
+    eigenvalues of MA; each residue is the weight matrix at that eigenvalue.
     """
-    if dm.kappa == 0:
-        return AtomicMeasure(atoms=())
-    cluster_tol = 1e-8 * (1.0 + float(np.linalg.norm(dm.MA, 2)))
-    atoms = []
-    for loc, proj in cluster_eigh(dm.MA, cluster_tol):
-        w = hermitize((dm.R.conj().T @ proj @ dm.R).T)
-        atoms.append((loc, w))
-    return AtomicMeasure(atoms=tuple(atoms))
+    return spectral_measure(dm.MA, dm.R)
 
 
 def stieltjes_determinate(dm: DeterminateModel, z: complex) -> np.ndarray:
@@ -87,10 +96,4 @@ def stieltjes_determinate(dm: DeterminateModel, z: complex) -> np.ndarray:
     Returns the transform of the transposed measure: entry (j, k) is the
     integral of 1/(t - z) against dm_{k,j}.
     """
-    z = complex(z)
-    if z.imag == 0.0:
-        raise EvaluationError(f"z must be non-real, got {z}")
-    if dm.kappa == 0:
-        return np.zeros((dm.N, dm.N), dtype=complex)
-    shifted = dm.MA - z * np.eye(dm.kappa)
-    return dm.R.conj().T @ np.linalg.solve(shifted, dm.R)
+    return resolvent_transform(dm.MA, dm.R, z)

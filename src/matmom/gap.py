@@ -15,13 +15,14 @@ per stacked Gram-Schmidt pass, which bounds the memory of long grids.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ParameterError, RankError
-from .hilbert_space import (BasisCollection, HilbertRep, OrthoBasisSet, ip_matrix,
+from .hilbert_space import (BasisCollection, HilbertRep, ip_matrix, orthonormal_split,
                             orthonormalize_stack, shifted_domain_images)
 from .moment_model import AtomicMeasure, DEFAULT_TOL, GapSpec, Tolerances
 from .nevanlinna import (NevanlinnaCoefficients, canonical_solution, check_constant_admissible,
@@ -35,12 +36,17 @@ GRID_BLOCK = 1024  # grid points per stacked Gram-Schmidt pass; bounds the stack
 ARC_SCAN_BLOCK = 256  # grid points per step of the delta=1 angle scan; bounds its memory
 
 
-def _gap_stack(rep: HilbertRep, lams: np.ndarray, tol: Tolerances):
-    """Stacked Gram-Schmidt of x_{k+N} - lam x_k (k < dN), then x_0..x_{N-1}, at every lam."""
+def _gap_seq(rep: HilbertRep, lams: np.ndarray) -> np.ndarray:
+    """x_{k+N} - lam x_k (k < dN), then x_0..x_{N-1}: an (n, r, dN+N) stack, one matrix per lam."""
     dN = rep.dN
     shifted = rep.X[None, :, rep.N: rep.N + dN] - lams[:, None, None] * rep.X[None, :, :dN]
     lead = np.broadcast_to(rep.X[None, :, : rep.N], (lams.size, rep.r, rep.N))
-    return orthonormalize_stack(np.concatenate([shifted, lead], axis=2), tol.rank_tol)
+    return np.concatenate([shifted, lead], axis=2)
+
+
+def _gap_stack(rep: HilbertRep, lams: np.ndarray, tol: Tolerances):
+    """Stacked Gram-Schmidt of the gap sequence at every lam."""
+    return orthonormalize_stack(_gap_seq(rep, lams), tol.rank_tol)
 
 
 def _well_conditioned(mats: np.ndarray, tol: Tolerances) -> np.ndarray:
@@ -87,12 +93,7 @@ def gap_basis(rep: HilbertRep, lam: float, tol: Tolerances = DEFAULT_TOL):
     Orthogonalizes x_{k+N} - lam x_k for k = 0..dN-1 and then the leading
     block x_0..x_{N-1}; the split of survivors gives the two families.
     """
-    vectors, expansions, keep = _gap_stack(rep, np.array([float(lam)]), tol)
-    kept = np.flatnonzero(keep[0])
-    return tuple(
-        OrthoBasisSet(vectors=vectors[0][:, cols], source_indices=tuple(int(c) for c in cols),
-                      expansions=expansions[0][cols])
-        for cols in (kept[kept < rep.dN], kept[kept >= rep.dN]))
+    return orthonormal_split(_gap_seq(rep, np.array([float(lam)]))[0], rep.dN, tol.rank_tol)
 
 
 def regular_type_check(rep: HilbertRep, bases: BasisCollection, lam: float,
@@ -190,9 +191,6 @@ def analyze_gap(rep: HilbertRep, bases: BasisCollection, spec: GapSpec,
 class GapClassDecision:
     accepted: bool
     failures: tuple  # of (lam or None, code) pairs; codes 'A'dmissibility, 'B', 'C'
-
-    def __bool__(self) -> bool:
-        return self.accepted
 
     def to_json_obj(self) -> dict:
         return {
@@ -320,6 +318,18 @@ def _feasible_angles(f_vals: np.ndarray, xi: np.ndarray, analysis: GapAnalysis,
     return ok
 
 
+def _arc_candidates(xi: np.ndarray, analysis: GapAnalysis, budget: int, tol: Tolerances):
+    """At most 64 unimodular 1x1 parameters on the feasible arcs among budget (at least 8)
+    angles: widest arc first, each arc sampled in a bisection pattern, widest placements first."""
+    thetas = np.linspace(0.0, 2.0 * np.pi, max(int(budget), 8), endpoint=False)
+    arcs = _circular_arcs(_feasible_angles(np.exp(1j * thetas), xi, analysis, tol))
+    arcs.sort(key=lambda a: -a[1])
+    step = 2.0 * np.pi / thetas.size
+    offsets = [0.5] + [(2 * k + 1) / (2 * depth) for depth in (4, 8, 16, 32) for k in range(depth)]
+    angles = (thetas[start] + frac * (length * step) for start, length in arcs for frac in offsets)
+    return (np.array([[np.exp(1j * theta)]]) for theta in itertools.islice(angles, 64))
+
+
 def gap_solvable_search(rep: HilbertRep, bases: BasisCollection,
                         nc: NevanlinnaCoefficients, spec: GapSpec, budget: int = 1000,
                         tol: Tolerances = DEFAULT_TOL, seed: int = 0,
@@ -338,39 +348,12 @@ def gap_solvable_search(rep: HilbertRep, bases: BasisCollection,
         witness = float(analysis.grid[~analysis.invertible][0])
         return GapSearchResult(status="not_regular", witness=witness)
     xi = nc.Xi
-
     if bases.delta == 1:
-        thetas = np.linspace(0.0, 2.0 * np.pi, max(int(budget), 8), endpoint=False)
-        arcs = _circular_arcs(_feasible_angles(np.exp(1j * thetas), xi, analysis, tol))
-        arcs.sort(key=lambda a: -a[1])
-        tries = 0
-        step = 2.0 * np.pi / thetas.size
-        for start, length in arcs:
-            lo = thetas[start]
-            span = length * step
-            # bisection pattern over the feasible arc, widest placements first
-            offsets = [0.5]
-            for depth in (4, 8, 16, 32):
-                offsets.extend((2 * k + 1) / (2 * depth) for k in range(depth))
-            seen = set()
-            for frac in offsets:
-                if tries >= 64:
-                    break
-                key = round(frac, 6)
-                if key in seen:
-                    continue
-                seen.add(key)
-                theta = lo + frac * span
-                F = np.array([[np.exp(1j * theta)]])
-                tries += 1
-                measure = _try_candidate(rep, bases, F, xi, analysis, spec, tol)
-                if measure is not None:
-                    return GapSearchResult(status="found", F=F, measure=measure)
-        return GapSearchResult(status="exhausted")
-
-    rng = np.random.default_rng(seed)
-    for _ in range(int(budget)):
-        F = random_unitary(rng, bases.delta)
+        candidates = _arc_candidates(xi, analysis, budget, tol)
+    else:
+        rng = np.random.default_rng(seed)
+        candidates = (random_unitary(rng, bases.delta) for _ in range(int(budget)))
+    for F in candidates:
         measure = _try_candidate(rep, bases, F, xi, analysis, spec, tol)
         if measure is not None:
             return GapSearchResult(status="found", F=F, measure=measure)

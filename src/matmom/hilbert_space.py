@@ -50,9 +50,6 @@ class HilbertRep:
     def dN(self) -> int:
         return self.d * self.N
 
-    def vector(self, n: int) -> np.ndarray:
-        return self.X[:, n]
-
     def first_block(self) -> np.ndarray:
         """Columns x_0 .. x_{N-1}."""
         return self.X[:, : self.N]
@@ -128,16 +125,27 @@ def orthonormalize_stack(seq: np.ndarray, rank_tol: float = DEFAULT_TOL.rank_tol
     return np.swapaxes(work[:, :, :r], 1, 2), work[:, :, r:], keep
 
 
+def orthonormal_split(seq: np.ndarray, n_lead: int, rank_tol: float = DEFAULT_TOL.rank_tol):
+    """orthonormalize_stack of one (r, m) matrix, its survivors split at input n_lead.
+
+    Returns (lead, rest): the OrthoBasisSets of the survivors among the first
+    n_lead inputs and among the others, with expansions over all m inputs.
+    """
+    vectors, expansions, keep = orthonormalize_stack(np.asarray(seq)[None], rank_tol)
+    kept = np.flatnonzero(keep[0])
+    return tuple(
+        OrthoBasisSet(vectors=vectors[0][:, cols], source_indices=tuple(int(c) for c in cols),
+                      expansions=expansions[0][cols])
+        for cols in (kept[kept < n_lead], kept[kept >= n_lead]))
+
+
 def orthonormalize(vectors: np.ndarray, rank_tol: float = DEFAULT_TOL.rank_tol) -> OrthoBasisSet:
     """orthonormalize_stack of one (r, m) matrix, keeping only the survivors."""
-    vectors, expansions, keep = orthonormalize_stack(np.asarray(vectors)[None], rank_tol)
-    cols = np.flatnonzero(keep[0])
-    return OrthoBasisSet(vectors=vectors[0][:, cols], source_indices=tuple(int(c) for c in cols),
-                         expansions=expansions[0][cols])
+    vectors = np.asarray(vectors)
+    return orthonormal_split(vectors, vectors.shape[1], rank_tol)[0]
 
 
-def factor_gram(h: HankelPair, tol: Tolerances = DEFAULT_TOL, N: int | None = None,
-                d: int | None = None) -> HilbertRep:
+def factor_gram(h: HankelPair, tol: Tolerances = DEFAULT_TOL, *, N: int, d: int) -> HilbertRep:
     """Realize the Gram matrix by explicit coordinates.
 
     Eigenvalues of gamma_d below rank_tol * lambda_max are dropped (slightly
@@ -146,11 +154,6 @@ def factor_gram(h: HankelPair, tol: Tolerances = DEFAULT_TOL, N: int | None = No
     """
     gamma = h.gamma_d
     size = gamma.shape[0]
-    if N is None or d is None:
-        # infer the block structure from the sizes of the Hankel pair
-        n_dim = size - h.gamma_dm1.shape[0]
-        N = n_dim if N is None else N
-        d = (size - N) // N if d is None else d
     if size != (d + 1) * N:
         raise RankError(f"Hankel size {size} does not match N={N}, d={d}")
 
@@ -219,22 +222,10 @@ def build_operator_model(rep: HilbertRep, tol: Tolerances = DEFAULT_TOL) -> Oper
     dN = rep.dN
     X = rep.X
     y = X[:, rep.N: rep.N + dN] - 1j * X[:, :dN]
-    seq = np.concatenate([y, X[:, : rep.N]], axis=1)
-    gs = orthonormalize(seq, tol.rank_tol)
-
-    tau = sum(1 for s in gs.source_indices if s < dN)
-    rho = sum(1 for s in gs.source_indices if s < min(rep.N, dN))
-
-    range_basis = OrthoBasisSet(
-        vectors=gs.vectors[:, :tau],
-        source_indices=gs.source_indices[:tau],
-        expansions=gs.expansions[:tau],
-    )
-    defect_basis = OrthoBasisSet(
-        vectors=gs.vectors[:, tau:],
-        source_indices=gs.source_indices[tau:],
-        expansions=gs.expansions[tau:],
-    )
+    range_basis, defect_basis = orthonormal_split(np.concatenate([y, X[:, : rep.N]], axis=1),
+                                                  dN, tol.rank_tol)
+    tau = range_basis.size
+    rho = sum(1 for s in range_basis.source_indices if s < rep.N)
 
     z_plus = X[:, rep.N: rep.N + dN] + 1j * X[:, :dN]
     coeff = range_basis.expansions[:, :dN]  # u_j only involves the difference vectors
@@ -287,31 +278,14 @@ class BasisCollection:
 def build_all_bases(rep: HilbertRep, model: OperatorModel,
                     tol: Tolerances = DEFAULT_TOL) -> BasisCollection:
     """Run the remaining orthogonalizations and cross-check all dimensions."""
-    dN = rep.dN
-    gs_x = orthonormalize(rep.X, tol.rank_tol)
-    kappa = sum(1 for s in gs_x.source_indices if s < dN)
-    domain = OrthoBasisSet(
-        vectors=gs_x.vectors[:, :kappa],
-        source_indices=gs_x.source_indices[:kappa],
-        expansions=gs_x.expansions[:kappa],
-    )
-    domain_comp = OrthoBasisSet(
-        vectors=gs_x.vectors[:, kappa:],
-        source_indices=gs_x.source_indices[kappa:],
-        expansions=gs_x.expansions[kappa:],
-    )
+    domain, domain_comp = orthonormal_split(rep.X, rep.dN, tol.rank_tol)
+    kappa = domain.size
 
     tau = model.tau
-    seq = np.concatenate([model.cayley, rep.X[:, : rep.N]], axis=1)
-    gs_v = orthonormalize(seq, tol.rank_tol)
-    lead = sum(1 for s in gs_v.source_indices if s < tau)
-    if lead != tau:
+    lead, codefect = orthonormal_split(np.concatenate([model.cayley, rep.X[:, : rep.N]], axis=1),
+                                       tau, tol.rank_tol)
+    if lead.size != tau:
         raise RankError("Cayley images lost rank during re-orthogonalization")
-    codefect = OrthoBasisSet(
-        vectors=gs_v.vectors[:, lead:],
-        source_indices=gs_v.source_indices[lead:],
-        expansions=gs_v.expansions[lead:],
-    )
 
     r = rep.r
     if kappa + domain_comp.size != r or tau + model.delta != r:

@@ -83,15 +83,6 @@ class MatrixPolynomial:
         return self.coeffs.shape[0] - 1
 
     @classmethod
-    def zero(cls, p: int, q: int) -> "MatrixPolynomial":
-        return cls(np.zeros((1, p, q), dtype=complex))
-
-    @classmethod
-    def constant(cls, m: np.ndarray) -> "MatrixPolynomial":
-        m = np.asarray(m, dtype=complex)
-        return cls(m[None, :, :])
-
-    @classmethod
     def from_samples(cls, fn, degree: int, shape: tuple) -> "MatrixPolynomial":
         """Interpolate a matrix-valued polynomial from degree+1 samples of fn.
 
@@ -125,26 +116,6 @@ class MatrixPolynomial:
             out *= zz
             out += c
         return out
-
-    def __add__(self, other: "MatrixPolynomial") -> "MatrixPolynomial":
-        if self.shape != other.shape:
-            raise InputError(f"shape mismatch {self.shape} vs {other.shape}")
-        n = max(self.coeffs.shape[0], other.coeffs.shape[0])
-        p, q = self.shape
-        out = np.zeros((n, p, q), dtype=complex)
-        out[: self.coeffs.shape[0]] += self.coeffs
-        out[: other.coeffs.shape[0]] += other.coeffs
-        return MatrixPolynomial(out).trim()
-
-    def __matmul__(self, other: "MatrixPolynomial") -> "MatrixPolynomial":
-        if self.shape[1] != other.shape[0]:
-            raise InputError(f"product shape mismatch {self.shape} @ {other.shape}")
-        n = self.coeffs.shape[0] + other.coeffs.shape[0] - 1
-        out = np.zeros((n, self.shape[0], other.shape[1]), dtype=complex)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a @ b
-        return MatrixPolynomial(out).trim()
 
     def scale(self, scalar_coeffs: np.ndarray) -> "MatrixPolynomial":
         """Multiply by a scalar polynomial given as a 1-D coefficient array."""

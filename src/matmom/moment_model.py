@@ -10,6 +10,7 @@ number is accepted on input and read as a real value.
 
 from __future__ import annotations
 
+import cmath
 import csv
 import json
 import math
@@ -81,6 +82,8 @@ class MomentSequence:
             m = np.asarray(raw, dtype=complex)
             if m.shape != (N, N):
                 raise InputError(f"moment matrix n={n} has shape {m.shape}, expected {(N, N)}")
+            if not np.isfinite(m).all():
+                raise InputError(f"moment matrix n={n} has non-finite entries")
             dev = hermitian_deviation(m)
             scale = 1.0 + float(np.abs(m).max(initial=0.0))
             if dev > tol.hermitian_tol * scale:
@@ -157,22 +160,6 @@ class AtomicMeasure:
             for n in range(count):
                 out[n] += power * w
                 power *= t
-        return out
-
-    def total_mass(self, dim: int | None = None) -> np.ndarray:
-        n_dim = self.dim if dim is None else dim
-        total = np.zeros((n_dim, n_dim), dtype=complex)
-        for _, w in self.atoms:
-            total += w
-        return total
-
-    def distribution(self, lam: float, dim: int | None = None) -> np.ndarray:
-        """Left-continuous distribution value: sum of weights strictly below lam."""
-        n_dim = self.dim if dim is None else dim
-        out = np.zeros((n_dim, n_dim), dtype=complex)
-        for t, w in self.atoms:
-            if t < lam:
-                out += w
         return out
 
     def prune(self, weight_tol: float) -> "AtomicMeasure":
@@ -272,11 +259,15 @@ def _as_complex(entry) -> complex:
     if isinstance(entry, bool):
         raise InputError(f"bad complex entry {entry!r}")
     if isinstance(entry, (int, float)):
-        return complex(entry)
-    if (isinstance(entry, (list, tuple)) and len(entry) == 2
+        value = complex(entry)
+    elif (isinstance(entry, (list, tuple)) and len(entry) == 2
             and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in entry)):
-        return complex(entry[0], entry[1])
-    raise InputError(f"bad complex entry {entry!r} (expected number or [re, im])")
+        value = complex(entry[0], entry[1])
+    else:
+        raise InputError(f"bad complex entry {entry!r} (expected number or [re, im])")
+    if not cmath.isfinite(value):
+        raise InputError(f"complex entry {entry!r} is not finite")
+    return value
 
 
 def matrix_from_json(rows) -> np.ndarray:
@@ -336,9 +327,8 @@ def _format_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def dumps(obj, indent: int = 0) -> str:
+def dumps(obj) -> str:
     """Deterministic JSON with every float printed to 17 significant digits."""
-    pad = " " * indent
     if obj is None:
         return "null"
     if isinstance(obj, bool):

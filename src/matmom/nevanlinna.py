@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .determinate import cluster_eigh
+from .determinate import resolvent_transform, spectral_measure
 from .errors import EvaluationError, ParameterError, RankError
 from .hilbert_space import BasisCollection, HilbertRep, ip_matrix
 from .matpoly import MatrixPolynomial, interpolation_nodes, poly_from_samples, polyval
@@ -449,14 +449,7 @@ def canonical_solution(rep: HilbertRep, bases: BasisCollection, F,
     Atoms sit at the eigenvalues of the extension; the weight at each atom
     compresses the eigenprojection onto the leading generating vectors.
     """
-    a_ext = extension_operator(bases, F, tol)
-    cluster_tol = 1e-8 * (1.0 + float(np.linalg.norm(a_ext, 2))) if a_ext.size else 1e-8
-    xc = rep.first_block()
-    atoms = []
-    for loc, proj in cluster_eigh(a_ext, cluster_tol):
-        w = hermitize((xc.conj().T @ proj @ xc).T)
-        atoms.append((loc, w))
-    return AtomicMeasure(atoms=tuple(atoms))
+    return spectral_measure(extension_operator(bases, F, tol), rep.first_block())
 
 
 def transform_via_resolvent(rep: HilbertRep, bases: BasisCollection, F, z,
@@ -467,17 +460,7 @@ def transform_via_resolvent(rep: HilbertRep, bases: BasisCollection, F, z,
     inner product of the resolvent applied to x_k against x_j, matching the
     transposed-measure convention of evaluate_transform.
     """
-    a_ext = extension_operator(bases, F, tol)
-    xc = rep.first_block()
-    z_arr = np.asarray(z, dtype=complex)
-    flat = np.atleast_1d(z_arr).ravel()
-    if np.any(flat.imag == 0.0):
-        raise EvaluationError("z must be non-real")
-    eye = np.eye(a_ext.shape[0])
-    vals = np.stack([xc.conj().T @ np.linalg.solve(a_ext - w * eye, xc) for w in flat])
-    if z_arr.ndim == 0:
-        return vals[0]
-    return vals.reshape(z_arr.shape + (rep.N, rep.N))
+    return resolvent_transform(extension_operator(bases, F, tol), rep.first_block(), z)
 
 
 def random_unitary(rng: np.random.Generator, delta: int) -> np.ndarray:
@@ -494,16 +477,13 @@ def find_admissible_unitary(Xi: np.ndarray, tol: Tolerances = DEFAULT_TOL,
     delta = Xi.shape[0]
     if delta == 1:
         golden = 2.0 * np.pi * (np.sqrt(5.0) - 1.0) / 2.0
-        for j in range(tries):
-            F = np.array([[np.exp(1j * (0.0 + j * golden))]])
-            if check_constant_admissible(F, Xi, tol):
-                return F
+        candidates = (np.array([[np.exp(1j * (0.0 + j * golden))]]) for j in range(tries))
     else:
         rng = np.random.default_rng(seed)
-        for _ in range(tries):
-            F = random_unitary(rng, delta)
-            if check_constant_admissible(F, Xi, tol):
-                return F
+        candidates = (random_unitary(rng, delta) for _ in range(tries))
+    for F in candidates:
+        if check_constant_admissible(F, Xi, tol):
+            return F
     raise ParameterError("no admissible unitary parameter found within the search budget")
 
 

@@ -5,6 +5,10 @@ import sys
 import numpy as np
 import pytest
 
+from matmom import serialize_moments
+
+from test_assemble_batched import jittered_moments
+
 EX21_DOC = json.dumps({
     "N": 2, "d": 1,
     "moments": [
@@ -19,6 +23,11 @@ ZERO_DOC = json.dumps({"N": 1, "d": 1,
                        "moments": [[[[0, 0]]], [[[0, 0]]], [[[0, 0]]]]})
 UNSOLVABLE_DOC = json.dumps({"N": 1, "d": 1,
                              "moments": [[[[0, 0]]], [[[0, 0]]], [[[1, 0]]]]})
+TWO_ATOM_DOC = json.dumps({"N": 1, "d": 2,  # unit weights at -1 and 1: determinate
+                           "moments": [[[[2, 0]]], [[[0, 0]]], [[[2, 0]]], [[[0, 0]]], [[[2, 0]]]]})
+NAN_DOC = EX21_DOC.replace("[1, 0]]]", "[NaN, 0]]]", 1)
+DOCS = {"ex21": EX21_DOC, "point_mass": POINT_MASS_DOC, "two_atom": TWO_ATOM_DOC,
+        "nan": NAN_DOC}
 
 
 def run_cli(*args, stdin=None):
@@ -31,6 +40,15 @@ def ex21_path(tmp_path):
     path = tmp_path / "ex21.json"
     path.write_text(EX21_DOC)
     return str(path)
+
+
+@pytest.fixture()
+def doc_path(tmp_path):
+    def write(name):
+        path = tmp_path / f"{name}.json"
+        path.write_text(DOCS[name])
+        return str(path)
+    return write
 
 
 def test_check_solvable(ex21_path):
@@ -259,3 +277,141 @@ def test_evaluate_errors_unchanged(ex21_path, args, stdout):
     proc = run_cli("evaluate", ex21_path, "--F", *args)
     assert proc.returncode == 2
     assert proc.stdout == stdout
+
+
+# stdout and exit status of the commands whose bodies share the parse, analyse and
+# measure-output steps, captured before those steps were folded into shared helpers
+CLI_STDOUT = [
+    ('ex21', ('inspect',), 0,
+     '{"r": 3, "kappa": 2, "kappa_prime": 1, "tau": 2, "delta": 1, "rho": 2, '
+     '"determinate": false}\n'),
+    ('two_atom', ('inspect',), 0,
+     '{"r": 2, "kappa": 2, "kappa_prime": 0, "tau": 2, "delta": 0, "rho": 1, '
+     '"determinate": true}\n'),
+    ('point_mass', ('solve',), 0,
+     '{"atoms": [{"t": 0, "W": [[[1, 0]]]}], "verify": {"passed": true, "tol": 1e-08, '
+     '"max_deviation": 0, "max_per_moment": [0, 0, 0]}}\n'),
+    ('two_atom', ('solve',), 0,
+     '{"atoms": [{"t": -1, "W": [[[0.99999999999999967, 0]]]}, {"t": 1, "W": '
+     '[[[0.99999999999999967, 0]]]}], "verify": {"passed": true, "tol": 1e-08, '
+     '"max_deviation": 6.6613381477509392e-16, "max_per_moment": '
+     '[6.6613381477509392e-16, 0, 6.6613381477509392e-16, 0, '
+     '6.6613381477509392e-16]}}\n'),
+    ('ex21', ('parametrize',), 0,
+     '{"N": 2, "tau": 2, "delta": 1, "rho": 2, "k": [[-0.75000000000000133, -2.25], '
+     '[1.0000000000000002, 3.4999999999999978], [-0.24999999999999892, '
+     '-1.2499999999999996]], "A": [[[[-0.27083333333334253, -0.020833333333314163], '
+     '[0, 0]], [[0, 0], [-1.1250000000000087, 0.37499999999998657]]], '
+     '[[[0.3333333333332682, -0.041666666666700748], [0, 0]], [[0, 0], '
+     '[0.62500000000005651, -0.12500000000001718]]], [[[-0.54166666666661401, '
+     '0.083333333333241458], [0, 0]], [[0, 0], [-2.2500000000000018, '
+     '0.75000000000009581]]], [[[0.54166666666673535, -0.083333333333291501], [0, '
+     '-0]], [[0, -0], [1.2499999999999167, -0.25000000000002542]]], '
+     '[[[-0.27083333333335097, 0.10416666666669422], [0, -0]], [[0, -0], '
+     '[-1.1249999999999771, 0.37499999999996225]]], [[[0.20833333333332846, '
+     '-0.04166666666667003], [0, -0]], [[0, -0], [0.62500000000000688, '
+     '-0.12499999999999292]]]], "B": [[[[0.50000000000000067, 0.50000000000000067]], '
+     '[[0, 0]]], [[[-0.50000000000000222, -0.49999999999999806]], [[0, -0]]], '
+     '[[[0.49999999999999778, 0.49999999999999734]], [[0, -0]]], '
+     '[[[-0.49999999999999883, -0.50000000000000122]], [[-0, 0]]]], "C": '
+     '[[[[0.74999999999999822, -2.2500000000000115]]], [[[1.250000000000028, '
+     '4.2499999999999947]]], [[[-3.2499999999999933, -2.2499999999999662]]], '
+     '[[[1.2499999999999798, 0.25000000000000339]]]], "D": [[[[0.4999999999999995, '
+     '-0.50000000000000133], [0, 0]]], [[[3.6188084697060014e-15, '
+     '0.99999999999999922], [0, -0]]], [[[-0.49999999999999944, '
+     '-0.49999999999999617], [0, -0]]]], "Xi": [[[0.38461538461538475, '
+     '0.92307692307692313]]], "W": [[[1.6732103039963083e-16, 0.43301270189221941]], '
+     '[[0, 0]]], "T": [[[0.50000000000000022, -0.75]]], "Chat": '
+     '[[[1.6732103039963083e-16, 0.43301270189221941], [0, 0]]], "K": '
+     '[[[1.1547005383792515, 3.3090811497049173e-17], [0, 0]], [[0, 0], '
+     '[1.4142135623730949, 0]]], "A0_coeff": [[[0.5, 0.74999999999999989], [0, 0]], '
+     '[[0, 0], [2.2371143170757382e-17, 0.99999999999999978]]], "C0_coeff": '
+     '[[[1.6732103039963083e-16, 0.43301270189221941], [0, 0]]], "psi": '
+     '[[[[-0.66666666666666652, 0.24999999999999994], [0, 0]], [[0, 0], [-1, 0.5]]], '
+     '[[[0, 0.83333333333333315], [0, 0]], [[0, 0], [0, 1.5]]], [[[0, '
+     '0.24999999999999994], [0, 0]], [[0, 0], [0, 0.5]]], [[[0, 0.16666666666666663], '
+     '[0, 0]], [[0, 0], [0, 0.5]]]]}\n'),
+    ('ex21', ('canonical', '--F', '[[1,0]]'), 0,
+     '{"atoms": [{"t": -1.7320508075688776, "W": [[[0.022329099369260204, 0], [0, '
+     '0]], [[0, 0], [0, 0]]]}, {"t": 1, "W": [[[0, 0], [0, 0]], [[0, 0], [1, 0]]]}, '
+     '{"t": 1.7320508075688776, "W": [[[0.31100423396407295, 0], [0, 0]], [[0, 0], '
+     '[0, 0]]]}], "verify": {"passed": true, "tol": 1e-08, "max_deviation": '
+     '1.6653345369377348e-16, "max_per_moment": [1.6653345369377348e-16, '
+     '1.1102230246251565e-16, 0]}}\n'),
+    ('ex21', ('canonical', '--F', '[[0.6,0.8]]'), 0,
+     '{"atoms": [{"t": -9.567764362830026, "W": [[[0.0020284731421230024, 0], [0, '
+     '0]], [[0, 0], [0, 0]]]}, {"t": 1, "W": [[[0, 0], [0, 0]], [[0, 0], [1, 0]]]}, '
+     '{"t": 1.5677643628300224, "W": [[[0.33130486019121025, 0], [0, 0]], [[0, 0], '
+     '[0, 0]]]}], "verify": {"passed": true, "tol": 1e-08, "max_deviation": '
+     '1.1102230246251565e-16, "max_per_moment": [5.5511151231257827e-17, '
+     '1.1102230246251565e-16, 0]}}\n'),
+    ('two_atom', ('gap-check', '--delta', '(-1,1)'), 0,
+     '{"determinate": true, "unique_solution_respects_gap": true}\n'),
+    ('two_atom', ('gap-check', '--delta', '(0,2)'), 2,
+     '{"determinate": true, "unique_solution_respects_gap": false}\n'),
+    ('two_atom', ('gap-solve', '--delta', '(-1,1)'), 0,
+     '{"atoms": [{"t": -1, "W": [[[0.99999999999999967, 0]]]}, {"t": 1, "W": '
+     '[[[0.99999999999999967, 0]]]}], "verify": {"passed": true, "tol": 1e-08, '
+     '"max_deviation": 6.6613381477509392e-16, "max_per_moment": '
+     '[6.6613381477509392e-16, 0, 6.6613381477509392e-16, 0, '
+     '6.6613381477509392e-16]}, "determinate": true}\n'),
+    ('two_atom', ('gap-solve', '--delta', '(-10,10)'), 2,
+     '{"determinate": true, "error": "the unique solution has mass inside the gap; '
+     'infeasible"}\n'),
+]
+
+
+@pytest.mark.parametrize("doc, args, status, stdout", CLI_STDOUT)
+def test_cli_stdout_unchanged(doc_path, doc, args, status, stdout):
+    proc = run_cli(args[0], doc_path(doc), *args[1:])
+    assert proc.returncode == status
+    assert proc.stdout == stdout
+
+
+def test_numerical_failures_exit_3(doc_path, tmp_path):
+    """A measure failing its own verify block and a RankError exit 3, stdout as before."""
+    for doc, args in (("two_atom", ("solve",)), ("ex21", ("canonical", "--F", "[[1,0]]"))):
+        proc = run_cli(args[0], doc_path(doc), *args[1:], "--moment-tol", "1e-30")
+        assert proc.returncode == 3
+        assert json.loads(proc.stdout)["verify"]["passed"] is False
+    # the N=4, d=6 instance with tau=24 whose coefficients miss the adjugate identity
+    path = tmp_path / "tau24.json"
+    path.write_text(serialize_moments(jittered_moments(0)))
+    proc = run_cli("parametrize", str(path))
+    assert proc.returncode == 3
+    assert proc.stdout == ('{"error": "coefficient identity violated; '
+                           'interpolation degrees inconsistent"}\n')
+
+
+def test_non_finite_moments_rejected(doc_path):
+    proc = run_cli("check", doc_path("nan"))
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert "not finite" in proc.stderr
+
+
+def test_non_finite_parameter_rejected(doc_path):
+    proc = run_cli("canonical", doc_path("ex21"), "--F", "[[[NaN,0]]]")
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert "not finite" in proc.stderr
+
+
+def test_non_finite_measure_weight_rejected(doc_path, tmp_path):
+    mpath = tmp_path / "measure.json"
+    mpath.write_text('{"atoms": [{"t": 1.0, "W": [[NaN, 0], [0, 1]]}]}')
+    proc = run_cli("verify", doc_path("ex21"), "--measure", str(mpath))
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert "not finite" in proc.stderr
+
+
+def test_non_finite_z_rejected(doc_path):
+    for z in ("nan+1j", "1+infj"):
+        proc = run_cli("evaluate", doc_path("ex21"), "--F", "[[0,0]]", "--z", "2j", "--z", z)
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert "is not finite" in proc.stderr
+
+
+def test_gap_solve_budget_below_one_rejected(doc_path):
+    for budget in ("0", "-3"):
+        proc = run_cli("gap-solve", doc_path("ex21"), "--delta", "(0.5,0.6)", "--budget", budget)
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert "--budget must be at least 1" in proc.stderr

@@ -143,7 +143,9 @@ def test_singular_pivot_raised_at_first_bad_point(ex21_nc):
     """C is replaced so that the pivot with F = 1 is z - z0, singular only at z0."""
     nc, z0 = ex21_nc, 0.25 + 0.5j
     zk = np.convolve(nc.k, [1j, 1.0])  # (z + i) k(z), lowest degree first
-    c_poly = MatrixPolynomial(np.array([[[-z0]], [[1.0]]])) + MatrixPolynomial(-zk[:, None, None])
+    coeffs = -zk[:, None, None]
+    coeffs[:2, 0, 0] += [-z0, 1.0]
+    c_poly = MatrixPolynomial(coeffs).trim()
     bad = replace(nc, C_poly=c_poly)
     z = np.array([1.0 + 1j, z0, -0.5 + 2j, z0])
     _, singular = reference_transform(bad, np.eye(1), z)

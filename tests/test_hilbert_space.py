@@ -3,7 +3,7 @@ import pytest
 
 from matmom import (MomentSequence, analyze, build_block_hankel, classify_determinacy,
                     factor_gram, orthonormalize)
-from matmom.hilbert_space import ip
+from matmom.hilbert_space import ip, orthonormal_split
 
 from conftest import moments_from_measure, random_measure
 
@@ -73,6 +73,21 @@ def test_orthonormalize_expansion_consistency():
     recon = vecs @ gs.expansions.T
     assert np.abs(recon - gs.vectors).max() < 1e-12
 
+
+
+def test_orthonormal_split_partitions_survivors():
+    rng = np.random.default_rng(5)
+    vecs = rng.normal(size=(4, 6)) + 1j * rng.normal(size=(4, 6))
+    vecs[:, 1] = 2.0 * vecs[:, 0]  # dropped, and inside the lead part for n_lead = 3
+    whole = orthonormalize(vecs)
+    assert whole.source_indices == (0, 2, 3, 4)
+    for n_lead in (0, 3, 6):
+        lead, rest = orthonormal_split(vecs, n_lead)
+        assert all(s < n_lead for s in lead.source_indices)
+        assert all(s >= n_lead for s in rest.source_indices)
+        assert lead.source_indices + rest.source_indices == whole.source_indices
+        assert np.array_equal(np.hstack([lead.vectors, rest.vectors]), whole.vectors)
+        assert np.array_equal(np.vstack([lead.expansions, rest.expansions]), whole.expansions)
 
 def test_operator_model_golden(ex21):
     rep, model = ex21.rep, ex21.model

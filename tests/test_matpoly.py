@@ -1,8 +1,6 @@
 import numpy as np
-import pytest
 
 from matmom import MatrixPolynomial
-from matmom.errors import InputError
 from matmom.matpoly import poly_from_samples, poly_trim, polyval
 
 
@@ -50,31 +48,16 @@ def test_matrix_poly_from_samples_matches_pointwise():
 
 def test_matrix_poly_arithmetic():
     a = MatrixPolynomial(np.array([[[1.0, 0.0], [0.0, 1.0]], [[0.0, 1.0], [0.0, 0.0]]]))
-    b = MatrixPolynomial.constant(np.array([[2.0, 0.0], [0.0, 3.0]]))
-    s = a + MatrixPolynomial.constant(np.eye(2))
-    prod = a @ b
     scaled = a.scale(np.array([0.0, 1.0]))  # multiply by z
     for z in (0.7, 1j, -2.0 + 0.5j):
-        assert np.allclose(s(z), a(z) + np.eye(2))
-        assert np.allclose(prod(z), a(z) @ b(z))
         assert np.allclose(scaled(z), z * a(z))
 
 
-def test_matrix_poly_shape_errors():
-    a = MatrixPolynomial.constant(np.eye(2))
-    b = MatrixPolynomial.constant(np.ones((3, 3)))
-    with pytest.raises(InputError):
-        a + b
-    with pytest.raises(InputError):
-        a @ b
-
-
 def test_zero_polynomial_is_canonical():
-    z = MatrixPolynomial.zero(2, 2)
+    z = MatrixPolynomial(np.zeros((3, 2, 2))).trim()
     assert z.degree == 0
-    total = z + z
-    assert total.coeffs.shape == (1, 2, 2)
-    assert np.all(total.coeffs == 0)
+    assert z.coeffs.shape == (1, 2, 2)
+    assert np.all(z.coeffs == 0)
 
 
 def two_temporary_horner(coeffs, z, shape=()):

@@ -61,6 +61,17 @@ def test_parse_rejects_wrong_count_and_shape():
         parse_moments("{not json")
 
 
+
+def test_rejects_non_finite_numbers():
+    one = np.array([[1.0]])
+    with pytest.raises(InputError, match="n=1 has non-finite entries"):
+        MomentSequence.from_matrices(1, 1, [one, np.array([[np.nan]]), one])
+    for bad in ("NaN", "Infinity", "[0, -Infinity]"):
+        with pytest.raises(InputError, match="is not finite"):
+            parse_moments(EX21_DOC.replace("[1, 0]]]", bad + "]]", 1))
+    with pytest.raises(InputError, match="is not finite"):
+        AtomicMeasure.from_json_obj({"atoms": [{"t": 0.0, "W": [[math.nan]]}]})
+
 def test_moments_are_symmetrized():
     eps = 1e-12
     doc = json.dumps({"N": 2, "d": 1, "moments": [

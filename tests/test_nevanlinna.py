@@ -172,6 +172,13 @@ def test_resolvent_matches_atoms(ex21):
         assert np.abs(direct - via_res).max() < 1e-9
 
 
+
+def test_resolvent_empty_z(ex21, ex21_nc):
+    F = np.array([[1.0]])
+    empty = np.zeros(0, dtype=complex)
+    assert transform_via_resolvent(ex21.rep, ex21.bases, F, empty).shape == (0, 2, 2)
+    assert evaluate_transform(ex21_nc, F, empty).shape == (0, 2, 2)
+
 def test_resolvent_limit_at_i(ex21, ex21_nc):
     # two-point extrapolation along the imaginary axis reproduces the value at i
     F = np.array([[1.0]])

@@ -1,0 +1,14 @@
+"""The python blocks of README.md run as written, in order, in one namespace."""
+
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_python_blocks_run():
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), flags=re.S)
+    assert blocks
+    namespace: dict = {}
+    for index, block in enumerate(blocks):
+        exec(compile(block, f"README.md python block {index}", "exec"), namespace)
