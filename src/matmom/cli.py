@@ -51,8 +51,8 @@ def _tolerances(args) -> Tolerances:
     return Tolerances(**overrides)
 
 
-def _parse_parameter(text: str) -> np.ndarray:
-    """Parse a square parameter matrix; innermost [re, im] pairs are complex.
+def _parse_parameter(text: str, delta: int) -> np.ndarray:
+    """Parse a delta x delta parameter matrix; innermost [re, im] pairs are complex.
 
     Parameters are always square, so the shorthand [[1,0]] (one row holding
     one pair) is accepted for a 1x1 matrix alongside the full [[[1,0]]] form.
@@ -72,6 +72,9 @@ def _parse_parameter(text: str) -> np.ndarray:
             pass
     if mat.shape[0] != mat.shape[1]:
         raise InputError(f"parameter matrix must be square, got shape {mat.shape}")
+    if mat.shape[0] != delta:
+        raise InputError(f"parameter matrix must be {delta} x {delta} (the defect "
+                         f"dimension delta), got shape {mat.shape}")
     return mat
 
 
@@ -207,7 +210,7 @@ def _cmd_parametrize(args, tol) -> int:
 def _cmd_evaluate(args, tol) -> int:
     state, _ = _analyze(args, tol, determinate=False)
     nc = assemble_coefficients(state.rep, state.bases, tol)
-    F = _parse_parameter(args.F)
+    F = _parse_parameter(args.F, nc.delta)
     points = _parse_z_values(args.z)
     # one call on the points before the first one outside the domain, which is
     # then evaluated alone to raise: errors come in the order of the points
@@ -223,7 +226,7 @@ def _cmd_evaluate(args, tol) -> int:
 
 def _cmd_canonical(args, tol) -> int:
     state, _ = _analyze(args, tol, determinate=False)
-    F = _parse_parameter(args.F)
+    F = _parse_parameter(args.F, state.bases.delta)
     measure = canonical_solution(state.rep, state.bases, F, tol)
     return _emit_measure(args, measure, state.moments, tol)
 
@@ -243,7 +246,7 @@ def _cmd_gap_check(args, tol) -> int:
     }
     status = 0 if analysis.regular_type else 2
     if args.F is not None:
-        decision = check_gap_class(_parse_parameter(args.F),
+        decision = check_gap_class(_parse_parameter(args.F, state.bases.delta),
                                    forbidden_matrix(state.bases, tol), analysis, tol)
         payload["parameter"] = decision.to_json_obj()
         if not decision.accepted:
@@ -285,6 +288,10 @@ def _cmd_verify(args, tol) -> int:
     except json.JSONDecodeError as exc:
         raise InputError(f"malformed measure document: {exc}") from exc
     measure = AtomicMeasure.from_json_obj(measure_obj, tol)
+    sizes = {w.shape[0] for _, w in measure.atoms} - {ms.N}
+    if sizes:
+        raise InputError(f"measure weights must be {ms.N} x {ms.N} like the moments, "
+                         f"got {min(sizes)} x {min(sizes)}")
     report = verify_moments(measure, ms, tol.moment_tol)
     payload = report.to_json_obj()
     ok = report.passed

@@ -212,6 +212,9 @@ def check_gap_class(F: np.ndarray, Xi: np.ndarray, analysis: GapAnalysis,
     inside that margin counts as a failure.
     """
     F = np.asarray(F, dtype=complex)
+    if F.shape != Xi.shape:
+        raise ParameterError(f"parameter must be {Xi.shape[0]} x {Xi.shape[1]} like the "
+                             f"forbidden matrix, got shape {F.shape}")
     failures = []
     if not check_constant_admissible(F, Xi, tol):
         failures.append((None, "A"))

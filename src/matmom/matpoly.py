@@ -1,10 +1,7 @@
-"""Dense matrix polynomials with evaluation-interpolation construction.
+"""Dense matrix polynomials, coefficients stored lowest degree first.
 
-Coefficients are stored lowest degree first.  Polynomials produced from
-point samples use nodes placed strictly inside the upper half-plane
-(Chebyshev-spaced real parts shifted by +i), where all matrices inverted
-during sampling are provably nonsingular.  The sampled function is called
-once, on the whole node array, and must return one value per node.
+They hold the printed transform coefficients and the cubic psi term that
+evaluate_transform evaluates by Horner's rule.
 """
 
 from __future__ import annotations
@@ -14,27 +11,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-
-
-def interpolation_nodes(count: int) -> np.ndarray:
-    """Chebyshev-spaced abscissas lifted into the upper half-plane."""
-    if count < 1:
-        raise InputError("need at least one interpolation node")
-    if count == 1:
-        return np.array([1j], dtype=complex)
-    k = np.arange(count)
-    return np.cos(np.pi * (2 * k + 1) / (2 * count)) + 1j
-
-
-def polyval(coeffs: np.ndarray, z) -> np.ndarray:
-    """Evaluate a scalar polynomial (lowest degree first) by Horner's rule."""
-    coeffs = np.asarray(coeffs, dtype=complex)
-    z = np.asarray(z, dtype=complex)
-    out = np.zeros_like(z)
-    for c in coeffs[::-1]:
-        out *= z
-        out += c
-    return out
 
 
 def poly_trim(coeffs: np.ndarray, rel_tol: float = 1e-12) -> np.ndarray:
@@ -47,15 +23,13 @@ def poly_trim(coeffs: np.ndarray, rel_tol: float = 1e-12) -> np.ndarray:
     return coeffs[: keep[-1] + 1].copy()
 
 
-def poly_from_samples(fn, degree: int) -> np.ndarray:
-    """Recover scalar polynomial coefficients from degree+1 point samples.
-
-    fn is called once with the (degree+1,) node array and returns the
-    (degree+1,) sample values."""
-    nodes = interpolation_nodes(degree + 1)
-    vander = np.vander(nodes, degree + 1, increasing=True)
-    values = np.asarray(fn(nodes), dtype=complex).reshape(degree + 1)
-    return poly_trim(np.linalg.solve(vander, values))
+def poly_times(scalar, coeffs: np.ndarray, length: int) -> np.ndarray:
+    """Coefficients of a scalar polynomial times an (n, p, q) matrix
+    polynomial, zero-padded to length coefficients."""
+    out = np.zeros((length,) + coeffs.shape[1:], dtype=complex)
+    for i, c in enumerate(scalar):
+        out[i: i + coeffs.shape[0]] += c * coeffs
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,22 +56,6 @@ class MatrixPolynomial:
     def degree(self) -> int:
         return self.coeffs.shape[0] - 1
 
-    @classmethod
-    def from_samples(cls, fn, degree: int, shape: tuple) -> "MatrixPolynomial":
-        """Interpolate a matrix-valued polynomial from degree+1 samples of fn.
-
-        fn is called once with the (degree+1,) node array and returns the
-        (degree+1, p, q) stack of sample values.  An empty shape never calls fn.
-        """
-        p, q = shape
-        if p == 0 or q == 0:
-            return cls(np.zeros((1, p, q), dtype=complex))
-        nodes = interpolation_nodes(degree + 1)
-        vander = np.vander(nodes, degree + 1, increasing=True)
-        values = np.asarray(fn(nodes), dtype=complex).reshape(degree + 1, p * q)
-        coeffs = np.linalg.solve(vander, values).reshape(degree + 1, p, q)
-        return cls(coeffs).trim()
-
     def trim(self, rel_tol: float = 1e-12) -> "MatrixPolynomial":
         mags = np.abs(self.coeffs).reshape(self.coeffs.shape[0], -1).max(axis=1) \
             if self.coeffs[0].size else np.zeros(self.coeffs.shape[0])
@@ -119,13 +77,8 @@ class MatrixPolynomial:
 
     def scale(self, scalar_coeffs: np.ndarray) -> "MatrixPolynomial":
         """Multiply by a scalar polynomial given as a 1-D coefficient array."""
-        s = np.asarray(scalar_coeffs, dtype=complex)
-        n = self.coeffs.shape[0] + s.shape[0] - 1
-        out = np.zeros((n,) + self.shape, dtype=complex)
-        for i, a in enumerate(self.coeffs):
-            for j, c in enumerate(s):
-                out[i + j] += c * a
-        return MatrixPolynomial(out).trim()
+        length = self.coeffs.shape[0] + len(scalar_coeffs) - 1
+        return MatrixPolynomial(poly_times(scalar_coeffs, self.coeffs, length)).trim()
 
     def to_json_obj(self) -> list:
         from .moment_model import matrix_to_json

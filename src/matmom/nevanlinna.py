@@ -6,10 +6,13 @@ The transform of every solution (of the transposed measure) is
 
 over the upper half-plane punctured at i, where F ranges over the
 contraction-valued parameters that avoid the forbidden matrix
-isometrically at infinity.  All coefficient polynomials are assembled
-from inner products of the orthonormal families built in hilbert_space;
-polynomial coefficients are recovered by evaluation-interpolation with
-exact degree bounds.
+isometrically at infinity.  k(z) = det((z+i) I - (z-i) a0) cancels: A/k,
+B/k, C/k and D/k are pole-residue sums over the eigenvalues of a0, the
+first block of the unitary colligation [[a0, W], [Chat, T]] that the inner
+products of the orthonormal families in hilbert_space form (the
+characteristic-function form of Sz.-Nagy and Foias).  The monomial
+coefficients of k, A, B, C and D are only printed; they are multiplied out
+of the same factored form.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import numpy as np
 from .determinate import resolvent_transform, spectral_measure
 from .errors import EvaluationError, ParameterError, RankError
 from .hilbert_space import BasisCollection, HilbertRep, ip_matrix
-from .matpoly import MatrixPolynomial, interpolation_nodes, poly_from_samples, polyval
+from .matpoly import MatrixPolynomial, poly_times, poly_trim
 from .moment_model import AtomicMeasure, DEFAULT_TOL, Tolerances, hermitize
 
 FIXED_POINT_TOL = 1e-8  # unitary extension eigenvalues this close to 1 are rejected
@@ -49,6 +52,8 @@ class NevanlinnaCoefficients:
     K: np.ndarray                 # (rho, N)
     a0: np.ndarray                # (tau, tau); the i-block equals I - w(z) a0
     psi: MatrixPolynomial         # N x N cubic correction term
+    eigenvalues: np.ndarray       # (tau,) eigenvalues lam_j of a0, the poles' parameters
+    residues: np.ndarray          # (tau, (N+delta)^2) residue of pole j, see assemble_coefficients
 
     @property
     def c0(self) -> np.ndarray:
@@ -128,40 +133,27 @@ def check_constant_admissible(F: np.ndarray, Xi: np.ndarray,
     return bool(reach < 1.0 - tol.inv_tol)
 
 
-def _node_stack(a0: np.ndarray, nodes: np.ndarray) -> np.ndarray:
-    """(z+i) I - (z-i) a0 at every upper half-plane node: an (n, tau, tau) stack."""
-    m = (nodes - 1j)[:, None, None] * a0
-    np.negative(m, out=m)
-    diag = np.arange(a0.shape[0])
-    m[:, diag, diag] += (nodes + 1j)[:, None]
-    return m
-
-
-def _adjugate_stack(a0: np.ndarray, nodes: np.ndarray):
-    """det and adjugate of (z+i) I - (z-i) a0 at every upper half-plane node.
-
-    Returns the (n,) determinants and the (n, tau, tau) adjugates det * inv,
-    from one batched det and one batched inverse over the node stack.
-    """
-    m = _node_stack(a0, nodes)
-    det = np.linalg.det(m)
-    adj = np.linalg.inv(m)
-    # det as the first operand rounds as det * inv(m) of one node does; adj *= det does not
-    np.multiply(det[:, None, None], adj, out=adj)
-    return det, adj
-
-
 def assemble_coefficients(rep: HilbertRep, bases: BasisCollection,
                           tol: Tolerances = DEFAULT_TOL) -> NevanlinnaCoefficients:
     """Build all transform coefficients from inner products of the basis families.
 
-    k, A, B, C and D are interpolated from samples at upper half-plane nodes
-    (matpoly.interpolation_nodes) with exact degree bounds: tau+1 nodes for k,
-    tau+4 for A, and one set of tau+3 nodes shared by B, C and D.  k's samples
-    are one batched det; those of A and of B, C, D come from one stacked
-    adjugate each (one batched det and one batched inverse) and broadcast
-    products over the stack; only one node set's stack is alive at a time.  The result is checked against the
-    adjugate identity at three fixed points (RankError when it fails).
+    a0, W, Chat and T are the blocks of the unitary colligation [[a0, W],
+    [Chat, T]]; with K and the cubic psi they fix the transform.  One
+    eigendecomposition a0 = V diag(lam) V^{-1} turns the resolvent
+    ((z+i) I - (z-i) a0)^{-1} = V diag(r) V^{-1}, r_j = 1/((z+i) - (z-i) lam_j),
+    into a pole-residue sum: row j of `residues` is the outer product of
+    column j of [K^* V[:rho]; Chat V] with row j of V^{-1} [K (rows < rho) | W],
+    flattened, so that sum_j r_j residues[j] is the (N+delta)^2 block matrix
+    [[K^* M^{-1} K, K^* M^{-1} W], [Chat M^{-1} K, Chat M^{-1} W]] with
+    M = (z+i) I - (z-i) a0 and K zero-padded to tau rows.
+
+    The printed polynomials follow from the factored k(z) = det M =
+    prod_j ((1 - lam_j) z + i (1 + lam_j)): with k_j = k over its factor j
+    (prefix and suffix products), A = (z+i) sum_j k_j R^A_j + k psi,
+    B = -(z^2+1) sum_j k_j R^B_j, C = (i-z) (k T + (z-i) sum_j k_j R^C_j) and
+    D = -(z-i) sum_j k_j R^D_j.  RankError when the eigenvector matrix is too
+    ill-conditioned for the pole-residue form (condition number times eps
+    above rank_tol).
     """
     if bases.delta == 0:
         raise ParameterError("problem is determinate; the parametrization is for the indeterminate case")
@@ -188,57 +180,45 @@ def assemble_coefficients(rep: HilbertRep, bases: BasisCollection,
     inner = np.stack([g_sk_sj - 1j * g_sk_j + g_kj, g_sk_j - 1j * g_kj, g_kj])
     psi = MatrixPolynomial(inner).scale(np.array([-0.5, 0.5j]))  # times (i/2)(z+i)
 
-    k_coeffs = poly_from_samples(lambda z: np.linalg.det(_node_stack(a0, z)), tau)
-
-    kc = k_mat.conj().T  # (N, rho)
-
-    def a_fn(z):
-        det, adj = _adjugate_stack(a0, z)
-        return (z + 1j)[:, None, None] * (kc @ adj[:, :rho, :rho] @ k_mat) \
-            + det[:, None, None] * psi(z)
-
-    a_poly = MatrixPolynomial.from_samples(a_fn, tau + 3, (n_dim, n_dim))
-
-    # B, C and D share the tau+3 nodes that from_samples passes to each of them
-    det, adj = _adjugate_stack(a0, interpolation_nodes(tau + 3))
-
-    def b_fn(z):
-        return -(z * z + 1.0)[:, None, None] * (kc @ adj[:, :rho, :] @ w_mat)
-
-    def c_fn(z):
-        zz = z[:, None, None]
-        return (-zz + 1j) * (det[:, None, None] * t_mat + (zz - 1j) * (chat @ adj @ w_mat))
-
-    def d_fn(z):
-        return -(z - 1j)[:, None, None] * (chat @ adj[:, :, :rho] @ k_mat)
-
-    b_poly = MatrixPolynomial.from_samples(b_fn, tau + 2, (n_dim, delta))
-    c_poly = MatrixPolynomial.from_samples(c_fn, tau + 2, (delta, delta))
-    d_poly = MatrixPolynomial.from_samples(d_fn, tau + 2, (delta, n_dim))
-    del det, adj
-
     xi = forbidden_matrix(bases, tol)
+    lam, vecs = np.linalg.eig(a0)
+    cond = float(np.linalg.cond(vecs))
+    if not cond * np.finfo(float).eps <= tol.rank_tol:
+        raise RankError(f"eigenvector matrix of a0 is ill-conditioned (condition number "
+                        f"{cond:.3e}); the pole-residue form of the transform is unreliable")
+    rhs = np.zeros((tau, n_dim + delta), dtype=complex)
+    rhs[:rho, :n_dim] = k_mat
+    rhs[:, n_dim:] = w_mat
+    right = np.linalg.solve(vecs, rhs)
+    left = np.concatenate([k_mat.conj().T @ vecs[:rho], chat @ vecs])
+    residues = (left.T[:, :, None] * right[:, None, :]).reshape(tau, -1)
 
-    nc = NevanlinnaCoefficients(
-        N=n_dim, tau=tau, delta=delta, rho=rho, k=k_coeffs,
-        A_poly=a_poly, B_poly=b_poly, C_poly=c_poly, D_poly=d_poly,
+    # linear factors (1 - lam_j) z + i (1 + lam_j) of k, lowest degree first
+    factors = np.stack([1j * (1.0 + lam), 1.0 - lam], axis=1)
+    prefix, suffix = [np.ones(1, dtype=complex)], [np.ones(1, dtype=complex)]
+    for j in range(tau - 1):
+        prefix.append(np.convolve(prefix[-1], factors[j]))
+        suffix.append(np.convolve(suffix[-1], factors[tau - 1 - j]))
+    k_full = np.convolve(prefix[-1], factors[-1])
+    deflated = np.stack([np.convolve(p, s) for p, s in zip(prefix, suffix[::-1])])
+    # P = sum_j k_j R_j in blocks; A = (z+i) P_A + k psi, B = -(z^2+1) P_B,
+    # C = (i-z) k T - (z-i)^2 P_C and D = (i-z) P_D, padded to degree tau+3
+    num = (deflated.T @ residues).reshape(tau, n_dim + delta, n_dim + delta)
+    length = tau + 4
+    a_poly = poly_times([1j, 1.0], num[:, :n_dim, :n_dim], length) \
+        + poly_times(k_full, psi.coeffs, length)
+    b_poly = poly_times([-1.0, 0.0, -1.0], num[:, :n_dim, n_dim:], length)
+    c_poly = poly_times(np.convolve([1j, -1.0], k_full), t_mat[None], length) \
+        + poly_times([1.0, 2j, -1.0], num[:, n_dim:, n_dim:], length)
+    d_poly = poly_times([1j, -1.0], num[:, n_dim:, :n_dim], length)
+
+    return NevanlinnaCoefficients(
+        N=n_dim, tau=tau, delta=delta, rho=rho, k=poly_trim(k_full),
+        A_poly=MatrixPolynomial(a_poly).trim(), B_poly=MatrixPolynomial(b_poly).trim(),
+        C_poly=MatrixPolynomial(c_poly).trim(), D_poly=MatrixPolynomial(d_poly).trim(),
         Xi=xi, W=w_mat, T=t_mat, Chat=chat, K=k_mat, a0=a0, psi=psi,
+        eigenvalues=lam, residues=residues,
     )
-    _verify_coefficient_identity(nc)
-    return nc
-
-
-def _verify_coefficient_identity(nc: NevanlinnaCoefficients) -> None:
-    # the adjugate polynomial times the i-block must collapse to k(z)/(z+i) I
-    eye = np.eye(nc.tau)
-    points = np.array([0.31 + 0.83j, -0.67 + 1.62j, 1.13 + 0.44j])
-    _, adj = _adjugate_stack(nc.a0, points)
-    zz = points[:, None, None]
-    lhs = adj @ (eye - ((zz - 1j) / (zz + 1j)) * nc.a0)
-    rhs = (polyval(nc.k, points) / (points + 1j))[:, None, None] * eye
-    scale = 1.0 + np.abs(rhs).max(axis=(1, 2), initial=0.0)
-    if np.any(np.abs(lhs - rhs).max(axis=(1, 2), initial=0.0) > 1e-8 * scale):
-        raise RankError("coefficient identity violated; interpolation degrees inconsistent")
 
 
 def _jacobi_svd(a: np.ndarray):
@@ -336,6 +316,30 @@ def outside_domain(z) -> np.ndarray:
     return (z.imag <= 0.0) | (np.abs(z - 1j) < 1e-10)
 
 
+def _scaled_blocks(nc: NevanlinnaCoefficients, flat: np.ndarray) -> np.ndarray:
+    """The (n, N+delta, N+delta) stack [[A/k, S_B], [S_D, C/k]] at the points.
+
+    S = sum_j r_j residues[j] with r_j = 1/((z+i) - (z-i) lam_j) is one matrix
+    product; A/k = (z+i) S_A + psi and C/k = (i-z) (T + (z-i) S_C) are scaled in
+    place.  B/k = -(z^2+1) S_B and D/k = -(z-i) S_D are left unscaled: the
+    caller applies their scalars to the product (B/k) F pivot^{-1} (D/k).
+    """
+    n_dim = nc.N
+    zp, zm = flat + 1j, flat - 1j
+    r = np.multiply.outer(zm, nc.eigenvalues)
+    np.subtract(zp[:, None], r, out=r)
+    sums = (np.reciprocal(r, out=r) @ nc.residues).reshape(
+        flat.size, n_dim + nc.delta, n_dim + nc.delta)
+    zp, zm = zp[:, None, None], zm[:, None, None]
+    az, cz = sums[:, :n_dim, :n_dim], sums[:, n_dim:, n_dim:]
+    az *= zp
+    az += nc.psi(flat)
+    cz *= zm
+    cz += nc.T
+    cz *= -zm
+    return sums
+
+
 def evaluate_transform(nc: NevanlinnaCoefficients, F, z,
                        tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Evaluate the solution transform for parameter F at z (scalar or array).
@@ -346,12 +350,16 @@ def evaluate_transform(nc: NevanlinnaCoefficients, F, z,
     transform of the transposed measure: entry (j, k) integrates
     1/(t - z) against dm_{k,j}.
 
-    A constant F is checked to be a contraction once and multiplies the
-    coefficient stacks directly; a callable F costs one Python call per
-    point and its values are checked with the stacked SVD below.  One
-    stacked one-sided Jacobi SVD of the pivot matrices (z+i) k(z) I + C(z) F
-    over all points gives both the singular-pivot test and the solve, so no
-    LAPACK call is made per point.
+    A/k, B/k, C/k and D/k come from one (n, tau) @ (tau, (N+delta)^2)
+    product of the pole factors r_j = 1/((z+i) - (z-i) lam_j) with the
+    stored residues, plus psi(z) in A/k (see assemble_coefficients); no
+    polynomial is evaluated but psi.  A constant F is checked to be a
+    contraction once and multiplies the stacks directly; a callable F costs
+    one Python call per point and its values are checked with the stacked
+    SVD below.  One stacked one-sided Jacobi SVD of the pivot matrices
+    (z+i) I + (C/k)(z) F over all points gives both the singular-pivot test
+    and the solve, so no LAPACK call is made per point.  The prefactor is
+    2i / (z^2+1)^2.
     """
     z_arr = np.asarray(z, dtype=complex)
     flat = np.atleast_1d(z_arr).ravel()
@@ -364,13 +372,10 @@ def evaluate_transform(nc: NevanlinnaCoefficients, F, z,
         raise EvaluationError("z = i is excluded from the transform domain")
 
     f_vals = _parameter_values(F, nc.delta, flat, tol)
-    kz = polyval(nc.k, flat)
-    az = nc.A_poly(flat)
-    bz = nc.B_poly(flat)
-    cz = nc.C_poly(flat)
-    dz = nc.D_poly(flat)
-
-    pivot = ((flat + 1j) * kz)[:, None, None] * np.eye(nc.delta) + _stack_product(cz, f_vals)
+    n_dim = nc.N
+    sums = _scaled_blocks(nc, flat)
+    pivot = (flat + 1j)[:, None, None] * np.eye(nc.delta) \
+        + _stack_product(sums[:, n_dim:, n_dim:], f_vals)
     b, v, svals = _jacobi_svd(pivot)
     smin = svals.min(axis=1)
     bad = smin <= tol.inv_tol * np.maximum(1.0, svals.max(axis=1))
@@ -378,13 +383,15 @@ def evaluate_transform(nc: NevanlinnaCoefficients, F, z,
         idx = int(np.nonzero(bad)[0][0])
         raise EvaluationError(
             f"singular pivot at z={flat[idx]}: smallest singular value {smin[idx]:.3e} "
-            "(parameter not admissible at this point, or z is a root of k)")
+            "(parameter not admissible at this point)")
     # pivot = b v^H with b's columns orthogonal, so pivot^{-1} = v diag(s^-2) b^H
-    solved = _stack_product(v, _stack_product(np.swapaxes(b.conj(), 1, 2), dz)
+    s_b, s_d = sums[:, :n_dim, n_dim:], sums[:, n_dim:, :n_dim]
+    solved = _stack_product(v, _stack_product(np.swapaxes(b.conj(), 1, 2), s_d)
                             / (svals ** 2)[:, :, None])
-    inner = _stack_product(_stack_product(bz, f_vals), solved)
-    pref = 2j / ((flat ** 2 + 1.0) ** 2 * kz)
-    out = pref[:, None, None] * (az + inner)
+    out = _stack_product(_stack_product(s_b, f_vals), solved)
+    # 2i/(z^2+1)^2 (A/k + (B/k) F pivot^{-1} (D/k)), and (z^2+1)(z-i) / (z^2+1)^2 = 1/(z+i)
+    out *= (2j / (flat + 1j))[:, None, None]
+    out += (2j / (flat * flat + 1.0) ** 2)[:, None, None] * sums[:, :n_dim, :n_dim]
     if z_arr.ndim == 0:
         return out[0]
     return out.reshape(z_arr.shape + (nc.N, nc.N))
@@ -456,9 +463,10 @@ def transform_via_resolvent(rep: HilbertRep, bases: BasisCollection, F, z,
                             tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Transform values computed through the resolvent of the extension.
 
-    Independent of the polynomial coefficient path: entry (j, k) is the
-    inner product of the resolvent applied to x_k against x_j, matching the
-    transposed-measure convention of evaluate_transform.
+    Independent of the colligation and its pole-residue form: it solves with
+    the self-adjoint extension itself.  Entry (j, k) is the inner product of
+    the resolvent applied to x_k against x_j, matching the transposed-measure
+    convention of evaluate_transform.
     """
     return resolvent_transform(extension_operator(bases, F, tol), rep.first_block(), z)
 

@@ -1,14 +1,24 @@
-"""Stacked coefficient assembly against the former per-node assembly: one
-det and one inverse per interpolation node, and fn called once per node."""
+"""Coefficients multiplied out of the factored pole-residue form against a
+per-node assembly: one det and one inverse per interpolation node, then one
+Vandermonde solve per polynomial."""
 
 import numpy as np
 import pytest
 
-from matmom import AtomicMeasure, analyze, assemble_coefficients
+from numpy.polynomial.polynomial import polyval
+
+from matmom import (AtomicMeasure, Tolerances, analyze, assemble_coefficients,
+                    evaluate_transform, find_admissible_unitary, transform_via_resolvent)
 from matmom.errors import RankError
-from matmom.matpoly import MatrixPolynomial, interpolation_nodes, poly_from_samples, polyval
+from matmom.matpoly import MatrixPolynomial
 
 from conftest import moments_from_measure, random_measure
+
+
+def interpolation_nodes(count):
+    """Chebyshev-spaced abscissas lifted into the upper half-plane."""
+    k = np.arange(count)
+    return np.cos(np.pi * (2 * k + 1) / (2 * count)) + 1j
 
 
 def reference_adjugate(a0, z):
@@ -67,7 +77,7 @@ def reference_coefficients(state, nc):
         return -(z - 1j) * (chat @ adj[:, :rho] @ k_mat)
 
     return psi, {
-        "k": lambda z: polyval(k, z),
+        "k": lambda z: polyval(z, k),
         "A": reference_interpolate(a_fn, tau + 3, (n_dim, n_dim)),
         "B": reference_interpolate(b_fn, tau + 2, (n_dim, delta)),
         "C": reference_interpolate(c_fn, tau + 2, (delta, delta)),
@@ -92,38 +102,12 @@ def test_coefficients_match_per_node_reference(ex21):
         nc = assemble_coefficients(state.rep, state.bases)
         psi, ref = reference_coefficients(state, nc)
         assert np.array_equal(nc.psi.coeffs, psi.coeffs)
-        got = {"k": polyval(nc.k, z), "A": nc.A_poly(z), "B": nc.B_poly(z),
+        got = {"k": polyval(z, nc.k), "A": nc.A_poly(z), "B": nc.B_poly(z),
                "C": nc.C_poly(z), "D": nc.D_poly(z)}
         for name, fn in ref.items():
             want = fn(z)
             assert got[name].shape == want.shape
             assert np.abs(got[name] - want).max() <= 1e-11 * np.abs(want).max(), (nc.tau, name)
-
-
-@pytest.mark.parametrize("scalar", [False, True])
-def test_from_samples_calls_fn_once_on_all_nodes(scalar):
-    rng = np.random.default_rng(4)
-    calls = []
-    if scalar:
-        coeffs = rng.normal(size=4) + 1j * rng.normal(size=4)
-
-        def fn(z):
-            calls.append(np.array(z, copy=True))
-            return polyval(coeffs, z)
-
-        rec = poly_from_samples(fn, 5)
-        assert np.abs(rec - coeffs).max() < 1e-10
-    else:
-        truth = MatrixPolynomial(rng.normal(size=(4, 2, 3)) + 1j * rng.normal(size=(4, 2, 3)))
-
-        def fn(z):
-            calls.append(np.array(z, copy=True))
-            return truth(z)
-
-        rec = MatrixPolynomial.from_samples(fn, 5, (2, 3))
-        assert np.abs(rec.coeffs - truth.coeffs).max() < 1e-10
-    assert len(calls) == 1
-    assert np.array_equal(calls[0], interpolation_nodes(6))
 
 
 def jittered_moments(seed, n_dim=4, d=6, n_atoms=7):
@@ -137,10 +121,20 @@ def jittered_moments(seed, n_dim=4, d=6, n_atoms=7):
     return moments_from_measure(AtomicMeasure.from_atoms(atoms), n_dim, d)
 
 
-def test_identity_violation_still_raised():
-    # tau = 24: the interpolated adjugate misses the identity by about 1e4 times
-    # the cutoff at the third check point, before and after stacking
+def test_tau24_instance_matches_resolvent():
+    # tau = 24: the former monomial interpolation missed the adjugate identity here
     state = analyze(jittered_moments(0))
     assert not state.determinate and state.bases.tau == 24
-    with pytest.raises(RankError, match="coefficient identity violated"):
-        assemble_coefficients(state.rep, state.bases)
+    nc = assemble_coefficients(state.rep, state.bases)
+    F = find_admissible_unitary(nc.Xi)
+    rng = np.random.default_rng(24)
+    z = rng.uniform(-2.0, 2.0, 64) + 1j * 10.0 ** rng.uniform(-1.0, 0.5, 64)
+    got = evaluate_transform(nc, F, z)
+    want = transform_via_resolvent(state.rep, state.bases, F, z)
+    assert np.abs(got - want).max() <= 1e-8 * (1.0 + np.abs(want).max())
+
+
+def test_ill_conditioned_eigenvectors_raise(ex21):
+    # kappa(V) * eps is about 2e-16 on the golden input: above a rank_tol of 1e-17
+    with pytest.raises(RankError, match="eigenvector matrix of a0 is ill-conditioned"):
+        assemble_coefficients(ex21.rep, ex21.bases, Tolerances(rank_tol=1e-17))

@@ -7,6 +7,7 @@ import pytest
 
 from matmom import serialize_moments
 
+from conftest import golden_B, golden_C, golden_D, golden_k, golden_transform
 from test_assemble_batched import jittered_moments
 
 EX21_DOC = json.dumps({
@@ -298,39 +299,40 @@ CLI_STDOUT = [
      '[6.6613381477509392e-16, 0, 6.6613381477509392e-16, 0, '
      '6.6613381477509392e-16]}}\n'),
     ('ex21', ('parametrize',), 0,
-     '{"N": 2, "tau": 2, "delta": 1, "rho": 2, "k": [[-0.75000000000000133, -2.25], '
-     '[1.0000000000000002, 3.4999999999999978], [-0.24999999999999892, '
-     '-1.2499999999999996]], "A": [[[[-0.27083333333334253, -0.020833333333314163], '
-     '[0, 0]], [[0, 0], [-1.1250000000000087, 0.37499999999998657]]], '
-     '[[[0.3333333333332682, -0.041666666666700748], [0, 0]], [[0, 0], '
-     '[0.62500000000005651, -0.12500000000001718]]], [[[-0.54166666666661401, '
-     '0.083333333333241458], [0, 0]], [[0, 0], [-2.2500000000000018, '
-     '0.75000000000009581]]], [[[0.54166666666673535, -0.083333333333291501], [0, '
-     '-0]], [[0, -0], [1.2499999999999167, -0.25000000000002542]]], '
-     '[[[-0.27083333333335097, 0.10416666666669422], [0, -0]], [[0, -0], '
-     '[-1.1249999999999771, 0.37499999999996225]]], [[[0.20833333333332846, '
-     '-0.04166666666667003], [0, -0]], [[0, -0], [0.62500000000000688, '
-     '-0.12499999999999292]]]], "B": [[[[0.50000000000000067, 0.50000000000000067]], '
-     '[[0, 0]]], [[[-0.50000000000000222, -0.49999999999999806]], [[0, -0]]], '
-     '[[[0.49999999999999778, 0.49999999999999734]], [[0, -0]]], '
-     '[[[-0.49999999999999883, -0.50000000000000122]], [[-0, 0]]]], "C": '
-     '[[[[0.74999999999999822, -2.2500000000000115]]], [[[1.250000000000028, '
-     '4.2499999999999947]]], [[[-3.2499999999999933, -2.2499999999999662]]], '
-     '[[[1.2499999999999798, 0.25000000000000339]]]], "D": [[[[0.4999999999999995, '
-     '-0.50000000000000133], [0, 0]]], [[[3.6188084697060014e-15, '
-     '0.99999999999999922], [0, -0]]], [[[-0.49999999999999944, '
-     '-0.49999999999999617], [0, -0]]]], "Xi": [[[0.38461538461538475, '
-     '0.92307692307692313]]], "W": [[[1.6732103039963083e-16, 0.43301270189221941]], '
-     '[[0, 0]]], "T": [[[0.50000000000000022, -0.75]]], "Chat": '
-     '[[[1.6732103039963083e-16, 0.43301270189221941], [0, 0]]], "K": '
-     '[[[1.1547005383792515, 3.3090811497049173e-17], [0, 0]], [[0, 0], '
-     '[1.4142135623730949, 0]]], "A0_coeff": [[[0.5, 0.74999999999999989], [0, 0]], '
-     '[[0, 0], [2.2371143170757382e-17, 0.99999999999999978]]], "C0_coeff": '
+     '{"N": 2, "tau": 2, "delta": 1, "rho": 2, "k": [[-0.75000000000000022, '
+     '-2.2499999999999996], [0.99999999999999978, 3.4999999999999991], '
+     '[-0.24999999999999978, -1.2499999999999998]], "A": '
+     '[[[[-0.27083333333333348, -0.020833333333333703], [0, 0]], [[0, 0], '
+     '[-1.1249999999999991, 0.375]]], [[[0.33333333333333326, '
+     '-0.04166666666666563], [0, 0]], [[0, 0], [0.625, '
+     '-0.12500000000000089]]], [[[-0.54166666666666563, '
+     '0.083333333333333037], [0, 0]], [[0, 0], [-2.2499999999999991, 0.75]]], '
+     '[[[0.54166666666666652, -0.083333333333333204], [0, 0]], [[0, 0], '
+     '[1.2499999999999998, -0.24999999999999989]]], [[[-0.27083333333333315, '
+     '0.10416666666666667], [0, 0]], [[0, 0], [-1.1249999999999996, 0.375]]], '
+     '[[[0.20833333333333326, -0.041666666666666623], [0, 0]], [[0, 0], '
+     '[0.62499999999999989, -0.12499999999999989]]]], "B": '
+     '[[[[0.50000000000000033, 0.49999999999999978]], [[0, 0]]], '
+     '[[[-0.50000000000000022, -0.49999999999999989]], [[0, 0]]], '
+     '[[[0.50000000000000033, 0.49999999999999978]], [[0, 0]]], '
+     '[[[-0.50000000000000022, -0.49999999999999989]], [[0, 0]]]], "C": '
+     '[[[[0.74999999999999989, -2.25]]], [[[1.2499999999999993, 4.25]]], '
+     '[[[-3.2499999999999991, -2.25]]], [[[1.2499999999999998, '
+     '0.25000000000000011]]]], "D": [[[[0.49999999999999983, '
+     '-0.50000000000000033], [0, 0]]], [[[3.8857805861880479e-16, 1], [0, '
+     '0]]], [[[-0.50000000000000022, -0.49999999999999994], [0, 0]]]], "Xi": '
+     '[[[0.38461538461538475, 0.92307692307692313]]], "W": '
+     '[[[1.6732103039963083e-16, 0.43301270189221941]], [[0, 0]]], "T": '
+     '[[[0.50000000000000022, -0.75]]], "Chat": [[[1.6732103039963083e-16, '
+     '0.43301270189221941], [0, 0]]], "K": [[[1.1547005383792515, '
+     '3.3090811497049173e-17], [0, 0]], [[0, 0], [1.4142135623730949, 0]]], '
+     '"A0_coeff": [[[0.5, 0.74999999999999989], [0, 0]], [[0, 0], '
+     '[2.2371143170757382e-17, 0.99999999999999978]]], "C0_coeff": '
      '[[[1.6732103039963083e-16, 0.43301270189221941], [0, 0]]], "psi": '
-     '[[[[-0.66666666666666652, 0.24999999999999994], [0, 0]], [[0, 0], [-1, 0.5]]], '
-     '[[[0, 0.83333333333333315], [0, 0]], [[0, 0], [0, 1.5]]], [[[0, '
-     '0.24999999999999994], [0, 0]], [[0, 0], [0, 0.5]]], [[[0, 0.16666666666666663], '
-     '[0, 0]], [[0, 0], [0, 0.5]]]]}\n'),
+     '[[[[-0.66666666666666652, 0.24999999999999994], [0, 0]], [[0, 0], [-1, '
+     '0.5]]], [[[0, 0.83333333333333315], [0, 0]], [[0, 0], [0, 1.5]]], [[[0, '
+     '0.24999999999999994], [0, 0]], [[0, 0], [0, 0.5]]], [[[0, '
+     '0.16666666666666663], [0, 0]], [[0, 0], [0, 0.5]]]]}\n'),
     ('ex21', ('canonical', '--F', '[[1,0]]'), 0,
      '{"atoms": [{"t": -1.7320508075688776, "W": [[[0.022329099369260204, 0], [0, '
      '0]], [[0, 0], [0, 0]]]}, {"t": 1, "W": [[[0, 0], [0, 0]], [[0, 0], [1, 0]]]}, '
@@ -368,19 +370,89 @@ def test_cli_stdout_unchanged(doc_path, doc, args, status, stdout):
     assert proc.stdout == stdout
 
 
+# `parametrize` stdout on the 2x2 golden input while k, A, B, C and D were
+# interpolated in the monomial basis from samples at upper half-plane nodes
+PARAMETRIZE_EX21_BEFORE = (
+    '{"N": 2, "tau": 2, "delta": 1, "rho": 2, "k": [[-0.75000000000000133, '
+    '-2.25], [1.0000000000000002, 3.4999999999999978], [-0.24999999999999892, '
+    '-1.2499999999999996]], "A": [[[[-0.27083333333334253, '
+    '-0.020833333333314163], [0, 0]], [[0, 0], [-1.1250000000000087, '
+    '0.37499999999998657]]], [[[0.3333333333332682, -0.041666666666700748], '
+    '[0, 0]], [[0, 0], [0.62500000000005651, -0.12500000000001718]]], '
+    '[[[-0.54166666666661401, 0.083333333333241458], [0, 0]], [[0, 0], '
+    '[-2.2500000000000018, 0.75000000000009581]]], [[[0.54166666666673535, '
+    '-0.083333333333291501], [0, -0]], [[0, -0], [1.2499999999999167, '
+    '-0.25000000000002542]]], [[[-0.27083333333335097, 0.10416666666669422], '
+    '[0, -0]], [[0, -0], [-1.1249999999999771, 0.37499999999996225]]], '
+    '[[[0.20833333333332846, -0.04166666666667003], [0, -0]], [[0, -0], '
+    '[0.62500000000000688, -0.12499999999999292]]]], "B": '
+    '[[[[0.50000000000000067, 0.50000000000000067]], [[0, 0]]], '
+    '[[[-0.50000000000000222, -0.49999999999999806]], [[0, -0]]], '
+    '[[[0.49999999999999778, 0.49999999999999734]], [[0, -0]]], '
+    '[[[-0.49999999999999883, -0.50000000000000122]], [[-0, 0]]]], "C": '
+    '[[[[0.74999999999999822, -2.2500000000000115]]], [[[1.250000000000028, '
+    '4.2499999999999947]]], [[[-3.2499999999999933, -2.2499999999999662]]], '
+    '[[[1.2499999999999798, 0.25000000000000339]]]], "D": '
+    '[[[[0.4999999999999995, -0.50000000000000133], [0, 0]]], '
+    '[[[3.6188084697060014e-15, 0.99999999999999922], [0, -0]]], '
+    '[[[-0.49999999999999944, -0.49999999999999617], [0, -0]]]], "Xi": '
+    '[[[0.38461538461538475, 0.92307692307692313]]], "W": '
+    '[[[1.6732103039963083e-16, 0.43301270189221941]], [[0, 0]]], "T": '
+    '[[[0.50000000000000022, -0.75]]], "Chat": [[[1.6732103039963083e-16, '
+    '0.43301270189221941], [0, 0]]], "K": [[[1.1547005383792515, '
+    '3.3090811497049173e-17], [0, 0]], [[0, 0], [1.4142135623730949, 0]]], '
+    '"A0_coeff": [[[0.5, 0.74999999999999989], [0, 0]], [[0, 0], '
+    '[2.2371143170757382e-17, 0.99999999999999978]]], "C0_coeff": '
+    '[[[1.6732103039963083e-16, 0.43301270189221941], [0, 0]]], "psi": '
+    '[[[[-0.66666666666666652, 0.24999999999999994], [0, 0]], [[0, 0], [-1, '
+    '0.5]]], [[[0, 0.83333333333333315], [0, 0]], [[0, 0], [0, 1.5]]], [[[0, '
+    '0.24999999999999994], [0, 0]], [[0, 0], [0, 0.5]]], [[[0, '
+    '0.16666666666666663], [0, 0]], [[0, 0], [0, 0.5]]]]}\n')
+
+
+def _printed_poly(obj):
+    """Coefficients, lowest degree first, of a printed k or A..D."""
+    pairs = np.array(obj, dtype=float)
+    return pairs[..., 0] + 1j * pairs[..., 1]
+
+
+def test_parametrize_no_farther_from_golden(doc_path):
+    """Printed k, A, B, C and D are no farther from the closed forms than before."""
+    proc = run_cli("parametrize", doc_path("ex21"))
+    assert proc.returncode == 0
+    now, before = json.loads(proc.stdout), json.loads(PARAMETRIZE_EX21_BEFORE)
+    golden = {"k": golden_k, "B": golden_B, "C": golden_C, "D": golden_D,
+              "A": lambda z: golden_transform(z, 0.0) * (z * z + 1) ** 2 * golden_k(z) / 2j}
+    rng = np.random.default_rng(21)
+    zs = rng.uniform(-3.0, 3.0, 16) + 1j * rng.uniform(0.2, 3.0, 16)
+    for name, fn in golden.items():
+        want = np.array([fn(z) for z in zs])
+        errors = []
+        for doc in (now, before):
+            coeffs = _printed_poly(doc[name])
+            got = np.array([np.polynomial.polynomial.polyval(z, coeffs) for z in zs])
+            errors.append(np.abs(got - want).max() / np.abs(want).max())
+        assert errors[0] <= errors[1], (name, errors)
+
+
 def test_numerical_failures_exit_3(doc_path, tmp_path):
     """A measure failing its own verify block and a RankError exit 3, stdout as before."""
     for doc, args in (("two_atom", ("solve",)), ("ex21", ("canonical", "--F", "[[1,0]]"))):
         proc = run_cli(args[0], doc_path(doc), *args[1:], "--moment-tol", "1e-30")
         assert proc.returncode == 3
         assert json.loads(proc.stdout)["verify"]["passed"] is False
-    # the N=4, d=6 instance with tau=24 whose coefficients miss the adjugate identity
+    # a Cayley-norm RankError: N=3, d=12, whose Cayley images miss norm 1 by about 3e-3
+    path = tmp_path / "cayley.json"
+    path.write_text(serialize_moments(jittered_moments(0, n_dim=3, d=12, n_atoms=15)))
+    proc = run_cli("parametrize", str(path))
+    assert proc.returncode == 3
+    assert json.loads(proc.stdout)["error"].startswith("Cayley image norms deviate from 1")
+    # the N=4, d=6 instance with tau=24, beyond the former monomial interpolation
     path = tmp_path / "tau24.json"
     path.write_text(serialize_moments(jittered_moments(0)))
     proc = run_cli("parametrize", str(path))
-    assert proc.returncode == 3
-    assert proc.stdout == ('{"error": "coefficient identity violated; '
-                           'interpolation degrees inconsistent"}\n')
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["tau"] == 24
 
 
 def test_non_finite_moments_rejected(doc_path):
@@ -415,3 +487,25 @@ def test_gap_solve_budget_below_one_rejected(doc_path):
         proc = run_cli("gap-solve", doc_path("ex21"), "--delta", "(0.5,0.6)", "--budget", budget)
         assert proc.returncode == 1 and proc.stdout == ""
         assert "--budget must be at least 1" in proc.stderr
+
+
+WRONG_SIZE_F = "[[[1,0],[0,0]],[[0,0],[1,0]]]"  # 2x2; the golden input has delta = 1
+
+
+@pytest.mark.parametrize("args", [
+    ("evaluate", "--F", WRONG_SIZE_F, "--z", "2j"),
+    ("canonical", "--F", WRONG_SIZE_F),
+    ("gap-check", "--delta", "(-1,1)", "--F", WRONG_SIZE_F),
+])
+def test_wrong_size_parameter_rejected(doc_path, args):
+    proc = run_cli(args[0], doc_path("ex21"), *args[1:])
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert "parameter matrix must be 1 x 1" in proc.stderr
+
+
+def test_verify_wrong_size_weights_rejected(doc_path, tmp_path):
+    mpath = tmp_path / "measure.json"
+    mpath.write_text('{"atoms": [{"t": 1.0, "W": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}]}')
+    proc = run_cli("verify", doc_path("point_mass"), "--measure", str(mpath))
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert "measure weights must be 1 x 1" in proc.stderr

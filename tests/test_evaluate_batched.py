@@ -1,5 +1,6 @@
-"""The stacked Jacobi SVD and the batched transform evaluation against LAPACK:
-one SVD per matrix, and the former path with one SVD and one solve per point."""
+"""The stacked Jacobi SVD and the batched pole-residue evaluation against
+LAPACK: one SVD per matrix, and per point one solve with (z+i) I - (z-i) a0
+and one SVD and one solve of the pivot."""
 
 from dataclasses import replace
 
@@ -9,7 +10,6 @@ import pytest
 import matmom.nevanlinna as nev
 from matmom import analyze, assemble_coefficients, evaluate_transform, find_admissible_unitary
 from matmom.errors import EvaluationError, ParameterError
-from matmom.matpoly import MatrixPolynomial, polyval
 from matmom.moment_model import DEFAULT_TOL
 
 from conftest import moments_from_measure, random_measure
@@ -18,22 +18,33 @@ INV_TOL = DEFAULT_TOL.inv_tol
 
 
 def reference_transform(nc, F, z, tol=DEFAULT_TOL):
-    """(values, singular) with one LAPACK SVD and one LAPACK solve per point."""
+    """(values, singular) with LAPACK solves and one LAPACK SVD per point."""
     flat = np.atleast_1d(np.asarray(z, dtype=complex)).ravel()
     if callable(F):
         f_vals = np.stack([np.asarray(F(w), dtype=complex).reshape(nc.delta, nc.delta)
                            for w in flat])
     else:
         f_vals = np.broadcast_to(np.asarray(F, dtype=complex), (flat.size, nc.delta, nc.delta))
-    kz = polyval(nc.k, flat)
-    pivot = ((flat + 1j) * kz)[:, None, None] * np.eye(nc.delta) + nc.C_poly(flat) @ f_vals
-    svals = np.linalg.svd(pivot, compute_uv=False)
-    singular = svals[:, -1] <= tol.inv_tol * np.maximum(1.0, svals[:, 0])
+    n_dim, rho = nc.N, nc.rho
+    rhs = np.zeros((nc.tau, n_dim + nc.delta), dtype=complex)
+    rhs[:rho, :n_dim] = nc.K
+    rhs[:, n_dim:] = nc.W
+    values, singular = [], []
+    for w, f in zip(flat, f_vals):
+        x = np.linalg.solve((w + 1j) * np.eye(nc.tau) - (w - 1j) * nc.a0, rhs)
+        a = (w + 1j) * nc.K.conj().T @ x[:rho, :n_dim] + nc.psi(w)
+        b = -(w * w + 1.0) * nc.K.conj().T @ x[:rho, n_dim:]
+        c = (1j - w) * (nc.T + (w - 1j) * nc.Chat @ x[:, n_dim:])
+        d = -(w - 1j) * nc.Chat @ x[:, :n_dim]
+        pivot = (w + 1j) * np.eye(nc.delta) + c @ f
+        svals = np.linalg.svd(pivot, compute_uv=False)
+        singular.append(svals[-1] <= tol.inv_tol * max(1.0, svals[0]))
+        if not singular[-1]:
+            values.append(2j / (w * w + 1.0) ** 2 * (a + b @ f @ np.linalg.solve(pivot, d)))
+    singular = np.array(singular)
     if singular.any():
         return None, singular
-    inner = nc.B_poly(flat) @ f_vals @ np.linalg.solve(pivot, nc.D_poly(flat))
-    pref = 2j / ((flat ** 2 + 1.0) ** 2 * kz)
-    return pref[:, None, None] * (nc.A_poly(flat) + inner), singular
+    return np.stack(values), singular
 
 
 def random_stack(rng, n, k, svals=None):
@@ -140,13 +151,12 @@ def test_callable_non_contraction_at_one_point_rejected(ex21_nc):
 
 
 def test_singular_pivot_raised_at_first_bad_point(ex21_nc):
-    """C is replaced so that the pivot with F = 1 is z - z0, singular only at z0."""
+    """T is replaced so that the pivot with F = 1, (z+i) + (i-z)(T + (z-i) Chat M(z)^{-1} W)
+    with M(z) = (z+i) I - (z-i) a0, vanishes at z0."""
     nc, z0 = ex21_nc, 0.25 + 0.5j
-    zk = np.convolve(nc.k, [1j, 1.0])  # (z + i) k(z), lowest degree first
-    coeffs = -zk[:, None, None]
-    coeffs[:2, 0, 0] += [-z0, 1.0]
-    c_poly = MatrixPolynomial(coeffs).trim()
-    bad = replace(nc, C_poly=c_poly)
+    m0 = (z0 + 1j) * np.eye(nc.tau) - (z0 - 1j) * nc.a0
+    t_bad = (z0 + 1j) / (z0 - 1j) - (z0 - 1j) * nc.Chat @ np.linalg.solve(m0, nc.W)
+    bad = replace(nc, T=t_bad)
     z = np.array([1.0 + 1j, z0, -0.5 + 2j, z0])
     _, singular = reference_transform(bad, np.eye(1), z)
     assert singular.tolist() == [False, True, False, True]

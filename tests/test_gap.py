@@ -91,6 +91,12 @@ def test_check_gap_class_rejects_matched_value(ex21, gap_setup):
     assert (0.0, "C") in decision.failures
 
 
+def test_check_gap_class_rejects_mis_sized_parameter(gap_setup):
+    _, analysis, xi = gap_setup
+    with pytest.raises(ParameterError, match="parameter must be 1 x 1"):
+        check_gap_class(np.eye(2), xi, analysis)
+
+
 def test_check_gap_class_rejects_contraction(gap_setup):
     _, analysis, xi = gap_setup
     decision = check_gap_class(np.array([[0.5]]), xi, analysis)
