@@ -17,7 +17,7 @@ from .moment_model import (AtomicMeasure, GapSpec, MomentCheckReport, MomentSequ
 from .solvability import HankelPair, SolvabilityReport, build_block_hankel, check_solvable
 from .hilbert_space import (BasisCollection, HilbertRep, OperatorModel, OrthoBasisSet,
                             build_all_bases, build_operator_model, classify_determinacy,
-                            factor_gram, orthonormalize)
+                            factor_gram, gap_basis, orthonormalize, regular_type_check)
 from .determinate import (DeterminateModel, build_determinate_model, solve_determinate,
                           stieltjes_determinate)
 from .matpoly import MatrixPolynomial
@@ -26,8 +26,7 @@ from .nevanlinna import (NevanlinnaCoefficients, SampledDistribution, assemble_c
                          find_admissible_unitary, forbidden_matrix, invert_transform,
                          transform_via_resolvent)
 from .gap import (GapAnalysis, GapClassDecision, GapSearchResult, analyze_gap,
-                  check_gap_class, gap_basis, gap_solvable_search, regular_type_check,
-                  verify_gap, w_tilde)
+                  check_gap_class, gap_solvable_search, verify_gap, w_tilde)
 
 __all__ = [
     "AtomicMeasure", "BasisCollection", "DeterminateModel", "EvaluationError",

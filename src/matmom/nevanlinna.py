@@ -133,12 +133,26 @@ def check_constant_admissible(F: np.ndarray, Xi: np.ndarray,
     return bool(reach < 1.0 - tol.inv_tol)
 
 
+def colligation(bases: BasisCollection):
+    """Blocks (a0, W, Chat, T) of the unitary colligation U = [[a0, W], [Chat, T]].
+
+    They are the inner products of the Cayley images v and the codefect
+    basis v' with the range basis u and the defect basis u': a0 = (v_k, u_j),
+    W = (v'_l, u_j), Chat = (v_k, u'_j) and T = (v'_l, u'_j).  In the basis
+    [u, u'] the unitary extension of a parameter F has the matrix
+    U_F = [[a0, W F], [Chat, T F]].
+    """
+    u, up = bases.range_basis.vectors, bases.defect_basis.vectors
+    v, vp = bases.cayley, bases.codefect_basis.vectors
+    return ip_matrix(u, v), ip_matrix(u, vp), ip_matrix(up, v), ip_matrix(up, vp)
+
+
 def assemble_coefficients(rep: HilbertRep, bases: BasisCollection,
                           tol: Tolerances = DEFAULT_TOL) -> NevanlinnaCoefficients:
     """Build all transform coefficients from inner products of the basis families.
 
-    a0, W, Chat and T are the blocks of the unitary colligation [[a0, W],
-    [Chat, T]]; with K and the cubic psi they fix the transform.  One
+    a0, W, Chat and T are the blocks of the unitary colligation (see
+    colligation); with K and the cubic psi they fix the transform.  One
     eigendecomposition a0 = V diag(lam) V^{-1} turns the resolvent
     ((z+i) I - (z-i) a0)^{-1} = V diag(r) V^{-1}, r_j = 1/((z+i) - (z-i) lam_j),
     into a pole-residue sum: row j of `residues` is the outer product of
@@ -161,16 +175,8 @@ def assemble_coefficients(rep: HilbertRep, bases: BasisCollection,
     if rho < 1:
         raise RankError("no difference vector among the leading block survived; inconsistent data")
 
-    u = bases.range_basis.vectors
-    up = bases.defect_basis.vectors
-    v = bases.cayley
-    vp = bases.codefect_basis.vectors
-
-    a0 = ip_matrix(u, v)                      # (v_k, u_j)
-    w_mat = ip_matrix(u, vp)                  # (v'_l, u_j)
-    t_mat = ip_matrix(up, vp)                 # (v'_l, u'_j)
-    chat = ip_matrix(up, v)                   # (v_k, u'_j)
-    k_mat = ip_matrix(u, bases.y[:, :n_dim])[:rho]  # (y_k, u_j), leading rows only
+    a0, w_mat, chat, t_mat = colligation(bases)
+    k_mat = ip_matrix(bases.range_basis.vectors, bases.y[:, :n_dim])[:rho]  # (y_k, u_j), leading rows
 
     # cubic correction: entry (j, k) collects gamma values with shifted indices
     gamma = rep.gram()
@@ -278,16 +284,24 @@ def _jacobi_svd(a: np.ndarray):
     return np.transpose(b, (2, 1, 0)), np.transpose(cols[:, k:], (2, 1, 0)), s
 
 
+def square_parameter(F, delta: int) -> np.ndarray:
+    """F as a complex delta x delta matrix; ParameterError for any other shape."""
+    F = np.asarray(F, dtype=complex)
+    if F.shape != (delta, delta):
+        raise ParameterError(f"parameter must be {delta} x {delta}, got shape {F.shape}")
+    return F
+
+
 def _parameter_values(F, delta: int, points: np.ndarray, tol: Tolerances) -> np.ndarray:
-    """The parameter checked to be a contraction: a (delta, delta) matrix for
+    """The parameter checked to be a delta x delta contraction: a matrix for
     constant F, one SVD in all; an (n, delta, delta) stack of F(z) for callable F."""
     if callable(F):
         vals = np.empty((points.size, delta, delta), dtype=complex)
         for i, z in enumerate(points):
-            vals[i] = np.asarray(F(z), dtype=complex).reshape(delta, delta)
+            vals[i] = square_parameter(F(z), delta)
         largest = float(_jacobi_svd(vals)[2].max(initial=0.0))
     else:
-        vals = np.asarray(F, dtype=complex).reshape(delta, delta)
+        vals = square_parameter(F, delta)
         largest = float(np.linalg.svd(vals, compute_uv=False)[0])
     if largest > 1.0 + tol.psd_tol:
         raise ParameterError(
@@ -419,7 +433,7 @@ def extension_operator(bases: BasisCollection, F: np.ndarray,
     """
     if bases.delta == 0:
         raise ParameterError("problem is determinate; use the determinate solver")
-    F = np.asarray(F, dtype=complex).reshape(bases.delta, bases.delta)
+    F = square_parameter(F, bases.delta)
     unit_dev = float(np.abs(F.conj().T @ F - np.eye(bases.delta)).max(initial=0.0))
     if unit_dev > tol.psd_tol:
         raise ParameterError(f"parameter is not unitary (deviation {unit_dev:.3e})")

@@ -43,7 +43,7 @@ class SolvabilityReport:
         }
 
 
-def _block_hankel(moments, size: int, n_dim: int, shift: int = 0) -> np.ndarray:
+def block_hankel(moments, size: int, n_dim: int, shift: int = 0) -> np.ndarray:
     out = np.zeros((size * n_dim, size * n_dim), dtype=complex)
     for i in range(size):
         for j in range(size):
@@ -53,9 +53,9 @@ def _block_hankel(moments, size: int, n_dim: int, shift: int = 0) -> np.ndarray:
 
 def build_block_hankel(ms: MomentSequence) -> HankelPair:
     return HankelPair(
-        gamma_d=_block_hankel(ms.moments, ms.d + 1, ms.N),
-        gamma_hat=_block_hankel(ms.moments, ms.d, ms.N, shift=2),
-        gamma_dm1=_block_hankel(ms.moments, ms.d, ms.N),
+        gamma_d=block_hankel(ms.moments, ms.d + 1, ms.N),
+        gamma_hat=block_hankel(ms.moments, ms.d, ms.N, shift=2),
+        gamma_dm1=block_hankel(ms.moments, ms.d, ms.N),
     )
 
 

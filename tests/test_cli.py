@@ -167,7 +167,12 @@ def test_gap_check_and_solve(ex21_path):
     for atom in payload["atoms"]:
         assert not (-1.0 + 1e-8 < atom["t"] < 1.0 - 1e-8)
 
+    # the mandatory atom at 1 makes (-10, 10) infeasible by regular type
     proc = run_cli("gap-solve", ex21_path, "--delta", "(-10,10)", "--budget", "80")
+    assert proc.returncode == 2
+    assert abs(json.loads(proc.stdout)["witness_lambda"] - 1.0) <= 1e-12
+
+    proc = run_cli("gap-solve", ex21_path, "--delta", "(-10,0.99),(1.01,10)", "--budget", "80")
     assert proc.returncode == 2
     assert "inconclusive" in json.loads(proc.stdout)["error"]
 
@@ -203,24 +208,44 @@ def test_input_errors_exit_1(tmp_path):
     assert proc.returncode == 1
 
 
-# stdout of the per-point gap analysis these commands ran on before it was batched
+# stdout of the closed-form gap layer: grid_points counts the finite endpoints of the
+# gap and non_regular_at lists the exact non-regular points inside it
 GAP_STDOUT = [
     (("gap-check", "--delta", "(-1,1)"), 0,
-     '{"determinate": false, "regular_type": true, "grid_points": 265, "non_regular_at": []}\n'),
+     '{"determinate": false, "regular_type": true, "grid_points": 2, "non_regular_at": []}\n'),
     (("gap-check", "--delta", "(0,2)"), 2,
-     '{"determinate": false, "regular_type": false, "grid_points": 265, '
+     '{"determinate": false, "regular_type": false, "grid_points": 2, '
      '"non_regular_at": [1]}\n'),
     (("gap-check", "--delta", "(-1,3)"), 2,
-     '{"determinate": false, "regular_type": false, "grid_points": 465, '
-     '"non_regular_at": [1.0000000000000002]}\n'),
+     '{"determinate": false, "regular_type": false, "grid_points": 2, '
+     '"non_regular_at": [1]}\n'),
     (("gap-solve", "--delta", "(-1,1)"), 0,
-     '{"atoms": [{"t": -6.8395839721023419, "W": [[[0.0035562555112191659, 0], [0, 0]], '
+     '{"atoms": [{"t": -2.5026855528226819, "W": [[[0.014906247186841096, 0], [0, 0]], '
      '[[0, 0], [0, 0]]]}, {"t": 1, "W": [[[0, 0], [0, 0]], [[0, 0], [1, 0]]]}, '
-     '{"t": 1.5899325436986915, "W": [[[0.32977707782211407, 0], [0, 0]], [[0, 0], [0, 0]]]}], '
-     '"verify": {"passed": true, "tol": 1e-08, "max_deviation": 4.4408920985006262e-16, '
-     '"max_per_moment": [5.5511151231257827e-17, 0, 4.4408920985006262e-16]}, '
-     '"F": [[[0.67301251350977309, 0.7396310949786099]]]}\n'),
+     '{"t": 1.6873741991726285, "W": [[[0.31842708614649212, 0], [0, 0]], [[0, 0], [0, 0]]]}], '
+     '"verify": {"passed": true, "tol": 1e-08, "max_deviation": 3.3306690738754696e-16, '
+     '"max_per_moment": [1.1102230246251565e-16, 1.6653345369377348e-16, '
+     '3.3306690738754696e-16]}, "F": [[[0.95242414719932422, 0.30477572710378359]]]}\n'),
 ]
+
+# gap-solve stdout of the sampled gap grid: another witness for the same gap
+GAP_SOLVE_BEFORE = (
+    '{"atoms": [{"t": -6.8395839721023419, "W": [[[0.0035562555112191659, 0], [0, 0]], '
+    '[[0, 0], [0, 0]]]}, {"t": 1, "W": [[[0, 0], [0, 0]], [[0, 0], [1, 0]]]}, '
+    '{"t": 1.5899325436986915, "W": [[[0.32977707782211407, 0], [0, 0]], [[0, 0], [0, 0]]]}], '
+    '"verify": {"passed": true, "tol": 1e-08, "max_deviation": 4.4408920985006262e-16, '
+    '"max_per_moment": [5.5511151231257827e-17, 0, 4.4408920985006262e-16]}, '
+    '"F": [[[0.67301251350977309, 0.7396310949786099]]]}\n')
+
+
+def test_gap_solve_witness_verifies(ex21_path, tmp_path):
+    mpath = tmp_path / "measure.json"
+    for text in (run_cli("gap-solve", ex21_path, "--delta", "(-1,1)").stdout, GAP_SOLVE_BEFORE):
+        mpath.write_text(json.dumps({"atoms": json.loads(text)["atoms"]}))
+        proc = run_cli("verify", ex21_path, "--measure", str(mpath), "--gap", "(-1,1)")
+        assert proc.returncode == 0
+        payload = json.loads(proc.stdout)
+        assert payload["passed"] is True and payload["gap_respected"] is True
 
 
 @pytest.mark.parametrize("args, status, stdout", GAP_STDOUT)

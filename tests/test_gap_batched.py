@@ -1,14 +1,11 @@
-"""The stacked Gram-Schmidt and the batched gap analysis against a column-by-column
+"""The stacked Gram-Schmidt and the closed-form gap analysis against a column-by-column
 reference: one modified Gram-Schmidt loop per matrix and one SVD per grid point."""
 
 import math
 
 import numpy as np
-import pytest
 
-import matmom.gap as gap
-from matmom import (AtomicMeasure, GapSpec, analyze, analyze_gap, assemble_coefficients,
-                    gap_solvable_search, regular_type_check, w_tilde)
+from matmom import GapSpec, analyze, analyze_gap, regular_type_check, w_tilde
 from matmom.hilbert_space import orthonormalize_stack, shifted_domain_images
 from matmom.moment_model import DEFAULT_TOL
 
@@ -127,24 +124,7 @@ def test_stack_drops_and_reorthogonalizes_per_matrix():
     assert shapes == [(0, 3, 2), (0, 2, 2), (0, 2)]
 
 
-def assert_same_analysis(a, b):
-    assert np.array_equal(a.grid, b.grid)
-    assert np.array_equal(a.invertible, b.invertible)
-    assert np.array_equal(a.w_tilde, b.w_tilde, equal_nan=True)
-    assert np.array_equal(a.margins, b.margins)
-
-
-@pytest.mark.parametrize("delta_text", ["(0,2)", "(-1,3)"])
-def test_analysis_independent_of_block_split(ex21, monkeypatch, delta_text):
-    spec = GapSpec.parse(delta_text)
-    whole = analyze_gap(ex21.rep, ex21.bases, spec)
-    assert not whole.regular_type and np.isnan(whole.w_tilde[~whole.invertible]).all()
-    monkeypatch.setattr(gap, "GRID_BLOCK", 7)
-    assert_same_analysis(analyze_gap(ex21.rep, ex21.bases, spec), whole)
-
-
 def test_analysis_rows_match_point_reference(ex21, monkeypatch):
-    monkeypatch.setattr(gap, "GRID_BLOCK", 16)
     cases = [(ex21, np.linspace(-2.0, 2.0, 41))]  # not of regular type at 1
     cases += [(state, np.concatenate([np.linspace(-3.0, 3.0, 41), locs]))
               for state, locs in random_indeterminate_states()]
@@ -158,27 +138,3 @@ def test_analysis_rows_match_point_reference(ex21, monkeypatch):
             if invertible:
                 assert np.abs(analysis.w_tilde[i] - w_ref).max() < 1e-12
                 assert np.abs(w_tilde(state.rep, state.bases, lam) - w_ref).max() < 1e-12
-
-
-def test_arc_scan_blocks_match_whole_grid(monkeypatch):
-    """delta=1 tail gap whose 9365-point grid spans 37 scan blocks."""
-    measure = AtomicMeasure.from_atoms([(t, np.eye(1)) for t in (-1.0, 0.0, 1.0, 10.0)])
-    state = analyze(moments_from_measure(measure, 1, 1))
-    nc = assemble_coefficients(state.rep, state.bases)
-    spec = GapSpec.parse("(11,inf)")
-    analysis = analyze_gap(state.rep, state.bases, spec)
-    assert analysis.grid.size > 30 * gap.ARC_SCAN_BLOCK
-    f_vals = np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 1000, endpoint=False))
-    margins = np.maximum(analysis.margins, DEFAULT_TOL.inv_tol)
-    dist = np.abs(f_vals[:, None] - analysis.w_tilde[None, :, 0, 0])  # the whole grid at once
-    want = np.abs(f_vals - nc.Xi[0, 0]) > DEFAULT_TOL.inv_tol
-    want &= np.all(dist > margins[None, :], axis=1)
-    got = gap._feasible_angles(f_vals, nc.Xi, analysis, DEFAULT_TOL)
-    assert want.any() and not want.all()
-    assert np.array_equal(got, want)
-    assert gap._circular_arcs(got) == gap._circular_arcs(want)
-    found = gap_solvable_search(state.rep, state.bases, nc, spec, analysis=analysis)
-    monkeypatch.setattr(gap, "ARC_SCAN_BLOCK", analysis.grid.size)
-    whole = gap_solvable_search(state.rep, state.bases, nc, spec, analysis=analysis)
-    assert found.status == whole.status == "found"
-    assert np.array_equal(found.F, whole.F)

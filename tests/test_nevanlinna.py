@@ -2,9 +2,9 @@ import numpy as np
 from numpy.polynomial.polynomial import polyval
 import pytest
 
-from matmom import (ParameterError, analyze, canonical_solution, check_constant_admissible,
-                    evaluate_transform, find_admissible_unitary, forbidden_matrix,
-                    invert_transform, transform_via_resolvent, verify_moments)
+from matmom import (ParameterError, analyze, assemble_coefficients, canonical_solution,
+                    check_constant_admissible, evaluate_transform, find_admissible_unitary,
+                    forbidden_matrix, invert_transform, transform_via_resolvent, verify_moments)
 from matmom.errors import EvaluationError
 
 from conftest import (golden_B, golden_C, golden_D, golden_k, golden_transform,
@@ -256,3 +256,18 @@ def test_random_instance_path_equivalence(seed):
     t1 = evaluate_transform(nc, F, zs)
     t2 = transform_via_resolvent(state.rep, state.bases, F, zs)
     assert np.abs(t1 - t2).max() / (np.abs(t2).max() + 1) < 1e-8
+
+
+@pytest.mark.parametrize("shape", [(1, 4), (4, 1)])
+def test_mis_sized_parameter_rejected(shape):
+    measure = random_measure(np.random.default_rng(0), 2, 5)
+    state = analyze(moments_from_measure(measure, 2, 2))
+    nc = assemble_coefficients(state.rep, state.bases)
+    assert nc.delta == 2
+    F = find_admissible_unitary(nc.Xi).reshape(shape)
+    with pytest.raises(ParameterError, match="parameter must be 2 x 2"):
+        evaluate_transform(nc, F, 2j)
+    with pytest.raises(ParameterError, match="parameter must be 2 x 2"):
+        evaluate_transform(nc, lambda z: F, np.array([2j, 1 + 1j]))
+    with pytest.raises(ParameterError, match="parameter must be 2 x 2"):
+        canonical_solution(state.rep, state.bases, F)
