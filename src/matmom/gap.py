@@ -22,7 +22,8 @@ from .errors import ParameterError, RankError
 from .hilbert_space import BasisCollection, HilbertRep
 from .moment_model import AtomicMeasure, DEFAULT_TOL, GapSpec, Tolerances
 from .nevanlinna import (NevanlinnaCoefficients, canonical_solution, check_constant_admissible,
-                         colligation, random_unitary, square_parameter)
+                         colligation, extended_colligation, random_unitary,
+                         square_parameter)
 from .solvability import block_hankel
 
 
@@ -50,9 +51,7 @@ class GapAnalysis:
     def atoms(self, F: np.ndarray) -> np.ndarray:
         """Sorted lam = i(mu+1)/(mu-1) over the eigenvalues mu of U_F: the atoms
         of the canonical solution of the unitary F, from one eigvals."""
-        tau = self.poles.size
-        u_f = np.concatenate([self.u[:, :tau], self.u[:, tau:] @ F], axis=1)
-        return np.sort(_real_points(np.linalg.eigvals(u_f)))
+        return np.sort(_real_points(np.linalg.eigvals(extended_colligation(self.u, F))))
 
 
 def _family(u, poles, residues, lams, tol: Tolerances):

@@ -328,22 +328,25 @@ def _format_float(x: float) -> str:
 
 
 def dumps(obj) -> str:
-    """Deterministic JSON with every float printed to 17 significant digits."""
+    """Deterministic JSON with every float printed to 17 significant digits.
+
+    Floats, lists and dicts, which make up measure payloads, are tested first;
+    none of them is a bool, an int, None or a str."""
+    if isinstance(obj, (float, np.floating)):
+        return _format_float(float(obj))
+    if isinstance(obj, (list, tuple)):
+        return "[" + ", ".join([dumps(v) for v in obj]) + "]"
+    if isinstance(obj, dict):
+        parts = [f"{json.dumps(str(k))}: {dumps(v)}" for k, v in obj.items()]
+        return "{" + ", ".join(parts) + "}"
     if obj is None:
         return "null"
     if isinstance(obj, bool):
         return "true" if obj else "false"
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return _format_float(float(obj))
     if isinstance(obj, str):
         return json.dumps(obj)
-    if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join(dumps(v) for v in obj) + "]"
-    if isinstance(obj, dict):
-        parts = [f"{json.dumps(str(k))}: {dumps(v)}" for k, v in obj.items()]
-        return "{" + ", ".join(parts) + "}"
     if isinstance(obj, np.ndarray):
         return dumps(obj.tolist())
     if isinstance(obj, complex):

@@ -6,13 +6,16 @@ The transform of every solution (of the transposed measure) is
 
 over the upper half-plane punctured at i, where F ranges over the
 contraction-valued parameters that avoid the forbidden matrix
-isometrically at infinity.  k(z) = det((z+i) I - (z-i) a0) cancels: A/k,
-B/k, C/k and D/k are pole-residue sums over the eigenvalues of a0, the
-first block of the unitary colligation [[a0, W], [Chat, T]] that the inner
-products of the orthonormal families in hilbert_space form (the
-characteristic-function form of Sz.-Nagy and Foias).  The monomial
-coefficients of k, A, B, C and D are only printed; they are multiplied out
-of the same factored form.
+isometrically at infinity.  a0, W, Chat and T, the inner products of the
+orthonormal families in hilbert_space, are the blocks of the unitary
+colligation U = [[a0, W], [Chat, T]] (the characteristic-function form of
+Sz.-Nagy and Foias).  For a constant F the transform is the compressed
+resolvent of U_F = [[a0, W F], [Chat, T F]]: the pivot above is the Schur
+complement of (z+i) I - (z-i) U_F, so one eig of U_F turns it into a
+pole-residue sum.  For a callable F, k(z) cancels: A/k, B/k, C/k and D/k are
+pole-residue sums over the eigenvalues of a0, and the pivot is solved point
+by point in one stacked Jacobi SVD.  The monomial coefficients of k, A, B, C
+and D are only printed; they are multiplied out of the factored form.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from .moment_model import AtomicMeasure, DEFAULT_TOL, Tolerances, hermitize
 
 FIXED_POINT_TOL = 1e-8  # unitary extension eigenvalues this close to 1 are rejected
 JACOBI_SWEEPS = 30      # cyclic sweeps before the stacked Jacobi SVD reports non-convergence
+SAMPLE_BLOCK = 1024     # callable parameter values held at once: one small array per point
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,6 +63,11 @@ class NevanlinnaCoefficients:
     def c0(self) -> np.ndarray:
         # the defect-row block equals -w(z) c0; it shares its coefficient with Chat
         return self.Chat
+
+    @property
+    def u(self) -> np.ndarray:
+        """The colligation U = [[a0, W], [Chat, T]] as one (tau+delta) square matrix."""
+        return np.block([[self.a0, self.W], [self.Chat, self.T]])
 
     def to_json_obj(self) -> dict:
         from .moment_model import matrix_to_json
@@ -147,6 +156,26 @@ def colligation(bases: BasisCollection):
     return ip_matrix(u, v), ip_matrix(u, vp), ip_matrix(up, v), ip_matrix(up, vp)
 
 
+def extended_colligation(u: np.ndarray, F: np.ndarray) -> np.ndarray:
+    """U_F = [[a0, W F], [Chat, T F]]: the colligation U = [[a0, W], [Chat, T]]
+    with its last delta columns multiplied by the delta x delta parameter F.
+    It is unitary for a unitary F and a contraction for a contraction F."""
+    tau = u.shape[1] - F.shape[0]
+    return np.concatenate([u[:, :tau], u[:, tau:] @ F], axis=1)
+
+
+def _diagonalize(m: np.ndarray, name: str, tol: Tolerances):
+    """(lam, V) with m = V diag(lam) V^{-1}; RankError when the condition
+    number of V times eps exceeds rank_tol, where the pole-residue form that
+    V^{-1} feeds is unreliable."""
+    lam, vecs = np.linalg.eig(m)
+    cond = float(np.linalg.cond(vecs))
+    if not cond * np.finfo(float).eps <= tol.rank_tol:
+        raise RankError(f"eigenvector matrix of {name} is ill-conditioned (condition number "
+                        f"{cond:.3e}); the pole-residue form of the transform is unreliable")
+    return lam, vecs
+
+
 def assemble_coefficients(rep: HilbertRep, bases: BasisCollection,
                           tol: Tolerances = DEFAULT_TOL) -> NevanlinnaCoefficients:
     """Build all transform coefficients from inner products of the basis families.
@@ -187,11 +216,7 @@ def assemble_coefficients(rep: HilbertRep, bases: BasisCollection,
     psi = MatrixPolynomial(inner).scale(np.array([-0.5, 0.5j]))  # times (i/2)(z+i)
 
     xi = forbidden_matrix(bases, tol)
-    lam, vecs = np.linalg.eig(a0)
-    cond = float(np.linalg.cond(vecs))
-    if not cond * np.finfo(float).eps <= tol.rank_tol:
-        raise RankError(f"eigenvector matrix of a0 is ill-conditioned (condition number "
-                        f"{cond:.3e}); the pole-residue form of the transform is unreliable")
+    lam, vecs = _diagonalize(a0, "a0", tol)
     rhs = np.zeros((tau, n_dim + delta), dtype=complex)
     rhs[:rho, :n_dim] = k_mat
     rhs[:, n_dim:] = w_mat
@@ -293,12 +318,23 @@ def square_parameter(F, delta: int) -> np.ndarray:
 
 
 def _parameter_values(F, delta: int, points: np.ndarray, tol: Tolerances) -> np.ndarray:
-    """The parameter checked to be a delta x delta contraction: a matrix for
-    constant F, one SVD in all; an (n, delta, delta) stack of F(z) for callable F."""
+    """The parameter checked to be a delta x delta contraction: for constant F
+    the matrix, with one SVD; for callable F the (n, delta, delta) stack of the
+    values F(z), converted SAMPLE_BLOCK points at a time and checked with the
+    stacked SVD below.
+    A callable value of any other shape raises square_parameter's
+    ParameterError at the first point that has one."""
     if callable(F):
         vals = np.empty((points.size, delta, delta), dtype=complex)
-        for i, z in enumerate(points):
-            vals[i] = square_parameter(F(z), delta)
+        for start in range(0, points.size, SAMPLE_BLOCK):
+            raw = [F(w) for w in points[start: start + SAMPLE_BLOCK]]
+            try:
+                block = np.array(raw, dtype=complex)
+            except ValueError:  # values of different shapes
+                block = None
+            if block is None or block.shape != (len(raw), delta, delta):
+                block = np.stack([square_parameter(value, delta) for value in raw])
+            vals[start: start + len(raw)] = block
         largest = float(_jacobi_svd(vals)[2].max(initial=0.0))
     else:
         vals = square_parameter(F, delta)
@@ -310,13 +346,9 @@ def _parameter_values(F, delta: int, points: np.ndarray, tol: Tolerances) -> np.
 
 
 def _stack_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b over the points: a (n, p, k) and b (n, k, q) stacks, or a constant
-    (k, q) b.  A constant b multiplies the whole stack in one matrix product;
-    two stacks are multiplied by k broadcast products, since the inner
-    dimension is delta and one BLAS call per point costs more than the
-    arithmetic."""
-    if b.ndim == 2:
-        return (a.reshape(-1, b.shape[0]) @ b).reshape(a.shape[:2] + b.shape[1:])
+    """a @ b over the points for (n, p, k) and (n, k, q) stacks, as k broadcast
+    products: the inner dimension is at most delta, and one BLAS call per point
+    costs more than the arithmetic."""
     out = a[:, :, :1] * b[:, :1, :]
     for j in range(1, a.shape[2]):
         out += a[:, :, j: j + 1] * b[:, j: j + 1, :]
@@ -328,6 +360,59 @@ def outside_domain(z) -> np.ndarray:
     lower half-plane and the point i."""
     z = np.asarray(z, dtype=complex)
     return (z.imag <= 0.0) | (np.abs(z - 1j) < 1e-10)
+
+
+def _colligation_transform(nc: NevanlinnaCoefficients, F: np.ndarray, flat: np.ndarray,
+                           tol: Tolerances) -> np.ndarray:
+    """The transform of a constant F at the points, as a compressed resolvent:
+
+        2i / ((z+i) (z-i)^2) (K^* R^{-1} K + psi(z) / (z+i)),  R = (z+i) I - (z-i) U_F,
+
+    with K zero-padded to tau+delta rows.  One eig U_F = V diag(mu) V^{-1} makes
+    K^* R^{-1} K = sum_j r_j residues[j] with r_j = 1/((z+i) - (z-i) mu_j) and
+    residues[j] the outer product of column j of K^* V[:rho] with row j of
+    V^{-1} K.  The prefactor scales the r_j and the powers z^k / (z+i) that
+    carry psi's coefficients, so all points take one (n, tau+delta+4) @
+    (tau+delta+4, N^2) product.  psi shares the prefactor made of (z+i) and
+    (z-i): scaled by its own 2i/(z^2+1)^2, with z^2+1 rounded near z = i, it
+    would not cancel against K^* R^{-1} K there.  RankError when V is too
+    ill-conditioned; EvaluationError at the first point where some
+    (z+i) - (z-i) mu_j lies within inv_tol * max(1, |z+i| + |z-i|) of zero,
+    where R, and with it the pivot of the callable path, is singular.
+    """
+    n_dim, size = nc.N, nc.tau + nc.delta
+    mu, vecs = _diagonalize(extended_colligation(nc.u, F), "U_F", tol)
+    k_pad = np.zeros((size, n_dim), dtype=complex)
+    k_pad[:nc.rho] = nc.K
+    left = nc.K.conj().T @ vecs[:nc.rho]
+    residues = (left.T[:, :, None] * np.linalg.solve(vecs, k_pad)[:, None, :]).reshape(size, -1)
+    zp, zm = flat + 1j, flat - 1j
+    abs_p, abs_m = np.abs(zp), np.abs(zm)
+    bound = tol.inv_tol * np.maximum(1.0, abs_p + abs_m)
+    # |(z+i) - (z-i) mu| >= |z+i| - |z-i| |mu|, so only points where that is small
+    # (none for a contraction U_F, as |z+i| > |z-i|) need the distance to every pole
+    near = np.flatnonzero(abs_p - abs_m * np.abs(mu).max() <= 2.0 * bound)
+    if near.size:
+        dist = np.abs(zp[near, None] - np.multiply.outer(zm[near], mu)).min(axis=1)
+        bad = np.flatnonzero(dist <= bound[near])
+        if bad.size:
+            idx = near[bad[0]]
+            raise EvaluationError(
+                f"singular pivot at z={flat[idx]}: (z+i) - (z-i) mu is {dist[bad[0]]:.3e} "
+                "from zero for an eigenvalue mu of U_F (parameter not admissible at this point)")
+    # terms (one row per pole and per power of z, one column per point) @ coeffs
+    n_psi = nc.psi.coeffs.shape[0]
+    terms = np.empty((size + n_psi, flat.size), dtype=complex)
+    pref = 2j / (zp * zm * zm)
+    r = terms[:size]
+    np.multiply.outer(mu, zm, out=r)
+    np.subtract(zp, r, out=r)
+    np.divide(pref, r, out=r)
+    np.divide(pref, zp, out=terms[size])
+    for k in range(1, n_psi):
+        np.multiply(terms[size + k - 1], flat, out=terms[size + k])
+    coeffs = np.concatenate([residues, nc.psi.coeffs.reshape(n_psi, -1)])
+    return (terms.T @ coeffs).reshape(flat.size, n_dim, n_dim)
 
 
 def _scaled_blocks(nc: NevanlinnaCoefficients, flat: np.ndarray) -> np.ndarray:
@@ -354,38 +439,16 @@ def _scaled_blocks(nc: NevanlinnaCoefficients, flat: np.ndarray) -> np.ndarray:
     return sums
 
 
-def evaluate_transform(nc: NevanlinnaCoefficients, F, z,
-                       tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Evaluate the solution transform for parameter F at z (scalar or array).
+def _pivot_transform(nc: NevanlinnaCoefficients, f_vals: np.ndarray, flat: np.ndarray,
+                     tol: Tolerances) -> np.ndarray:
+    """The transform of a callable F from its (n, delta, delta) values at the points.
 
-    z must lie in the open upper half-plane away from i (EvaluationError for
-    the first point of z that does not, see outside_domain).  F is a constant
-    delta x delta contraction or a callable z -> matrix.  Returns the
-    transform of the transposed measure: entry (j, k) integrates
-    1/(t - z) against dm_{k,j}.
-
-    A/k, B/k, C/k and D/k come from one (n, tau) @ (tau, (N+delta)^2)
-    product of the pole factors r_j = 1/((z+i) - (z-i) lam_j) with the
-    stored residues, plus psi(z) in A/k (see assemble_coefficients); no
-    polynomial is evaluated but psi.  A constant F is checked to be a
-    contraction once and multiplies the stacks directly; a callable F costs
-    one Python call per point and its values are checked with the stacked
-    SVD below.  One stacked one-sided Jacobi SVD of the pivot matrices
-    (z+i) I + (C/k)(z) F over all points gives both the singular-pivot test
-    and the solve, so no LAPACK call is made per point.  The prefactor is
-    2i / (z^2+1)^2.
+    A/k, B/k, C/k and D/k come from one (n, tau) @ (tau, (N+delta)^2) product
+    with the residues stored by assemble_coefficients (see _scaled_blocks).
+    One stacked one-sided Jacobi SVD of the pivots (z+i) I + (C/k)(z) F(z)
+    gives both the singular-pivot test and the solve, so no LAPACK call is
+    made per point.  The prefactor is 2i / (z^2+1)^2.
     """
-    z_arr = np.asarray(z, dtype=complex)
-    flat = np.atleast_1d(z_arr).ravel()
-    if flat.size == 0:
-        return np.zeros(z_arr.shape + (nc.N, nc.N), dtype=complex)
-    outside = np.flatnonzero(outside_domain(flat))
-    if outside.size:
-        if flat[outside[0]].imag <= 0.0:
-            raise EvaluationError("z must lie in the open upper half-plane")
-        raise EvaluationError("z = i is excluded from the transform domain")
-
-    f_vals = _parameter_values(F, nc.delta, flat, tol)
     n_dim = nc.N
     sums = _scaled_blocks(nc, flat)
     pivot = (flat + 1j)[:, None, None] * np.eye(nc.delta) \
@@ -406,6 +469,47 @@ def evaluate_transform(nc: NevanlinnaCoefficients, F, z,
     # 2i/(z^2+1)^2 (A/k + (B/k) F pivot^{-1} (D/k)), and (z^2+1)(z-i) / (z^2+1)^2 = 1/(z+i)
     out *= (2j / (flat + 1j))[:, None, None]
     out += (2j / (flat * flat + 1.0) ** 2)[:, None, None] * sums[:, :n_dim, :n_dim]
+    return out
+
+
+def evaluate_transform(nc: NevanlinnaCoefficients, F, z,
+                       tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+    """Evaluate the solution transform for parameter F at z (scalar or array).
+
+    z must lie in the open upper half-plane away from i (EvaluationError for
+    the first point of z that does not, see outside_domain).  F is a constant
+    delta x delta contraction or a callable z -> matrix, checked to be a
+    contraction first (see _parameter_values).  Returns the transform of the
+    transposed measure: entry (j, k) integrates 1/(t - z) against dm_{k,j}.
+
+    A constant F makes one eig of U_F and one matrix product over all points,
+    with no pivot (_colligation_transform).  A callable F differs at every
+    point, so its pivots are solved in one stacked Jacobi SVD
+    (_pivot_transform); a constant F takes that path too when the eigenvector
+    matrix of U_F is too ill-conditioned.  Both raise EvaluationError("singular pivot at z=...")
+    at the first point where the parameter is not admissible.
+    """
+    z_arr = np.asarray(z, dtype=complex)
+    flat = np.atleast_1d(z_arr).ravel()
+    if flat.size == 0:
+        return np.zeros(z_arr.shape + (nc.N, nc.N), dtype=complex)
+    outside = np.flatnonzero(outside_domain(flat))
+    if outside.size:
+        if flat[outside[0]].imag <= 0.0:
+            raise EvaluationError("z must lie in the open upper half-plane")
+        raise EvaluationError("z = i is excluded from the transform domain")
+
+    f_vals = _parameter_values(F, nc.delta, flat, tol)
+    if callable(F):
+        out = _pivot_transform(nc, f_vals, flat, tol)
+    else:
+        try:
+            out = _colligation_transform(nc, f_vals, flat, tol)
+        except RankError:
+            # U_F is not reliably diagonalisable (a singular a0 with F = 0 puts a
+            # Jordan block at 0); the pivot path needs only the eig of a0
+            stack = np.broadcast_to(f_vals, (flat.size,) + f_vals.shape)
+            out = _pivot_transform(nc, stack, flat, tol)
     if z_arr.ndim == 0:
         return out[0]
     return out.reshape(z_arr.shape + (nc.N, nc.N))

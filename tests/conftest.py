@@ -58,6 +58,18 @@ def moments_from_measure(measure, n_dim, d):
     return MomentSequence.from_matrices(n_dim, d, measure.moments(2 * d + 1, dim=n_dim))
 
 
+def indeterminate_states(base_seed):
+    """Analyses of four random indeterminate instances, (N, d) = (2, 1), (2, 2),
+    (3, 1) and (3, 2), with delta = 1, 2 and 3 among them."""
+    states = []
+    for seed, (n_dim, d, n_atoms) in enumerate([(2, 1, 4), (2, 2, 5), (3, 1, 4), (3, 2, 5)]):
+        measure = random_measure(np.random.default_rng(base_seed + seed), n_dim, n_atoms)
+        state = analyze(moments_from_measure(measure, n_dim, d))
+        assert not state.determinate
+        states.append(state)
+    return states
+
+
 def pick_parameter(rng, state, nc, min_fixed_dist=0.1, tries=48):
     """Admissible unitary whose extension eigenvalues keep away from 1.
 

@@ -12,7 +12,7 @@ from matmom import (AtomicMeasure, Tolerances, analyze, assemble_coefficients,
 from matmom.errors import RankError
 from matmom.matpoly import MatrixPolynomial
 
-from conftest import moments_from_measure, random_measure
+from conftest import indeterminate_states, moments_from_measure
 
 
 def interpolation_nodes(count):
@@ -85,20 +85,10 @@ def reference_coefficients(state, nc):
     }
 
 
-def random_states():
-    states = []
-    for seed, (n_dim, d, n_atoms) in enumerate([(2, 1, 4), (2, 2, 5), (3, 1, 4), (3, 2, 5)]):
-        measure = random_measure(np.random.default_rng(7500 + seed), n_dim, n_atoms)
-        state = analyze(moments_from_measure(measure, n_dim, d))
-        assert not state.determinate
-        states.append(state)
-    return states
-
-
 def test_coefficients_match_per_node_reference(ex21):
     rng = np.random.default_rng(17)
     z = rng.uniform(-2.0, 2.0, 16) + 1j * rng.uniform(0.1, 2.0, 16)
-    for state in [ex21] + random_states():
+    for state in [ex21] + indeterminate_states(7500):
         nc = assemble_coefficients(state.rep, state.bases)
         psi, ref = reference_coefficients(state, nc)
         assert np.array_equal(nc.psi.coeffs, psi.coeffs)

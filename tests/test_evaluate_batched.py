@@ -8,11 +8,11 @@ import numpy as np
 import pytest
 
 import matmom.nevanlinna as nev
-from matmom import analyze, assemble_coefficients, evaluate_transform, find_admissible_unitary
+from matmom import assemble_coefficients, evaluate_transform, find_admissible_unitary
 from matmom.errors import EvaluationError, ParameterError
 from matmom.moment_model import DEFAULT_TOL
 
-from conftest import moments_from_measure, random_measure
+from conftest import indeterminate_states
 
 INV_TOL = DEFAULT_TOL.inv_tol
 
@@ -104,16 +104,6 @@ def test_jacobi_svd_raises_when_not_converged(monkeypatch):
         nev._jacobi_svd(a)
 
 
-def random_states():
-    states = []
-    for seed, (n_dim, d, n_atoms) in enumerate([(2, 1, 4), (2, 2, 5), (3, 1, 4), (3, 2, 5)]):
-        measure = random_measure(np.random.default_rng(7300 + seed), n_dim, n_atoms)
-        state = analyze(moments_from_measure(measure, n_dim, d))
-        assert not state.determinate
-        states.append(state)
-    return states
-
-
 def parameters(nc, rng):
     unitary = find_admissible_unitary(nc.Xi)
     g = rng.normal(size=(nc.delta, nc.delta)) + 1j * rng.normal(size=(nc.delta, nc.delta))
@@ -126,7 +116,7 @@ def parameters(nc, rng):
 def test_transform_matches_lapack_reference(ex21):
     rng = np.random.default_rng(11)
     deltas = set()
-    for state in [ex21] + random_states():
+    for state in [ex21] + indeterminate_states(7300):
         nc = assemble_coefficients(state.rep, state.bases)
         deltas.add(nc.delta)
         z = rng.uniform(-3.0, 3.0, 512) + 1j * 10.0 ** rng.uniform(-2.0, 1.0, 512)
