@@ -52,8 +52,9 @@ def spectral_measure(a: np.ndarray, xc: np.ndarray) -> AtomicMeasure:
     """
     if a.shape[0] == 0:
         return AtomicMeasure(atoms=())
-    cluster_tol = 1e-8 * (1.0 + float(np.linalg.norm(a, 2)))
     evals, evecs = np.linalg.eigh(a)
+    # ||a||_2 of a Hermitian a is its largest |eigenvalue|, read off the ascending ends
+    cluster_tol = 1e-8 * (1.0 + max(-float(evals[0]), float(evals[-1])))
     atoms = []
     start = 0
     for i in range(1, len(evals) + 1):

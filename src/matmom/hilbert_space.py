@@ -4,9 +4,11 @@ Factors the block Hankel Gram matrix into explicit coordinates for the
 generating vectors x_0 .. x_{dN+N-1}, realizes the shift operator
 A x_k = x_{k+N} on its natural domain, and builds all orthonormal
 families needed downstream: the domain split, the Cayley-transform
-range split, and the two defect-space bases.  gap_basis and
-regular_type_check split the shifted sequence x_{k+N} - lam x_k at a real
-lam, a per-point form of regular type kept as an independent oracle.
+range split, and the two defect-space bases.  Every family comes from
+orthonormal_split, one right-looking modified Gram-Schmidt of one matrix.
+gap_basis and regular_type_check split the shifted sequence
+x_{k+N} - lam x_k at a real lam, a per-point form of regular type kept as
+an independent oracle.
 
 Inner product convention: (f, g) = g* f in coordinates, linear in the
 first argument.  With that convention the coordinates returned by
@@ -24,11 +26,6 @@ import numpy as np
 from .errors import RankError, SolvabilityError
 from .moment_model import DEFAULT_TOL, Tolerances
 from .solvability import HankelPair
-
-
-def ip(f: np.ndarray, g: np.ndarray) -> complex:
-    """Coordinate inner product (f, g) = g* f."""
-    return complex(np.vdot(g, f))
 
 
 def ip_matrix(left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -80,69 +77,52 @@ class OrthoBasisSet:
         return self.vectors.shape[1]
 
 
-def _norms(w: np.ndarray) -> np.ndarray:
-    """Euclidean norms along the last axis."""
-    return np.sqrt(np.vecdot(w, w).real)
-
-
-def orthonormalize_stack(seq: np.ndarray, rank_tol: float = DEFAULT_TOL.rank_tol):
-    """Modified Gram-Schmidt over the columns of every matrix of an (n, r, m) stack.
-
-    An input is discarded when its residual norm falls to or below
-    rank_tol * max(1, input norm).  A single re-orthogonalization pass runs,
-    for the matrices that need it, whenever the residual norm drops below
-    sqrt(rank_tol) times that scale, which keeps rank decisions stable near
-    the cutoff.  Input order is preserved and survivors are normalized
-    without any phase adjustment.  Each new basis vector is projected out
-    of all later inputs at once, which gives every input the projections
-    of column-by-column MGS in the same order.  A dropped input leaves a
-    zero column, so matrices with different survivors share one loop.
-
-    Returns (vectors, expansions, keep): vectors (n, r, m) with zero columns
-    at dropped inputs, expansions (n, m, m) with the matching zero rows, and
-    the (n, m) boolean mask of surviving inputs.
-    """
-    seq = np.asarray(seq, dtype=complex)
-    n, r, m = seq.shape
-    # row j: input j with its expansion e_j appended, projected in place, then q_j
-    work = np.concatenate([np.swapaxes(seq, 1, 2), np.broadcast_to(np.eye(m), (n, m, m))], axis=2)
-    keep = np.zeros((n, m), dtype=bool)
-    scale = np.maximum(1.0, _norms(work[:, :, :r]))
-    again_at, drop_at = math.sqrt(rank_tol) * scale, rank_tol * scale
-    for idx in range(m):
-        w = work[:, idx]
-        norm_out = _norms(w[:, :r])
-        again = norm_out <= again_at[:, idx]
-        if again.any():
-            for k in np.flatnonzero(keep[:, :idx].any(axis=0)):
-                c = np.where(again, np.vecdot(work[:, k, :r], w[:, :r]), 0.0)
-                w -= c[:, None] * work[:, k]
-            norm_out = _norms(w[:, :r])
-        kept = norm_out > drop_at[:, idx]
-        keep[:, idx] = kept
-        w /= np.where(kept, norm_out, np.inf)[:, None]  # a dropped input becomes zero
-        if kept.any():
-            c = np.vecdot(w[:, None, :r], work[:, idx + 1:, :r])
-            work[:, idx + 1:] -= c[:, :, None] * w[:, None, :]
-    return np.swapaxes(work[:, :, :r], 1, 2), work[:, :, r:], keep
-
-
 def orthonormal_split(seq: np.ndarray, n_lead: int, rank_tol: float = DEFAULT_TOL.rank_tol):
-    """orthonormalize_stack of one (r, m) matrix, its survivors split at input n_lead.
+    """Modified Gram-Schmidt over the columns of one (r, m) matrix, survivors split at n_lead.
+
+    Works on one (m, r+m) array whose row j holds input j with its expansion
+    e_j appended.  Inputs are decided in order, on Python floats: an input
+    is discarded when its residual norm is at most
+    rank_tol * max(1, input norm), and gets one re-orthogonalization pass
+    against the kept vectors, one at a time, when its residual norm is at
+    most sqrt(rank_tol) times that scale ("twice is enough"), which keeps
+    rank decisions stable near the cutoff.  A survivor is normalized without
+    any phase adjustment and projected out of all later rows at once by one
+    rank-1 update, which gives every input the projections of
+    column-by-column MGS in the same order.  Input order is preserved.
 
     Returns (lead, rest): the OrthoBasisSets of the survivors among the first
     n_lead inputs and among the others, with expansions over all m inputs.
     """
-    vectors, expansions, keep = orthonormalize_stack(np.asarray(seq)[None], rank_tol)
-    kept = np.flatnonzero(keep[0])
+    seq = np.asarray(seq, dtype=complex)
+    r, m = seq.shape
+    # row j: input j with its expansion e_j appended, projected in place, then q_j
+    work = np.concatenate([seq.T, np.eye(m)], axis=1)
+    head = work[:, :r]  # the inputs' coordinates, without the expansions
+    scale = np.maximum(1.0, np.sqrt(np.vecdot(head, head).real))
+    again_at, drop_at = (math.sqrt(rank_tol) * scale).tolist(), (rank_tol * scale).tolist()
+    kept = []
+    for idx in range(m):
+        w, wr = work[idx], head[idx]
+        norm_out = math.sqrt(np.vecdot(wr, wr).real)
+        if norm_out <= again_at[idx]:
+            for k in kept:
+                w -= np.vecdot(head[k], wr) * work[k]
+            norm_out = math.sqrt(np.vecdot(wr, wr).real)
+        if norm_out > drop_at[idx]:
+            kept.append(idx)
+            w /= norm_out
+            if idx + 1 < m:
+                work[idx + 1:] -= np.vecdot(wr, head[idx + 1:])[:, None] * w
+    split = sum(1 for k in kept if k < n_lead)
     return tuple(
-        OrthoBasisSet(vectors=vectors[0][:, cols], source_indices=tuple(int(c) for c in cols),
-                      expansions=expansions[0][cols])
-        for cols in (kept[kept < n_lead], kept[kept >= n_lead]))
+        OrthoBasisSet(vectors=work[cols, :r].T, source_indices=tuple(cols),
+                      expansions=work[cols, r:])
+        for cols in (kept[:split], kept[split:]))
 
 
 def orthonormalize(vectors: np.ndarray, rank_tol: float = DEFAULT_TOL.rank_tol) -> OrthoBasisSet:
-    """orthonormalize_stack of one (r, m) matrix, keeping only the survivors."""
+    """orthonormal_split of one (r, m) matrix, keeping only the survivors."""
     vectors = np.asarray(vectors)
     return orthonormal_split(vectors, vectors.shape[1], rank_tol)[0]
 

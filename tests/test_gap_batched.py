@@ -1,12 +1,12 @@
-"""The stacked Gram-Schmidt and the closed-form gap analysis against a column-by-column
-reference: one modified Gram-Schmidt loop per matrix and one SVD per grid point."""
+"""The one-matrix Gram-Schmidt and the closed-form gap analysis against a column-by-column
+reference: one left-looking modified Gram-Schmidt loop per matrix and one SVD per grid point."""
 
 import math
 
 import numpy as np
 
-from matmom import GapSpec, analyze, analyze_gap, regular_type_check, w_tilde
-from matmom.hilbert_space import orthonormalize_stack, shifted_domain_images
+from matmom import GapSpec, analyze, analyze_gap, orthonormalize, regular_type_check, w_tilde
+from matmom.hilbert_space import orthonormal_split, shifted_domain_images
 from matmom.moment_model import DEFAULT_TOL
 
 from conftest import moments_from_measure, random_measure
@@ -74,54 +74,74 @@ def random_indeterminate_states():
     return states
 
 
-def assert_stack_matches_loop(seq):
-    vectors, expansions, keep = orthonormalize_stack(seq)
-    for i, mat in enumerate(seq):
-        ref_vectors, ref_sources, ref_expansions = mgs_reference(mat)
-        cols = np.flatnonzero(keep[i])
-        assert tuple(cols) == ref_sources
-        assert np.abs(vectors[i][:, cols] - ref_vectors).max(initial=0.0) < 1e-12
-        assert np.abs(expansions[i][cols] - ref_expansions).max(initial=0.0) < 1e-12
-        assert not vectors[i][:, ~keep[i]].any() and not expansions[i][~keep[i]].any()
+def assert_split_matches_loop(mat, n_lead):
+    """orthonormal_split of one matrix against mgs_reference; returns its two sets."""
+    lead, rest = orthonormal_split(mat, n_lead)
+    ref_vectors, ref_sources, ref_expansions = mgs_reference(mat)
+    assert lead.source_indices + rest.source_indices == ref_sources
+    assert all(s < n_lead for s in lead.source_indices)
+    assert all(s >= n_lead for s in rest.source_indices)
+    vectors = np.concatenate([lead.vectors, rest.vectors], axis=1)
+    expansions = np.concatenate([lead.expansions, rest.expansions], axis=0)
+    assert np.abs(vectors - ref_vectors).max(initial=0.0) < 1e-12
+    assert np.abs(expansions - ref_expansions).max(initial=0.0) < 1e-12
+    return lead, rest
 
 
-def test_stack_matches_loop_on_golden_grid(ex21):
+def test_split_matches_loop_on_golden_grid(ex21):
     lams = np.concatenate([np.linspace(-1.0, 1.0, 103)[1:-1], [1.0]])  # 1 is not regular
-    seq = gap_sequences(ex21.rep, lams)
-    assert_stack_matches_loop(seq)
-    _, _, keep = orthonormalize_stack(seq)
     dN = ex21.rep.dN
-    assert keep[:-1, :dN].all() and keep[-1, :dN].sum() == dN - 1  # x_3 - x_1 vanishes at 1
+    for i, mat in enumerate(gap_sequences(ex21.rep, lams)):
+        lead, _ = assert_split_matches_loop(mat, dN)
+        # x_3 - x_1 vanishes at 1
+        assert lead.size == (dN - 1 if i == len(lams) - 1 else dN)
 
 
-def test_stack_matches_loop_on_random_instances():
+def test_split_matches_loop_on_random_instances():
     for state, locs in random_indeterminate_states():
         lams = np.concatenate([np.linspace(-3.0, 3.0, 61), locs])
-        assert_stack_matches_loop(gap_sequences(state.rep, lams))
+        for mat in gap_sequences(state.rep, lams):
+            assert_split_matches_loop(mat, state.rep.dN)
 
 
-def test_stack_drops_and_reorthogonalizes_per_matrix():
+def test_split_drops_and_reorthogonalizes():
     rng = np.random.default_rng(5)
     v, u = rng.normal(size=(2, 4)) + 1j * rng.normal(size=(2, 4))
-    seq = np.stack([np.column_stack([v, v + 1e-6 * u]),  # residual below sqrt(rank_tol): 2nd pass
-                    np.column_stack([v, 2 * v]),          # dependent: dropped
-                    np.column_stack([u, v]),
-                    np.zeros((4, 2))])
-    vectors, expansions, keep = orthonormalize_stack(seq)
-    assert keep.tolist() == [[True, True], [True, False], [True, True], [False, False]]
-    for i, mat in enumerate(seq):
-        # each matrix comes out bit for bit as when orthogonalized alone
-        alone = orthonormalize_stack(seq[i: i + 1])
-        assert all(np.array_equal(a[0], b[i]) for a, b in zip(alone, (vectors, expansions, keep)))
+    cases = [(np.column_stack([v, v + 1e-6 * u]), (0, 1)),  # residual below sqrt(rank_tol): 2nd pass
+             (np.column_stack([v, 2 * v]), (0,)),            # dependent: dropped
+             (np.column_stack([u, v]), (0, 1)),
+             (np.zeros((4, 2)), ())]
+    for mat, sources in cases:
+        gs = orthonormalize(mat)
+        assert gs.source_indices == sources
         ref_vectors, ref_sources, _ = mgs_reference(mat)
-        assert tuple(np.flatnonzero(keep[i])) == ref_sources
+        assert ref_sources == sources
         # the near-dependent pair amplifies roundoff by 1e6; the second pass restores
         # orthogonality, which one pass leaves at about 1e-10
-        assert np.abs(vectors[i][:, keep[i]] - ref_vectors).max(initial=0.0) < 1e-9
-        q = vectors[i][:, keep[i]]
+        assert np.abs(gs.vectors - ref_vectors).max(initial=0.0) < 1e-9
+        q = gs.vectors
         assert np.abs(q.conj().T @ q - np.eye(q.shape[1])).max(initial=0.0) < 1e-14
-    shapes = [a.shape for a in orthonormalize_stack(np.zeros((0, 3, 2)))]
-    assert shapes == [(0, 3, 2), (0, 2, 2), (0, 2)]
+    lead, rest = orthonormal_split(np.zeros((3, 0)), 0)
+    assert [(s.vectors.shape, s.expansions.shape, s.source_indices) for s in (lead, rest)] == \
+        [((3, 0), (0, 0), ())] * 2
+
+
+def test_analyze_splits_match_loop():
+    # two indeterminate instances of full rank, and two rank-deficient determinate ones whose
+    # three splits each drop inputs
+    for seed, (n_dim, d, n_atoms) in enumerate([(1, 2, 5), (2, 1, 4), (2, 3, 3), (3, 2, 2)]):
+        measure = random_measure(np.random.default_rng(7200 + seed), n_dim, n_atoms)
+        state = analyze(moments_from_measure(measure, n_dim, d))
+        rep, bases = state.rep, state.bases
+        N, dN = rep.N, rep.dN
+        splits = [(rep.X, dN, bases.domain.source_indices + bases.domain_comp.source_indices),
+                  (np.concatenate([bases.y, rep.X[:, :N]], axis=1), dN,
+                   bases.range_basis.source_indices + bases.defect_basis.source_indices),
+                  (np.concatenate([bases.cayley, rep.X[:, :N]], axis=1), bases.tau,
+                   tuple(range(bases.tau)) + bases.codefect_basis.source_indices)]
+        for mat, n_lead, survivors in splits:
+            assert_split_matches_loop(mat, n_lead)
+            assert mgs_reference(mat)[1] == survivors
 
 
 def test_analysis_rows_match_point_reference(ex21, monkeypatch):
