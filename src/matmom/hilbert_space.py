@@ -84,9 +84,12 @@ def orthonormal_split(seq: np.ndarray, n_lead: int, rank_tol: float = DEFAULT_TO
     e_j appended.  Inputs are decided in order, on Python floats: an input
     is discarded when its residual norm is at most
     rank_tol * max(1, input norm), and gets one re-orthogonalization pass
-    against the kept vectors, one at a time, when its residual norm is at
-    most sqrt(rank_tol) times that scale ("twice is enough"), which keeps
-    rank decisions stable near the cutoff.  A survivor is normalized without
+    against the kept vectors, one at a time, when its residual norm is
+    above that but at most sqrt(rank_tol) times the scale ("twice is
+    enough"), which keeps rank decisions stable near the cutoff.  An input
+    already at or below the drop cutoff skips the second pass: in exact
+    arithmetic that pass only lowers the residual, so the input is dropped
+    either way.  A survivor is normalized without
     any phase adjustment and projected out of all later rows at once by one
     rank-1 update, which gives every input the projections of
     column-by-column MGS in the same order.  Input order is preserved.
@@ -105,7 +108,7 @@ def orthonormal_split(seq: np.ndarray, n_lead: int, rank_tol: float = DEFAULT_TO
     for idx in range(m):
         w, wr = work[idx], head[idx]
         norm_out = math.sqrt(np.vecdot(wr, wr).real)
-        if norm_out <= again_at[idx]:
+        if drop_at[idx] < norm_out <= again_at[idx]:
             for k in kept:
                 w -= np.vecdot(head[k], wr) * work[k]
             norm_out = math.sqrt(np.vecdot(wr, wr).real)

@@ -13,9 +13,10 @@ Sz.-Nagy and Foias).  For a constant F the transform is the compressed
 resolvent of U_F = [[a0, W F], [Chat, T F]]: the pivot above is the Schur
 complement of (z+i) I - (z-i) U_F, so one eig of U_F turns it into a
 pole-residue sum.  For a callable F, k(z) cancels: A/k, B/k, C/k and D/k are
-pole-residue sums over the eigenvalues of a0, and the pivot is solved point
-by point in one stacked Jacobi SVD.  The monomial coefficients of k, A, B, C
-and D are only printed; they are multiplied out of the factored form.
+pole-residue sums over the eigenvalues of a0, the points on the last axis,
+and the pivots that the norm of U certifies are solved by LU without
+pivoting.  The monomial coefficients of k, A, B, C and D are only printed;
+they are multiplied out of the factored form.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from .matpoly import MatrixPolynomial, poly_times, poly_trim
 from .moment_model import AtomicMeasure, DEFAULT_TOL, Tolerances, hermitize
 
 FIXED_POINT_TOL = 1e-8  # unitary extension eigenvalues this close to 1 are rejected
-JACOBI_SWEEPS = 30      # cyclic sweeps before the stacked Jacobi SVD reports non-convergence
 SAMPLE_BLOCK = 1024     # callable parameter values held at once: one small array per point
 
 
@@ -252,63 +252,6 @@ def assemble_coefficients(rep: HilbertRep, bases: BasisCollection,
     )
 
 
-def _jacobi_svd(a: np.ndarray):
-    """One-sided (Hestenes) Jacobi SVD of every matrix of an (n, k, k) stack.
-
-    Returns (b, v, s) with a @ v = b, v unitary, the columns of b orthogonal
-    and s (n, k) their norms, the singular values in no particular order.
-    Cyclic sweeps rotate column pairs, each rotation one array operation over
-    the matrices not yet converged; a matrix converges when a whole sweep
-    leaves every pair's cosine |b_p^H b_q| / (|b_p| |b_q|) at most k * eps.
-    For k = 1 there is no pair to rotate.  Raises EvaluationError on
-    non-finite entries and when JACOBI_SWEEPS sweeps leave some matrix
-    unconverged.
-    """
-    n, k = a.shape[0], a.shape[-1]
-    if not np.isfinite(a).all():
-        raise EvaluationError("stacked Jacobi SVD received non-finite matrix entries")
-    # cols[p] holds column p of every b above column p of every v, matrices on the last axis
-    cols = np.empty((k, 2 * k, n), dtype=complex)
-    cols[:, :k] = np.transpose(a, (2, 1, 0))
-    cols[:, k:] = np.eye(k)[:, :, None]
-    pairs = [(p, q) for p in range(k) for q in range(p + 1, k)]
-    cutoff = k * np.finfo(float).eps
-    active = np.arange(n)
-    sweeps = 0
-    while pairs and active.size:
-        if sweeps == JACOBI_SWEEPS:
-            raise EvaluationError(
-                f"stacked Jacobi SVD did not converge in {JACOBI_SWEEPS} sweeps "
-                f"({active.size} of {n} matrices)")
-        sweeps += 1
-        w = cols if active.size == n else cols[:, :, active]
-        moved = np.zeros(active.size, dtype=bool)
-        for p, q in pairs:
-            x, y = w[p], w[q]
-            alpha = (x[:k].real ** 2 + x[:k].imag ** 2).sum(axis=0)
-            beta = (y[:k].real ** 2 + y[:k].imag ** 2).sum(axis=0)
-            gamma = (x[:k].conj() * y[:k]).sum(axis=0)
-            mag = np.abs(gamma)
-            rot = ~(mag <= cutoff * np.sqrt(alpha * beta))  # NaN from overflow never converges
-            if not rot.any():
-                continue
-            moved |= rot
-            # tangent of the rotation angle that zeroes gamma, the smaller root
-            h = 0.5 * (beta - alpha)
-            t = np.divide(mag, h + np.copysign(np.sqrt(h * h + mag * mag), h),
-                          out=np.zeros_like(mag), where=rot)
-            phase = np.divide(gamma.conj(), mag, out=np.ones_like(gamma), where=rot)
-            c = 1.0 / np.sqrt(1.0 + t * t)
-            s = c * t
-            w[p], w[q] = c * x - (s * phase) * y, s * x + (c * phase) * y
-        if w is not cols:
-            cols[:, :, active] = w
-        active = active[moved]
-    b = cols[:, :k]
-    s = np.sqrt((b.real ** 2 + b.imag ** 2).sum(axis=1)).T
-    return np.transpose(b, (2, 1, 0)), np.transpose(cols[:, k:], (2, 1, 0)), s
-
-
 def square_parameter(F, delta: int) -> np.ndarray:
     """F as a complex delta x delta matrix; ParameterError for any other shape."""
     F = np.asarray(F, dtype=complex)
@@ -318,14 +261,14 @@ def square_parameter(F, delta: int) -> np.ndarray:
 
 
 def _parameter_values(F, delta: int, points: np.ndarray, tol: Tolerances) -> np.ndarray:
-    """The parameter checked to be a delta x delta contraction: for constant F
-    the matrix, with one SVD; for callable F the (n, delta, delta) stack of the
-    values F(z), converted SAMPLE_BLOCK points at a time and checked with the
-    stacked SVD below.
-    A callable value of any other shape raises square_parameter's
-    ParameterError at the first point that has one."""
+    """The parameter checked to be a delta x delta contraction (largest singular
+    value at most 1 + psd_tol): for constant F the matrix, with one SVD; for
+    callable F the (delta, delta, n) array of the values F(z), points last,
+    converted SAMPLE_BLOCK points at a time, and an SVD of only the points
+    that _expanding_points flags.  A callable value of another shape or with
+    a non-finite entry raises ParameterError at the first point that has one."""
     if callable(F):
-        vals = np.empty((points.size, delta, delta), dtype=complex)
+        vals = np.empty((delta, delta, points.size), dtype=complex)
         for start in range(0, points.size, SAMPLE_BLOCK):
             raw = [F(w) for w in points[start: start + SAMPLE_BLOCK]]
             try:
@@ -334,8 +277,13 @@ def _parameter_values(F, delta: int, points: np.ndarray, tol: Tolerances) -> np.
                 block = None
             if block is None or block.shape != (len(raw), delta, delta):
                 block = np.stack([square_parameter(value, delta) for value in raw])
-            vals[start: start + len(raw)] = block
-        largest = float(_jacobi_svd(vals)[2].max(initial=0.0))
+            vals[:, :, start: start + len(raw)] = block.transpose(1, 2, 0)
+        finite = np.isfinite(vals).all(axis=(0, 1))
+        if not finite.all():
+            raise ParameterError(f"parameter is not finite at z={points[np.argmin(finite)]}")
+        flagged = np.flatnonzero(_expanding_points(vals, 1.0 + tol.psd_tol))
+        largest = float(np.linalg.svd(np.moveaxis(vals[:, :, flagged], -1, 0),
+                                      compute_uv=False).max()) if flagged.size else 0.0
     else:
         vals = square_parameter(F, delta)
         largest = float(np.linalg.svd(vals, compute_uv=False)[0])
@@ -345,14 +293,47 @@ def _parameter_values(F, delta: int, points: np.ndarray, tol: Tolerances) -> np.
     return vals
 
 
-def _stack_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b over the points for (n, p, k) and (n, k, q) stacks, as k broadcast
-    products: the inner dimension is at most delta, and one BLAS call per point
-    costs more than the arithmetic."""
-    out = a[:, :, :1] * b[:, :1, :]
-    for j in range(1, a.shape[2]):
-        out += a[:, :, j: j + 1] * b[:, j: j + 1, :]
+def _expanding_points(f: np.ndarray, bound: float) -> np.ndarray:
+    """Mask of the points where the (k, k, n) values f, points last, may have
+    norm above bound: where LDL^H without pivoting of bound^2 I - f^H f meets a
+    pivot <= 0, in exact arithmetic where that matrix is not positive definite."""
+    k = f.shape[0]
+    flags = ~(np.abs(f) <= bound).all(axis=(0, 1))  # flagged, and factored as 0: no overflow
+    f = np.where(flags, 0.0, f)
+    g = -_product(np.swapaxes(f.conj(), 0, 1), f)
+    g[range(k), range(k)] += bound * bound
+    for j in range(k):
+        pivot = g[j, j].real
+        flags |= ~(pivot > 0.0)
+        # Schur complement update of the trailing block; flagged points divide by 1
+        ratio = g[j + 1:, j] / np.where(flags, 1.0, pivot)
+        g[j + 1:, j + 1:] -= ratio[:, None] * g[j, None, j + 1:]
+    return flags
+
+
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b at every point for (p, k, n) and (k, q, n) arrays, points last, as
+    k broadcast products: the inner dimension is at most delta, and one BLAS
+    call per point costs more than the arithmetic."""
+    out = a[:, :1] * b[None, 0]
+    for j in range(1, a.shape[1]):
+        out += a[:, j: j + 1] * b[None, j]
     return out
+
+
+def _lu_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x with a x = b at every point for (k, k, n) and (k, m, n) arrays, points
+    last, overwriting a and b: Gaussian elimination without pivoting, then back
+    substitution, for matrices such as the certified pivots of _pivot_transform."""
+    k = a.shape[0]
+    for j in range(k - 1):
+        ratio = a[j + 1:, j] / a[j, j]
+        a[j + 1:, j + 1:] -= ratio[:, None] * a[j, None, j + 1:]
+        b[j + 1:] -= ratio[:, None] * b[j, None]
+    for j in range(k - 1, -1, -1):
+        b[j] -= (a[j, j + 1:, None] * b[j + 1:]).sum(axis=0)
+        b[j] /= a[j, j]
+    return b
 
 
 def outside_domain(z) -> np.ndarray:
@@ -416,60 +397,70 @@ def _colligation_transform(nc: NevanlinnaCoefficients, F: np.ndarray, flat: np.n
 
 
 def _scaled_blocks(nc: NevanlinnaCoefficients, flat: np.ndarray) -> np.ndarray:
-    """The (n, N+delta, N+delta) stack [[A/k, S_B], [S_D, C/k]] at the points.
+    """The (N+delta, N+delta, n) array [[A/k, S_B], [S_D, C/k]] at the points, points last.
 
     S = sum_j r_j residues[j] with r_j = 1/((z+i) - (z-i) lam_j) is one matrix
     product; A/k = (z+i) S_A + psi and C/k = (i-z) (T + (z-i) S_C) are scaled in
     place.  B/k = -(z^2+1) S_B and D/k = -(z-i) S_D are left unscaled: the
     caller applies their scalars to the product (B/k) F pivot^{-1} (D/k).
     """
-    n_dim = nc.N
+    n_dim, size = nc.N, nc.N + nc.delta
     zp, zm = flat + 1j, flat - 1j
-    r = np.multiply.outer(zm, nc.eigenvalues)
-    np.subtract(zp[:, None], r, out=r)
-    sums = (np.reciprocal(r, out=r) @ nc.residues).reshape(
-        flat.size, n_dim + nc.delta, n_dim + nc.delta)
-    zp, zm = zp[:, None, None], zm[:, None, None]
-    az, cz = sums[:, :n_dim, :n_dim], sums[:, n_dim:, n_dim:]
+    r = np.multiply.outer(nc.eigenvalues, zm)
+    np.subtract(zp, r, out=r)
+    sums = (nc.residues.T @ np.reciprocal(r, out=r)).reshape(size, size, flat.size)
+    az, cz = sums[:n_dim, :n_dim], sums[n_dim:, n_dim:]
     az *= zp
-    az += nc.psi(flat)
+    az += np.moveaxis(nc.psi(flat), 0, -1)
     cz *= zm
-    cz += nc.T
+    cz += nc.T[:, :, None]
     cz *= -zm
     return sums
 
 
 def _pivot_transform(nc: NevanlinnaCoefficients, f_vals: np.ndarray, flat: np.ndarray,
                      tol: Tolerances) -> np.ndarray:
-    """The transform of a callable F from its (n, delta, delta) values at the points.
+    """The transform of a callable F from its (delta, delta, n) values at the points.
 
-    A/k, B/k, C/k and D/k come from one (n, tau) @ (tau, (N+delta)^2) product
-    with the residues stored by assemble_coefficients (see _scaled_blocks).
-    One stacked one-sided Jacobi SVD of the pivots (z+i) I + (C/k)(z) F(z)
-    gives both the singular-pivot test and the solve, so no LAPACK call is
-    made per point.  The prefactor is 2i / (z^2+1)^2.
+    A/k, B/k, C/k and D/k come from one ((N+delta)^2, tau) @ (tau, n) product
+    with the residues stored by assemble_coefficients (see _scaled_blocks).  The
+    pivot (z+i) I + (C/k)(z) F(z) is the Schur complement of (z+i) I - (z-i) U_F,
+    so its smallest singular value is at least l(z) = |z+i| - |z-i| ||U|| (1 + psd_tol)
+    (one SVD of U per call).  Where l(z) exceeds twice the singular-pivot cutoff
+    inv_tol * max(1, ||pivot||_F), the 2 for the pivot's rounding, the point is
+    certified: pivot / (z+i) = I - E with ||E|| < 1 has a positive definite
+    Hermitian part, and _lu_solve needs no pivoting.  Only the other points get
+    np.linalg.svd (EvaluationError at the first whose smallest singular value is
+    at most inv_tol * max(1, largest)) and np.linalg.solve.  The prefactor is
+    2i / (z^2+1)^2.
     """
     n_dim = nc.N
     sums = _scaled_blocks(nc, flat)
-    pivot = (flat + 1j)[:, None, None] * np.eye(nc.delta) \
-        + _stack_product(sums[:, n_dim:, n_dim:], f_vals)
-    b, v, svals = _jacobi_svd(pivot)
-    smin = svals.min(axis=1)
-    bad = smin <= tol.inv_tol * np.maximum(1.0, svals.max(axis=1))
-    if np.any(bad):
-        idx = int(np.nonzero(bad)[0][0])
-        raise EvaluationError(
-            f"singular pivot at z={flat[idx]}: smallest singular value {smin[idx]:.3e} "
-            "(parameter not admissible at this point)")
-    # pivot = b v^H with b's columns orthogonal, so pivot^{-1} = v diag(s^-2) b^H
-    s_b, s_d = sums[:, :n_dim, n_dim:], sums[:, n_dim:, :n_dim]
-    solved = _stack_product(v, _stack_product(np.swapaxes(b.conj(), 1, 2), s_d)
-                            / (svals ** 2)[:, :, None])
-    out = _stack_product(_stack_product(s_b, f_vals), solved)
+    zp = flat + 1j
+    pivot = _product(sums[n_dim:, n_dim:], f_vals)
+    pivot[range(nc.delta), range(nc.delta)] += zp
+    norm_u = float(np.linalg.svd(nc.u, compute_uv=False)[0])
+    lower = np.abs(zp) - np.abs(flat - 1j) * (norm_u * (1.0 + tol.psd_tol))
+    frob = np.sqrt((pivot.real ** 2 + pivot.imag ** 2).sum(axis=(0, 1)))
+    certified = lower > 2.0 * tol.inv_tol * np.maximum(1.0, frob)
+    solved = sums[n_dim:, :n_dim].copy()
+    ok, rest = np.flatnonzero(certified), np.flatnonzero(~certified)
+    solved[..., ok] = _lu_solve(pivot[..., ok], solved[..., ok])
+    if rest.size:
+        stack = np.moveaxis(pivot[..., rest], -1, 0)
+        svals = np.linalg.svd(stack, compute_uv=False)
+        bad = np.flatnonzero(svals[:, -1] <= tol.inv_tol * np.maximum(1.0, svals[:, 0]))
+        if bad.size:
+            raise EvaluationError(
+                f"singular pivot at z={flat[rest[bad[0]]]}: smallest singular value "
+                f"{svals[bad[0], -1]:.3e} (parameter not admissible at this point)")
+        rhs = np.moveaxis(solved[..., rest], -1, 0)
+        solved[..., rest] = np.moveaxis(np.linalg.solve(stack, rhs), 0, -1)
+    out = _product(_product(sums[:n_dim, n_dim:], f_vals), solved)
     # 2i/(z^2+1)^2 (A/k + (B/k) F pivot^{-1} (D/k)), and (z^2+1)(z-i) / (z^2+1)^2 = 1/(z+i)
-    out *= (2j / (flat + 1j))[:, None, None]
-    out += (2j / (flat * flat + 1.0) ** 2)[:, None, None] * sums[:, :n_dim, :n_dim]
-    return out
+    out *= 2j / zp
+    out += (2j / (flat * flat + 1.0) ** 2) * sums[:n_dim, :n_dim]
+    return np.ascontiguousarray(np.moveaxis(out, -1, 0))
 
 
 def evaluate_transform(nc: NevanlinnaCoefficients, F, z,
@@ -484,10 +475,11 @@ def evaluate_transform(nc: NevanlinnaCoefficients, F, z,
 
     A constant F makes one eig of U_F and one matrix product over all points,
     with no pivot (_colligation_transform).  A callable F differs at every
-    point, so its pivots are solved in one stacked Jacobi SVD
+    point: its pivots, certified from the norm of the colligation, are solved
+    by LU without pivoting, and only uncertified ones by LAPACK
     (_pivot_transform); a constant F takes that path too when the eigenvector
-    matrix of U_F is too ill-conditioned.  Both raise EvaluationError("singular pivot at z=...")
-    at the first point where the parameter is not admissible.
+    matrix of U_F is too ill-conditioned.  Both raise EvaluationError("singular
+    pivot at z=...") at the first point where the parameter is not admissible.
     """
     z_arr = np.asarray(z, dtype=complex)
     flat = np.atleast_1d(z_arr).ravel()
@@ -508,7 +500,7 @@ def evaluate_transform(nc: NevanlinnaCoefficients, F, z,
         except RankError:
             # U_F is not reliably diagonalisable (a singular a0 with F = 0 puts a
             # Jordan block at 0); the pivot path needs only the eig of a0
-            stack = np.broadcast_to(f_vals, (flat.size,) + f_vals.shape)
+            stack = np.broadcast_to(f_vals[:, :, None], f_vals.shape + flat.shape)
             out = _pivot_transform(nc, stack, flat, tol)
     if z_arr.ndim == 0:
         return out[0]

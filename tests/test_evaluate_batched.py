@@ -1,6 +1,9 @@
-"""The stacked Jacobi SVD and the batched pole-residue evaluation against
-LAPACK: one SVD per matrix, and per point one solve with (z+i) I - (z-i) a0
-and one SVD and one solve of the pivot."""
+"""The points-last kernels of the callable-parameter path and the batched
+pole-residue evaluation against LAPACK.  The contraction screen and the
+unpivoted LU are checked against np.linalg.svd and np.linalg.solve; the
+transform against one solve with (z+i) I - (z-i) a0 and one SVD and one solve
+of the pivot per point, at points the colligation certifies and at points it
+does not."""
 
 from dataclasses import replace
 
@@ -14,7 +17,7 @@ from matmom.moment_model import DEFAULT_TOL
 
 from conftest import indeterminate_states
 
-INV_TOL = DEFAULT_TOL.inv_tol
+BOUND = 1.0 + DEFAULT_TOL.psd_tol
 
 
 def reference_transform(nc, F, z, tol=DEFAULT_TOL):
@@ -48,60 +51,52 @@ def reference_transform(nc, F, z, tol=DEFAULT_TOL):
 
 
 def random_stack(rng, n, k, svals=None):
-    """n random complex k x k matrices; with svals, U diag(svals) V^H for Haar-like U, V."""
+    """n random complex k x k matrices; with svals, (k,) or (n, k), U diag(svals) V^H
+    for Haar-like U, V."""
     g = rng.normal(size=(n, k, k)) + 1j * rng.normal(size=(n, k, k))
     if svals is None:
         return g
     u = np.linalg.qr(g)[0]
     v = np.linalg.qr(rng.normal(size=(n, k, k)) + 1j * rng.normal(size=(n, k, k)))[0]
-    return (u * np.asarray(svals)[None, None, :]) @ np.swapaxes(v.conj(), 1, 2)
+    return (u * np.asarray(svals)[..., None, :]) @ np.swapaxes(v.conj(), 1, 2)
 
 
-def kernel_cases(rng, n, k):
-    """(name, stack, expected singular verdict or None) for one n and k."""
-    yield "random", random_stack(rng, n, k), None
-    deficient = random_stack(rng, n, k)
-    mix = rng.normal(size=k - 1) + 1j * rng.normal(size=k - 1)
-    deficient[:, :, -1] = deficient[:, :, :-1] @ mix  # exactly rank-deficient; zero for k = 1
-    yield "rank-deficient", deficient, True
-    # sigma_max 0.5 keeps every ratio a factor 2 or more from the cutoff
-    # inv_tol * max(1, sigma_max), so no verdict hinges on rounding
-    for ratio, top in ((1e-9, 0.5), (1e-9, 40.0), (1e-10, 0.5), (1e-11, 0.5), (1e-11, 40.0)):
-        svals = top * np.geomspace(1.0, ratio, k)
-        yield (f"ratio {ratio} top {top}", random_stack(rng, n, k, svals),
-               svals[-1] <= INV_TOL * max(1.0, top))
+def points_last(stack):
+    return np.ascontiguousarray(np.moveaxis(stack, 0, -1))
+
+
+def contraction_cases(rng, n, k):
+    """(name, stack) for one n and k: generic stacks, and stacks whose top singular
+    value lies 1e-12 to 1e-7 relative above or below BOUND, a random side per matrix."""
+    yield "random", random_stack(rng, n, k)
+    yield "random contraction", random_stack(rng, n, k, rng.uniform(0.0, 1.0, (n, k)))
+    yield "huge entries", 1e200 * random_stack(rng, n, k)
+    for low, high in ((-12, -10), (-10, -7)):
+        rel = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(low, high, n)
+        svals = (BOUND * (1.0 + rel))[:, None] * np.geomspace(1.0, 0.3, k)
+        yield f"top within 1e{low} to 1e{high} of the bound", random_stack(rng, n, k, svals)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 @pytest.mark.parametrize("n", [1, 7, 4096])
-def test_jacobi_svd_matches_lapack(n, k):
+def test_contraction_verdict_matches_lapack(n, k):
     rng = np.random.default_rng(1000 * k + n)
-    for name, a, expected in kernel_cases(rng, n, k):
-        b, v, s = nev._jacobi_svd(a)
-        ref = np.linalg.svd(a, compute_uv=False)
-        top = ref[:, 0].max()
-        assert np.abs(np.sort(s, axis=1)[:, ::-1] - ref).max() <= 1e-13 * top, name
-        mask = s.min(axis=1) <= INV_TOL * np.maximum(1.0, s.max(axis=1))
-        ref_mask = ref[:, -1] <= INV_TOL * np.maximum(1.0, ref[:, 0])
-        assert np.array_equal(mask, ref_mask), name
-        if expected is not None:
-            assert (mask == expected).all(), name
-        vh = np.swapaxes(v.conj(), 1, 2)
-        assert np.abs(b @ vh - a).max() <= 1e-13 * max(1.0, top), name
-        assert np.abs(vh @ v - np.eye(k)).max() < 1e-14, name
-        off = np.swapaxes(b.conj(), 1, 2) @ b * (1.0 - np.eye(k))
-        assert np.abs(off).max() <= 1e-14 * top ** 2, name
+    for name, stack in contraction_cases(rng, n, k):
+        want = np.linalg.svd(stack, compute_uv=False)[:, 0] > BOUND
+        assert np.array_equal(nev._expanding_points(points_last(stack), BOUND), want), name
 
 
-def test_jacobi_svd_raises_when_not_converged(monkeypatch):
-    a = random_stack(np.random.default_rng(3), 5, 3)
-    nev._jacobi_svd(a)
-    monkeypatch.setattr(nev, "JACOBI_SWEEPS", 1)
-    with pytest.raises(EvaluationError, match=r"did not converge in 1 sweeps \(5 of 5 matrices"):
-        nev._jacobi_svd(a)
-    a[2, 1, 0] = np.nan
-    with pytest.raises(EvaluationError, match="non-finite"):
-        nev._jacobi_svd(a)
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [1, 7, 4096])
+def test_lu_solve_matches_lapack(n, k):
+    """Certified pivots c (I - E) with ||E|| < 0.9 against np.linalg.solve."""
+    rng = np.random.default_rng(2000 * k + n)
+    scale = rng.normal(size=n) + 1j * rng.normal(size=n)
+    a = scale[:, None, None] * (np.eye(k) - random_stack(rng, n, k, rng.uniform(0.0, 0.9, (n, k))))
+    b = rng.normal(size=(n, k, 3)) + 1j * rng.normal(size=(n, k, 3))
+    want = np.linalg.solve(a, b)
+    got = np.moveaxis(nev._lu_solve(points_last(a), points_last(b)), -1, 0)
+    assert (np.abs(got - want).max(axis=(1, 2)) <= 1e-13 * np.abs(want).max(axis=(1, 2))).all()
 
 
 def parameters(nc, rng):
@@ -155,3 +150,73 @@ def test_singular_pivot_raised_at_first_bad_point(ex21_nc):
     got = evaluate_transform(bad, np.eye(1), z[[0, 2]])
     want, _ = reference_transform(bad, np.eye(1), z[[0, 2]])
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_callable_singular_pivot_raised_at_first_bad_point(ex21_nc):
+    """The singular pivot of the test above, reached through a callable F = 1: the
+    certificate refuses z0 and LAPACK's verdict raises there."""
+    nc, z0 = ex21_nc, 0.25 + 0.5j
+    m0 = (z0 + 1j) * np.eye(nc.tau) - (z0 - 1j) * nc.a0
+    bad = replace(nc, T=(z0 + 1j) / (z0 - 1j) - (z0 - 1j) * nc.Chat @ np.linalg.solve(m0, nc.W))
+    z = np.array([1.0 + 1j, z0, -0.5 + 2j, z0])
+    with pytest.raises(EvaluationError,
+                       match=r"singular pivot at z=\(0\.25\+0\.5j\): smallest singular value"):
+        evaluate_transform(bad, lambda w: np.eye(1), z)
+
+
+def test_callable_non_finite_or_huge_rejected(ex21_nc):
+    z = np.array([0.5 + 1j, -1.0 + 2j, 0.3 + 0.1j])
+    for bad, match in ((np.nan, r"not finite at z=\(0\.3\+0\.1j\)"),
+                       (np.inf, "not finite"), (1e200, "not a contraction")):
+        param = lambda w, bad=bad: np.array([[bad if w == z[2] else 0.5]])
+        with pytest.raises(ParameterError, match=match):
+            evaluate_transform(ex21_nc, param, z)
+
+
+def spy_lapack(monkeypatch):
+    """Record (name, shape of the first argument) of every np.linalg.svd and solve call."""
+    calls = []
+    for name in ("svd", "solve"):
+        def spy(a, *args, _name=name, _real=getattr(np.linalg, name), **kwargs):
+            calls.append((_name, np.shape(a)))
+            return _real(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, spy)
+    return calls
+
+
+def test_uncertified_points_match_reference(ex21_nc, monkeypatch):
+    """T scaled by 1.5 puts ||U|| above 1, so the certificate |z+i| - |z-i| ||U|| fails
+    near the real axis: points with Im z = 1e-13 are tested and solved by LAPACK, the
+    points near i, where |z+i| / |z-i| > 5, are certified, and all match the reference."""
+    rng = np.random.default_rng(31)
+    deep = indeterminate_states(7300)[-1]
+    for base in (ex21_nc, assemble_coefficients(deep.rep, deep.bases)):
+        nc = replace(base, T=1.5 * base.T)
+        assert 1.1 < np.linalg.norm(nc.u, 2) < 5.0
+        x = rng.uniform(-3.0, 3.0, 64)
+        near_i = 1j + 0.2 * np.exp(2j * np.pi * rng.uniform(size=16)) * rng.uniform(0.3, 1.0, 16)
+        z = np.concatenate([x + 1e-13j, near_i])
+        for name, F in parameters(nc, rng):
+            param = F if callable(F) else (lambda w, F=F: F)
+            want, singular = reference_transform(nc, param, z)
+            assert not singular.any(), (nc.delta, name)
+            calls = spy_lapack(monkeypatch)
+            got = evaluate_transform(nc, param, z)
+            monkeypatch.undo()
+            assert ("svd", (64, nc.delta, nc.delta)) in calls, (nc.delta, name)
+            err = np.abs(got - want).max(axis=(1, 2))
+            assert (err <= 1e-12 * np.abs(want).max(axis=(1, 2))).all(), (nc.delta, name)
+
+
+def test_certified_call_makes_no_lapack_call_per_point(monkeypatch):
+    rng = np.random.default_rng(32)
+    for state in indeterminate_states(7300):
+        nc = assemble_coefficients(state.rep, state.bases)
+        param = dict(parameters(nc, rng))["schur"]
+        seen = []
+        for n in (10, 1000):
+            calls = spy_lapack(monkeypatch)
+            evaluate_transform(nc, param, rng.uniform(-3.0, 3.0, n) + 1j * rng.uniform(0.5, 2.0, n))
+            monkeypatch.undo()
+            seen.append(calls)
+        assert seen[0] == seen[1] == [("svd", (nc.tau + nc.delta,) * 2)]
