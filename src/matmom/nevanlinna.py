@@ -336,6 +336,31 @@ def _lu_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return b
 
 
+def _solve_pivots(pivot: np.ndarray, rhs: np.ndarray, lower: np.ndarray,
+                  flat: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """x with pivot x = rhs for (k, k, n) and (k, m, n) arrays, points last,
+    overwriting rhs.  Where lower, a bound on the pivot's smallest singular value,
+    exceeds twice the cutoff inv_tol * max(1, ||pivot||_F), the 2 for rounding, the
+    point is certified and solved by _lu_solve.  The others get np.linalg.svd
+    (EvaluationError at the first whose smallest singular value is at most
+    inv_tol * max(1, largest)) and np.linalg.solve."""
+    frob = np.sqrt((pivot.real ** 2 + pivot.imag ** 2).sum(axis=(0, 1)))
+    certified = lower > 2.0 * tol.inv_tol * np.maximum(1.0, frob)
+    ok, rest = np.flatnonzero(certified), np.flatnonzero(~certified)
+    if rest.size:
+        stack = np.moveaxis(pivot[..., rest], -1, 0)
+        svals = np.linalg.svd(stack, compute_uv=False)
+        bad = np.flatnonzero(svals[:, -1] <= tol.inv_tol * np.maximum(1.0, svals[:, 0]))
+        if bad.size:
+            raise EvaluationError(
+                f"singular pivot at z={flat[rest[bad[0]]]}: smallest singular value "
+                f"{svals[bad[0], -1]:.3e} (parameter not admissible at this point)")
+        sub = np.moveaxis(rhs[..., rest], -1, 0)
+        rhs[..., rest] = np.moveaxis(np.linalg.solve(stack, sub), 0, -1)
+    rhs[..., ok] = _lu_solve(pivot[..., ok], rhs[..., ok])
+    return rhs
+
+
 def outside_domain(z) -> np.ndarray:
     """Mask of the points of z outside the transform's domain: the closed
     lower half-plane and the point i."""
@@ -426,13 +451,9 @@ def _pivot_transform(nc: NevanlinnaCoefficients, f_vals: np.ndarray, flat: np.nd
     with the residues stored by assemble_coefficients (see _scaled_blocks).  The
     pivot (z+i) I + (C/k)(z) F(z) is the Schur complement of (z+i) I - (z-i) U_F,
     so its smallest singular value is at least l(z) = |z+i| - |z-i| ||U|| (1 + psd_tol)
-    (one SVD of U per call).  Where l(z) exceeds twice the singular-pivot cutoff
-    inv_tol * max(1, ||pivot||_F), the 2 for the pivot's rounding, the point is
-    certified: pivot / (z+i) = I - E with ||E|| < 1 has a positive definite
-    Hermitian part, and _lu_solve needs no pivoting.  Only the other points get
-    np.linalg.svd (EvaluationError at the first whose smallest singular value is
-    at most inv_tol * max(1, largest)) and np.linalg.solve.  The prefactor is
-    2i / (z^2+1)^2.
+    (one SVD of U per call).  Where l(z) certifies the pivot (_solve_pivots),
+    pivot / (z+i) = I - E with ||E|| < 1 has a positive definite Hermitian part,
+    and _lu_solve needs no pivoting.  The prefactor is 2i / (z^2+1)^2.
     """
     n_dim = nc.N
     sums = _scaled_blocks(nc, flat)
@@ -441,21 +462,7 @@ def _pivot_transform(nc: NevanlinnaCoefficients, f_vals: np.ndarray, flat: np.nd
     pivot[range(nc.delta), range(nc.delta)] += zp
     norm_u = float(np.linalg.svd(nc.u, compute_uv=False)[0])
     lower = np.abs(zp) - np.abs(flat - 1j) * (norm_u * (1.0 + tol.psd_tol))
-    frob = np.sqrt((pivot.real ** 2 + pivot.imag ** 2).sum(axis=(0, 1)))
-    certified = lower > 2.0 * tol.inv_tol * np.maximum(1.0, frob)
-    solved = sums[n_dim:, :n_dim].copy()
-    ok, rest = np.flatnonzero(certified), np.flatnonzero(~certified)
-    solved[..., ok] = _lu_solve(pivot[..., ok], solved[..., ok])
-    if rest.size:
-        stack = np.moveaxis(pivot[..., rest], -1, 0)
-        svals = np.linalg.svd(stack, compute_uv=False)
-        bad = np.flatnonzero(svals[:, -1] <= tol.inv_tol * np.maximum(1.0, svals[:, 0]))
-        if bad.size:
-            raise EvaluationError(
-                f"singular pivot at z={flat[rest[bad[0]]]}: smallest singular value "
-                f"{svals[bad[0], -1]:.3e} (parameter not admissible at this point)")
-        rhs = np.moveaxis(solved[..., rest], -1, 0)
-        solved[..., rest] = np.moveaxis(np.linalg.solve(stack, rhs), 0, -1)
+    solved = _solve_pivots(pivot, sums[n_dim:, :n_dim].copy(), lower, flat, tol)
     out = _product(_product(sums[:n_dim, n_dim:], f_vals), solved)
     # 2i/(z^2+1)^2 (A/k + (B/k) F pivot^{-1} (D/k)), and (z^2+1)(z-i) / (z^2+1)^2 = 1/(z+i)
     out *= 2j / zp

@@ -1,9 +1,9 @@
 """The points-last kernels of the callable-parameter path and the batched
-pole-residue evaluation against LAPACK.  The contraction screen and the
-unpivoted LU are checked against np.linalg.svd and np.linalg.solve; the
-transform against one solve with (z+i) I - (z-i) a0 and one SVD and one solve
-of the pivot per point, at points the colligation certifies and at points it
-does not."""
+pole-residue evaluation against LAPACK.  The contraction screen, the
+singular-pivot verdict and the unpivoted LU are checked against np.linalg.svd
+and np.linalg.solve; the transform against one solve with (z+i) I - (z-i) a0
+and one SVD and one solve of the pivot per point, at points the colligation
+certifies and at points it does not."""
 
 from dataclasses import replace
 
@@ -18,6 +18,7 @@ from matmom.moment_model import DEFAULT_TOL
 from conftest import indeterminate_states
 
 BOUND = 1.0 + DEFAULT_TOL.psd_tol
+INV_TOL = DEFAULT_TOL.inv_tol
 
 
 def reference_transform(nc, F, z, tol=DEFAULT_TOL):
@@ -61,6 +62,21 @@ def random_stack(rng, n, k, svals=None):
     return (u * np.asarray(svals)[..., None, :]) @ np.swapaxes(v.conj(), 1, 2)
 
 
+def kernel_cases(rng, n, k):
+    """(name, stack, expected singular verdict or None) for one n and k."""
+    yield "random", random_stack(rng, n, k), None
+    deficient = random_stack(rng, n, k)
+    mix = rng.normal(size=k - 1) + 1j * rng.normal(size=k - 1)
+    deficient[:, :, -1] = deficient[:, :, :-1] @ mix  # exactly rank-deficient; zero for k = 1
+    yield "rank-deficient", deficient, True
+    # sigma_max 0.5 keeps every ratio a factor 2 or more from the cutoff
+    # inv_tol * max(1, sigma_max), so no verdict hinges on rounding
+    for ratio, top in ((1e-9, 0.5), (1e-9, 40.0), (1e-10, 0.5), (1e-11, 0.5), (1e-11, 40.0)):
+        svals = top * np.geomspace(1.0, ratio, k)
+        yield (f"ratio {ratio} top {top}", random_stack(rng, n, k, svals),
+               svals[-1] <= INV_TOL * max(1.0, top))
+
+
 def points_last(stack):
     return np.ascontiguousarray(np.moveaxis(stack, 0, -1))
 
@@ -75,6 +91,34 @@ def contraction_cases(rng, n, k):
         rel = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(low, high, n)
         svals = (BOUND * (1.0 + rel))[:, None] * np.geomspace(1.0, 0.3, k)
         yield f"top within 1e{low} to 1e{high} of the bound", random_stack(rng, n, k, svals)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [1, 7, 4096])
+def test_jacobi_svd_matches_lapack(n, k):
+    """The singular-pivot verdict on the stacks the stacked Jacobi SVD was checked
+    on before the certificate replaced it.  With each pivot's own smallest singular
+    value as its bound, _solve_pivots certifies no pivot that LAPACK's rule calls
+    singular, so it raises at the first such pivot; the rest it solves with a
+    backward error of at most 1e-13."""
+    rng = np.random.default_rng(1000 * k + n)
+    z = np.arange(n) + 1.0 + 2j
+    for name, a, expected in kernel_cases(rng, n, k):
+        ref = np.linalg.svd(a, compute_uv=False)
+        singular = ref[:, -1] <= INV_TOL * np.maximum(1.0, ref[:, 0])
+        if expected is not None:
+            assert (singular == expected).all(), name
+        b = rng.normal(size=(n, k, 3)) + 1j * rng.normal(size=(n, k, 3))
+        if singular.any():
+            first = np.flatnonzero(singular)[0] + 1
+            with pytest.raises(EvaluationError, match=rf"singular pivot at z=\({first}\+2j\)"):
+                nev._solve_pivots(points_last(a), points_last(b), ref[:, -1], z, DEFAULT_TOL)
+        ok = ~singular
+        x = np.moveaxis(nev._solve_pivots(points_last(a[ok]), points_last(b[ok]),
+                                          ref[ok, -1], z[ok], DEFAULT_TOL), -1, 0)
+        residual = np.abs(a[ok] @ x - b[ok]).max(axis=(1, 2))
+        scale = ref[ok, 0] * np.abs(x).max(axis=(1, 2))
+        assert (residual <= 1e-13 * scale).all(), name
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
