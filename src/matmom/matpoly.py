@@ -66,14 +66,16 @@ class MatrixPolynomial:
         return MatrixPolynomial(self.coeffs[: keep[-1] + 1].copy())
 
     def __call__(self, z) -> np.ndarray:
-        """Evaluate at scalar or array z; returns shape z.shape + (p, q)."""
+        """Evaluate at scalar or array z; returns shape z.shape + (p, q).
+
+        Horner's rule runs over a (p, q) + z.shape array, the points last, and
+        the result is a view with the points moved first."""
         z = np.asarray(z, dtype=complex)
-        zz = z[..., None, None]
-        out = np.zeros(z.shape + self.shape, dtype=complex)
+        out = np.zeros(self.shape + z.shape, dtype=complex)
         for c in self.coeffs[::-1]:
-            out *= zz
-            out += c
-        return out
+            out *= z
+            out += c.reshape(c.shape + (1,) * z.ndim)
+        return np.moveaxis(out, (0, 1), (-2, -1))
 
     def scale(self, scalar_coeffs: np.ndarray) -> "MatrixPolynomial":
         """Multiply by a scalar polynomial given as a 1-D coefficient array."""

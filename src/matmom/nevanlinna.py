@@ -15,8 +15,10 @@ complement of (z+i) I - (z-i) U_F, so one eig of U_F turns it into a
 pole-residue sum.  For a callable F, k(z) cancels: A/k, B/k, C/k and D/k are
 pole-residue sums over the eigenvalues of a0, the points on the last axis,
 and the pivots that the norm of U certifies are solved by LU without
-pivoting.  The monomial coefficients of k, A, B, C and D are only printed;
-they are multiplied out of the factored form.
+pivoting.  A callable F is sampled with one call on all points where that
+call gives its pointwise values (see _whole_array_values).  The monomial
+coefficients of k, A, B, C and D are only printed; they are multiplied out
+of the factored form.
 """
 
 from __future__ import annotations
@@ -34,6 +36,8 @@ from .moment_model import AtomicMeasure, DEFAULT_TOL, Tolerances, hermitize
 
 FIXED_POINT_TOL = 1e-8  # unitary extension eigenvalues this close to 1 are rejected
 SAMPLE_BLOCK = 1024     # callable parameter values held at once: one small array per point
+SPOT_POINTS = 8         # per-point calls that check a whole-array call of a callable parameter
+SPOT_ULPS = 4.0         # the difference allowed there, in eps * max(1, largest |F(z)| entry)
 
 
 @dataclass(frozen=True, eq=False)
@@ -263,21 +267,15 @@ def square_parameter(F, delta: int) -> np.ndarray:
 def _parameter_values(F, delta: int, points: np.ndarray, tol: Tolerances) -> np.ndarray:
     """The parameter checked to be a delta x delta contraction (largest singular
     value at most 1 + psd_tol): for constant F the matrix, with one SVD; for
-    callable F the (delta, delta, n) array of the values F(z), points last,
-    converted SAMPLE_BLOCK points at a time, and an SVD of only the points
-    that _expanding_points flags.  A callable value of another shape or with
-    a non-finite entry raises ParameterError at the first point that has one."""
+    callable F the (delta, delta, n) array of the values F(z), points last, from
+    one whole-array call where _whole_array_values accepts it and otherwise from
+    _sampled_values, and an SVD of only the points that _expanding_points flags.
+    A callable value with a non-finite entry raises ParameterError at the first
+    point that has one."""
     if callable(F):
-        vals = np.empty((delta, delta, points.size), dtype=complex)
-        for start in range(0, points.size, SAMPLE_BLOCK):
-            raw = [F(w) for w in points[start: start + SAMPLE_BLOCK]]
-            try:
-                block = np.array(raw, dtype=complex)
-            except ValueError:  # values of different shapes
-                block = None
-            if block is None or block.shape != (len(raw), delta, delta):
-                block = np.stack([square_parameter(value, delta) for value in raw])
-            vals[:, :, start: start + len(raw)] = block.transpose(1, 2, 0)
+        vals = _whole_array_values(F, delta, points)
+        if vals is None:
+            vals = _sampled_values(F, delta, points)
         finite = np.isfinite(vals).all(axis=(0, 1))
         if not finite.all():
             raise ParameterError(f"parameter is not finite at z={points[np.argmin(finite)]}")
@@ -290,6 +288,52 @@ def _parameter_values(F, delta: int, points: np.ndarray, tol: Tolerances) -> np.
     if largest > 1.0 + tol.psd_tol:
         raise ParameterError(
             f"parameter is not a contraction (largest singular value {largest:.6f})")
+    return vals
+
+
+def _whole_array_values(F, delta: int, points: np.ndarray):
+    """The (delta, delta, n) values of a callable F, points last, from one call
+    F(points.reshape(n, 1, 1)), or None when n < 2 or that result cannot be
+    trusted: the call raises or warns, its result is not an (n, delta, delta)
+    array, or at SPOT_POINTS evenly spread points k it differs from the call
+    F(points[k]), a delta x delta value (square_parameter), by more than
+    SPOT_ULPS * eps * max(1, largest |F(points[k])|).
+    The allowance is a few rounding errors: numpy's array arithmetic may round a
+    quotient differently from its scalar arithmetic."""
+    n = points.size
+    if n < 2:
+        return None
+    spots = np.linspace(0, n - 1, min(n, SPOT_POINTS), dtype=int)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            whole = np.asarray(F(points.reshape(n, 1, 1)), dtype=complex)
+            if whole.shape != (n, delta, delta):
+                return None
+            spot = np.stack([square_parameter(F(w), delta) for w in points[spots]])
+            scale = np.maximum(1.0, np.abs(spot).max(axis=(1, 2)))
+            err = np.abs(whole[spots] - spot).max(axis=(1, 2))
+            if not (err <= SPOT_ULPS * np.finfo(float).eps * scale).all():
+                return None
+    except Exception:  # the loop repeats the calls point by point, with their errors
+        return None
+    return np.ascontiguousarray(whole.transpose(1, 2, 0))
+
+
+def _sampled_values(F, delta: int, points: np.ndarray) -> np.ndarray:
+    """The (delta, delta, n) values of a callable F, points last, from one call
+    per point, converted SAMPLE_BLOCK points at a time.  A value of another shape
+    raises ParameterError at the first point that has one."""
+    vals = np.empty((delta, delta, points.size), dtype=complex)
+    for start in range(0, points.size, SAMPLE_BLOCK):
+        raw = [F(w) for w in points[start: start + SAMPLE_BLOCK]]
+        try:
+            block = np.array(raw, dtype=complex)
+        except ValueError:  # values of different shapes
+            block = None
+        if block is None or block.shape != (len(raw), delta, delta):
+            block = np.stack([square_parameter(value, delta) for value in raw])
+        vals[:, :, start: start + len(raw)] = block.transpose(1, 2, 0)
     return vals
 
 
@@ -339,24 +383,26 @@ def _lu_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _solve_pivots(pivot: np.ndarray, rhs: np.ndarray, lower: np.ndarray,
                   flat: np.ndarray, tol: Tolerances) -> np.ndarray:
     """x with pivot x = rhs for (k, k, n) and (k, m, n) arrays, points last,
-    overwriting rhs.  Where lower, a bound on the pivot's smallest singular value,
-    exceeds twice the cutoff inv_tol * max(1, ||pivot||_F), the 2 for rounding, the
-    point is certified and solved by _lu_solve.  The others get np.linalg.svd
-    (EvaluationError at the first whose smallest singular value is at most
-    inv_tol * max(1, largest)) and np.linalg.solve."""
+    overwriting rhs and, when every point is certified, pivot.  Where lower, a
+    bound on the pivot's smallest singular value, exceeds twice the cutoff
+    inv_tol * max(1, ||pivot||_F), the 2 for rounding, the point is certified and
+    solved by _lu_solve.  The others get np.linalg.svd (EvaluationError at the
+    first whose smallest singular value is at most inv_tol * max(1, largest)) and
+    np.linalg.solve."""
     frob = np.sqrt((pivot.real ** 2 + pivot.imag ** 2).sum(axis=(0, 1)))
     certified = lower > 2.0 * tol.inv_tol * np.maximum(1.0, frob)
     ok, rest = np.flatnonzero(certified), np.flatnonzero(~certified)
-    if rest.size:
-        stack = np.moveaxis(pivot[..., rest], -1, 0)
-        svals = np.linalg.svd(stack, compute_uv=False)
-        bad = np.flatnonzero(svals[:, -1] <= tol.inv_tol * np.maximum(1.0, svals[:, 0]))
-        if bad.size:
-            raise EvaluationError(
-                f"singular pivot at z={flat[rest[bad[0]]]}: smallest singular value "
-                f"{svals[bad[0], -1]:.3e} (parameter not admissible at this point)")
-        sub = np.moveaxis(rhs[..., rest], -1, 0)
-        rhs[..., rest] = np.moveaxis(np.linalg.solve(stack, sub), 0, -1)
+    if not rest.size:  # every point certified: solved in place, with no gathered copies
+        return _lu_solve(pivot, rhs)
+    stack = np.moveaxis(pivot[..., rest], -1, 0)
+    svals = np.linalg.svd(stack, compute_uv=False)
+    bad = np.flatnonzero(svals[:, -1] <= tol.inv_tol * np.maximum(1.0, svals[:, 0]))
+    if bad.size:
+        raise EvaluationError(
+            f"singular pivot at z={flat[rest[bad[0]]]}: smallest singular value "
+            f"{svals[bad[0], -1]:.3e} (parameter not admissible at this point)")
+    sub = np.moveaxis(rhs[..., rest], -1, 0)
+    rhs[..., rest] = np.moveaxis(np.linalg.solve(stack, sub), 0, -1)
     rhs[..., ok] = _lu_solve(pivot[..., ok], rhs[..., ok])
     return rhs
 
@@ -436,7 +482,7 @@ def _scaled_blocks(nc: NevanlinnaCoefficients, flat: np.ndarray) -> np.ndarray:
     sums = (nc.residues.T @ np.reciprocal(r, out=r)).reshape(size, size, flat.size)
     az, cz = sums[:n_dim, :n_dim], sums[n_dim:, n_dim:]
     az *= zp
-    az += np.moveaxis(nc.psi(flat), 0, -1)
+    az += np.moveaxis(nc.psi(flat), 0, -1)  # psi evaluates points last: this is no copy
     cz *= zm
     cz += nc.T[:, :, None]
     cz *= -zm
@@ -477,8 +523,12 @@ def evaluate_transform(nc: NevanlinnaCoefficients, F, z,
     z must lie in the open upper half-plane away from i (EvaluationError for
     the first point of z that does not, see outside_domain).  F is a constant
     delta x delta contraction or a callable z -> matrix, checked to be a
-    contraction first (see _parameter_values).  Returns the transform of the
-    transposed measure: entry (j, k) integrates 1/(t - z) against dm_{k,j}.
+    contraction first (see _parameter_values).  A callable may be called once
+    with all n points as an (n, 1, 1) array; an (n, delta, delta) result must
+    hold at each point what a call with that point alone returns, and a result
+    refused by the checks of _whole_array_values leaves one call per point.
+    Returns the transform of the transposed measure: entry (j, k) integrates
+    1/(t - z) against dm_{k,j}.
 
     A constant F makes one eig of U_F and one matrix product over all points,
     with no pivot (_colligation_transform).  A callable F differs at every

@@ -70,6 +70,21 @@ def indeterminate_states(base_seed):
     return states
 
 
+def upper_points(rng, n):
+    """n points of the upper half-plane, Re z in [-3, 3], Im z from 1e-2 to 10."""
+    return rng.uniform(-3.0, 3.0, n) + 1j * 10.0 ** rng.uniform(-2.0, 1.0, n)
+
+
+def scalar_only(param):
+    """The callable param refusing array arguments, so that evaluate_transform
+    samples it one point at a time."""
+    def call(w):
+        if np.ndim(w):
+            raise TypeError("scalar argument expected")
+        return param(w)
+    return call
+
+
 def pick_parameter(rng, state, nc, min_fixed_dist=0.1, tries=48):
     """Admissible unitary whose extension eigenvalues keep away from 1.
 

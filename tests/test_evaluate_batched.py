@@ -3,8 +3,10 @@ pole-residue evaluation against LAPACK.  The contraction screen, the
 singular-pivot verdict and the unpivoted LU are checked against np.linalg.svd
 and np.linalg.solve; the transform against one solve with (z+i) I - (z-i) a0
 and one SVD and one solve of the pivot per point, at points the colligation
-certifies and at points it does not."""
+certifies and at points it does not; the whole-array call of a callable
+parameter against the loop of one call per point."""
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -15,7 +17,7 @@ from matmom import assemble_coefficients, evaluate_transform, find_admissible_un
 from matmom.errors import EvaluationError, ParameterError
 from matmom.moment_model import DEFAULT_TOL
 
-from conftest import indeterminate_states
+from conftest import indeterminate_states, scalar_only, upper_points
 
 BOUND = 1.0 + DEFAULT_TOL.psd_tol
 INV_TOL = DEFAULT_TOL.inv_tol
@@ -95,7 +97,7 @@ def contraction_cases(rng, n, k):
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 @pytest.mark.parametrize("n", [1, 7, 4096])
-def test_jacobi_svd_matches_lapack(n, k):
+def test_solve_pivots_matches_lapack(n, k):
     """The singular-pivot verdict on the stacks the stacked Jacobi SVD was checked
     on before the certificate replaced it.  With each pivot's own smallest singular
     value as its bound, _solve_pivots certifies no pivot that LAPACK's rule calls
@@ -264,3 +266,127 @@ def test_certified_call_makes_no_lapack_call_per_point(monkeypatch):
             monkeypatch.undo()
             seen.append(calls)
         assert seen[0] == seen[1] == [("svd", (nc.tau + nc.delta,) * 2)]
+
+
+@pytest.fixture(scope="module")
+def coefficient_sets(ex21_nc):
+    """Coefficients with delta = 1, 2, 2, 3 and 3."""
+    return [ex21_nc] + [assemble_coefficients(s.rep, s.bases) for s in indeterminate_states(7300)]
+
+
+def counted(param):
+    """(param recording its calls, the list of the shapes of their arguments)."""
+    shapes = []
+
+    def call(w):
+        shapes.append(np.shape(w))
+        return param(w)
+    return call, shapes
+
+
+def schur(nc):
+    unitary = find_admissible_unitary(nc.Xi)
+    return lambda w: ((w - 1j) / (w + 1j)) * unitary
+
+
+def test_broadcasting_callable_called_once_on_the_array(coefficient_sets):
+    """One call on all points as an (n, 1, 1) array and at most SPOT_POINTS calls on
+    single points, with the values of the point-by-point loop."""
+    rng = np.random.default_rng(41)
+    for nc in coefficient_sets:
+        z = upper_points(rng, 1000)
+        param, shapes = counted(schur(nc))
+        got = evaluate_transform(nc, param, z)
+        assert shapes == [(1000, 1, 1)] + [()] * nev.SPOT_POINTS
+        assert np.array_equal(got, evaluate_transform(nc, scalar_only(schur(nc)), z))
+
+
+def test_single_point_makes_no_whole_array_call(ex21_nc):
+    for z in (0.5 + 1j, np.array([0.5 + 1j])):
+        param, shapes = counted(schur(ex21_nc))
+        evaluate_transform(ex21_nc, param, z)
+        assert shapes == [()]
+
+
+def test_non_pointwise_callable_falls_back(coefficient_sets):
+    """(w - mean(w)) U is 0 at every single point but not on the whole array: the
+    spot check refuses the whole-array result and the loop samples F = 0."""
+    rng = np.random.default_rng(42)
+    for nc in coefficient_sets:
+        unitary = find_admissible_unitary(nc.Xi)
+        param = lambda w, u=unitary: (w - np.mean(w)) * u
+        z = upper_points(rng, 300)
+        want, singular = reference_transform(nc, param, z)
+        assert not singular.any()
+        got = evaluate_transform(nc, param, z)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), nc.delta
+
+
+def test_warning_callable_falls_back_silently(coefficient_sets):
+    rng = np.random.default_rng(43)
+    for nc in coefficient_sets:
+        base = schur(nc)
+
+        def noisy(w):
+            if np.ndim(w):
+                warnings.warn("array argument", UserWarning)
+            return base(w)
+        param, shapes = counted(noisy)
+        z = upper_points(rng, 50)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = evaluate_transform(nc, param, z)
+        assert caught == []
+        assert shapes == [(50, 1, 1)] + [()] * 50
+        assert np.array_equal(got, evaluate_transform(nc, scalar_only(base), z))
+
+
+@pytest.mark.parametrize("reshape", [
+    lambda v: np.concatenate([v, v[:1]]),  # one value more than points
+    lambda v: v[:, None],                  # an extra axis
+    lambda v: v[..., 0],                   # an axis short
+])
+def test_mis_shaped_array_result_falls_back(coefficient_sets, reshape):
+    rng = np.random.default_rng(44)
+    for nc in coefficient_sets:
+        base = schur(nc)
+        param = lambda w: reshape(base(w)) if np.ndim(w) else base(w)
+        z = upper_points(rng, 50)
+        got = evaluate_transform(nc, param, z)
+        assert np.array_equal(got, evaluate_transform(nc, scalar_only(base), z)), nc.delta
+
+
+@pytest.mark.parametrize("param, shape", [
+    (lambda w: (w - 1j) / (w + 1j), "()"),
+    (lambda w: 0.5 + 0.0 * w, "()"),
+    (lambda w: np.reshape(0.5 + 0.0 * w, (-1, 1, 1)), "(1, 1, 1)"),
+])
+def test_mis_shaped_point_values_still_rejected(ex21_nc, param, shape):
+    """On (n, 1, 1) points these return an (n, 1, 1) array, but a single point gives
+    a value of another shape: the loop raises its shape error."""
+    z = np.array([0.5 + 1j, -1.0 + 2j, 0.3 + 0.1j])
+    with pytest.raises(ParameterError) as err:
+        evaluate_transform(ex21_nc, param, z)
+    assert str(err.value) == f"parameter must be 1 x 1, got shape {shape}"
+
+
+def test_blaschke_product_keeps_whole_array_path(coefficient_sets):
+    """Array arithmetic rounds the two-factor Blaschke product differently from scalar
+    arithmetic at some of the spot points; the rounding allowance keeps the single
+    whole-array call, and the values match the LAPACK reference."""
+    rng = np.random.default_rng(45)
+    a, b = 0.3 + 0.7j, -1.2 + 2.0j
+    for nc in coefficient_sets:
+        unitary = find_admissible_unitary(nc.Xi)
+        blaschke = lambda w, u=unitary: \
+            ((w - a) / (w - np.conj(a))) * ((w - b) / (w - np.conj(b))) * u
+        z = upper_points(rng, 1000)
+        spots = np.linspace(0, z.size - 1, nev.SPOT_POINTS, dtype=int)
+        each = np.stack([blaschke(w) for w in z[spots]])
+        assert not np.array_equal(blaschke(z.reshape(-1, 1, 1))[spots], each), nc.delta
+        param, shapes = counted(blaschke)
+        got = evaluate_transform(nc, param, z)
+        assert shapes == [(1000, 1, 1)] + [()] * nev.SPOT_POINTS
+        want, singular = reference_transform(nc, blaschke, z)
+        assert not singular.any()
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), nc.delta

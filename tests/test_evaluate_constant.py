@@ -15,7 +15,7 @@ from matmom.errors import ParameterError, RankError
 from matmom.moment_model import DEFAULT_TOL
 from matmom.nevanlinna import transform_via_resolvent
 
-from conftest import indeterminate_states
+from conftest import indeterminate_states, scalar_only, upper_points
 from test_cli import run_cli
 
 
@@ -26,10 +26,6 @@ def constant_parameters(nc, rng):
     yield "contraction", 0.6 * unitary
     yield "generic contraction", 0.9 * g / np.linalg.norm(g, 2)
     yield "zero", np.zeros((nc.delta, nc.delta))
-
-
-def upper_points(rng, n):
-    return rng.uniform(-3.0, 3.0, n) + 1j * 10.0 ** rng.uniform(-2.0, 1.0, n)
 
 
 @pytest.fixture(scope="module")
@@ -64,7 +60,7 @@ def test_unitary_matches_extension_resolvent(states):
         assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max(), nc.delta
 
 
-def test_constant_makes_one_eig_and_no_jacobi_svd(states, monkeypatch):
+def test_constant_makes_one_eig(states, monkeypatch):
     calls = []
     eig = np.linalg.eig
 
@@ -159,11 +155,15 @@ def test_mis_shaped_callable_rejected(ex21_nc, monkeypatch, block, value, shape)
 
 
 def test_callable_values_independent_of_block(states, monkeypatch):
+    """A callable that refuses arrays is sampled SAMPLE_BLOCK points at a time, with
+    the values of one whole-array call of its broadcasting form."""
     rng = np.random.default_rng(24)
     nc = assemble_coefficients(states[-1].rep, states[-1].bases)
     unitary = find_admissible_unitary(nc.Xi)
-    param = lambda w: ((w - 1j) / (w + 1j)) * unitary
+    schur = lambda w: ((w - 1j) / (w + 1j)) * unitary
+    param = scalar_only(schur)
     z = upper_points(rng, 100)
     whole = evaluate_transform(nc, param, z)
+    assert np.array_equal(evaluate_transform(nc, schur, z), whole)
     monkeypatch.setattr(nev, "SAMPLE_BLOCK", 7)
     assert np.array_equal(evaluate_transform(nc, param, z), whole)
