@@ -97,7 +97,7 @@ def contraction_cases(rng, n, k):
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 @pytest.mark.parametrize("n", [1, 7, 4096])
-def test_solve_pivots_matches_lapack(n, k):
+def test_jacobi_svd_matches_lapack(n, k):
     """The singular-pivot verdict on the stacks the stacked Jacobi SVD was checked
     on before the certificate replaced it.  With each pivot's own smallest singular
     value as its bound, _solve_pivots certifies no pivot that LAPACK's rule calls

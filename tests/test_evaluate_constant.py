@@ -60,7 +60,7 @@ def test_unitary_matches_extension_resolvent(states):
         assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max(), nc.delta
 
 
-def test_constant_makes_one_eig(states, monkeypatch):
+def test_constant_makes_one_eig_and_no_jacobi_svd(states, monkeypatch):
     calls = []
     eig = np.linalg.eig
 
