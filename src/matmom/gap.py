@@ -18,10 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .determinate import spectral_measure
 from .errors import ParameterError, RankError
 from .hilbert_space import BasisCollection, HilbertRep
 from .moment_model import AtomicMeasure, DEFAULT_TOL, GapSpec, Tolerances
-from .nevanlinna import (NevanlinnaCoefficients, canonical_solution, check_constant_admissible,
+from .nevanlinna import (NevanlinnaCoefficients, _checked_extension, check_constant_admissible,
                          colligation, extended_colligation, random_unitary,
                          square_parameter)
 from .solvability import block_hankel
@@ -162,11 +163,16 @@ class GapSearchResult:
 
 
 def _try_candidate(rep, bases, F, xi, analysis, spec, tol):
+    """The canonical solution of F when F is in the gap class and the solution
+    verifies (gap avoided, moments within moment_tol), else None.  check_gap_class
+    has found F unitary and admissible against xi, so the extension is built
+    without repeating those checks (nevanlinna._checked_extension)."""
     decision = check_gap_class(F, xi, analysis, tol)
     if not decision.accepted:
         return None
     try:
-        measure = canonical_solution(rep, bases, F, tol)
+        measure = spectral_measure(_checked_extension(bases, F, admissible=True),
+                                   rep.first_block())
     except ParameterError:
         return None
     if not verify_gap(measure, spec, tol):

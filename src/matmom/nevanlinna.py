@@ -11,14 +11,16 @@ orthonormal families in hilbert_space, are the blocks of the unitary
 colligation U = [[a0, W], [Chat, T]] (the characteristic-function form of
 Sz.-Nagy and Foias).  For a constant F the transform is the compressed
 resolvent of U_F = [[a0, W F], [Chat, T F]]: the pivot above is the Schur
-complement of (z+i) I - (z-i) U_F, so one eig of U_F turns it into a
-pole-residue sum.  For a callable F, k(z) cancels: A/k, B/k, C/k and D/k are
-pole-residue sums over the eigenvalues of a0, the points on the last axis,
-and the pivots that the norm of U certifies are solved by LU without
+complement of (z+i) I - (z-i) U_F, so one eig of U_F turns it into a sum of
+simple poles, whose partial fractions cancel the double pole at i.  For a
+callable F, k(z) cancels: A/k, B/k, C/k and D/k are pole-residue sums over
+the eigenvalues of a0, the points on the last axis, formed one block at a
+time, and the pivots that the norm of U certifies are solved by LU without
 pivoting.  A callable F is sampled with one call on all points where that
 call gives its pointwise values (see _whole_array_values).  The monomial
 coefficients of k, A, B, C and D are only printed; they are multiplied out
-of the factored form.
+of the factored form.  Stieltjes-Perron inversion extrapolates the transform
+to the real axis with Lagrange weights before it integrates, in one pass.
 """
 
 from __future__ import annotations
@@ -60,6 +62,7 @@ class NevanlinnaCoefficients:
     K: np.ndarray                 # (rho, N)
     a0: np.ndarray                # (tau, tau); the i-block equals I - w(z) a0
     psi: MatrixPolynomial         # N x N cubic correction term
+    psi_quotient: np.ndarray      # (3, N, N) coefficients of psi(z) / (z+i), lowest first
     eigenvalues: np.ndarray       # (tau,) eigenvalues lam_j of a0, the poles' parameters
     residues: np.ndarray          # (tau, (N+delta)^2) residue of pole j, see assemble_coefficients
 
@@ -251,7 +254,7 @@ def assemble_coefficients(rep: HilbertRep, bases: BasisCollection,
         N=n_dim, tau=tau, delta=delta, rho=rho, k=poly_trim(k_full),
         A_poly=MatrixPolynomial(a_poly).trim(), B_poly=MatrixPolynomial(b_poly).trim(),
         C_poly=MatrixPolynomial(c_poly).trim(), D_poly=MatrixPolynomial(d_poly).trim(),
-        Xi=xi, W=w_mat, T=t_mat, Chat=chat, K=k_mat, a0=a0, psi=psi,
+        Xi=xi, W=w_mat, T=t_mat, Chat=chat, K=k_mat, a0=a0, psi=psi, psi_quotient=0.5j * inner,
         eigenvalues=lam, residues=residues,
     )
 
@@ -343,25 +346,28 @@ def _expanding_points(f: np.ndarray, bound: float) -> np.ndarray:
     pivot <= 0, in exact arithmetic where that matrix is not positive definite."""
     k = f.shape[0]
     flags = ~(np.abs(f) <= bound).all(axis=(0, 1))  # flagged, and factored as 0: no overflow
-    f = np.where(flags, 0.0, f)
-    g = -_product(np.swapaxes(f.conj(), 0, 1), f)
+    if flags.any():
+        f = np.where(flags, 0.0, f)
+    g = _product(np.swapaxes(f.conj(), 0, 1), f)
+    np.negative(g, out=g)
     g[range(k), range(k)] += bound * bound
     for j in range(k):
         pivot = g[j, j].real
         flags |= ~(pivot > 0.0)
         # Schur complement update of the trailing block; flagged points divide by 1
-        ratio = g[j + 1:, j] / np.where(flags, 1.0, pivot)
+        ratio = g[j + 1:, j] * (1.0 / np.where(flags, 1.0, pivot))
         g[j + 1:, j + 1:] -= ratio[:, None] * g[j, None, j + 1:]
     return flags
 
 
 def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a @ b at every point for (p, k, n) and (k, q, n) arrays, points last, as
-    k broadcast products: the inner dimension is at most delta, and one BLAS
-    call per point costs more than the arithmetic."""
+    k broadcast products summed through one temporary: the inner dimension is
+    at most delta, and one BLAS call per point costs more than the arithmetic."""
     out = a[:, :1] * b[None, 0]
+    term = np.empty_like(out) if a.shape[1] > 1 else None
     for j in range(1, a.shape[1]):
-        out += a[:, j: j + 1] * b[None, j]
+        out += np.multiply(a[:, j: j + 1], b[None, j], out=term)
     return out
 
 
@@ -370,13 +376,15 @@ def _lu_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     last, overwriting a and b: Gaussian elimination without pivoting, then back
     substitution, for matrices such as the certified pivots of _pivot_transform."""
     k = a.shape[0]
-    for j in range(k - 1):
-        ratio = a[j + 1:, j] / a[j, j]
+    inv = np.empty(a.shape[1:], dtype=complex)  # 1 / a[j, j]: one complex division per pivot
+    for j in range(k):
+        np.divide(1.0, a[j, j], out=inv[j])
+        ratio = a[j + 1:, j] * inv[j]
         a[j + 1:, j + 1:] -= ratio[:, None] * a[j, None, j + 1:]
         b[j + 1:] -= ratio[:, None] * b[j, None]
     for j in range(k - 1, -1, -1):
         b[j] -= (a[j, j + 1:, None] * b[j + 1:]).sum(axis=0)
-        b[j] /= a[j, j]
+        b[j] *= inv[j]
     return b
 
 
@@ -416,21 +424,24 @@ def outside_domain(z) -> np.ndarray:
 
 def _colligation_transform(nc: NevanlinnaCoefficients, F: np.ndarray, flat: np.ndarray,
                            tol: Tolerances) -> np.ndarray:
-    """The transform of a constant F at the points, as a compressed resolvent:
+    """The transform of a constant F at the points, as a sum over the poles of a
+    compressed resolvent.  With psi(z) = (i/2) (z+i) q(z), the transform is
 
-        2i / ((z+i) (z-i)^2) (K^* R^{-1} K + psi(z) / (z+i)),  R = (z+i) I - (z-i) U_F,
+        2i / ((z+i) (z-i)^2) (K^* R^{-1} K + (i/2) q(z)),  R = (z+i) I - (z-i) U_F,
 
     with K zero-padded to tau+delta rows.  One eig U_F = V diag(mu) V^{-1} makes
-    K^* R^{-1} K = sum_j r_j residues[j] with r_j = 1/((z+i) - (z-i) mu_j) and
-    residues[j] the outer product of column j of K^* V[:rho] with row j of
-    V^{-1} K.  The prefactor scales the r_j and the powers z^k / (z+i) that
-    carry psi's coefficients, so all points take one (n, tau+delta+4) @
-    (tau+delta+4, N^2) product.  psi shares the prefactor made of (z+i) and
-    (z-i): scaled by its own 2i/(z^2+1)^2, with z^2+1 rounded near z = i, it
-    would not cancel against K^* R^{-1} K there.  RankError when V is too
-    ill-conditioned; EvaluationError at the first point where some
-    (z+i) - (z-i) mu_j lies within inv_tol * max(1, |z+i| + |z-i|) of zero,
-    where R, and with it the pivot of the callable path, is singular.
+    K^* R^{-1} K = sum_j res_j / ((z+i) - (z-i) mu_j), res_j the outer product of
+    column j of K^* V[:rho] with row j of V^{-1} K.  The partial fractions of the
+    whole, with the double pole at i cancelled analytically, are
+
+        (q(-i) - sum_j s_j res_j + sum_j (1 - s_j mu_j) res_j / (w - mu_j)) / (4 (z+i))
+
+    with w = (z+i) / (z-i) and s_j = 3 - 3 mu_j + mu_j^2: one (n, tau+delta+1) @
+    (tau+delta+1, N^2) product, no power of z and no factor 1/(z-i)^2, so the
+    values stay accurate up to z = i.  No term divides by mu_j, so a singular U_F
+    (F = 0) is summed the same way.  RankError when V is too ill-conditioned;
+    EvaluationError where R, and with it the pivot of the callable path, is
+    singular (_check_poles).
     """
     n_dim, size = nc.N, nc.tau + nc.delta
     mu, vecs = _diagonalize(extended_colligation(nc.u, F), "U_F", tol)
@@ -438,81 +449,109 @@ def _colligation_transform(nc: NevanlinnaCoefficients, F: np.ndarray, flat: np.n
     k_pad[:nc.rho] = nc.K
     left = nc.K.conj().T @ vecs[:nc.rho]
     residues = (left.T[:, :, None] * np.linalg.solve(vecs, k_pad)[:, None, :]).reshape(size, -1)
+    _check_poles(flat, mu, tol)
     zp, zm = flat + 1j, flat - 1j
+    quotient = nc.psi_quotient.reshape(-1, n_dim * n_dim)  # (i/2) q
+    q_at = -2j * ((-1j) ** np.arange(quotient.shape[0]) @ quotient)
+    s = 3.0 - 3.0 * mu + mu * mu
+    coeffs = np.concatenate([(1.0 - s * mu)[:, None] * residues, (q_at - s @ residues)[None]])
+    # terms (one row per pole and one for the constant, one column per point) @ coeffs:
+    # 1/(4 (z+i) (w - mu_j)) = 1/(4 (z+i)^2/(z-i) - 4 (z+i) mu_j), and 1/(4 (z+i))
+    terms = np.empty((size + 1, flat.size), dtype=complex)
+    b = np.multiply(zp, 4.0, out=terms[size])
+    np.multiply.outer(mu, b, out=terms[:size])
+    a = b * zp
+    a /= zm
+    np.subtract(a, terms[:size], out=terms[:size])
+    np.reciprocal(terms, out=terms)
+    return (terms.T @ coeffs).reshape(flat.size, n_dim, n_dim)
+
+
+def _check_poles(flat: np.ndarray, mu: np.ndarray, tol: Tolerances) -> None:
+    """EvaluationError at the first point z where some (z+i) - (z-i) mu_j lies within
+    inv_tol * max(1, |z+i| + |z-i|) of zero."""
+    # |(z+i) - (z-i) mu| >= |z+i| - |z-i| |mu|, and with S = |z+i| + |z-i|,
+    # |z+i| - |z-i| = 4 Im z / S and S^2 <= 8 (|z|^2 + 1): where
+    # Im z > (4 inv_tol + 2 (max|mu| - 1)^+) (|z|^2 + 1) that bound exceeds twice the
+    # cutoff, so only the other points (none for Im z well above 1e-10 (|z|^2 + 1))
+    # are screened with |z+i| - |z-i| max|mu|, and then tested pole by pole
+    m = float(np.abs(mu).max())
+    x, y = flat.real, flat.imag
+    slack = 4.0 * tol.inv_tol + 2.0 * max(0.0, m - 1.0)
+    cand = np.flatnonzero(~(y > slack * (x * x + y * y + 1.0)))
+    if not cand.size:
+        return
+    zp, zm = flat[cand] + 1j, flat[cand] - 1j
     abs_p, abs_m = np.abs(zp), np.abs(zm)
     bound = tol.inv_tol * np.maximum(1.0, abs_p + abs_m)
-    # |(z+i) - (z-i) mu| >= |z+i| - |z-i| |mu|, so only points where that is small
-    # (none for a contraction U_F, as |z+i| > |z-i|) need the distance to every pole
-    near = np.flatnonzero(abs_p - abs_m * np.abs(mu).max() <= 2.0 * bound)
+    near = np.flatnonzero(abs_p - abs_m * m <= 2.0 * bound)
     if near.size:
         dist = np.abs(zp[near, None] - np.multiply.outer(zm[near], mu)).min(axis=1)
         bad = np.flatnonzero(dist <= bound[near])
         if bad.size:
-            idx = near[bad[0]]
+            idx = cand[near[bad[0]]]
             raise EvaluationError(
                 f"singular pivot at z={flat[idx]}: (z+i) - (z-i) mu is {dist[bad[0]]:.3e} "
                 "from zero for an eigenvalue mu of U_F (parameter not admissible at this point)")
-    # terms (one row per pole and per power of z, one column per point) @ coeffs
-    n_psi = nc.psi.coeffs.shape[0]
-    terms = np.empty((size + n_psi, flat.size), dtype=complex)
-    pref = 2j / (zp * zm * zm)
-    r = terms[:size]
-    np.multiply.outer(mu, zm, out=r)
-    np.subtract(zp, r, out=r)
-    np.divide(pref, r, out=r)
-    np.divide(pref, zp, out=terms[size])
-    for k in range(1, n_psi):
-        np.multiply(terms[size + k - 1], flat, out=terms[size + k])
-    coeffs = np.concatenate([residues, nc.psi.coeffs.reshape(n_psi, -1)])
-    return (terms.T @ coeffs).reshape(flat.size, n_dim, n_dim)
 
 
-def _scaled_blocks(nc: NevanlinnaCoefficients, flat: np.ndarray) -> np.ndarray:
-    """The (N+delta, N+delta, n) array [[A/k, S_B], [S_D, C/k]] at the points, points last.
-
-    S = sum_j r_j residues[j] with r_j = 1/((z+i) - (z-i) lam_j) is one matrix
-    product; A/k = (z+i) S_A + psi and C/k = (i-z) (T + (z-i) S_C) are scaled in
-    place.  B/k = -(z^2+1) S_B and D/k = -(z-i) S_D are left unscaled: the
-    caller applies their scalars to the product (B/k) F pivot^{-1} (D/k).
-    """
-    n_dim, size = nc.N, nc.N + nc.delta
-    zp, zm = flat + 1j, flat - 1j
-    r = np.multiply.outer(nc.eigenvalues, zm)
-    np.subtract(zp, r, out=r)
-    sums = (nc.residues.T @ np.reciprocal(r, out=r)).reshape(size, size, flat.size)
-    az, cz = sums[:n_dim, :n_dim], sums[n_dim:, n_dim:]
-    az *= zp
-    az += np.moveaxis(nc.psi(flat), 0, -1)  # psi evaluates points last: this is no copy
-    cz *= zm
-    cz += nc.T[:, :, None]
-    cz *= -zm
-    return sums
+def _block(coeffs: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """sum_j r[j] coeffs[j] at the points, points last: the (p, q, n) array of one
+    (p q, m) @ (m, n) product for (m, p, q) coefficients and (m, n) terms r."""
+    m, p, q = coeffs.shape
+    return (coeffs.reshape(m, p * q).T @ r).reshape(p, q, -1)
 
 
 def _pivot_transform(nc: NevanlinnaCoefficients, f_vals: np.ndarray, flat: np.ndarray,
                      tol: Tolerances) -> np.ndarray:
     """The transform of a callable F from its (delta, delta, n) values at the points.
 
-    A/k, B/k, C/k and D/k come from one ((N+delta)^2, tau) @ (tau, n) product
-    with the residues stored by assemble_coefficients (see _scaled_blocks).  The
+    A/k = (z+i) (S_A + psi(z) / (z+i)), B/k = -(z^2+1) S_B, C/k = (i-z) (T + (z-i) S_C)
+    and D/k = -(z-i) S_D come from the blocks of S = sum_j r_j residues[j] =
+    [[S_A, S_B], [S_D, S_C]], r_j = 1/((z+i) - (z-i) lam_j), with the residues
+    stored by assemble_coefficients, points last.  Each block is its own product
+    (_block), formed when it is used and dropped after, in the order C, D, B, A;
+    S_D is the right-hand side the pivot solve overwrites, and the product for
+    A/k carries the powers of z that the coefficients of psi / (z+i) multiply.  The
     pivot (z+i) I + (C/k)(z) F(z) is the Schur complement of (z+i) I - (z-i) U_F,
-    so its smallest singular value is at least l(z) = |z+i| - |z-i| ||U|| (1 + psd_tol)
-    (one SVD of U per call).  Where l(z) certifies the pivot (_solve_pivots),
-    pivot / (z+i) = I - E with ||E|| < 1 has a positive definite Hermitian part,
-    and _lu_solve needs no pivoting.  The prefactor is 2i / (z^2+1)^2.
+    so its smallest singular value is at least
+    l(z) = |z+i| - |z-i| ||U|| (1 + psd_tol) (one SVD of U per call).  Where l(z)
+    certifies the pivot (_solve_pivots), pivot / (z+i) = I - E with ||E|| < 1 has
+    a positive definite Hermitian part, and _lu_solve needs no pivoting.  With the
+    prefactor 2i / (z^2+1)^2 the transform is
+    2i / (z+i) (S_B F pivot^{-1} S_D + (S_A + psi(z) / (z+i)) / (z-i)^2).
     """
-    n_dim = nc.N
-    sums = _scaled_blocks(nc, flat)
-    zp = flat + 1j
-    pivot = _product(sums[n_dim:, n_dim:], f_vals)
+    n_dim, tau, size = nc.N, nc.tau, nc.N + nc.delta
+    lead, tail = slice(None, n_dim), slice(n_dim, None)
+    residues = nc.residues.reshape(tau, size, size)
+    zp, zm = flat + 1j, flat - 1j
+    # terms: the r_j, then the powers 1, z, ... of z that psi / (z+i) multiplies
+    terms = np.empty((tau + nc.psi_quotient.shape[0], flat.size), dtype=complex)
+    r = terms[:tau]
+    np.multiply.outer(nc.eigenvalues, zm, out=r)
+    np.subtract(zp, r, out=r)
+    np.reciprocal(r, out=r)
+    terms[tau] = 1.0
+    for k in range(tau + 1, terms.shape[0]):
+        np.multiply(terms[k - 1], flat, out=terms[k])
+    c_k = _block(residues[:, tail, tail], r)
+    c_k *= zm
+    c_k += nc.T[:, :, None]
+    c_k *= -zm
+    pivot = _product(c_k, f_vals)
+    del c_k
     pivot[range(nc.delta), range(nc.delta)] += zp
     norm_u = float(np.linalg.svd(nc.u, compute_uv=False)[0])
-    lower = np.abs(zp) - np.abs(flat - 1j) * (norm_u * (1.0 + tol.psd_tol))
-    solved = _solve_pivots(pivot, sums[n_dim:, :n_dim].copy(), lower, flat, tol)
-    out = _product(_product(sums[:n_dim, n_dim:], f_vals), solved)
-    # 2i/(z^2+1)^2 (A/k + (B/k) F pivot^{-1} (D/k)), and (z^2+1)(z-i) / (z^2+1)^2 = 1/(z+i)
+    lower = np.abs(zp) - np.abs(zm) * (norm_u * (1.0 + tol.psd_tol))
+    solved = _solve_pivots(pivot, _block(residues[:, tail, lead], r), lower, flat, tol)
+    del pivot
+    out = _product(_product(_block(residues[:, lead, tail], r), f_vals), solved)
+    del solved
+    a_k = _block(np.concatenate([residues[:, lead, lead], nc.psi_quotient]), terms)
+    del terms, r
+    a_k *= 1.0 / (zm * zm)
+    out += a_k
     out *= 2j / zp
-    out += (2j / (flat * flat + 1.0) ** 2) * sums[:n_dim, :n_dim]
     return np.ascontiguousarray(np.moveaxis(out, -1, 0))
 
 
@@ -531,9 +570,10 @@ def evaluate_transform(nc: NevanlinnaCoefficients, F, z,
     1/(t - z) against dm_{k,j}.
 
     A constant F makes one eig of U_F and one matrix product over all points,
-    with no pivot (_colligation_transform).  A callable F differs at every
-    point: its pivots, certified from the norm of the colligation, are solved
-    by LU without pivoting, and only uncertified ones by LAPACK
+    a sum of simple poles with no pivot and no factor 1/(z-i), so it stays
+    accurate up to z = i (_colligation_transform).  A callable F differs at
+    every point: its pivots, certified from the norm of the colligation, are
+    solved by LU without pivoting, and only uncertified ones by LAPACK
     (_pivot_transform); a constant F takes that path too when the eigenvector
     matrix of U_F is too ill-conditioned.  Both raise EvaluationError("singular
     pivot at z=...") at the first point where the parameter is not admissible.
@@ -590,9 +630,14 @@ def extension_operator(bases: BasisCollection, F: np.ndarray,
     unit_dev = float(np.abs(F.conj().T @ F - np.eye(bases.delta)).max(initial=0.0))
     if unit_dev > tol.psd_tol:
         raise ParameterError(f"parameter is not unitary (deviation {unit_dev:.3e})")
+    admissible = check_constant_admissible(F, forbidden_matrix(bases, tol), tol)
+    return _checked_extension(bases, F, admissible)
 
-    xi = forbidden_matrix(bases, tol)
-    admissible = check_constant_admissible(F, xi, tol)
+
+def _checked_extension(bases: BasisCollection, F: np.ndarray, admissible: bool) -> np.ndarray:
+    """extension_operator for a delta x delta unitary F whose admissibility is
+    already decided: the fixed-point test, its agreement with admissible (a
+    warning when they disagree) and the Cayley transform of the extension."""
     u_ext = extension_matrix(bases, F)
     eigs = np.linalg.eigvals(u_ext)
     fixed_dist = float(np.abs(eigs - 1.0).min(initial=np.inf))
@@ -603,7 +648,7 @@ def extension_operator(bases: BasisCollection, F: np.ndarray,
             "admissibility and the fixed-point test disagree "
             f"(admissible={admissible}, nearest extension eigenvalue to 1 at distance "
             f"{fixed_dist:.3e}); treating the parameter as rejected",
-            RuntimeWarning, stacklevel=2)
+            RuntimeWarning, stacklevel=3)
     if not admissible:
         raise ParameterError("parameter is not admissible (forbidden-matrix condition)")
     if has_fixed:
@@ -679,23 +724,16 @@ class SampledDistribution:
         return self.values[-1]
 
 
-def _neville_at_zero(xs, tables):
-    tab = list(tables)
-    n = len(xs)
-    for j in range(1, n):
-        for i in range(n - j):
-            tab[i] = (xs[i] * tab[i + 1] - xs[i + j] * tab[i]) / (xs[i] - xs[i + j])
-    return tab[0]
-
-
 def invert_transform(evaluator, grid, eps_schedule=(1e-2, 1e-3, 1e-4)) -> SampledDistribution:
     """Recover the cumulative measure from transform boundary values.
 
-    Integrates the matrix imaginary part of the transform along horizontal
-    lines Im z = eps by the trapezoid rule on the grid, then extrapolates
-    eps -> 0 through the schedule.  The evaluator receives a full complex
-    grid array and must return stacked (L, N, N) transform values of the
-    transposed measure; the output is transposed back.
+    Extrapolates the transform on the horizontal lines Im z = eps to eps -> 0
+    through the schedule, as one sum of the evaluator's outputs with the Lagrange
+    weights prod_{m != k} eps_m / (eps_m - eps_k) of polynomial interpolation at
+    0, then integrates its matrix imaginary part by the trapezoid rule on the
+    grid, in one pass.  The evaluator receives a full complex grid array and
+    must return stacked (L, N, N) transform values of the transposed measure;
+    the output is transposed back.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 2 or np.any(np.diff(grid) <= 0):
@@ -703,18 +741,26 @@ def invert_transform(evaluator, grid, eps_schedule=(1e-2, 1e-3, 1e-4)) -> Sample
     eps_schedule = tuple(float(e) for e in eps_schedule)
     if not eps_schedule or any(e <= 0 for e in eps_schedule):
         raise EvaluationError("eps schedule must contain positive values")
+    if len(set(eps_schedule)) < len(eps_schedule):
+        raise EvaluationError("eps schedule must not repeat a value")
 
-    cums = []
-    for eps in eps_schedule:
+    extrap = None
+    for k, eps in enumerate(eps_schedule):
+        # Lagrange weight of eps at 0 for interpolation in the schedule
+        weight = float(np.prod([e / (e - eps) for m, e in enumerate(eps_schedule) if m != k]))
         vals = np.asarray(evaluator(grid + 1j * eps), dtype=complex)
         if vals.ndim == 1:
             vals = vals[:, None, None]
-        imag = (vals - vals.conj().transpose(0, 2, 1)) / 2j
-        steps = 0.5 * (imag[1:] + imag[:-1]) * np.diff(grid)[:, None, None]
-        cum = np.concatenate([np.zeros((1,) + imag.shape[1:]), np.cumsum(steps, axis=0)])
-        cums.append(cum / np.pi)
-
-    extrap = cums[0] if len(cums) == 1 else _neville_at_zero(eps_schedule, cums)
+        if extrap is None:
+            extrap = weight * vals
+        else:
+            extrap += weight * vals
+    # the imaginary part, integrated by the trapezoid rule and accumulated
+    imag = extrap - extrap.conj().transpose(0, 2, 1)
+    extrap[0] = 0.0
+    np.add(imag[1:], imag[:-1], out=extrap[1:])
+    extrap[1:] *= (np.diff(grid) / (4j * np.pi))[:, None, None]
+    np.cumsum(extrap[1:], axis=0, out=extrap[1:])
     diag = np.real(np.einsum("lkk->lk", extrap))
     slack = 1e-6 * (1.0 + float(np.abs(diag).max(initial=0.0)))
     monotone = bool(np.all(np.diff(diag, axis=0) >= -slack))

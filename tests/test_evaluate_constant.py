@@ -3,6 +3,7 @@ of U_F per call, checked against the pivot path that a callable F takes and
 against the resolvent of the self-adjoint extension."""
 
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 import matmom.nevanlinna as nev
 from matmom import (MomentSequence, analyze, assemble_coefficients, evaluate_transform,
                     find_admissible_unitary)
-from matmom.errors import ParameterError, RankError
+from matmom.errors import EvaluationError, ParameterError, RankError
 from matmom.moment_model import DEFAULT_TOL
 from matmom.nevanlinna import transform_via_resolvent
 
@@ -60,7 +61,7 @@ def test_unitary_matches_extension_resolvent(states):
         assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max(), nc.delta
 
 
-def test_constant_makes_one_eig_and_no_jacobi_svd(states, monkeypatch):
+def test_constant_makes_one_eig(states, monkeypatch):
     calls = []
     eig = np.linalg.eig
 
@@ -126,9 +127,8 @@ def test_cli_central_solution_with_singular_a0(tmp_path):
 
 
 def test_near_i_no_worse_than_pivot_path(ex21, ex21_nc):
-    """At z = i(1+h) both paths lose about eps/h^2 to the cancellation of the bracket
-    against psi; adding psi inside the bracket keeps the constant path at the pivot
-    path's error."""
+    """At z = i(1+h) the pivot path loses about eps/h^2 to the cancellation of the
+    bracket against psi; the pole sum of the constant path has no such bracket."""
     F = np.array([[1.0]])
     z = 1j * (1.0 + 1e-4)
     want = transform_via_resolvent(ex21.rep, ex21.bases, F, z)
@@ -167,3 +167,95 @@ def test_callable_values_independent_of_block(states, monkeypatch):
     assert np.array_equal(evaluate_transform(nc, schur, z), whole)
     monkeypatch.setattr(nev, "SAMPLE_BLOCK", 7)
     assert np.array_equal(evaluate_transform(nc, param, z), whole)
+
+
+@pytest.mark.parametrize("h", [1e-6, 1e-7, 1e-8, 1e-9])
+def test_near_i_matches_resolvent(ex21, ex21_nc, h):
+    """The partial fractions of the constant path cancel the double pole at i
+    analytically, so points next to i keep full accuracy (the golden instance,
+    F = 1, values of size 0.71)."""
+    F = np.array([[1.0]])
+    z = 1j * (1.0 + h)
+    want = transform_via_resolvent(ex21.rep, ex21.bases, F, z)
+    assert np.abs(evaluate_transform(ex21_nc, F, z) - want).max() <= 1e-12 * max(
+        1.0, np.abs(want).max())
+
+
+def pivot_path_calls(monkeypatch):
+    calls = []
+    pivot = nev._pivot_transform
+
+    def counted(*args):
+        calls.append(args[2].size)
+        return pivot(*args)
+
+    monkeypatch.setattr(nev, "_pivot_transform", counted)
+    return calls
+
+
+def test_small_eigenvalues_take_pole_sum(states, monkeypatch):
+    """No term of the pole sum divides by an eigenvalue mu of U_F, so parameters that
+    put min |mu| at 0 (F = 0) or near it are summed like any other and agree with
+    the callable path."""
+    rng = np.random.default_rng(26)
+    calls = pivot_path_calls(monkeypatch)
+    smallest = []
+    for state in states:
+        nc = assemble_coefficients(state.rep, state.bases)
+        unitary = find_admissible_unitary(nc.Xi)
+        z = upper_points(rng, 128)
+        for scale in (0.0, 1e-12, 1e-6, 1e-2):
+            F = scale * unitary
+            smallest.append(np.abs(np.linalg.eigvals(nev.extended_colligation(nc.u, F))).min())
+            want = evaluate_transform(nc, lambda w, F=F: F, z)
+            calls.clear()
+            got = evaluate_transform(nc, F, z)
+            assert calls == []
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), (nc.delta, scale)
+    assert min(smallest) <= 1e-15 and max(smallest) >= 1e-3
+
+
+def test_eigenvalues_of_a0_near_zero(monkeypatch):
+    """With a0 = 0 (moments 1, 0, 1) and F = eps, U_F = [[0, W eps], [Chat, T eps]] has
+    eigenvalues of size sqrt(eps) whose residues do not vanish with them.  The pole
+    sum handles them; only the Jordan block of F = 0 is refused by kappa(V) and
+    takes the pivot path."""
+    state = symmetric_state()
+    nc = assemble_coefficients(state.rep, state.bases)
+    z = upper_points(np.random.default_rng(27), 64)
+    calls = pivot_path_calls(monkeypatch)
+    for eps in (1e-2, 1e-4, 1e-6, 0.0):
+        F = np.array([[eps]])
+        want = evaluate_transform(nc, lambda w: F, z)
+        calls.clear()
+        got = evaluate_transform(nc, F, z)
+        assert calls == ([z.size] if eps == 0.0 else []), eps
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), eps
+
+
+def test_pole_screen_matches_every_pole(ex21_nc):
+    """_check_poles tests only the points that a bound on Im z leaves; it must raise
+    exactly where the distance to some pole, over every point, is within the
+    cutoff, and at the first such point."""
+    tol = DEFAULT_TOL
+    rng = np.random.default_rng(28)
+    F = find_admissible_unitary(ex21_nc.Xi)
+    mu = np.linalg.eigvals(nev.extended_colligation(ex21_nc.u, F))
+    atoms = (1j * (mu + 1.0) / (mu - 1.0)).real
+    outcomes = []
+    for expand in (1.0, 1.0 + 1e-9, 1.5):
+        m = mu * expand
+        for _ in range(20):
+            z = rng.choice(atoms) + rng.normal(scale=1e-9, size=6) \
+                + 1j * 10.0 ** rng.uniform(-13, -8, size=6)
+            zp, zm = z + 1j, z - 1j
+            bound = tol.inv_tol * np.maximum(1.0, np.abs(zp) + np.abs(zm))
+            hit = np.abs(zp[:, None] - zm[:, None] * m).min(axis=1) <= bound
+            outcomes.append(hit.any())
+            if hit.any():
+                first = re.escape(str(z[np.argmax(hit)]))
+                with pytest.raises(EvaluationError, match=rf"singular pivot at z={first}"):
+                    nev._check_poles(z, m, tol)
+            else:
+                nev._check_poles(z, m, tol)
+    assert any(outcomes) and not all(outcomes)

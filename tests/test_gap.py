@@ -3,11 +3,11 @@ import pytest
 
 from matmom import (AtomicMeasure, GapSpec, ParameterError, analyze, analyze_gap,
                     assemble_coefficients, canonical_solution, check_gap_class,
-                    forbidden_matrix, gap_basis, gap_solvable_search, regular_type_check,
-                    verify_gap, verify_moments, w_tilde)
+                    find_admissible_unitary, forbidden_matrix, gap_basis, gap_solvable_search,
+                    regular_type_check, verify_gap, verify_moments, w_tilde)
 
-from conftest import (golden_shift_matrix, golden_w_tilde, moments_from_measure,
-                      random_measure)
+from conftest import (golden_shift_matrix, golden_w_tilde, indeterminate_states,
+                      moments_from_measure, random_measure)
 
 
 @pytest.fixture(scope="module")
@@ -221,3 +221,40 @@ def test_oracle_gap_feasibility():
             assert verify_moments(result.measure, ms, 1e-8).passed
     assert trials >= 6
     assert found == trials
+
+
+def test_gap_search_checks_each_candidate_once(ex21, ex21_nc, monkeypatch):
+    """check_gap_class decides admissibility once per candidate; the canonical
+    solution of an accepted one is built without repeating it or recomputing the
+    forbidden matrix, and is the measure canonical_solution gives."""
+    import matmom.gap as gap_mod
+    import matmom.nevanlinna as nev
+
+    calls = {"class": 0, "admissible": 0, "forbidden": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    state = next(s for s in indeterminate_states(7700) if s.bases.delta == 2)
+    nc = assemble_coefficients(state.rep, state.bases)
+    locs = [t for t, _ in canonical_solution(state.rep, state.bases,
+                                             find_admissible_unitary(nc.Xi)).atoms]
+    cases = [(ex21, ex21_nc, GapSpec.parse("(-1,1)")),
+             (state, nc, GapSpec.parse(f"({max(locs) + 0.5},inf)"))]
+    for st, coeffs, spec in cases:
+        monkeypatch.setattr(gap_mod, "check_gap_class", counted("class", gap_mod.check_gap_class))
+        monkeypatch.setattr(nev, "check_constant_admissible",
+                            counted("admissible", nev.check_constant_admissible))
+        monkeypatch.setattr(nev, "forbidden_matrix", counted("forbidden", nev.forbidden_matrix))
+        result = gap_solvable_search(st.rep, st.bases, coeffs, spec, budget=200)
+        monkeypatch.undo()
+        assert result.found, spec
+        assert calls["class"] >= 1 and calls["admissible"] == calls["forbidden"] == 0
+        want = canonical_solution(st.rep, st.bases, result.F)
+        assert len(result.measure.atoms) == len(want.atoms)
+        for (t, w), (t_want, w_want) in zip(result.measure.atoms, want.atoms):
+            assert t == t_want and np.array_equal(w, w_want)
+        calls.update(dict.fromkeys(calls, 0))
