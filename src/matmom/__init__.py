@@ -13,13 +13,12 @@ from dataclasses import dataclass
 from .errors import (EvaluationError, InputError, MatMomError, ParameterError,
                      RankError, SolvabilityError)
 from .moment_model import (AtomicMeasure, GapSpec, MomentCheckReport, MomentSequence,
-                           Tolerances, parse_moments, serialize_moments, verify_moments)
+                           Tolerances, parse_moments, verify_moments)
 from .solvability import HankelPair, SolvabilityReport, build_block_hankel, check_solvable
 from .hilbert_space import (BasisCollection, HilbertRep, OperatorModel, OrthoBasisSet,
                             build_all_bases, build_operator_model, classify_determinacy,
-                            factor_gram, gap_basis, orthonormalize, regular_type_check)
-from .determinate import (DeterminateModel, build_determinate_model, solve_determinate,
-                          stieltjes_determinate)
+                            factor_gram)
+from .determinate import DeterminateModel, build_determinate_model, solve_determinate
 from .matpoly import MatrixPolynomial
 from .nevanlinna import (NevanlinnaCoefficients, SampledDistribution, assemble_coefficients,
                          canonical_solution, check_constant_admissible, evaluate_transform,
@@ -39,10 +38,9 @@ __all__ = [
     "build_determinate_model", "build_operator_model", "canonical_solution",
     "check_constant_admissible", "check_gap_class", "check_solvable",
     "classify_determinacy", "evaluate_transform", "factor_gram",
-    "find_admissible_unitary", "forbidden_matrix", "gap_basis", "gap_solvable_search",
-    "invert_transform", "orthonormalize", "parse_moments", "regular_type_check",
-    "serialize_moments", "solve_determinate", "stieltjes_determinate",
-    "transform_via_resolvent", "verify_gap", "verify_moments", "w_tilde",
+    "find_admissible_unitary", "forbidden_matrix", "gap_solvable_search",
+    "invert_transform", "parse_moments", "solve_determinate", "transform_via_resolvent",
+    "verify_gap", "verify_moments", "w_tilde",
 ]
 
 

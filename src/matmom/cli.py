@@ -20,14 +20,12 @@ from . import analyze
 from .errors import InputError, MatMomError, RankError, SolvabilityError
 from .determinate import build_determinate_model, solve_determinate
 from .gap import analyze_gap, check_gap_class, gap_solvable_search, verify_gap
-from .moment_model import (AtomicMeasure, GapSpec, Tolerances, distribution_csv_rows, dumps,
-                           matrix_from_json, matrix_to_json, parse_moments, verify_moments,
-                           write_distribution_csv)
+from .moment_model import (TOLERANCE_NAMES, AtomicMeasure, GapSpec, Tolerances,
+                           distribution_csv_rows, dumps, matrix_from_json, matrix_to_json,
+                           parse_moments, verify_moments, write_distribution_csv)
 from .nevanlinna import (assemble_coefficients, canonical_solution, evaluate_transform,
                          forbidden_matrix, outside_domain)
 from .solvability import build_block_hankel, check_solvable
-
-_TOL_OPTIONS = ("hermitian_tol", "psd_tol", "rank_tol", "inv_tol", "moment_tol", "gap_tol")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -46,7 +44,7 @@ def _read_text(path: str) -> str:
 
 
 def _tolerances(args) -> Tolerances:
-    overrides = {name: getattr(args, name) for name in _TOL_OPTIONS
+    overrides = {name: getattr(args, name) for name in TOLERANCE_NAMES
                  if getattr(args, name, None) is not None}
     return Tolerances(**overrides)
 
@@ -144,7 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add(name, help_text):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("input", help="path of the JSON moment document, or - for stdin")
-        for tol_name in _TOL_OPTIONS:
+        for tol_name in TOLERANCE_NAMES:
             p.add_argument("--" + tol_name.replace("_", "-"), dest=tol_name,
                            type=float, default=None)
         return p

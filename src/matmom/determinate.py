@@ -89,12 +89,3 @@ def solve_determinate(dm: DeterminateModel) -> AtomicMeasure:
     eigenvalues of MA; each residue is the weight matrix at that eigenvalue.
     """
     return spectral_measure(dm.MA, dm.R)
-
-
-def stieltjes_determinate(dm: DeterminateModel, z: complex) -> np.ndarray:
-    """Transform value R*(MA - z I)^{-1} R at a non-real point.
-
-    Returns the transform of the transposed measure: entry (j, k) is the
-    integral of 1/(t - z) against dm_{k,j}.
-    """
-    return resolvent_transform(dm.MA, dm.R, z)

@@ -6,9 +6,6 @@ A x_k = x_{k+N} on its natural domain, and builds all orthonormal
 families needed downstream: the domain split, the Cayley-transform
 range split, and the two defect-space bases.  Every family comes from
 orthonormal_split, one right-looking modified Gram-Schmidt of one matrix.
-gap_basis and regular_type_check split the shifted sequence
-x_{k+N} - lam x_k at a real lam, a per-point form of regular type kept as
-an independent oracle.
 
 Inner product convention: (f, g) = g* f in coordinates, linear in the
 first argument.  With that convention the coordinates returned by
@@ -124,12 +121,6 @@ def orthonormal_split(seq: np.ndarray, n_lead: int, rank_tol: float = DEFAULT_TO
         for cols in (kept[:split], kept[split:]))
 
 
-def orthonormalize(vectors: np.ndarray, rank_tol: float = DEFAULT_TOL.rank_tol) -> OrthoBasisSet:
-    """orthonormal_split of one (r, m) matrix, keeping only the survivors."""
-    vectors = np.asarray(vectors)
-    return orthonormal_split(vectors, vectors.shape[1], rank_tol)[0]
-
-
 def factor_gram(h: HankelPair, tol: Tolerances = DEFAULT_TOL, *, N: int, d: int) -> HilbertRep:
     """Realize the Gram matrix by explicit coordinates.
 
@@ -161,19 +152,14 @@ def factor_gram(h: HankelPair, tol: Tolerances = DEFAULT_TOL, *, N: int, d: int)
     return rep
 
 
-def shifted_domain_images(rep: HilbertRep, expansions: np.ndarray,
-                          lam: float | None = None) -> np.ndarray:
-    """Columns (A - lam) f for domain vectors f given by expansion rows over x_0..x_{dN-1}.
+def shifted_domain_images(rep: HilbertRep, expansions: np.ndarray) -> np.ndarray:
+    """Columns A f for domain vectors f given by expansion rows over x_0..x_{dN-1}.
 
     The shift A maps x_k to x_{k+N}, so the image is read off by reindexing
     the expansion; no linear solve is involved.
     """
     dN = rep.dN
-    coeff = expansions[:, :dN].T  # (dN, m)
-    images = rep.X[:, rep.N: rep.N + dN] @ coeff
-    if lam is not None:
-        images = images - lam * (rep.X[:, :dN] @ coeff)
-    return images
+    return rep.X[:, rep.N: rep.N + dN] @ expansions[:, :dN].T
 
 
 @dataclass(frozen=True, eq=False)
@@ -303,32 +289,3 @@ def classify_determinacy(bases: BasisCollection) -> bool:
     """
     return bases.kappa_prime == 0
 
-
-def gap_basis(rep: HilbertRep, lam: float, tol: Tolerances = DEFAULT_TOL):
-    """Orthonormal bases of the shifted range and its complement at real lam.
-
-    Orthogonalizes x_{k+N} - lam x_k for k = 0..dN-1 and then the leading
-    block x_0..x_{N-1}; the split of survivors gives the two families.
-    """
-    dN = rep.dN
-    seq = np.concatenate([rep.X[:, rep.N: rep.N + dN] - float(lam) * rep.X[:, :dN],
-                          rep.X[:, : rep.N]], axis=1)
-    return orthonormal_split(seq, dN, tol.rank_tol)
-
-
-def regular_type_check(rep: HilbertRep, bases: BasisCollection, lam: float,
-                       tol: Tolerances = DEFAULT_TOL):
-    """Matrix of the shifted operator between the domain and shifted-range bases.
-
-    Returns (matrix, invertible).  A dimension mismatch between the two
-    families already rules out regular type.  This Gram-Schmidt form is
-    independent of the colligation that the gap layer uses, and serves as
-    the oracle of its regular-type test.
-    """
-    range_part, _ = gap_basis(rep, lam, tol)
-    m_shift = range_part.vectors.conj().T @ shifted_domain_images(
-        rep, bases.domain.expansions, float(lam))
-    if m_shift.shape[0] != bases.kappa or bases.kappa == 0:
-        return m_shift, False
-    svals = np.linalg.svd(m_shift, compute_uv=False)
-    return m_shift, bool(svals[-1] > tol.inv_tol * max(1.0, svals[0]))

@@ -1,7 +1,8 @@
 """Dense matrix polynomials, coefficients stored lowest degree first.
 
 They hold the printed transform coefficients and the cubic psi term that
-evaluate_transform evaluates by Horner's rule.
+assemble_coefficients folds into A.  evaluate_transform evaluates none of
+them: it sums pole-residue terms and the coefficients of psi(z) / (z+i).
 """
 
 from __future__ import annotations

@@ -15,14 +15,12 @@ import csv
 import json
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import IO, Iterable, Sequence
 
 import numpy as np
 
 from .errors import InputError
-
-_TOL_FIELDS = ("hermitian_tol", "psd_tol", "rank_tol", "inv_tol", "moment_tol", "gap_tol")
 
 
 @dataclass(frozen=True)
@@ -44,12 +42,13 @@ class Tolerances:
     gap_tol: float = 1e-8
 
     def __post_init__(self):
-        for name in _TOL_FIELDS:
+        for name in TOLERANCE_NAMES:
             value = getattr(self, name)
             if not (value > 0.0 and math.isfinite(value)):
                 raise InputError(f"tolerance {name} must be a positive finite number, got {value!r}")
 
 
+TOLERANCE_NAMES = tuple(f.name for f in fields(Tolerances))
 DEFAULT_TOL = Tolerances()
 
 
@@ -162,21 +161,19 @@ class AtomicMeasure:
                 power *= t
         return out
 
-    def prune(self, weight_tol: float) -> "AtomicMeasure":
-        kept = tuple((t, w) for t, w in self.atoms if float(np.trace(w).real) > weight_tol)
-        return AtomicMeasure(atoms=kept)
-
     def to_json_obj(self) -> dict:
         return {"atoms": [{"t": t, "W": matrix_to_json(w)} for t, w in self.atoms]}
 
     @staticmethod
     def from_json_obj(obj: dict, tol: Tolerances = DEFAULT_TOL) -> "AtomicMeasure":
-        if not isinstance(obj, dict) or "atoms" not in obj:
+        if not isinstance(obj, dict) or not isinstance(obj.get("atoms"), list):
             raise InputError("measure document must be an object with an 'atoms' list")
         pairs = []
         for entry in obj["atoms"]:
             if not isinstance(entry, dict) or "t" not in entry or "W" not in entry:
                 raise InputError("each atom must be an object with 't' and 'W'")
+            if not _is_number(entry["t"]):
+                raise InputError(f"atom location must be a number, got {entry['t']!r}")
             pairs.append((entry["t"], matrix_from_json(entry["W"])))
         return AtomicMeasure.from_atoms(pairs, tol)
 
@@ -255,13 +252,15 @@ def _parse_endpoint(token: str) -> float:
 # JSON input / output
 # ---------------------------------------------------------------------------
 
+def _is_number(value) -> bool:
+    """True for a JSON number: an int or float that is not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _as_complex(entry) -> complex:
-    if isinstance(entry, bool):
-        raise InputError(f"bad complex entry {entry!r}")
-    if isinstance(entry, (int, float)):
+    if _is_number(entry):
         value = complex(entry)
-    elif (isinstance(entry, (list, tuple)) and len(entry) == 2
-            and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in entry)):
+    elif isinstance(entry, (list, tuple)) and len(entry) == 2 and all(map(_is_number, entry)):
         value = complex(entry[0], entry[1])
     else:
         raise InputError(f"bad complex entry {entry!r} (expected number or [re, im])")
@@ -305,17 +304,13 @@ def parse_moments(text: str, tol: Tolerances = DEFAULT_TOL) -> MomentSequence:
         if key not in obj:
             raise InputError(f"input document is missing the '{key}' field")
     N, d = obj["N"], obj["d"]
-    if not isinstance(N, int) or not isinstance(d, int):
+    if not all(isinstance(v, int) and not isinstance(v, bool) for v in (N, d)):
         raise InputError("'N' and 'd' must be integers")
     raw = obj["moments"]
     if not isinstance(raw, list):
         raise InputError("'moments' must be a list of matrices")
     matrices = [matrix_from_json(entry) for entry in raw]
     return MomentSequence.from_matrices(N, d, matrices, tol)
-
-
-def serialize_moments(ms: MomentSequence) -> str:
-    return dumps(ms.to_json_obj())
 
 
 def _format_float(x: float) -> str:

@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 from matmom import (AtomicMeasure, MomentSequence, analyze, assemble_coefficients,
                     check_constant_admissible)
 from matmom.errors import ParameterError
+from matmom.moment_model import DEFAULT_TOL
 from matmom.nevanlinna import extension_matrix, random_unitary
 
 
@@ -103,6 +106,68 @@ def pick_parameter(rng, state, nc, min_fixed_dist=0.1, tries=48):
             continue
         return cand
     raise ParameterError("no well-separated admissible unitary found")
+
+
+# ---------------------------------------------------------------------------
+# Column-by-column references for the Gram-Schmidt split and the gap layer
+# ---------------------------------------------------------------------------
+
+def mgs_reference(mat, rank_tol=DEFAULT_TOL.rank_tol):
+    """Left-looking MGS of the columns: (vectors, source indices, expansions) of the survivors."""
+    r, m = mat.shape
+    basis, expans, sources = [], [], []
+    for idx in range(m):
+        w = mat[:, idx].astype(complex)
+        exp = np.zeros(m, dtype=complex)
+        exp[idx] = 1.0
+        scale = max(1.0, float(np.linalg.norm(w)))
+        for sweep in range(2):
+            if sweep and np.linalg.norm(w) > math.sqrt(rank_tol) * scale:
+                break
+            for q, eq in zip(basis, expans):
+                c = np.vdot(q, w)
+                w, exp = w - c * q, exp - c * eq
+        norm_out = float(np.linalg.norm(w))
+        if norm_out > rank_tol * scale:
+            basis.append(w / norm_out)
+            expans.append(exp / norm_out)
+            sources.append(idx)
+    return (np.column_stack(basis) if basis else np.zeros((r, 0), dtype=complex),
+            tuple(sources), np.array(expans).reshape(len(sources), m))
+
+
+def point_reference(rep, bases, lam, tol=DEFAULT_TOL):
+    """(shift matrix, invertible, W or None) at one lam, from mgs_reference.
+
+    The per-point oracle of the closed-form gap layer: the matrix of A - lam between the
+    domain basis and the orthonormalized shifted range, its invertibility, and W~(lam)."""
+    seq = gap_sequences(rep, [lam])[0]
+    vectors, sources, _ = mgs_reference(seq, tol.rank_tol)
+    dN = rep.dN
+    in_range = np.array(sources) < dN
+    # (A - lam) f_j for the domain basis, read off the shifted sequence x_{k+N} - lam x_k
+    images = seq[:, :dN] @ bases.domain.expansions[:, :dN].T
+    m_shift = vectors[:, in_range].conj().T @ images
+    invertible = m_shift.shape[0] == m_shift.shape[1] > 0
+    if invertible:
+        svals = np.linalg.svd(m_shift, compute_uv=False)
+        invertible = svals[-1] > tol.inv_tol * max(1.0, svals[0])
+    if not invertible:
+        return m_shift, False, None
+    defect = vectors[:, ~in_range]
+    assert defect.shape[1] == bases.delta
+    m_s = bases.defect_basis.vectors.conj().T @ defect
+    m_q = bases.codefect_basis.vectors.conj().T @ defect
+    return m_shift, True, (lam + 1j) / (lam - 1j) * (m_q @ np.linalg.inv(m_s))
+
+
+def gap_sequences(rep, lams):
+    """The (n, r, dN+N) stack [x_{k+N} - lam x_k for k < dN, x_0..x_{N-1}] at each lam."""
+    dN = rep.dN
+    return np.stack([
+        np.concatenate([rep.X[:, rep.N: rep.N + dN] - lam * rep.X[:, :dN], rep.X[:, : rep.N]],
+                       axis=1)
+        for lam in lams])
 
 
 # ---------------------------------------------------------------------------

@@ -15,14 +15,13 @@ from numpy.polynomial.polynomial import polyval
 from matmom import (MomentSequence, analyze, assemble_coefficients, build_block_hankel,
                     build_determinate_model, canonical_solution, check_constant_admissible,
                     check_gap_class, check_solvable, evaluate_transform, forbidden_matrix,
-                    gap_solvable_search, invert_transform, regular_type_check,
-                    solve_determinate, transform_via_resolvent, verify_gap, verify_moments,
-                    w_tilde, GapSpec)
+                    gap_solvable_search, invert_transform, solve_determinate,
+                    transform_via_resolvent, verify_gap, verify_moments, w_tilde, GapSpec)
 from matmom.gap import analyze_gap
 
 from conftest import (example21_matrices, golden_B, golden_D, golden_k,
                       golden_shift_matrix, golden_transform, golden_w_tilde,
-                      moments_from_measure, pick_parameter, random_measure)
+                      moments_from_measure, pick_parameter, point_reference, random_measure)
 
 
 def _report(n, text):
@@ -125,7 +124,7 @@ def test_criterion_5_gap_golden():
     grid = np.linspace(-1.0, 1.0, 103)[1:-1]
     assert grid.size == 101
     for lam in grid:
-        m, invertible = regular_type_check(state.rep, state.bases, lam)
+        m, invertible, _ = point_reference(state.rep, state.bases, lam)
         assert invertible
         assert np.abs(m - golden_shift_matrix(lam)).max() <= 1e-10
         w = w_tilde(state.rep, state.bases, lam)

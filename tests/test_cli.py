@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from matmom import serialize_moments
+from matmom.moment_model import dumps
 
 from conftest import golden_B, golden_C, golden_D, golden_k, golden_transform
 from test_assemble_batched import jittered_moments
@@ -468,13 +468,13 @@ def test_numerical_failures_exit_3(doc_path, tmp_path):
         assert json.loads(proc.stdout)["verify"]["passed"] is False
     # a Cayley-norm RankError: N=3, d=12, whose Cayley images miss norm 1 by about 3e-3
     path = tmp_path / "cayley.json"
-    path.write_text(serialize_moments(jittered_moments(0, n_dim=3, d=12, n_atoms=15)))
+    path.write_text(dumps(jittered_moments(0, n_dim=3, d=12, n_atoms=15).to_json_obj()))
     proc = run_cli("parametrize", str(path))
     assert proc.returncode == 3
     assert json.loads(proc.stdout)["error"].startswith("Cayley image norms deviate from 1")
     # the N=4, d=6 instance with tau=24, beyond the former monomial interpolation
     path = tmp_path / "tau24.json"
-    path.write_text(serialize_moments(jittered_moments(0)))
+    path.write_text(dumps(jittered_moments(0).to_json_obj()))
     proc = run_cli("parametrize", str(path))
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["tau"] == 24
@@ -498,6 +498,28 @@ def test_non_finite_measure_weight_rejected(doc_path, tmp_path):
     proc = run_cli("verify", doc_path("ex21"), "--measure", str(mpath))
     assert proc.returncode == 1 and proc.stdout == ""
     assert "not finite" in proc.stderr
+
+
+def test_bool_dimensions_rejected(tmp_path):
+    # JSON true is not the integer 1
+    for key in ("N", "d"):
+        path = tmp_path / f"{key}.json"
+        path.write_text(POINT_MASS_DOC.replace(f'"{key}": 1', f'"{key}": true'))
+        proc = run_cli("inspect", str(path))
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert "'N' and 'd' must be integers" in proc.stderr
+
+
+def test_non_number_atom_location_rejected(doc_path, tmp_path):
+    # read as -1 and 1, these atoms would reproduce the moments; neither a string nor a bool
+    # is an atom location
+    for lo, hi in (('"-1"', "1"), ("-1", "true")):
+        mpath = tmp_path / "measure.json"
+        mpath.write_text('{"atoms": [{"t": %s, "W": [[[1, 0]]]}, '
+                         '{"t": %s, "W": [[[1, 0]]]}]}' % (lo, hi))
+        proc = run_cli("verify", doc_path("two_atom"), "--measure", str(mpath))
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert "atom location must be a number" in proc.stderr
 
 
 def test_non_finite_z_rejected(doc_path):

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from matmom import (MomentSequence, ParameterError, analyze, build_determinate_model,
-                    solve_determinate, stieltjes_determinate, verify_moments)
+                    solve_determinate, verify_moments)
+from matmom.determinate import resolvent_transform
 from matmom.errors import EvaluationError
 
 from conftest import moments_from_measure, random_measure
@@ -30,7 +31,7 @@ def test_zero_problem_empty_model():
     dm = build_determinate_model(state.rep, state.bases)
     assert dm.kappa == 0
     assert solve_determinate(dm).size == 0
-    assert np.all(stieltjes_determinate(dm, 1j) == 0)
+    assert np.all(resolvent_transform(dm.MA, dm.R, 1j) == 0)
 
 
 def test_two_symmetric_atoms():
@@ -54,9 +55,9 @@ def test_indeterminate_rejected(ex21):
 def test_stieltjes_point_mass(point_mass_state):
     _, state = point_mass_state
     dm = build_determinate_model(state.rep, state.bases)
-    assert abs(stieltjes_determinate(dm, 1j) - 1j) < 1e-14
+    assert abs(resolvent_transform(dm.MA, dm.R, 1j) - 1j) < 1e-14
     with pytest.raises(EvaluationError):
-        stieltjes_determinate(dm, 2.0)
+        resolvent_transform(dm.MA, dm.R, 2.0)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -75,9 +76,9 @@ def test_oracle_round_trip(seed):
     assert verify_moments(solution, ms, 1e-8).passed
 
     # recovered atoms match the generator
-    pruned = solution.prune(1e-10)
-    assert pruned.size == measure.size
-    for (t1, w1), (t2, w2) in zip(pruned.atoms, measure.atoms):
+    pruned = [(t, w) for t, w in solution.atoms if np.trace(w).real > 1e-10]
+    assert len(pruned) == measure.size
+    for (t1, w1), (t2, w2) in zip(pruned, measure.atoms):
         assert abs(t1 - t2) < 1e-8
         assert np.abs(w1 - w2).max() < 1e-8
 
@@ -86,6 +87,6 @@ def test_oracle_round_trip(seed):
     for z in zs:
         direct = sum((w.T / (t - z) for t, w in solution.atoms),
                      np.zeros((n_dim, n_dim), dtype=complex))
-        via_model = stieltjes_determinate(dm, z)
+        via_model = resolvent_transform(dm.MA, dm.R, z)
         scale = np.abs(direct).max() + 1.0
         assert np.abs(via_model - direct).max() / scale < 1e-9

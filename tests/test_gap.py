@@ -3,11 +3,12 @@ import pytest
 
 from matmom import (AtomicMeasure, GapSpec, ParameterError, analyze, analyze_gap,
                     assemble_coefficients, canonical_solution, check_gap_class,
-                    find_admissible_unitary, forbidden_matrix, gap_basis, gap_solvable_search,
-                    regular_type_check, verify_gap, verify_moments, w_tilde)
+                    find_admissible_unitary, forbidden_matrix, gap_solvable_search, verify_gap,
+                    verify_moments, w_tilde)
+from matmom.hilbert_space import orthonormal_split
 
-from conftest import (golden_shift_matrix, golden_w_tilde, indeterminate_states,
-                      moments_from_measure, random_measure)
+from conftest import (gap_sequences, golden_shift_matrix, golden_w_tilde, indeterminate_states,
+                      moments_from_measure, point_reference, random_measure)
 
 
 @pytest.fixture(scope="module")
@@ -23,7 +24,7 @@ def test_gap_basis_golden(ex21):
     rep = ex21.rep
     X = rep.X
     lam = 0.37
-    range_part, defect_part = gap_basis(rep, lam)
+    range_part, defect_part = orthonormal_split(gap_sequences(rep, [lam])[0], rep.dN)
     denom = np.sqrt(lam * lam - 3 * lam + 3)
     g0 = (np.sqrt(3) / denom) * (X[:, 2] - lam * X[:, 0])
     g1 = (1.0 / (1.0 - lam)) * (X[:, 3] - lam * X[:, 1])
@@ -35,7 +36,7 @@ def test_gap_basis_golden(ex21):
 
 
 def test_gap_basis_at_zero(ex21):
-    range_part, _ = gap_basis(ex21.rep, 0.0)
+    range_part, _ = orthonormal_split(gap_sequences(ex21.rep, [0.0])[0], ex21.rep.dN)
     X = ex21.rep.X
     # shifted sequence reduces to the upper half of the generating vectors
     for col, src in zip(range_part.vectors.T, (2, 3)):
@@ -45,20 +46,20 @@ def test_gap_basis_at_zero(ex21):
 
 def test_regular_type_golden_grid(ex21):
     for lam in np.linspace(-1, 1, 103)[1:-1]:
-        m, invertible = regular_type_check(ex21.rep, ex21.bases, lam)
+        m, invertible, _ = point_reference(ex21.rep, ex21.bases, lam)
         assert invertible
         assert np.abs(m - golden_shift_matrix(lam)).max() < 1e-10
 
 
 def test_regular_type_fails_at_one(ex21):
     # the mandatory unit atom makes lambda = 1 a non-regular point
-    _, invertible = regular_type_check(ex21.rep, ex21.bases, 1.0)
+    _, invertible, _ = point_reference(ex21.rep, ex21.bases, 1.0)
     assert not invertible
 
 
 def test_regular_type_far_from_spectrum(ex21):
     for lam in (-50.0, 75.0):
-        _, invertible = regular_type_check(ex21.rep, ex21.bases, lam)
+        _, invertible, _ = point_reference(ex21.rep, ex21.bases, lam)
         assert invertible
 
 
@@ -184,7 +185,7 @@ def test_w_tilde_unitary_on_random_instances():
         a, b = max(zip(locs, locs[1:]), key=lambda p: p[1] - p[0])
         lam_samples = np.linspace(a + 0.25 * (b - a), b - 0.25 * (b - a), 7)
         for lam in lam_samples:
-            _, invertible = regular_type_check(state.rep, state.bases, lam)
+            _, invertible, _ = point_reference(state.rep, state.bases, lam)
             if not invertible:
                 continue
             w = w_tilde(state.rep, state.bases, lam)

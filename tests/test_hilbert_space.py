@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from matmom import (MomentSequence, analyze, build_block_hankel, classify_determinacy,
-                    factor_gram, orthonormalize)
+                    factor_gram)
 from matmom.hilbert_space import orthonormal_split
 
 from conftest import moments_from_measure, random_measure
@@ -46,7 +46,7 @@ def test_gram_fidelity_complex_instance():
 
 
 def test_orthonormalize_example21(ex21):
-    gs = orthonormalize(ex21.rep.X)
+    gs = orthonormal_split(ex21.rep.X, ex21.rep.X.shape[1])[0]
     assert gs.source_indices == (0, 1, 2)  # x_3 is dependent
     root3 = np.sqrt(3.0)
     assert np.abs(gs.expansions[0] - np.array([root3, 0, 0, 0])).max() < 1e-12
@@ -57,19 +57,19 @@ def test_orthonormalize_example21(ex21):
 
 
 def test_orthonormalize_edge_cases():
-    empty = orthonormalize(np.zeros((3, 0)))
+    empty = orthonormal_split(np.zeros((3, 0)), 0)[0]
     assert empty.size == 0
     v = np.array([[1.0], [0.0]])
-    twice = orthonormalize(np.hstack([v, v]))
+    twice = orthonormal_split(np.hstack([v, v]), 2)[0]
     assert twice.size == 1 and twice.source_indices == (0,)
-    zero_in = orthonormalize(np.zeros((2, 3)))
+    zero_in = orthonormal_split(np.zeros((2, 3)), 3)[0]
     assert zero_in.size == 0
 
 
 def test_orthonormalize_expansion_consistency():
     rng = np.random.default_rng(2)
     vecs = rng.normal(size=(5, 4)) + 1j * rng.normal(size=(5, 4))
-    gs = orthonormalize(vecs)
+    gs = orthonormal_split(vecs, vecs.shape[1])[0]
     recon = vecs @ gs.expansions.T
     assert np.abs(recon - gs.vectors).max() < 1e-12
 
@@ -79,7 +79,7 @@ def test_orthonormal_split_partitions_survivors():
     rng = np.random.default_rng(5)
     vecs = rng.normal(size=(4, 6)) + 1j * rng.normal(size=(4, 6))
     vecs[:, 1] = 2.0 * vecs[:, 0]  # dropped, and inside the lead part for n_lead = 3
-    whole = orthonormalize(vecs)
+    whole = orthonormal_split(vecs, vecs.shape[1])[0]
     assert whole.source_indices == (0, 2, 3, 4)
     for n_lead in (0, 3, 6):
         lead, rest = orthonormal_split(vecs, n_lead)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from matmom import (AtomicMeasure, GapSpec, InputError, MomentSequence, Tolerances,
-                    parse_moments, serialize_moments, verify_moments)
+                    parse_moments, verify_moments)
 from matmom.moment_model import dumps, matrix_from_json, matrix_to_json
 
 from conftest import example21_matrices, moments_from_measure, random_measure
@@ -35,7 +35,7 @@ def test_parse_zero_sequence():
 
 def test_parse_round_trip_identity():
     ms = parse_moments(EX21_DOC)
-    again = parse_moments(serialize_moments(ms))
+    again = parse_moments(dumps(ms.to_json_obj()))
     assert again.N == ms.N and again.d == ms.d
     for a, b in zip(again.moments, ms.moments):
         assert np.array_equal(a, b)
@@ -114,6 +114,8 @@ def test_atomic_measure_validation():
         AtomicMeasure.from_atoms([(0.0, np.array([[-1.0]]))])
     with pytest.raises(InputError, match="not Hermitian"):
         AtomicMeasure.from_atoms([(0.0, np.array([[0.0, 1.0], [0.0, 0.0]]))])
+    with pytest.raises(InputError, match="an 'atoms' list"):
+        AtomicMeasure.from_json_obj({"atoms": 5})
     # sorting and merging of coincident support points
     m = AtomicMeasure.from_atoms([(2.0, np.eye(1)), (1.0, np.eye(1)), (1.0, np.eye(1))])
     assert [t for t, _ in m.atoms] == [1.0, 2.0]
