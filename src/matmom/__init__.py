@@ -25,7 +25,7 @@ from .nevanlinna import (NevanlinnaCoefficients, SampledDistribution, assemble_c
                          find_admissible_unitary, forbidden_matrix, invert_transform,
                          transform_via_resolvent)
 from .gap import (GapAnalysis, GapClassDecision, GapSearchResult, analyze_gap,
-                  check_gap_class, gap_solvable_search, verify_gap, w_tilde)
+                  check_gap_class, gap_solvable_search, verify_gap)
 
 __all__ = [
     "AtomicMeasure", "BasisCollection", "DeterminateModel", "EvaluationError",
@@ -40,7 +40,7 @@ __all__ = [
     "classify_determinacy", "evaluate_transform", "factor_gram",
     "find_admissible_unitary", "forbidden_matrix", "gap_solvable_search",
     "invert_transform", "parse_moments", "solve_determinate", "transform_via_resolvent",
-    "verify_gap", "verify_moments", "w_tilde",
+    "verify_gap", "verify_moments",
 ]
 
 

@@ -256,6 +256,8 @@ def _cmd_gap_check(args, tol) -> int:
 def _cmd_gap_solve(args, tol) -> int:
     if args.budget < 1:
         raise InputError(f"--budget must be at least 1, got {args.budget}")
+    if args.seed < 0:
+        raise InputError(f"--seed must be non-negative, got {args.seed}")
     state, spec = _analyze(args, tol)
     if state.determinate:
         measure = _unique_solution(state)

@@ -1,8 +1,9 @@
-"""Explicit unique solution in the determinate case.
+"""The one Cayley path to atomic solutions, and the unique one of a determinate problem.
 
-When the shift operator is self-adjoint its spectral decomposition
-yields the one and only solution directly: atoms at the eigenvalues,
-weights from the compressed eigenprojections.
+A determinate problem (delta = 0) has a unitary Cayley isometry V = (A+i)(A-i)^{-1},
+and the shift A is its Cayley inverse; a canonical solution takes the same inverse of
+a unitary extension U_F of V (nevanlinna.extension_operator).  spectral_measure reads
+the atoms off either Hermitian matrix.
 """
 
 from __future__ import annotations
@@ -12,34 +13,34 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EvaluationError, ParameterError
-from .hilbert_space import BasisCollection, HilbertRep, ip_matrix, shifted_domain_images
+from .hilbert_space import BasisCollection, HilbertRep
 from .moment_model import AtomicMeasure, hermitize
 
 
 @dataclass(frozen=True, eq=False)
 class DeterminateModel:
-    """Matrix data of the self-adjoint shift in its domain basis.
+    """The self-adjoint shift MA in ambient coordinates, its domain the whole space
+    (kappa = r), and R, the first block x_0 .. x_{N-1} (rep.first_block())."""
 
-    R holds the inner products (x_k, f_j); MA is the Hermitian matrix of
-    the shift operator itself.
-    """
-
-    R: np.ndarray   # (kappa, N)
-    MA: np.ndarray  # (kappa, kappa)
-
-    @property
-    def kappa(self) -> int:
-        return self.MA.shape[0]
+    R: np.ndarray   # (r, N)
+    MA: np.ndarray  # (r, r)
 
 
 def build_determinate_model(rep: HilbertRep, bases: BasisCollection) -> DeterminateModel:
+    """The shift as the Cayley inverse of V = sum_j v_j u_j*, the Cayley isometry,
+    unitary when delta = 0 (nevanlinna.extension_matrix with the empty parameter).
+    V = (A + i)(A - i)^{-1} has no eigenvalue 1, so there is no fixed-point test."""
     if bases.kappa_prime != 0:
         raise ParameterError("moment problem is indeterminate; determinate model unavailable")
-    f = bases.domain.vectors
-    R = ip_matrix(f, rep.first_block())
-    images = shifted_domain_images(rep, bases.domain.expansions)
-    MA = hermitize(ip_matrix(f, images))
-    return DeterminateModel(R=R, MA=MA)
+    # a contiguous R keeps spectral_measure's products on BLAS, not numpy's strided loop
+    return DeterminateModel(R=rep.first_block().copy(),
+                            MA=cayley_inverse(bases.cayley @ bases.range_basis.vectors.conj().T))
+
+
+def cayley_inverse(u: np.ndarray) -> np.ndarray:
+    """The Hermitian A = i (U - I)^{-1} (U + I) of a unitary U without eigenvalue 1."""
+    eye = np.eye(u.shape[0])
+    return hermitize(1j * np.linalg.solve(u - eye, u + eye))
 
 
 def spectral_measure(a: np.ndarray, xc: np.ndarray) -> AtomicMeasure:

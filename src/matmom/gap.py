@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .determinate import spectral_measure
-from .errors import ParameterError, RankError
+from .errors import ParameterError
 from .hilbert_space import BasisCollection, HilbertRep
 from .moment_model import AtomicMeasure, DEFAULT_TOL, GapSpec, Tolerances
 from .nevanlinna import (NevanlinnaCoefficients, _checked_extension, check_constant_admissible,
@@ -32,9 +32,9 @@ from .solvability import block_hankel
 class GapAnalysis:
     """Closed-form gap data.  u is the colligation as one r x r matrix, poles (tau,)
     the eigenvalues of its block a0 and residues[j] (delta, delta) the term of G at
-    pole j; non_regular holds the sorted non-regular lam inside the gap.  Row i of
-    invertible (n,) and w_tilde (n, delta, delta) tabulates grid[i], by default the
-    gap's finite endpoints; w_tilde is NaN where lam is not of regular type."""
+    pole j; non_regular holds the sorted non-regular lam inside the gap.  grid (n,)
+    holds the gap's finite endpoints, and row i of invertible (n,) and w_tilde
+    (n, delta, delta) tabulates grid[i]; w_tilde is NaN where lam is not of regular type."""
 
     spec: GapSpec
     u: np.ndarray
@@ -74,13 +74,9 @@ def _real_points(mu: np.ndarray) -> np.ndarray:
         return (1j * (mu + 1.0) / (mu - 1.0)).real
 
 
-def _endpoints(spec: GapSpec) -> np.ndarray:
-    return np.array([e for pair in spec.intervals for e in pair if math.isfinite(e)], dtype=float)
-
-
 def analyze_gap(rep: HilbertRep, bases: BasisCollection, spec: GapSpec,
-                tol: Tolerances = DEFAULT_TOL, grid: np.ndarray | None = None) -> GapAnalysis:
-    """Closed-form gap data, W tabulated on grid (default: the gap's finite endpoints).
+                tol: Tolerances = DEFAULT_TOL) -> GapAnalysis:
+    """Closed-form gap data, W tabulated at the gap's finite endpoints.
 
     One eig of a0 = V diag(mu) V^{-1} gives the residues (Chat V)[:, j]
     (V^{-1} W)[j, :] of G.  Eigenvalues within inv_tol of the unit circle are
@@ -93,19 +89,10 @@ def analyze_gap(rep: HilbertRep, bases: BasisCollection, spec: GapSpec,
     non_regular = np.sort([lam for lam in _real_points(unimodular)
                            if spec.contains(lam, margin=tol.gap_tol)])
     u = np.block([[a0, w_mat], [chat, t_mat]])
-    grid = _endpoints(spec) if grid is None else np.asarray(grid, dtype=float)
+    grid = np.array([e for pair in spec.intervals for e in pair if math.isfinite(e)], dtype=float)
     invertible, w_all = _family(u, poles, residues, grid, tol)
     return GapAnalysis(spec=spec, u=u, poles=poles, residues=residues, non_regular=non_regular,
                        grid=grid, invertible=invertible, w_tilde=w_all)
-
-
-def w_tilde(rep: HilbertRep, bases: BasisCollection, lam: float,
-            tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """The moving unitary W(lam) = w G(w)^{-1}; RankError where lam is not of regular type."""
-    analysis = analyze_gap(rep, bases, GapSpec(intervals=()), tol, grid=np.array([float(lam)]))
-    if not analysis.invertible[0]:
-        raise RankError(f"lam={lam} is not of regular type")
-    return analysis.w_tilde[0]
 
 
 @dataclass(frozen=True)
@@ -181,14 +168,13 @@ def _try_candidate(rep, bases, F, xi, analysis, spec, tol):
     return measure if np.abs(recon - rep.gram()).max() <= tol.moment_tol else None
 
 
-def _arc_candidates(xi: np.ndarray, analysis: GapAnalysis, tol: Tolerances):
+def _arc_candidates(xi: np.ndarray, analysis: GapAnalysis):
     """One unimodular 1x1 parameter per arc between the boundary values W(e) at the
     gap's finite endpoints e and Xi = W(+-inf), widest arc first.  An atom enters or
     leaves the gap only where F passes a boundary value, so one angle decides its
     whole arc.  A non-finite W(e), at a non-regular endpoint, is skipped."""
-    invertible, w = _family(analysis.u, analysis.poles, analysis.residues,
-                            _endpoints(analysis.spec), tol)
-    cuts = np.sort(np.angle(np.append(w[invertible, 0, 0], xi[0, 0])))
+    w = analysis.w_tilde[analysis.invertible, 0, 0]
+    cuts = np.sort(np.angle(np.append(w, xi[0, 0])))
     widths = np.diff(cuts, append=cuts[0] + 2.0 * np.pi)
     return (np.array([[np.exp(1j * (cuts[k] + 0.5 * widths[k]))]])
             for k in np.argsort(-widths, kind="stable") if widths[k] > 0.0)
@@ -213,7 +199,7 @@ def gap_solvable_search(rep: HilbertRep, bases: BasisCollection,
     if not analysis.regular_type:
         return GapSearchResult(status="not_regular", witness=float(analysis.non_regular[0]))
     if bases.delta == 1:
-        candidates = _arc_candidates(nc.Xi, analysis, tol)
+        candidates = _arc_candidates(nc.Xi, analysis)
     else:
         rng = np.random.default_rng(seed)
         candidates = (random_unitary(rng, bases.delta) for _ in range(int(budget)))

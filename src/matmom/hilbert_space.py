@@ -152,16 +152,6 @@ def factor_gram(h: HankelPair, tol: Tolerances = DEFAULT_TOL, *, N: int, d: int)
     return rep
 
 
-def shifted_domain_images(rep: HilbertRep, expansions: np.ndarray) -> np.ndarray:
-    """Columns A f for domain vectors f given by expansion rows over x_0..x_{dN-1}.
-
-    The shift A maps x_k to x_{k+N}, so the image is read off by reindexing
-    the expansion; no linear solve is involved.
-    """
-    dN = rep.dN
-    return rep.X[:, rep.N: rep.N + dN] @ expansions[:, :dN].T
-
-
 @dataclass(frozen=True, eq=False)
 class OperatorModel:
     """Shift operator data: difference vectors y_k = x_{k+N} - i x_k, the
@@ -191,15 +181,15 @@ def build_operator_model(rep: HilbertRep, tol: Tolerances = DEFAULT_TOL) -> Oper
     """
     dN = rep.dN
     X = rep.X
-    y = X[:, rep.N: rep.N + dN] - 1j * X[:, :dN]
+    shifted, lead = X[:, rep.N: rep.N + dN], X[:, :dN]  # A x_k = x_{k+N} and x_k, k < dN
+    y = shifted - 1j * lead
     range_basis, defect_basis = orthonormal_split(np.concatenate([y, X[:, : rep.N]], axis=1),
                                                   dN, tol.rank_tol)
     tau = range_basis.size
     rho = sum(1 for s in range_basis.source_indices if s < rep.N)
 
-    z_plus = X[:, rep.N: rep.N + dN] + 1j * X[:, :dN]
     coeff = range_basis.expansions[:, :dN]  # u_j only involves the difference vectors
-    cayley = z_plus @ coeff.T
+    cayley = (shifted + 1j * lead) @ coeff.T
     if tau:
         norm_err = float(np.abs(np.linalg.norm(cayley, axis=0) - 1.0).max(initial=0.0))
         if norm_err > tol.rank_tol:

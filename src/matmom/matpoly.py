@@ -13,14 +13,17 @@ import numpy as np
 
 from .errors import InputError
 
+TRIM_REL_TOL = 1e-12  # trailing coefficients this small relative to the largest are dropped
 
-def poly_trim(coeffs: np.ndarray, rel_tol: float = 1e-12) -> np.ndarray:
+
+def poly_trim(coeffs: np.ndarray) -> np.ndarray:
+    """Coefficients up to the last one above TRIM_REL_TOL times the largest; [0] if none."""
     coeffs = np.asarray(coeffs, dtype=complex)
     mags = np.abs(coeffs)
     top = float(mags.max(initial=0.0))
     if top == 0.0:
         return np.zeros(1, dtype=complex)
-    keep = np.nonzero(mags > rel_tol * top)[0]
+    keep = np.nonzero(mags > TRIM_REL_TOL * top)[0]
     return coeffs[: keep[-1] + 1].copy()
 
 
@@ -53,18 +56,10 @@ class MatrixPolynomial:
     def shape(self) -> tuple:
         return self.coeffs.shape[1:]
 
-    @property
-    def degree(self) -> int:
-        return self.coeffs.shape[0] - 1
-
-    def trim(self, rel_tol: float = 1e-12) -> "MatrixPolynomial":
-        mags = np.abs(self.coeffs).reshape(self.coeffs.shape[0], -1).max(axis=1) \
-            if self.coeffs[0].size else np.zeros(self.coeffs.shape[0])
-        top = float(mags.max(initial=0.0))
-        if top == 0.0:
-            return MatrixPolynomial(self.coeffs[:1] * 0.0)
-        keep = np.nonzero(mags > rel_tol * top)[0]
-        return MatrixPolynomial(self.coeffs[: keep[-1] + 1].copy())
+    def trim(self) -> "MatrixPolynomial":
+        """poly_trim's rule on the largest |entry| of each coefficient."""
+        mags = np.abs(self.coeffs).reshape(self.coeffs.shape[0], -1).max(axis=1, initial=0.0)
+        return MatrixPolynomial(self.coeffs[: poly_trim(mags).size].copy())
 
     def __call__(self, z) -> np.ndarray:
         """Evaluate at scalar or array z; returns shape z.shape + (p, q).

@@ -30,16 +30,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .determinate import resolvent_transform, spectral_measure
+from .determinate import cayley_inverse, resolvent_transform, spectral_measure
 from .errors import EvaluationError, ParameterError, RankError
 from .hilbert_space import BasisCollection, HilbertRep, ip_matrix
 from .matpoly import MatrixPolynomial, poly_times, poly_trim
-from .moment_model import AtomicMeasure, DEFAULT_TOL, Tolerances, hermitize
+from .moment_model import AtomicMeasure, DEFAULT_TOL, Tolerances
 
 FIXED_POINT_TOL = 1e-8  # unitary extension eigenvalues this close to 1 are rejected
 SAMPLE_BLOCK = 1024     # callable parameter values held at once: one small array per point
 SPOT_POINTS = 8         # per-point calls that check a whole-array call of a callable parameter
 SPOT_ULPS = 4.0         # the difference allowed there, in eps * max(1, largest |F(z)| entry)
+ADMISSIBLE_SEED = 0     # seed of find_admissible_unitary's Haar candidates when delta > 1
+ADMISSIBLE_TRIES = 128  # candidates find_admissible_unitary tests before it gives up
 
 
 @dataclass(frozen=True, eq=False)
@@ -655,10 +657,7 @@ def _checked_extension(bases: BasisCollection, F: np.ndarray, admissible: bool) 
         raise ParameterError(
             f"extension has fixed points (eigenvalue within {fixed_dist:.3e} of 1); "
             "parameter rejected")
-
-    eye = np.eye(u_ext.shape[0])
-    a_ext = 1j * np.linalg.solve(u_ext - eye, u_ext + eye)
-    return hermitize(a_ext)
+    return cayley_inverse(u_ext)
 
 
 def canonical_solution(rep: HilbertRep, bases: BasisCollection, F,
@@ -691,16 +690,15 @@ def random_unitary(rng: np.random.Generator, delta: int) -> np.ndarray:
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
 
 
-def find_admissible_unitary(Xi: np.ndarray, tol: Tolerances = DEFAULT_TOL,
-                            seed: int = 0, tries: int = 128) -> np.ndarray:
+def find_admissible_unitary(Xi: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Deterministically search for an admissible unitary constant parameter."""
     delta = Xi.shape[0]
     if delta == 1:
         golden = 2.0 * np.pi * (np.sqrt(5.0) - 1.0) / 2.0
-        candidates = (np.array([[np.exp(1j * (0.0 + j * golden))]]) for j in range(tries))
+        candidates = (np.array([[np.exp(1j * j * golden)]]) for j in range(ADMISSIBLE_TRIES))
     else:
-        rng = np.random.default_rng(seed)
-        candidates = (random_unitary(rng, delta) for _ in range(tries))
+        rng = np.random.default_rng(ADMISSIBLE_SEED)
+        candidates = (random_unitary(rng, delta) for _ in range(ADMISSIBLE_TRIES))
     for F in candidates:
         if check_constant_admissible(F, Xi, tol):
             return F

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from matmom import (AtomicMeasure, MomentSequence, analyze, assemble_coefficients,
-                    check_constant_admissible)
+from matmom import (AtomicMeasure, GapSpec, MomentSequence, analyze, analyze_gap,
+                    assemble_coefficients, check_constant_admissible)
 from matmom.errors import ParameterError
+from matmom.gap import _family
 from matmom.moment_model import DEFAULT_TOL
 from matmom.nevanlinna import extension_matrix, random_unitary
 
@@ -159,6 +160,14 @@ def point_reference(rep, bases, lam, tol=DEFAULT_TOL):
     m_s = bases.defect_basis.vectors.conj().T @ defect
     m_q = bases.codefect_basis.vectors.conj().T @ defect
     return m_shift, True, (lam + 1j) / (lam - 1j) * (m_q @ np.linalg.inv(m_s))
+
+
+def w_tilde_table(rep, bases, lams, tol=DEFAULT_TOL):
+    """(invertible, W) of the closed-form gap layer at the finite real lams: gap._family
+    on the colligation of analyze_gap.  W is NaN where lam is not of regular type."""
+    analysis = analyze_gap(rep, bases, GapSpec(intervals=()), tol)
+    return _family(analysis.u, analysis.poles, analysis.residues,
+                   np.atleast_1d(np.asarray(lams, dtype=float)), tol)
 
 
 def gap_sequences(rep, lams):

@@ -16,12 +16,13 @@ from matmom import (MomentSequence, analyze, assemble_coefficients, build_block_
                     build_determinate_model, canonical_solution, check_constant_admissible,
                     check_gap_class, check_solvable, evaluate_transform, forbidden_matrix,
                     gap_solvable_search, invert_transform, solve_determinate,
-                    transform_via_resolvent, verify_gap, verify_moments, w_tilde, GapSpec)
+                    transform_via_resolvent, verify_gap, verify_moments, GapSpec)
 from matmom.gap import analyze_gap
 
 from conftest import (example21_matrices, golden_B, golden_D, golden_k,
                       golden_shift_matrix, golden_transform, golden_w_tilde,
-                      moments_from_measure, pick_parameter, point_reference, random_measure)
+                      moments_from_measure, pick_parameter, point_reference, random_measure,
+                      w_tilde_table)
 
 
 def _report(n, text):
@@ -127,11 +128,12 @@ def test_criterion_5_gap_golden():
         m, invertible, _ = point_reference(state.rep, state.bases, lam)
         assert invertible
         assert np.abs(m - golden_shift_matrix(lam)).max() <= 1e-10
-        w = w_tilde(state.rep, state.bases, lam)
-        assert abs(w[0, 0] - golden_w_tilde(lam)) <= 1e-9
+    regular, w = w_tilde_table(state.rep, state.bases, grid)
+    assert regular.all()
+    assert np.abs(w[:, 0, 0] - golden_w_tilde(grid)).max() <= 1e-9
 
     spec = GapSpec.parse("(-1,1)")
-    analysis = analyze_gap(state.rep, state.bases, spec, grid=grid)
+    analysis = analyze_gap(state.rep, state.bases, spec)
     xi = forbidden_matrix(state.bases)
     assert check_gap_class(np.array([[1.0]]), xi, analysis).accepted
 
@@ -222,8 +224,7 @@ def test_criterion_8_negative_controls(tmp_path):
     xi = forbidden_matrix(state.bases)
 
     # non-unitary parameter rejected by the gap class
-    grid = np.linspace(-1.0, 1.0, 53)[1:-1]
-    analysis = analyze_gap(state.rep, state.bases, GapSpec.parse("(-1,1)"), grid=grid)
+    analysis = analyze_gap(state.rep, state.bases, GapSpec.parse("(-1,1)"))
     decision = check_gap_class(np.array([[0.5]]), xi, analysis)
     assert not decision.accepted
     assert any(code == "B" for _, code in decision.failures)

@@ -5,9 +5,11 @@ import sys
 import numpy as np
 import pytest
 
+from matmom import analyze
 from matmom.moment_model import dumps
 
-from conftest import golden_B, golden_C, golden_D, golden_k, golden_transform
+from conftest import (golden_B, golden_C, golden_D, golden_k, golden_transform,
+                      moments_from_measure, random_measure)
 from test_assemble_batched import jittered_moments
 
 EX21_DOC = json.dumps({
@@ -534,6 +536,19 @@ def test_gap_solve_budget_below_one_rejected(doc_path):
         proc = run_cli("gap-solve", doc_path("ex21"), "--delta", "(0.5,0.6)", "--budget", budget)
         assert proc.returncode == 1 and proc.stdout == ""
         assert "--budget must be at least 1" in proc.stderr
+
+
+def test_gap_solve_negative_seed_rejected(doc_path, tmp_path):
+    # delta = 1 never draws from the seed and delta = 2 seeds its Haar candidates with it;
+    # a negative seed is an input error either way
+    ms = moments_from_measure(random_measure(np.random.default_rng(7101), 2, 5), 2, 2)
+    assert analyze(ms).bases.delta == 2
+    delta2 = tmp_path / "delta2.json"
+    delta2.write_text(dumps(ms.to_json_obj()))
+    for path in (doc_path("ex21"), str(delta2)):
+        proc = run_cli("gap-solve", path, "--delta", "(0.2,0.3)", "--seed", "-1")
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert "--seed must be non-negative" in proc.stderr
 
 
 WRONG_SIZE_F = "[[[1,0],[0,0]],[[0,0],[1,0]]]"  # 2x2; the golden input has delta = 1

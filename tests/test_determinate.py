@@ -29,7 +29,7 @@ def test_zero_problem_empty_model():
     ms = MomentSequence.from_matrices(1, 1, [np.zeros((1, 1))] * 3)
     state = analyze(ms)
     dm = build_determinate_model(state.rep, state.bases)
-    assert dm.kappa == 0
+    assert dm.MA.shape == (0, 0)
     assert solve_determinate(dm).size == 0
     assert np.all(resolvent_transform(dm.MA, dm.R, 1j) == 0)
 
@@ -39,7 +39,7 @@ def test_two_symmetric_atoms():
     ms, state = analyze_scalar(1.0, 0.0, 1.0, 0.0, 1.0, d=2)
     assert state.determinate
     dm = build_determinate_model(state.rep, state.bases)
-    assert dm.kappa == 2
+    assert dm.MA.shape == (2, 2)
     evals = np.linalg.eigvalsh(dm.MA)
     assert np.abs(evals - np.array([-1.0, 1.0])).max() < 1e-12
     measure = solve_determinate(dm)
@@ -60,19 +60,16 @@ def test_stieltjes_point_mass(point_mass_state):
         resolvent_transform(dm.MA, dm.R, 2.0)
 
 
-@pytest.mark.parametrize("seed", range(6))
-def test_oracle_round_trip(seed):
-    rng = np.random.default_rng(500 + seed)
-    n_dim = int(rng.integers(1, 4))
-    d = int(rng.integers(1, 3))
-    n_atoms = int(rng.integers(1, d + 1))  # few atoms keep the problem determinate
-    measure = random_measure(rng, n_dim, n_atoms)
+def check_round_trip(rng, n_dim, d, measure):
+    """The unique solution of the moments of measure reproduces them, recovers the
+    atoms and weights of measure, and has the transform of the determinate model,
+    which is returned."""
     ms = moments_from_measure(measure, n_dim, d)
     state = analyze(ms)
     assert state.determinate
     dm = build_determinate_model(state.rep, state.bases)
     solution = solve_determinate(dm)
-    assert solution.size <= dm.kappa
+    assert solution.size <= dm.MA.shape[0]
     assert verify_moments(solution, ms, 1e-8).passed
 
     # recovered atoms match the generator
@@ -90,3 +87,23 @@ def test_oracle_round_trip(seed):
         via_model = resolvent_transform(dm.MA, dm.R, z)
         scale = np.abs(direct).max() + 1.0
         assert np.abs(via_model - direct).max() / scale < 1e-9
+    return dm
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_oracle_round_trip(seed):
+    rng = np.random.default_rng(500 + seed)
+    n_dim = int(rng.integers(1, 4))
+    d = int(rng.integers(1, 3))
+    n_atoms = int(rng.integers(1, d + 1))  # few atoms keep the problem determinate
+    check_round_trip(rng, n_dim, d, random_measure(rng, n_dim, n_atoms))
+
+
+@pytest.mark.parametrize("n_dim, d", [(3, 4), (4, 6)], ids=["r12", "r24"])
+@pytest.mark.parametrize("seed", range(20))
+def test_oracle_round_trip_large(n_dim, d, seed):
+    """d full-rank atoms in [-1, 1] make r = dN = 12 and 24, the largest determinate
+    models of the benchmark ladder; min_gap 0.25 keeps the sampler fast at d = 6."""
+    rng = np.random.default_rng(900 + seed)
+    measure = random_measure(rng, n_dim, d, spread=1.0, min_gap=0.25)
+    assert check_round_trip(rng, n_dim, d, measure).MA.shape[0] == n_dim * d

@@ -4,18 +4,17 @@ import pytest
 from matmom import (AtomicMeasure, GapSpec, ParameterError, analyze, analyze_gap,
                     assemble_coefficients, canonical_solution, check_gap_class,
                     find_admissible_unitary, forbidden_matrix, gap_solvable_search, verify_gap,
-                    verify_moments, w_tilde)
+                    verify_moments)
 from matmom.hilbert_space import orthonormal_split
 
 from conftest import (gap_sequences, golden_shift_matrix, golden_w_tilde, indeterminate_states,
-                      moments_from_measure, point_reference, random_measure)
+                      moments_from_measure, point_reference, random_measure, w_tilde_table)
 
 
 @pytest.fixture(scope="module")
 def gap_setup(ex21):
     spec = GapSpec.parse("(-1,1)")
-    grid = np.linspace(-1.0, 1.0, 203)[1:-1]  # interior grid containing 0
-    analysis = analyze_gap(ex21.rep, ex21.bases, spec, grid=grid)
+    analysis = analyze_gap(ex21.rep, ex21.bases, spec)
     xi = forbidden_matrix(ex21.bases)
     return spec, analysis, xi
 
@@ -64,16 +63,17 @@ def test_regular_type_far_from_spectrum(ex21):
 
 
 def test_w_tilde_golden(ex21):
-    for lam in np.linspace(-1, 1, 103)[1:-1]:
-        w = w_tilde(ex21.rep, ex21.bases, lam)
-        assert abs(w[0, 0] - golden_w_tilde(lam)) < 1e-9
-        assert abs(abs(w[0, 0]) - 1.0) < 1e-10
-    assert abs(w_tilde(ex21.rep, ex21.bases, 0.0)[0, 0] - (-(27 + 36j) / 45)) < 1e-12
+    lams = np.linspace(-1, 1, 103)[1:-1]
+    invertible, w = w_tilde_table(ex21.rep, ex21.bases, lams)
+    assert invertible.all()
+    assert np.abs(w[:, 0, 0] - golden_w_tilde(lams)).max() < 1e-9
+    assert np.abs(np.abs(w[:, 0, 0]) - 1.0).max() < 1e-10
+    assert abs(w_tilde_table(ex21.rep, ex21.bases, 0.0)[1][0, 0, 0] - (-(27 + 36j) / 45)) < 1e-12
 
 
 def test_w_tilde_approaches_forbidden_matrix(ex21):
     xi = forbidden_matrix(ex21.bases)
-    w_far = w_tilde(ex21.rep, ex21.bases, 1e7)
+    w_far = w_tilde_table(ex21.rep, ex21.bases, 1e7)[1][0]
     assert np.abs(w_far - xi).max() < 1e-5
 
 
@@ -85,7 +85,7 @@ def test_check_gap_class_accepts_unit(gap_setup):
 
 def test_check_gap_class_rejects_matched_value(ex21, gap_setup):
     _, analysis, xi = gap_setup
-    w0 = w_tilde(ex21.rep, ex21.bases, 0.0)
+    w0 = w_tilde_table(ex21.rep, ex21.bases, 0.0)[1][0]
     decision = check_gap_class(w0, xi, analysis)
     assert not decision.accepted
     assert any(code == "C" and abs(lam) <= 1e-12 for lam, code in decision.failures)
@@ -106,9 +106,7 @@ def test_check_gap_class_rejects_contraction(gap_setup):
 
 def test_gap_class_monotone_under_shrinking(ex21, gap_setup):
     spec, analysis, xi = gap_setup
-    sub_grid = np.linspace(-0.5, 0.5, 101)
-    sub_analysis = analyze_gap(ex21.rep, ex21.bases, GapSpec.parse("(-0.5,0.5)"),
-                               grid=sub_grid)
+    sub_analysis = analyze_gap(ex21.rep, ex21.bases, GapSpec.parse("(-0.5,0.5)"))
     for phase in np.linspace(0, 2 * np.pi, 12, endpoint=False):
         F = np.array([[np.exp(1j * phase)]])
         if check_gap_class(F, xi, analysis).accepted:
@@ -188,8 +186,9 @@ def test_w_tilde_unitary_on_random_instances():
             _, invertible, _ = point_reference(state.rep, state.bases, lam)
             if not invertible:
                 continue
-            w = w_tilde(state.rep, state.bases, lam)
-            svals = np.linalg.svd(w, compute_uv=False)
+            regular, w = w_tilde_table(state.rep, state.bases, lam)
+            assert regular[0]
+            svals = np.linalg.svd(w[0], compute_uv=False)
             assert np.abs(svals - 1.0).max() < 1e-8
             checked += 1
     assert checked >= 10
