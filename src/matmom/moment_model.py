@@ -72,10 +72,27 @@ class MomentSequence:
     @staticmethod
     def from_matrices(N: int, d: int, matrices: Sequence[np.ndarray],
                       tol: Tolerances = DEFAULT_TOL) -> "MomentSequence":
+        if not (_is_integer(N) and _is_integer(d)):
+            raise InputError(f"N and d must be integers, got N={N!r}, d={d!r}")
         if N < 1 or d < 1:
             raise InputError(f"N and d must be positive integers, got N={N}, d={d}")
         if len(matrices) != 2 * d + 1:
             raise InputError(f"expected {2 * d + 1} moment matrices for d={d}, got {len(matrices)}")
+        try:
+            stack = np.array(matrices, dtype=complex)
+        except (TypeError, ValueError):  # ragged or non-numeric: the loop below names the culprit
+            stack = None
+        if stack is not None and stack.shape == (2 * d + 1, N, N):
+            adjoint = stack.conj().swapaxes(1, 2)
+            dev = np.abs(stack - adjoint).max(axis=(1, 2))
+            scale = 1.0 + np.abs(stack).max(axis=(1, 2))
+            # an inf entry can pass the Hermitian test as inf <= inf, so scale must be
+            # finite too; a NaN fails both
+            if ((dev <= tol.hermitian_tol * scale) & (scale < math.inf)).all():
+                # symmetrize so downstream eigensolvers see exactly Hermitian input
+                return MomentSequence(N=int(N), d=int(d), moments=tuple(0.5 * (stack + adjoint)))
+        # the stack failed: check each matrix in turn, so the error names the first
+        # offender (finite entries whose modulus overflows fail the stack but pass here)
         cleaned = []
         for n, raw in enumerate(matrices):
             m = np.asarray(raw, dtype=complex)
@@ -87,20 +104,12 @@ class MomentSequence:
             scale = 1.0 + float(np.abs(m).max(initial=0.0))
             if dev > tol.hermitian_tol * scale:
                 raise InputError(f"not Hermitian at n={n}: max deviation {dev:.3e}")
-            # symmetrize so downstream eigensolvers see exactly Hermitian input
             cleaned.append(hermitize(m))
-        return MomentSequence(N=N, d=d, moments=tuple(cleaned))
+        return MomentSequence(N=int(N), d=int(d), moments=tuple(cleaned))
 
     @property
     def count(self) -> int:
         return 2 * self.d + 1
-
-    def to_json_obj(self) -> dict:
-        return {
-            "N": self.N,
-            "d": self.d,
-            "moments": [matrix_to_json(m) for m in self.moments],
-        }
 
 
 @dataclass(frozen=True, eq=False)
@@ -257,8 +266,20 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _is_integer(value) -> bool:
+    """True for a Python or numpy integer that is not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+_JSON_REALS = (int, float)  # the types json.loads gives numbers; type(True) is bool
+
+
 def _as_complex(entry) -> complex:
-    if _is_number(entry):
+    # the common entry, an [re, im] list of two JSON numbers, is tested first
+    if (type(entry) is list and len(entry) == 2
+            and type(entry[0]) in _JSON_REALS and type(entry[1]) in _JSON_REALS):
+        value = complex(entry[0], entry[1])
+    elif _is_number(entry):
         value = complex(entry)
     elif isinstance(entry, (list, tuple)) and len(entry) == 2 and all(map(_is_number, entry)):
         value = complex(entry[0], entry[1])
@@ -285,7 +306,8 @@ def matrix_from_json(rows) -> np.ndarray:
 
 
 def matrix_to_json(m: np.ndarray) -> list:
-    return [[[float(v.real), float(v.imag)] for v in row] for row in np.asarray(m, dtype=complex)]
+    m = np.ascontiguousarray(m, dtype=complex)
+    return m.view(np.float64).reshape(m.shape + (2,)).tolist()
 
 
 def parse_moments(text: str, tol: Tolerances = DEFAULT_TOL) -> MomentSequence:
@@ -304,7 +326,7 @@ def parse_moments(text: str, tol: Tolerances = DEFAULT_TOL) -> MomentSequence:
         if key not in obj:
             raise InputError(f"input document is missing the '{key}' field")
     N, d = obj["N"], obj["d"]
-    if not all(isinstance(v, int) and not isinstance(v, bool) for v in (N, d)):
+    if not (_is_integer(N) and _is_integer(d)):
         raise InputError("'N' and 'd' must be integers")
     raw = obj["moments"]
     if not isinstance(raw, list):
@@ -322,6 +344,10 @@ def _format_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
+_FLOAT_ONLY = {float}
+_FLOAT_FORMAT = "{:.17g}".format
+
+
 def dumps(obj) -> str:
     """Deterministic JSON with every float printed to 17 significant digits.
 
@@ -330,6 +356,11 @@ def dumps(obj) -> str:
     if isinstance(obj, (float, np.floating)):
         return _format_float(float(obj))
     if isinstance(obj, (list, tuple)):
+        if set(map(type, obj)) == _FLOAT_ONLY:
+            text = ", ".join(map(_FLOAT_FORMAT, obj))
+            # .17g spells nan and inf with an n, which no finite float's digits contain
+            if "n" not in text:
+                return "[" + text + "]"
         return "[" + ", ".join([dumps(v) for v in obj]) + "]"
     if isinstance(obj, dict):
         parts = [f"{json.dumps(str(k))}: {dumps(v)}" for k, v in obj.items()]

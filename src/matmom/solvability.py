@@ -52,10 +52,12 @@ def block_hankel(moments, size: int, n_dim: int, shift: int = 0) -> np.ndarray:
 
 
 def build_block_hankel(ms: MomentSequence) -> HankelPair:
+    gamma_d = block_hankel(ms.moments, ms.d + 1, ms.N)
+    size = ms.d * ms.N
     return HankelPair(
-        gamma_d=block_hankel(ms.moments, ms.d + 1, ms.N),
+        gamma_d=gamma_d,
         gamma_hat=block_hankel(ms.moments, ms.d, ms.N, shift=2),
-        gamma_dm1=block_hankel(ms.moments, ms.d, ms.N),
+        gamma_dm1=gamma_d[:size, :size],  # the leading d x d blocks of gamma_d
     )
 
 

@@ -7,7 +7,7 @@ from matmom import (AtomicMeasure, GapSpec, MomentSequence, analyze, analyze_gap
                     assemble_coefficients, check_constant_admissible)
 from matmom.errors import ParameterError
 from matmom.gap import _family
-from matmom.moment_model import DEFAULT_TOL
+from matmom.moment_model import DEFAULT_TOL, dumps, matrix_to_json
 from matmom.nevanlinna import extension_matrix, random_unitary
 
 
@@ -60,6 +60,11 @@ def random_measure(rng, n_dim, n_atoms, spread=2.5, min_gap=0.35):
 
 def moments_from_measure(measure, n_dim, d):
     return MomentSequence.from_matrices(n_dim, d, measure.moments(2 * d + 1, dim=n_dim))
+
+
+def moments_json(ms):
+    """The input document of a moment sequence, in the schema parse_moments reads."""
+    return dumps({"N": ms.N, "d": ms.d, "moments": [matrix_to_json(m) for m in ms.moments]})
 
 
 def indeterminate_states(base_seed):

@@ -6,10 +6,9 @@ import numpy as np
 import pytest
 
 from matmom import analyze
-from matmom.moment_model import dumps
 
 from conftest import (golden_B, golden_C, golden_D, golden_k, golden_transform,
-                      moments_from_measure, random_measure)
+                      moments_from_measure, moments_json, random_measure)
 from test_assemble_batched import jittered_moments
 
 EX21_DOC = json.dumps({
@@ -470,13 +469,13 @@ def test_numerical_failures_exit_3(doc_path, tmp_path):
         assert json.loads(proc.stdout)["verify"]["passed"] is False
     # a Cayley-norm RankError: N=3, d=12, whose Cayley images miss norm 1 by about 3e-3
     path = tmp_path / "cayley.json"
-    path.write_text(dumps(jittered_moments(0, n_dim=3, d=12, n_atoms=15).to_json_obj()))
+    path.write_text(moments_json(jittered_moments(0, n_dim=3, d=12, n_atoms=15)))
     proc = run_cli("parametrize", str(path))
     assert proc.returncode == 3
     assert json.loads(proc.stdout)["error"].startswith("Cayley image norms deviate from 1")
     # the N=4, d=6 instance with tau=24, beyond the former monomial interpolation
     path = tmp_path / "tau24.json"
-    path.write_text(dumps(jittered_moments(0).to_json_obj()))
+    path.write_text(moments_json(jittered_moments(0)))
     proc = run_cli("parametrize", str(path))
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["tau"] == 24
@@ -544,7 +543,7 @@ def test_gap_solve_negative_seed_rejected(doc_path, tmp_path):
     ms = moments_from_measure(random_measure(np.random.default_rng(7101), 2, 5), 2, 2)
     assert analyze(ms).bases.delta == 2
     delta2 = tmp_path / "delta2.json"
-    delta2.write_text(dumps(ms.to_json_obj()))
+    delta2.write_text(moments_json(ms))
     for path in (doc_path("ex21"), str(delta2)):
         proc = run_cli("gap-solve", path, "--delta", "(0.2,0.3)", "--seed", "-1")
         assert proc.returncode == 1 and proc.stdout == ""

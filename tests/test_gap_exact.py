@@ -10,11 +10,10 @@ import pytest
 from matmom import (AtomicMeasure, GapSpec, MomentSequence, ParameterError, analyze,
                     analyze_gap, assemble_coefficients, canonical_solution, check_gap_class,
                     forbidden_matrix, gap_solvable_search, verify_gap, verify_moments)
-from matmom.moment_model import dumps
 from matmom.nevanlinna import random_unitary
 
-from conftest import (golden_w_tilde, moments_from_measure, point_reference, random_measure,
-                      w_tilde_table)
+from conftest import (golden_w_tilde, moments_from_measure, moments_json, point_reference,
+                      random_measure, w_tilde_table)
 from test_cli import run_cli
 from test_gap_batched import random_indeterminate_states
 
@@ -146,7 +145,7 @@ def test_tail_gaps_found(interval):
 
 def test_tail_gap_solve_cli(tmp_path):
     path = tmp_path / "tail.json"
-    path.write_text(dumps(tail_moments().to_json_obj()))
+    path.write_text(moments_json(tail_moments()))
     proc = run_cli("gap-solve", str(path), "--delta", "(5,inf)")
     assert proc.returncode == 0
     payload = json.loads(proc.stdout)

@@ -8,7 +8,7 @@ from matmom import (AtomicMeasure, GapSpec, InputError, MomentSequence, Toleranc
                     parse_moments, verify_moments)
 from matmom.moment_model import dumps, matrix_from_json, matrix_to_json
 
-from conftest import example21_matrices, moments_from_measure, random_measure
+from conftest import example21_matrices, moments_from_measure, moments_json, random_measure
 
 EX21_DOC = json.dumps({
     "N": 2, "d": 1,
@@ -35,7 +35,7 @@ def test_parse_zero_sequence():
 
 def test_parse_round_trip_identity():
     ms = parse_moments(EX21_DOC)
-    again = parse_moments(dumps(ms.to_json_obj()))
+    again = parse_moments(moments_json(ms))
     assert again.N == ms.N and again.d == ms.d
     for a, b in zip(again.moments, ms.moments):
         assert np.array_equal(a, b)
@@ -166,3 +166,114 @@ def test_tolerances_must_be_positive():
         Tolerances(rank_tol=0.0)
     with pytest.raises(InputError):
         Tolerances(gap_tol=-1e-9)
+
+
+def test_from_matrices_requires_integer_dimensions():
+    mats = [np.eye(1)] * 3
+    for N, d in ((1.0, 1), (1, 1.0), (True, 1), (1, True), ("1", 1)):
+        with pytest.raises(InputError, match="N and d must be integers"):
+            MomentSequence.from_matrices(N, d, mats)
+    ms = MomentSequence.from_matrices(np.int64(1), np.int32(1), mats)
+    assert type(ms.N) is int and type(ms.d) is int and (ms.N, ms.d) == (1, 1)
+
+
+def test_from_matrices_names_the_first_offending_matrix():
+    ok = np.eye(2)
+    skew = np.array([[1.0, 1.0], [0.0, 1.0]])
+    nan = np.array([[1.0, np.nan], [np.nan, 1.0]])
+    inf = np.array([[1.0, np.inf], [0.0, 1.0]])  # Hermitian deviation and scale both inf
+    small = np.eye(1)
+    cases = [
+        ([skew, nan, ok], "not Hermitian at n=0: max deviation 1.000e+00"),
+        ([ok, nan, skew], "moment matrix n=1 has non-finite entries"),
+        ([nan, ok, small], "moment matrix n=0 has non-finite entries"),
+        ([ok, small, nan], "moment matrix n=1 has shape (1, 1), expected (2, 2)"),
+        ([ok, ok, inf], "moment matrix n=2 has non-finite entries"),
+        ([ok, skew, [[1.0, 2.0]]], "not Hermitian at n=1: max deviation 1.000e+00"),
+    ]
+    for mats, message in cases:
+        with pytest.raises(InputError) as err:
+            MomentSequence.from_matrices(2, 1, mats)
+        assert str(err.value) == message
+
+
+def test_stacked_validation_equals_per_matrix_hermitize():
+    rng = np.random.default_rng(11)
+    for n_dim, d in ((1, 1), (2, 3), (3, 2)):
+        raw = random_measure(rng, n_dim, d + 2).moments(2 * d + 1, dim=n_dim)
+        # a Hermitian defect well inside hermitian_tol, which symmetrization removes
+        raw = [m + 1e-13 * rng.normal(size=m.shape) for m in raw]
+        ms = MomentSequence.from_matrices(n_dim, d, raw)
+        assert len(ms.moments) == 2 * d + 1
+        for got, m in zip(ms.moments, raw):
+            want = 0.5 * (m + m.conj().T)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+
+def test_complex_entries_accepted_and_rejected():
+    got = matrix_from_json([[1, 2.5, [3, -4.0], (0.5, 6), [-0.0, 0]]])
+    assert np.array_equal(got, np.array([[1, 2.5, 3 - 4j, 0.5 + 6j, 0]], dtype=complex))
+    for bad in (True, "1.0", None, [1], [1, 2, 3], [True, 0], [0, "1"], {"re": 1}):
+        with pytest.raises(InputError) as err:
+            matrix_from_json([[bad]])
+        assert str(err.value) == f"bad complex entry {bad!r} (expected number or [re, im])"
+    for bad in ([math.nan, 0], [0, math.inf], math.inf):
+        with pytest.raises(InputError) as err:
+            matrix_from_json([[bad]])
+        assert str(err.value) == f"complex entry {bad!r} is not finite"
+
+
+def _reference_dumps(obj) -> str:
+    """The element-by-element formatter that dumps must match byte for byte."""
+    if isinstance(obj, (float, np.floating)):
+        x = float(obj)
+        if math.isnan(x):
+            return "NaN"
+        if math.isinf(x):
+            return "Infinity" if x > 0 else "-Infinity"
+        return format(x, ".17g")
+    if isinstance(obj, (list, tuple)):
+        return "[" + ", ".join([_reference_dumps(v) for v in obj]) + "]"
+    if isinstance(obj, dict):
+        parts = [f"{json.dumps(str(k))}: {_reference_dumps(v)}" for k, v in obj.items()]
+        return "{" + ", ".join(parts) + "}"
+    if obj is None:
+        return "null"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, np.ndarray):
+        return _reference_dumps(obj.tolist())
+    if isinstance(obj, complex):
+        return _reference_dumps([obj.real, obj.imag])
+    raise TypeError(type(obj).__name__)
+
+
+def test_dumps_matches_reference_formatter():
+    rng = np.random.default_rng(5)
+    measure = random_measure(rng, 2, 3)
+    payloads = [
+        [], [[]], [1.5], [1 / 3, -0.0, 0.0, 1e300, 5e-324],
+        [math.nan, 1.0], [1.0, math.inf], [-math.inf], [1.0, 2], [2.0, True], [1.0, None],
+        [np.float64(0.1), 0.2], (0.5, 0.25), [1.0, [2.0, 3.0]], [1.0, "x"],
+        {"a": [1.0, -0.0], "b": {"c": [math.nan, math.inf, -math.inf], "d": []},
+         "e": [True, False, None, 3, np.int64(4), np.float32(0.1), "sé"]},
+        {"m": np.array([[1.0, -0.0], [np.nan, 2.5]]), "z": [1 + 2j, complex(0.0, -0.0)]},
+        measure.to_json_obj(),
+    ]
+    for payload in payloads:
+        assert dumps(payload) == _reference_dumps(payload)
+
+
+def test_matrix_to_json_keeps_every_float_and_sign():
+    m = np.array([[1 / 3 - 0.0j, complex(-0.0, 2e-310)], [np.inf, complex(0, -np.nan)]])
+    got = matrix_to_json(m)
+    want = [[[float(v.real), float(v.imag)] for v in row] for row in m]
+    assert type(got[0][0][0]) is float
+    assert repr(got) == repr(want)
+    assert repr(matrix_to_json(m.T)) == repr([[[float(v.real), float(v.imag)] for v in row]
+                                              for row in m.T])

@@ -5,6 +5,11 @@ A name counts as used when it is read (a name or an attribute in Load context) o
 its own definition, in the library's own code, in a python block of README.md or in the
 benchmark scripts bench/*.py.  Being listed in __all__, imported, assigned (a dataclass
 field of the same name is a store) or read in its own body does not count.
+
+A read of a member name cannot tell apart the classes that define it, so a member name
+that two or more classes define, as a method, a property or a dataclass field, is checked
+by hand: SHARED_MEMBERS lists every such name with each class whose method or property
+of that name has a caller outside the tests.
 """
 
 import ast
@@ -16,6 +21,27 @@ import matmom
 SRC = Path(matmom.__file__).parent
 ROOT = Path(__file__).resolve().parents[1]
 DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+# name -> each class whose method or property of that name has a caller; a comment names one
+SHARED_MEMBERS = {
+    "atoms": {"GapAnalysis"},  # gap.py: analysis.atoms(F)
+    "delta": {"OperatorModel",  # hilbert_space.py: model.delta
+              "BasisCollection"},  # nevanlinna.py: bases.delta
+    "moments": {"AtomicMeasure"},  # gap.py: measure.moments(2 * rep.d + 1, dim=rep.N)
+    "scale": {"MatrixPolynomial"},  # nevanlinna.py: MatrixPolynomial(inner).scale(...)
+    "size": {"OrthoBasisSet",  # hilbert_space.py: range_basis.size
+             "AtomicMeasure"},  # bench/workloads.py: measure.size
+    "tau": {"OperatorModel",  # hilbert_space.py: model.tau
+            "BasisCollection"},  # nevanlinna.py: bases.tau
+    "to_json_obj": {"AtomicMeasure",  # cli.py: measure.to_json_obj()
+                    "GapClassDecision",  # cli.py: decision.to_json_obj()
+                    "GapSpec",  # bench/workloads.py: self.spec.to_json_obj()
+                    "MatrixPolynomial",  # nevanlinna.py: self.A_poly.to_json_obj()
+                    "MomentCheckReport",  # cli.py: report.to_json_obj() in _cmd_verify
+                    "NevanlinnaCoefficients",  # cli.py: assemble_coefficients(...).to_json_obj()
+                    "SolvabilityReport"},  # cli.py: report.to_json_obj() in _cmd_check
+    "u": {"NevanlinnaCoefficients"},  # nevanlinna.py: nc.u
+}
 
 
 def _reads(node, enclosing=()):
@@ -59,3 +85,27 @@ def test_no_library_code_only_tests_call():
     orphans = [f"{file}:{label}" for file, label, node in defined
                if all(node in enclosing for enclosing in readers.get(node.name, ()))]
     assert not orphans, f"defined but never used in src/matmom, README.md or bench/: {orphans}"
+
+
+def test_shared_member_names_are_checked_by_hand():
+    """A new shared member name, or a class that starts to define one, fails until its
+    callers are checked and SHARED_MEMBERS is updated; a stale row fails too."""
+    owners, members = {}, {}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for item in node.body:
+                if isinstance(item, DEFS[:2]) and not item.name.startswith("__"):
+                    name = item.name
+                    members.setdefault(name, set()).add(node.name)
+                elif isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    name = item.target.id
+                else:
+                    continue
+                owners.setdefault(name, set()).add(node.name)
+    shared = {name: members[name] for name in members if len(owners[name]) > 1}
+    changed = {name: (shared.get(name), SHARED_MEMBERS.get(name))
+               for name in shared.keys() | SHARED_MEMBERS.keys()
+               if shared.get(name) != SHARED_MEMBERS.get(name)}
+    assert not changed, f"check the callers, then update SHARED_MEMBERS (defined, listed): {changed}"
