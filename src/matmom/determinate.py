@@ -32,8 +32,7 @@ def build_determinate_model(rep: HilbertRep, bases: BasisCollection) -> Determin
     V = (A + i)(A - i)^{-1} has no eigenvalue 1, so there is no fixed-point test."""
     if bases.kappa_prime != 0:
         raise ParameterError("moment problem is indeterminate; determinate model unavailable")
-    # a contiguous R keeps spectral_measure's products on BLAS, not numpy's strided loop
-    return DeterminateModel(R=rep.first_block().copy(),
+    return DeterminateModel(R=rep.first_block(),
                             MA=cayley_inverse(bases.cayley @ bases.range_basis.vectors.conj().T))
 
 

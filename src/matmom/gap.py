@@ -1,14 +1,19 @@
 """Solutions vanishing on a prescribed open gap, from the unitary colligation.
 
-U = [[a0, W], [Chat, T]] (nevanlinna.colligation) has the characteristic
-function G(w) = T - Chat (a0 - w I)^{-1} W (Sz.-Nagy and Foias, Harmonic
-Analysis of Operators on Hilbert Space, ch. VI).  With w = (lam+i)/(lam-i),
-the moving unitary family is W(lam) = w G(w)^{-1}, lam is of non-regular type
-exactly when w is a unimodular eigenvalue of a0, and the canonical solution
-of a unitary F has its atoms at lam = i(mu+1)/(mu-1) for the eigenvalues mu
-of U_F = [[a0, W F], [Chat, T F]] (Krein: the zeros of det(G(w) F - w I)).
-So one eigvals decides whether F puts an atom inside the gap; nothing is
-sampled.  A found parameter is still verified through its canonical solution.
+U = [[a0, W], [Chat, T]] (BasisCollection.colligation, built once per problem
+and shared with nevanlinna.assemble_coefficients, like the eig of a0) has the
+characteristic function G(w) = T - Chat (a0 - w I)^{-1} W (Sz.-Nagy and Foias,
+Harmonic Analysis of Operators on Hilbert Space, ch. VI).  With
+w = (lam+i)/(lam-i), the moving unitary family is W(lam) = w G(w)^{-1}, lam is
+of non-regular type exactly when w is a unimodular eigenvalue of a0, and the
+canonical solution of a unitary F has its atoms at lam = i(mu+1)/(mu-1) for the
+eigenvalues mu of U_F = [[a0, W F], [Chat, T F]] (Krein: the zeros of
+det(G(w) F - w I)).  So the eigenvalues of U_F decide whether F puts an atom
+inside the gap; nothing is sampled.  The search screens its candidates in
+batches of 1, 2, 4, ... with one stacked eigvals each, and only those with no
+atom inside the gap go on, in order, to check_gap_class and to the
+verification of their canonical solution (a batch of one goes to
+check_gap_class directly, which makes the same eigvals).
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from .errors import ParameterError
 from .hilbert_space import BasisCollection, HilbertRep
 from .moment_model import AtomicMeasure, DEFAULT_TOL, GapSpec, Tolerances
 from .nevanlinna import (NevanlinnaCoefficients, _checked_extension, check_constant_admissible,
-                         colligation, extended_colligation, random_unitary,
+                         doubling_batches, extended_colligation, haar_batches,
                          square_parameter)
 from .solvability import block_hankel
 
@@ -51,8 +56,9 @@ class GapAnalysis:
 
     def atoms(self, F: np.ndarray) -> np.ndarray:
         """Sorted lam = i(mu+1)/(mu-1) over the eigenvalues mu of U_F: the atoms
-        of the canonical solution of the unitary F, from one eigvals."""
-        return np.sort(_real_points(np.linalg.eigvals(extended_colligation(self.u, F))))
+        of the canonical solution of the unitary F, from one eigvals; for a
+        (k, delta, delta) stack of parameters the (k, r) rows of their atoms."""
+        return np.sort(_real_points(np.linalg.eigvals(extended_colligation(self.u, F))), axis=-1)
 
 
 def _family(u, poles, residues, lams, tol: Tolerances):
@@ -82,13 +88,13 @@ def analyze_gap(rep: HilbertRep, bases: BasisCollection, spec: GapSpec,
     (V^{-1} W)[j, :] of G.  Eigenvalues within inv_tol of the unit circle are
     non-regular points, kept inside the gap by verify_gap's gap_tol margin rule.
     """
-    a0, w_mat, chat, t_mat = colligation(bases)
-    poles, vecs = np.linalg.eig(a0)
+    _, w_mat, chat, _ = bases.colligation
+    poles, vecs = bases.a0_eig
     residues = (chat @ vecs).T[:, :, None] * np.linalg.solve(vecs, w_mat)[:, None, :]
     unimodular = poles[np.abs(np.abs(poles) - 1.0) <= tol.inv_tol]
     non_regular = np.sort([lam for lam in _real_points(unimodular)
                            if spec.contains(lam, margin=tol.gap_tol)])
-    u = np.block([[a0, w_mat], [chat, t_mat]])
+    u = bases.colligation_matrix
     grid = np.array([e for pair in spec.intervals for e in pair if math.isfinite(e)], dtype=float)
     invertible, w_all = _family(u, poles, residues, grid, tol)
     return GapAnalysis(spec=spec, u=u, poles=poles, residues=residues, non_regular=non_regular,
@@ -105,7 +111,8 @@ class GapClassDecision:
 
 
 def check_gap_class(F: np.ndarray, Xi: np.ndarray, analysis: GapAnalysis,
-                    tol: Tolerances = DEFAULT_TOL) -> GapClassDecision:
+                    tol: Tolerances = DEFAULT_TOL, atoms: np.ndarray | None = None
+                    ) -> GapClassDecision:
     """Membership test for a constant parameter against the gap class.
 
     Requires admissibility (A), unitarity within psd_tol (B) and, for a
@@ -113,6 +120,7 @@ def check_gap_class(F: np.ndarray, Xi: np.ndarray, analysis: GapAnalysis,
     lam of analysis.atoms(F) that the gap contains with verify_gap's
     gap_tol margin is a failure at that exact lam.  A non-regular point of
     the gap is an atom of every canonical solution, so it fails C too.
+    atoms, when given, is analysis.atoms(F) already computed by the caller.
     """
     F = square_parameter(F, Xi.shape[0])
     failures = []
@@ -122,7 +130,8 @@ def check_gap_class(F: np.ndarray, Xi: np.ndarray, analysis: GapAnalysis,
     if unit_dev > tol.psd_tol:
         failures.append((None, "B"))
     else:
-        failures.extend((float(lam), "C") for lam in analysis.atoms(F)
+        failures.extend((float(lam), "C")
+                        for lam in (analysis.atoms(F) if atoms is None else atoms)
                         if analysis.spec.contains(lam, margin=tol.gap_tol))
     return GapClassDecision(accepted=not failures, failures=tuple(failures))
 
@@ -149,12 +158,13 @@ class GapSearchResult:
         return self.status == "found"
 
 
-def _try_candidate(rep, bases, F, xi, analysis, spec, tol):
+def _try_candidate(rep, bases, F, lams, xi, analysis, spec, tol):
     """The canonical solution of F when F is in the gap class and the solution
-    verifies (gap avoided, moments within moment_tol), else None.  check_gap_class
-    has found F unitary and admissible against xi, so the extension is built
-    without repeating those checks (nevanlinna._checked_extension)."""
-    decision = check_gap_class(F, xi, analysis, tol)
+    verifies (gap avoided, moments within moment_tol), else None; lams are
+    analysis.atoms(F).  check_gap_class has found F unitary and admissible
+    against xi, so the extension is built without repeating those checks
+    (nevanlinna._checked_extension)."""
+    decision = check_gap_class(F, xi, analysis, tol, atoms=lams)
     if not decision.accepted:
         return None
     try:
@@ -169,15 +179,32 @@ def _try_candidate(rep, bases, F, xi, analysis, spec, tol):
 
 
 def _arc_candidates(xi: np.ndarray, analysis: GapAnalysis):
-    """One unimodular 1x1 parameter per arc between the boundary values W(e) at the
-    gap's finite endpoints e and Xi = W(+-inf), widest arc first.  An atom enters or
-    leaves the gap only where F passes a boundary value, so one angle decides its
-    whole arc.  A non-finite W(e), at a non-regular endpoint, is skipped."""
+    """The (m, 1, 1) stack of one unimodular parameter per arc between the boundary
+    values W(e) at the gap's finite endpoints e and Xi = W(+-inf), widest arc first,
+    as batches of the doubling_batches lengths.  An atom enters or leaves the gap
+    only where F passes a boundary value, so one angle decides its whole arc.  A
+    non-finite W(e), at a non-regular endpoint, is skipped."""
     w = analysis.w_tilde[analysis.invertible, 0, 0]
     cuts = np.sort(np.angle(np.append(w, xi[0, 0])))
     widths = np.diff(cuts, append=cuts[0] + 2.0 * np.pi)
-    return (np.array([[np.exp(1j * (cuts[k] + 0.5 * widths[k]))]])
-            for k in np.argsort(-widths, kind="stable") if widths[k] > 0.0)
+    # widest first; the arcs of zero width, if any, sort last and are dropped
+    order = np.argsort(-widths, kind="stable")[:np.count_nonzero(widths > 0.0)]
+    stack = np.exp(1j * (cuts + 0.5 * widths)[order]).reshape(-1, 1, 1)
+    return (stack[start:stop] for start, stop in doubling_batches(order.size))
+
+
+def _screened(batch: np.ndarray, analysis: GapAnalysis, tol: Tolerances):
+    """(F, analysis.atoms(F)) in order for the parameters F of the (k, delta, delta)
+    batch whose canonical solution has no atom inside the gap: those that
+    check_gap_class does not fail with code C.  One eigvals covers the batch.  A
+    batch of one is passed on unscreened, with atoms None: check_gap_class makes
+    the same eigvals, and a first candidate that it accepts, the common case,
+    would pay for that eigvals twice."""
+    if len(batch) == 1:
+        return [(batch[0], None)]
+    lams = analysis.atoms(batch)
+    clear = np.flatnonzero(~analysis.spec.interior(lams, margin=tol.gap_tol).any(axis=-1))
+    return ((batch[k], lams[k]) for k in clear)
 
 
 def gap_solvable_search(rep: HilbertRep, bases: BasisCollection,
@@ -191,6 +218,9 @@ def gap_solvable_search(rep: HilbertRep, bases: BasisCollection,
     For delta = 1 one angle per boundary arc is tested (budget is unused), so
     'exhausted' means every arc failed; for delta > 1 budget seeded Haar
     candidates are tested, and 'exhausted' is NOT a proof of infeasibility.
+    Candidates come in batches of 1, 2, 4, ... (_screened), so the first batch
+    is the first candidate alone; a candidate the screen passes is tested in
+    full by _try_candidate before the next one.
     """
     if bases.delta == 0:
         raise ParameterError("gap search requires an indeterminate problem")
@@ -199,12 +229,12 @@ def gap_solvable_search(rep: HilbertRep, bases: BasisCollection,
     if not analysis.regular_type:
         return GapSearchResult(status="not_regular", witness=float(analysis.non_regular[0]))
     if bases.delta == 1:
-        candidates = _arc_candidates(nc.Xi, analysis)
+        batches = _arc_candidates(nc.Xi, analysis)
     else:
-        rng = np.random.default_rng(seed)
-        candidates = (random_unitary(rng, bases.delta) for _ in range(int(budget)))
-    for F in candidates:
-        measure = _try_candidate(rep, bases, F, nc.Xi, analysis, spec, tol)
-        if measure is not None:
-            return GapSearchResult(status="found", F=F, measure=measure)
+        batches = haar_batches(seed, bases.delta, int(budget))
+    for batch in batches:
+        for F, lams in _screened(batch, analysis, tol):
+            measure = _try_candidate(rep, bases, F, lams, nc.Xi, analysis, spec, tol)
+            if measure is not None:
+                return GapSearchResult(status="found", F=F, measure=measure)
     return GapSearchResult(status="exhausted")

@@ -6,6 +6,8 @@ A x_k = x_{k+N} on its natural domain, and builds all orthonormal
 families needed downstream: the domain split, the Cayley-transform
 range split, and the two defect-space bases.  Every family comes from
 orthonormal_split, one right-looking modified Gram-Schmidt of one matrix.
+The unitary colligation of the bases, their inner products, and the eig of
+its block a0 are computed once per BasisCollection, on first use.
 
 Inner product convention: (f, g) = g* f in coordinates, linear in the
 first argument.  With that convention the coordinates returned by
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -47,8 +50,9 @@ class HilbertRep:
         return self.d * self.N
 
     def first_block(self) -> np.ndarray:
-        """Columns x_0 .. x_{N-1}."""
-        return self.X[:, : self.N]
+        """Columns x_0 .. x_{N-1}, as a contiguous copy: products with it run on BLAS,
+        not numpy's strided loop."""
+        return np.ascontiguousarray(self.X[:, : self.N])
 
     def gram(self) -> np.ndarray:
         """Reconstructed Gram matrix with entry (n, m) = (x_n, x_m)."""
@@ -233,6 +237,34 @@ class BasisCollection:
     @property
     def delta(self) -> int:
         return self.defect_basis.size
+
+    @cached_property
+    def colligation(self) -> tuple:
+        """Blocks (a0, W, Chat, T) of the unitary colligation U = [[a0, W], [Chat, T]],
+        computed on first use and then shared by every reader, who must not modify them.
+
+        They are the inner products of the Cayley images v and the codefect
+        basis v' with the range basis u and the defect basis u': a0 = (v_k, u_j),
+        W = (v'_l, u_j), Chat = (v_k, u'_j) and T = (v'_l, u'_j).  In the basis
+        [u, u'] the unitary extension of a parameter F has the matrix
+        U_F = [[a0, W F], [Chat, T F]].
+        """
+        u, up = self.range_basis.vectors, self.defect_basis.vectors
+        v, vp = self.cayley, self.codefect_basis.vectors
+        return ip_matrix(u, v), ip_matrix(u, vp), ip_matrix(up, v), ip_matrix(up, vp)
+
+    @cached_property
+    def colligation_matrix(self) -> np.ndarray:
+        """The colligation U = [[a0, W], [Chat, T]] as one (tau+delta) square matrix,
+        computed on first use and shared like the blocks."""
+        a0, w_mat, chat, t_mat = self.colligation
+        return np.block([[a0, w_mat], [chat, t_mat]])
+
+    @cached_property
+    def a0_eig(self) -> tuple:
+        """np.linalg.eig of a0: (lam, V) with a0 = V diag(lam) V^{-1}, computed on
+        first use and shared like the blocks."""
+        return np.linalg.eig(self.colligation[0])
 
 
 def build_all_bases(rep: HilbertRep, model: OperatorModel,

@@ -159,15 +159,19 @@ class AtomicMeasure:
     def dim(self) -> int:
         return self.atoms[0][1].shape[0] if self.atoms else 0
 
-    def moments(self, count: int, dim: int | None = None) -> list:
-        """Power moments sum_j t_j^n W_j for n = 0 .. count-1 (direct summation)."""
+    def moments(self, count: int, dim: int | None = None) -> np.ndarray:
+        """(count, N, N) power moments sum_j t_j^n W_j for n = 0 .. count-1, by direct
+        summation: t_j^n is the running product 1 t_j ... t_j (one cumprod), every
+        t_j^n W_j is one product, and the terms are added onto zero in atom order."""
         n_dim = self.dim if dim is None else dim
-        out = [np.zeros((n_dim, n_dim), dtype=complex) for _ in range(count)]
-        for t, w in self.atoms:
-            power = 1.0
-            for n in range(count):
-                out[n] += power * w
-                power *= t
+        out = np.zeros((count, n_dim, n_dim), dtype=complex)
+        if not self.atoms:
+            return out
+        factors = np.ones((len(self.atoms), count))
+        factors[:, 1:] = np.array([t for t, _ in self.atoms])[:, None]
+        weights = np.array([w for _, w in self.atoms], dtype=complex)
+        for term in np.cumprod(factors, axis=1)[:, :, None, None] * weights[:, None]:
+            out += term
         return out
 
     def to_json_obj(self) -> dict:
@@ -240,6 +244,13 @@ class GapSpec:
             if a + margin < t < b - margin:
                 return True
         return False
+
+    def interior(self, t: np.ndarray, margin: float = 0.0) -> np.ndarray:
+        """contains over an array: a boolean array of t's shape, for many points at once."""
+        inside = np.zeros(t.shape, dtype=bool)
+        for a, b in self.intervals:
+            inside |= (a + margin < t) & (t < b - margin)
+        return inside
 
     def to_json_obj(self) -> list:
         return [[a, b] for a, b in self.intervals]
@@ -414,8 +425,7 @@ class MomentCheckReport:
 
 def verify_moments(measure: AtomicMeasure, ms: MomentSequence, tol: float) -> MomentCheckReport:
     """Compare direct-summation moments of the measure against the prescribed ones."""
-    recon = measure.moments(ms.count, dim=ms.N)
-    devs = np.array([np.abs(recon[n] - ms.moments[n]) for n in range(ms.count)])
+    devs = np.abs(measure.moments(ms.count, dim=ms.N) - np.array(ms.moments))
     return MomentCheckReport(deviations=devs, tol=float(tol))
 
 

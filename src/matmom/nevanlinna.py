@@ -9,10 +9,12 @@ contraction-valued parameters that avoid the forbidden matrix
 isometrically at infinity.  a0, W, Chat and T, the inner products of the
 orthonormal families in hilbert_space, are the blocks of the unitary
 colligation U = [[a0, W], [Chat, T]] (the characteristic-function form of
-Sz.-Nagy and Foias).  For a constant F the transform is the compressed
-resolvent of U_F = [[a0, W F], [Chat, T F]]: the pivot above is the Schur
-complement of (z+i) I - (z-i) U_F, so one eig of U_F turns it into a sum of
-simple poles, whose partial fractions cancel the double pole at i.  For a
+Sz.-Nagy and Foias); they and the eig of a0 are computed once per problem
+(BasisCollection.colligation and a0_eig) and shared with the gap layer.  For
+a constant F the transform is the compressed resolvent of
+U_F = [[a0, W F], [Chat, T F]]: the pivot above is the Schur complement of
+(z+i) I - (z-i) U_F, so one eig of U_F turns it into a sum of simple poles,
+whose partial fractions cancel the double pole at i.  For a
 callable F, k(z) cancels: A/k, B/k, C/k and D/k are pole-residue sums over
 the eigenvalues of a0, the points on the last axis, formed one block at a
 time, and the pivots that the norm of U certifies are solved by LU without
@@ -21,12 +23,16 @@ call gives its pointwise values (see _whole_array_values).  The monomial
 coefficients of k, A, B, C and D are only printed; they are multiplied out
 of the factored form.  Stieltjes-Perron inversion extrapolates the transform
 to the real axis with Lagrange weights before it integrates, in one pass.
+Seeded Haar-random unitaries, for find_admissible_unitary and the gap search,
+are drawn in stacks of 1, 2, 4, ... (haar_batches) that hold the matrices of
+successive single draws.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -42,6 +48,7 @@ SPOT_POINTS = 8         # per-point calls that check a whole-array call of a cal
 SPOT_ULPS = 4.0         # the difference allowed there, in eps * max(1, largest |F(z)| entry)
 ADMISSIBLE_SEED = 0     # seed of find_admissible_unitary's Haar candidates when delta > 1
 ADMISSIBLE_TRIES = 128  # candidates find_admissible_unitary tests before it gives up
+BATCH_CAP = 256         # most candidates a search draws or screens with one numpy call
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,9 +80,11 @@ class NevanlinnaCoefficients:
         # the defect-row block equals -w(z) c0; it shares its coefficient with Chat
         return self.Chat
 
-    @property
+    @cached_property
     def u(self) -> np.ndarray:
-        """The colligation U = [[a0, W], [Chat, T]] as one (tau+delta) square matrix."""
+        """The colligation U = [[a0, W], [Chat, T]] as one (tau+delta) square matrix,
+        formed on first use from this coefficient set's own blocks (a set made by
+        dataclasses.replace forms its own)."""
         return np.block([[self.a0, self.W], [self.Chat, self.T]])
 
     def to_json_obj(self) -> dict:
@@ -151,38 +160,32 @@ def check_constant_admissible(F: np.ndarray, Xi: np.ndarray,
     return bool(reach < 1.0 - tol.inv_tol)
 
 
-def colligation(bases: BasisCollection):
-    """Blocks (a0, W, Chat, T) of the unitary colligation U = [[a0, W], [Chat, T]].
-
-    They are the inner products of the Cayley images v and the codefect
-    basis v' with the range basis u and the defect basis u': a0 = (v_k, u_j),
-    W = (v'_l, u_j), Chat = (v_k, u'_j) and T = (v'_l, u'_j).  In the basis
-    [u, u'] the unitary extension of a parameter F has the matrix
-    U_F = [[a0, W F], [Chat, T F]].
-    """
-    u, up = bases.range_basis.vectors, bases.defect_basis.vectors
-    v, vp = bases.cayley, bases.codefect_basis.vectors
-    return ip_matrix(u, v), ip_matrix(u, vp), ip_matrix(up, v), ip_matrix(up, vp)
-
-
 def extended_colligation(u: np.ndarray, F: np.ndarray) -> np.ndarray:
     """U_F = [[a0, W F], [Chat, T F]]: the colligation U = [[a0, W], [Chat, T]]
-    with its last delta columns multiplied by the delta x delta parameter F.
+    with its last delta columns multiplied by the delta x delta parameter F, or
+    the (..., r, r) stack of U_F for a (..., delta, delta) stack of parameters.
     It is unitary for a unitary F and a contraction for a contraction F."""
-    tau = u.shape[1] - F.shape[0]
-    return np.concatenate([u[:, :tau], u[:, tau:] @ F], axis=1)
+    tau = u.shape[1] - F.shape[-1]
+    out = np.empty(F.shape[:-2] + u.shape, dtype=complex)
+    out[..., :tau] = u[:, :tau]
+    out[..., tau:] = u[:, tau:] @ F
+    return out
 
 
 def _diagonalize(m: np.ndarray, name: str, tol: Tolerances):
-    """(lam, V) with m = V diag(lam) V^{-1}; RankError when the condition
-    number of V times eps exceeds rank_tol, where the pole-residue form that
-    V^{-1} feeds is unreliable."""
+    """(lam, V) with m = V diag(lam) V^{-1}, checked by _conditioned."""
     lam, vecs = np.linalg.eig(m)
+    return lam, _conditioned(vecs, name, tol)
+
+
+def _conditioned(vecs: np.ndarray, name: str, tol: Tolerances) -> np.ndarray:
+    """vecs, or RankError when its condition number times eps exceeds rank_tol,
+    where the pole-residue form that its inverse feeds is unreliable."""
     cond = float(np.linalg.cond(vecs))
     if not cond * np.finfo(float).eps <= tol.rank_tol:
         raise RankError(f"eigenvector matrix of {name} is ill-conditioned (condition number "
                         f"{cond:.3e}); the pole-residue form of the transform is unreliable")
-    return lam, vecs
+    return vecs
 
 
 def assemble_coefficients(rep: HilbertRep, bases: BasisCollection,
@@ -190,8 +193,9 @@ def assemble_coefficients(rep: HilbertRep, bases: BasisCollection,
     """Build all transform coefficients from inner products of the basis families.
 
     a0, W, Chat and T are the blocks of the unitary colligation (see
-    colligation); with K and the cubic psi they fix the transform.  One
-    eigendecomposition a0 = V diag(lam) V^{-1} turns the resolvent
+    BasisCollection.colligation); with K and the cubic psi they fix the
+    transform.  The eigendecomposition a0 = V diag(lam) V^{-1} (bases.a0_eig,
+    which gap.analyze_gap reads too) turns the resolvent
     ((z+i) I - (z-i) a0)^{-1} = V diag(r) V^{-1}, r_j = 1/((z+i) - (z-i) lam_j),
     into a pole-residue sum: row j of `residues` is the outer product of
     column j of [K^* V[:rho]; Chat V] with row j of V^{-1} [K (rows < rho) | W],
@@ -213,7 +217,7 @@ def assemble_coefficients(rep: HilbertRep, bases: BasisCollection,
     if rho < 1:
         raise RankError("no difference vector among the leading block survived; inconsistent data")
 
-    a0, w_mat, chat, t_mat = colligation(bases)
+    a0, w_mat, chat, t_mat = bases.colligation
     k_mat = ip_matrix(bases.range_basis.vectors, bases.y[:, :n_dim])[:rho]  # (y_k, u_j), leading rows
 
     # cubic correction: entry (j, k) collects gamma values with shifted indices
@@ -225,7 +229,8 @@ def assemble_coefficients(rep: HilbertRep, bases: BasisCollection,
     psi = MatrixPolynomial(inner).scale(np.array([-0.5, 0.5j]))  # times (i/2)(z+i)
 
     xi = forbidden_matrix(bases, tol)
-    lam, vecs = _diagonalize(a0, "a0", tol)
+    lam, vecs = bases.a0_eig
+    _conditioned(vecs, "a0", tol)
     rhs = np.zeros((tau, n_dim + delta), dtype=complex)
     rhs[:rho, :n_dim] = k_mat
     rhs[:, n_dim:] = w_mat
@@ -682,12 +687,35 @@ def transform_via_resolvent(rep: HilbertRep, bases: BasisCollection, F, z,
     return resolvent_transform(extension_operator(bases, F, tol), rep.first_block(), z)
 
 
-def random_unitary(rng: np.random.Generator, delta: int) -> np.ndarray:
-    """Haar-random delta x delta unitary: QR of a complex Gaussian matrix with
-    the phases of R's diagonal moved into Q."""
-    g = rng.normal(size=(delta, delta)) + 1j * rng.normal(size=(delta, delta))
-    q, r = np.linalg.qr(g)
-    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+def random_unitary(rng: np.random.Generator, delta: int, size: int | None = None) -> np.ndarray:
+    """Haar-random delta x delta unitary, or a (size, delta, delta) stack of them:
+    QR of a complex Gaussian matrix with the phases of R's diagonal moved into Q.
+    Each matrix takes its real, then its imaginary delta x delta Gaussians, so a
+    stack holds the matrices of size successive single draws, bit for bit."""
+    shape = (2, delta, delta) if size is None else (size, 2, delta, delta)
+    parts = rng.normal(size=shape)
+    q, r = np.linalg.qr(parts[..., 0, :, :] + 1j * parts[..., 1, :, :])
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (diag / np.abs(diag))[..., None, :]
+
+
+def doubling_batches(count: int):
+    """(start, stop) slices of range(count) of lengths 1, 2, 4, ..., none longer than
+    BATCH_CAP: a search that succeeds early pays for few candidates, and a long one
+    makes few numpy calls."""
+    start, size = 0, 1
+    while start < count:
+        stop = min(start + size, count)
+        yield start, stop
+        start, size = stop, min(2 * size, BATCH_CAP)
+
+
+def haar_batches(seed: int, delta: int, count: int):
+    """count seeded Haar-random delta x delta unitaries, the draws of count successive
+    random_unitary calls, as stacks of the doubling_batches lengths."""
+    rng = np.random.default_rng(seed)
+    for start, stop in doubling_batches(count):
+        yield random_unitary(rng, delta, stop - start)
 
 
 def find_admissible_unitary(Xi: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
@@ -697,8 +725,8 @@ def find_admissible_unitary(Xi: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np
         golden = 2.0 * np.pi * (np.sqrt(5.0) - 1.0) / 2.0
         candidates = (np.array([[np.exp(1j * j * golden)]]) for j in range(ADMISSIBLE_TRIES))
     else:
-        rng = np.random.default_rng(ADMISSIBLE_SEED)
-        candidates = (random_unitary(rng, delta) for _ in range(ADMISSIBLE_TRIES))
+        candidates = (F for batch in haar_batches(ADMISSIBLE_SEED, delta, ADMISSIBLE_TRIES)
+                      for F in batch)
     for F in candidates:
         if check_constant_admissible(F, Xi, tol):
             return F

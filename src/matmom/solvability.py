@@ -43,12 +43,13 @@ class SolvabilityReport:
         }
 
 
-def block_hankel(moments, size: int, n_dim: int, shift: int = 0) -> np.ndarray:
-    out = np.zeros((size * n_dim, size * n_dim), dtype=complex)
-    for i in range(size):
-        for j in range(size):
-            out[i * n_dim:(i + 1) * n_dim, j * n_dim:(j + 1) * n_dim] = moments[i + j + shift]
-    return out
+def block_hankel(moments, size: int, n_dim: int) -> np.ndarray:
+    """The (size n_dim) square complex matrix with (i, j) block moments[i + j],
+    gathered from the moment stack in one indexing step."""
+    steps = np.arange(size)
+    index = steps[:, None] + steps
+    blocks = np.asarray(moments, dtype=complex)[index]  # (size, size, n_dim, n_dim)
+    return blocks.transpose(0, 2, 1, 3).reshape(size * n_dim, size * n_dim)
 
 
 def build_block_hankel(ms: MomentSequence) -> HankelPair:
@@ -56,7 +57,8 @@ def build_block_hankel(ms: MomentSequence) -> HankelPair:
     size = ms.d * ms.N
     return HankelPair(
         gamma_d=gamma_d,
-        gamma_hat=block_hankel(ms.moments, ms.d, ms.N, shift=2),
+        # block (i, j) of gamma_d[N:, N:] is S_{(i+1)+(j+1)}
+        gamma_hat=np.ascontiguousarray(gamma_d[ms.N:, ms.N:]),
         gamma_dm1=gamma_d[:size, :size],  # the leading d x d blocks of gamma_d
     )
 
