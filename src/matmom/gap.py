@@ -9,11 +9,13 @@ of non-regular type exactly when w is a unimodular eigenvalue of a0, and the
 canonical solution of a unitary F has its atoms at lam = i(mu+1)/(mu-1) for the
 eigenvalues mu of U_F = [[a0, W F], [Chat, T F]] (Krein: the zeros of
 det(G(w) F - w I)).  So the eigenvalues of U_F decide whether F puts an atom
-inside the gap; nothing is sampled.  The search screens its candidates in
-batches of 1, 2, 4, ... with one stacked eigvals each, and only those with no
-atom inside the gap go on, in order, to check_gap_class and to the
-verification of their canonical solution (a batch of one goes to
-check_gap_class directly, which makes the same eigvals).
+inside the gap; nothing is sampled.  The same eigenvalues decide whether a
+unitary F is admissible: it is not when one lies within FIXED_POINT_TOL of 1,
+an atom at infinity (nevanlinna.extension_operator).  The search screens its
+candidates in batches of 1, 2, 4, ... with one stacked eigvals each, and only
+those with no atom inside the gap go on, in order and with their row of that
+spectrum, to check_gap_class and to the verification of their canonical
+solution; no candidate needs a second eigvals.
 """
 
 from __future__ import annotations
@@ -27,9 +29,9 @@ from .determinate import spectral_measure
 from .errors import ParameterError
 from .hilbert_space import BasisCollection, HilbertRep
 from .moment_model import AtomicMeasure, DEFAULT_TOL, GapSpec, Tolerances
-from .nevanlinna import (NevanlinnaCoefficients, _checked_extension, check_constant_admissible,
-                         doubling_batches, extended_colligation, haar_batches,
-                         square_parameter)
+from .nevanlinna import (FIXED_POINT_TOL, NevanlinnaCoefficients, check_constant_admissible,
+                         doubling_batches, extended_colligation, extension_operator,
+                         fixed_point_distance, haar_batches, square_parameter)
 from .solvability import block_hankel
 
 
@@ -54,11 +56,16 @@ class GapAnalysis:
     def regular_type(self) -> bool:
         return self.non_regular.size == 0
 
-    def atoms(self, F: np.ndarray) -> np.ndarray:
+    def spectrum(self, F: np.ndarray) -> np.ndarray:
+        """The eigenvalues mu of U_F from one eigvals; for a (k, delta, delta) stack
+        of parameters the (k, r) rows of their spectra."""
+        return np.linalg.eigvals(extended_colligation(self.u, F))
+
+    def atoms(self, F: np.ndarray, mu: np.ndarray | None = None) -> np.ndarray:
         """Sorted lam = i(mu+1)/(mu-1) over the eigenvalues mu of U_F: the atoms
-        of the canonical solution of the unitary F, from one eigvals; for a
-        (k, delta, delta) stack of parameters the (k, r) rows of their atoms."""
-        return np.sort(_real_points(np.linalg.eigvals(extended_colligation(self.u, F))), axis=-1)
+        of the canonical solution of the unitary F, rows for a stack of them like
+        spectrum.  mu, when given, is spectrum(F) already computed."""
+        return np.sort(_real_points(self.spectrum(F) if mu is None else mu), axis=-1)
 
 
 def _family(u, poles, residues, lams, tol: Tolerances):
@@ -111,27 +118,31 @@ class GapClassDecision:
 
 
 def check_gap_class(F: np.ndarray, Xi: np.ndarray, analysis: GapAnalysis,
-                    tol: Tolerances = DEFAULT_TOL, atoms: np.ndarray | None = None
+                    tol: Tolerances = DEFAULT_TOL, mu: np.ndarray | None = None
                     ) -> GapClassDecision:
     """Membership test for a constant parameter against the gap class.
 
-    Requires admissibility (A), unitarity within psd_tol (B) and, for a
-    unitary F, no atom of its canonical solution inside the gap (C): each
-    lam of analysis.atoms(F) that the gap contains with verify_gap's
-    gap_tol margin is a failure at that exact lam.  A non-regular point of
-    the gap is an atom of every canonical solution, so it fails C too.
-    atoms, when given, is analysis.atoms(F) already computed by the caller.
+    Requires admissibility (A), unitarity within psd_tol (B) and no atom of
+    the canonical solution inside the gap (C).  A unitary F is judged from
+    the spectrum mu of U_F (analysis.spectrum(F), or mu when the caller has
+    computed it): it fails A when an eigenvalue lies within FIXED_POINT_TOL
+    of 1, the test of nevanlinna.extension_operator, and C at each lam of
+    analysis.atoms(F, mu) that the gap contains with verify_gap's gap_tol
+    margin.  A non-regular point of the gap is an atom of every canonical
+    solution, so it fails C too.  Any other F fails B, after A when the
+    forbidden-matrix test check_constant_admissible against Xi rejects it
+    (ParameterError when F is not a contraction).
     """
     F = square_parameter(F, Xi.shape[0])
-    failures = []
-    if not check_constant_admissible(F, Xi, tol):
-        failures.append((None, "A"))
     unit_dev = float(np.abs(F.conj().T @ F - np.eye(F.shape[0])).max(initial=0.0))
     if unit_dev > tol.psd_tol:
+        failures = [] if check_constant_admissible(F, Xi, tol) else [(None, "A")]
         failures.append((None, "B"))
     else:
-        failures.extend((float(lam), "C")
-                        for lam in (analysis.atoms(F) if atoms is None else atoms)
+        if mu is None:
+            mu = analysis.spectrum(F)
+        failures = [(None, "A")] if fixed_point_distance(mu) <= FIXED_POINT_TOL else []
+        failures.extend((float(lam), "C") for lam in analysis.atoms(F, mu)
                         if analysis.spec.contains(lam, margin=tol.gap_tol))
     return GapClassDecision(accepted=not failures, failures=tuple(failures))
 
@@ -158,20 +169,13 @@ class GapSearchResult:
         return self.status == "found"
 
 
-def _try_candidate(rep, bases, F, lams, xi, analysis, spec, tol):
+def _try_candidate(rep, bases, F, mu, xi, analysis, spec, tol):
     """The canonical solution of F when F is in the gap class and the solution
-    verifies (gap avoided, moments within moment_tol), else None; lams are
-    analysis.atoms(F).  check_gap_class has found F unitary and admissible
-    against xi, so the extension is built without repeating those checks
-    (nevanlinna._checked_extension)."""
-    decision = check_gap_class(F, xi, analysis, tol, atoms=lams)
-    if not decision.accepted:
+    verifies (gap avoided, moments within moment_tol), else None; mu is
+    analysis.spectrum(F), which check_gap_class and extension_operator share."""
+    if not check_gap_class(F, xi, analysis, tol, mu=mu).accepted:
         return None
-    try:
-        measure = spectral_measure(_checked_extension(bases, F, admissible=True),
-                                   rep.first_block())
-    except ParameterError:
-        return None
+    measure = spectral_measure(extension_operator(bases, F, tol, mu=mu), rep.first_block())
     if not verify_gap(measure, spec, tol):
         return None
     recon = block_hankel(measure.moments(2 * rep.d + 1, dim=rep.N), rep.d + 1, rep.N)
@@ -194,17 +198,13 @@ def _arc_candidates(xi: np.ndarray, analysis: GapAnalysis):
 
 
 def _screened(batch: np.ndarray, analysis: GapAnalysis, tol: Tolerances):
-    """(F, analysis.atoms(F)) in order for the parameters F of the (k, delta, delta)
-    batch whose canonical solution has no atom inside the gap: those that
-    check_gap_class does not fail with code C.  One eigvals covers the batch.  A
-    batch of one is passed on unscreened, with atoms None: check_gap_class makes
-    the same eigvals, and a first candidate that it accepts, the common case,
-    would pay for that eigvals twice."""
-    if len(batch) == 1:
-        return [(batch[0], None)]
-    lams = analysis.atoms(batch)
-    clear = np.flatnonzero(~analysis.spec.interior(lams, margin=tol.gap_tol).any(axis=-1))
-    return ((batch[k], lams[k]) for k in clear)
+    """(F, analysis.spectrum(F)) in order for the parameters F of the
+    (k, delta, delta) batch whose canonical solution has no atom inside the gap:
+    those that check_gap_class does not fail with code C.  One eigvals covers
+    the batch."""
+    mu = analysis.spectrum(batch)
+    inside = analysis.spec.interior(analysis.atoms(batch, mu), margin=tol.gap_tol)
+    return ((batch[k], mu[k]) for k in np.flatnonzero(~inside.any(axis=-1)))
 
 
 def gap_solvable_search(rep: HilbertRep, bases: BasisCollection,
@@ -233,8 +233,8 @@ def gap_solvable_search(rep: HilbertRep, bases: BasisCollection,
     else:
         batches = haar_batches(seed, bases.delta, int(budget))
     for batch in batches:
-        for F, lams in _screened(batch, analysis, tol):
-            measure = _try_candidate(rep, bases, F, lams, nc.Xi, analysis, spec, tol)
+        for F, mu in _screened(batch, analysis, tol):
+            measure = _try_candidate(rep, bases, F, mu, nc.Xi, analysis, spec, tol)
             if measure is not None:
                 return GapSearchResult(status="found", F=F, measure=measure)
     return GapSearchResult(status="exhausted")

@@ -14,7 +14,11 @@ Sz.-Nagy and Foias); they and the eig of a0 are computed once per problem
 a constant F the transform is the compressed resolvent of
 U_F = [[a0, W F], [Chat, T F]]: the pivot above is the Schur complement of
 (z+i) I - (z-i) U_F, so one eig of U_F turns it into a sum of simple poles,
-whose partial fractions cancel the double pole at i.  For a
+whose partial fractions cancel the double pole at i.  A unitary F is
+admissible exactly when U_F, which is unitarily similar to the extension that
+generates its canonical solution, has no eigenvalue within FIXED_POINT_TOL of
+1 (extension_operator): that one spectrum decides it, and the forbidden-matrix
+test check_constant_admissible is kept for contractions.  For a
 callable F, k(z) cancels: A/k, B/k, C/k and D/k are pole-residue sums over
 the eigenvalues of a0, the points on the last axis, formed one block at a
 time, and the pivots that the norm of U certifies are solved by LU without
@@ -42,7 +46,7 @@ from .hilbert_space import BasisCollection, HilbertRep, ip_matrix
 from .matpoly import MatrixPolynomial, poly_times, poly_trim
 from .moment_model import AtomicMeasure, DEFAULT_TOL, Tolerances
 
-FIXED_POINT_TOL = 1e-8  # unitary extension eigenvalues this close to 1 are rejected
+FIXED_POINT_TOL = 1e-8  # a unitary F whose U_F has an eigenvalue this close to 1 is not admissible
 SAMPLE_BLOCK = 1024     # callable parameter values held at once: one small array per point
 SPOT_POINTS = 8         # per-point calls that check a whole-array call of a callable parameter
 SPOT_ULPS = 4.0         # the difference allowed there, in eps * max(1, largest |F(z)| entry)
@@ -622,14 +626,23 @@ def extension_matrix(bases: BasisCollection, F: np.ndarray) -> np.ndarray:
     return images @ q.conj().T
 
 
-def extension_operator(bases: BasisCollection, F: np.ndarray,
-                       tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+def fixed_point_distance(mu: np.ndarray) -> float:
+    """Distance from 1 of the nearest of the eigenvalues mu of U_F: a unitary F is
+    admissible exactly when it exceeds FIXED_POINT_TOL."""
+    return float(np.abs(mu - 1.0).min(initial=np.inf))
+
+
+def extension_operator(bases: BasisCollection, F: np.ndarray, tol: Tolerances = DEFAULT_TOL,
+                       mu: np.ndarray | None = None) -> np.ndarray:
     """Self-adjoint extension of the shift, as an r x r Hermitian matrix.
 
-    Requires a unitary, admissible parameter whose extension has no fixed
-    points.  Admissibility and the fixed-point test are expected to agree;
-    a disagreement is reported as a warning since their equivalence is a
-    working hypothesis, not a proved fact.
+    Requires a unitary parameter F (within psd_tol) that is admissible: no
+    eigenvalue of U_F = extended_colligation(bases.colligation_matrix, F) lies
+    within FIXED_POINT_TOL of 1.  The extension is unitarily similar to U_F, so
+    this is the test that it has no fixed point, and an eigenvalue at 1 is the
+    atom at infinity of a forbidden F.  mu, when given, is that spectrum already
+    computed by the caller.  ParameterError when F is not unitary or not
+    admissible.
     """
     if bases.delta == 0:
         raise ParameterError("problem is determinate; use the determinate solver")
@@ -637,32 +650,13 @@ def extension_operator(bases: BasisCollection, F: np.ndarray,
     unit_dev = float(np.abs(F.conj().T @ F - np.eye(bases.delta)).max(initial=0.0))
     if unit_dev > tol.psd_tol:
         raise ParameterError(f"parameter is not unitary (deviation {unit_dev:.3e})")
-    admissible = check_constant_admissible(F, forbidden_matrix(bases, tol), tol)
-    return _checked_extension(bases, F, admissible)
-
-
-def _checked_extension(bases: BasisCollection, F: np.ndarray, admissible: bool) -> np.ndarray:
-    """extension_operator for a delta x delta unitary F whose admissibility is
-    already decided: the fixed-point test, its agreement with admissible (a
-    warning when they disagree) and the Cayley transform of the extension."""
-    u_ext = extension_matrix(bases, F)
-    eigs = np.linalg.eigvals(u_ext)
-    fixed_dist = float(np.abs(eigs - 1.0).min(initial=np.inf))
-    has_fixed = fixed_dist <= FIXED_POINT_TOL
-
-    if admissible == has_fixed:
-        warnings.warn(
-            "admissibility and the fixed-point test disagree "
-            f"(admissible={admissible}, nearest extension eigenvalue to 1 at distance "
-            f"{fixed_dist:.3e}); treating the parameter as rejected",
-            RuntimeWarning, stacklevel=3)
-    if not admissible:
-        raise ParameterError("parameter is not admissible (forbidden-matrix condition)")
-    if has_fixed:
-        raise ParameterError(
-            f"extension has fixed points (eigenvalue within {fixed_dist:.3e} of 1); "
-            "parameter rejected")
-    return cayley_inverse(u_ext)
+    if mu is None:
+        mu = np.linalg.eigvals(extended_colligation(bases.colligation_matrix, F))
+    fixed_dist = fixed_point_distance(mu)
+    if fixed_dist <= FIXED_POINT_TOL:
+        raise ParameterError(f"parameter is not admissible: U_F has an eigenvalue within "
+                             f"{fixed_dist:.3e} of 1")
+    return cayley_inverse(extension_matrix(bases, F))
 
 
 def canonical_solution(rep: HilbertRep, bases: BasisCollection, F,

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from matmom import (AtomicMeasure, GapSpec, MomentSequence, analyze, analyze_gap,
-                    assemble_coefficients, check_constant_admissible)
+                    assemble_coefficients)
 from matmom.errors import ParameterError
 from matmom.gap import _family
 from matmom.moment_model import DEFAULT_TOL, dumps, matrix_to_json
-from matmom.nevanlinna import extension_matrix, random_unitary
+from matmom.nevanlinna import extended_colligation, fixed_point_distance, random_unitary
 
 
 def example21_matrices():
@@ -69,7 +69,7 @@ def moments_json(ms):
 
 def indeterminate_states(base_seed):
     """Analyses of four random indeterminate instances, (N, d) = (2, 1), (2, 2),
-    (3, 1) and (3, 2), with delta = 1, 2 and 3 among them."""
+    (3, 1) and (3, 2); each has n_atoms > d + 1, so delta = N (2, 2, 3 and 3)."""
     states = []
     for seed, (n_dim, d, n_atoms) in enumerate([(2, 1, 4), (2, 2, 5), (3, 1, 4), (3, 2, 5)]):
         measure = random_measure(np.random.default_rng(base_seed + seed), n_dim, n_atoms)
@@ -95,22 +95,21 @@ def scalar_only(param):
 
 
 def pick_parameter(rng, state, nc, min_fixed_dist=0.1, tries=48):
-    """Admissible unitary whose extension eigenvalues keep away from 1.
+    """Admissible unitary whose U_F keeps its eigenvalues min_fixed_dist from 1.
 
-    Extensions with near-fixed points fling atoms far out and amplify weight
-    roundoff, so property tests stay away from that boundary.
+    The margin is far above FIXED_POINT_TOL, so the spectrum test of
+    extension_operator passes.  Extensions with near-fixed points fling atoms
+    far out and amplify weight roundoff, so property tests stay away from
+    that boundary.
     """
     for k in range(tries):
         if nc.delta == 1:
             cand = np.array([[np.exp(1j * (0.37 + 0.61 * k))]])
         else:
             cand = random_unitary(rng, nc.delta)
-        if not check_constant_admissible(cand, nc.Xi):
-            continue
-        eigs = np.linalg.eigvals(extension_matrix(state.bases, cand))
-        if np.abs(eigs - 1.0).min() < min_fixed_dist:
-            continue
-        return cand
+        mu = np.linalg.eigvals(extended_colligation(state.bases.colligation_matrix, cand))
+        if fixed_point_distance(mu) >= min_fixed_dist:
+            return cand
     raise ParameterError("no well-separated admissible unitary found")
 
 

@@ -152,6 +152,23 @@ def test_canonical_rejects_forbidden(ex21_path):
     assert "admissible" in json.loads(proc.stdout)["error"]
 
 
+def test_parameter_next_to_the_forbidden_matrix_is_refused_by_both(ex21, ex21_path):
+    """F = Xi e^{1e-9 i} on ex21 passes the forbidden-matrix test (|F - Xi| is above
+    its inv_tol cutoff) but puts an eigenvalue of U_F within FIXED_POINT_TOL of 1.
+    gap-check and canonical decide it by that one spectrum: both refuse it as not
+    admissible, and neither writes to stderr."""
+    from matmom import forbidden_matrix
+
+    F = complex(forbidden_matrix(ex21.bases)[0, 0]) * np.exp(1e-9j)
+    f_arg = json.dumps([[[F.real, F.imag]]])
+    proc = run_cli("gap-check", ex21_path, "--delta", "(-1,1)", "--F", f_arg)
+    assert (proc.returncode, proc.stderr) == (2, "")
+    assert json.loads(proc.stdout)["parameter"] == {"accepted": False, "failures": [[None, "A"]]}
+    proc = run_cli("canonical", ex21_path, "--F", f_arg)
+    assert (proc.returncode, proc.stderr) == (2, "")
+    assert "not admissible" in json.loads(proc.stdout)["error"]
+
+
 def test_gap_check_and_solve(ex21_path):
     proc = run_cli("gap-check", ex21_path, "--delta", "(-1,1)")
     assert proc.returncode == 0

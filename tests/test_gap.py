@@ -224,13 +224,15 @@ def test_oracle_gap_feasibility():
 
 
 def test_gap_search_checks_each_candidate_once(ex21, ex21_nc, monkeypatch):
-    """check_gap_class decides admissibility once per candidate; the canonical
-    solution of an accepted one is built without repeating it or recomputing the
-    forbidden matrix, and is the measure canonical_solution gives."""
+    """The search makes one eigvals per screened batch and no other: check_gap_class
+    decides admissibility and the gap from the screened spectrum, and the canonical
+    solution of an accepted candidate is built from it too, with no second spectrum,
+    no forbidden-matrix test and no forbidden matrix; it is the measure
+    canonical_solution gives."""
     import matmom.gap as gap_mod
     import matmom.nevanlinna as nev
 
-    calls = {"class": 0, "admissible": 0, "forbidden": 0}
+    calls = {"class": 0, "screen": 0, "eigvals": 0, "admissible": 0, "forbidden": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -246,13 +248,18 @@ def test_gap_search_checks_each_candidate_once(ex21, ex21_nc, monkeypatch):
              (state, nc, GapSpec.parse(f"({max(locs) + 0.5},inf)"))]
     for st, coeffs, spec in cases:
         monkeypatch.setattr(gap_mod, "check_gap_class", counted("class", gap_mod.check_gap_class))
-        monkeypatch.setattr(nev, "check_constant_admissible",
-                            counted("admissible", nev.check_constant_admissible))
+        monkeypatch.setattr(gap_mod, "_screened", counted("screen", gap_mod._screened))
+        monkeypatch.setattr(np.linalg, "eigvals", counted("eigvals", np.linalg.eigvals))
+        for module in (nev, gap_mod):
+            monkeypatch.setattr(module, "check_constant_admissible",
+                                counted("admissible", nev.check_constant_admissible))
         monkeypatch.setattr(nev, "forbidden_matrix", counted("forbidden", nev.forbidden_matrix))
         result = gap_solvable_search(st.rep, st.bases, coeffs, spec, budget=200)
         monkeypatch.undo()
         assert result.found, spec
-        assert calls["class"] >= 1 and calls["admissible"] == calls["forbidden"] == 0
+        assert calls["class"] >= 1 and calls["screen"] >= 1
+        assert calls["eigvals"] == calls["screen"]
+        assert calls["admissible"] == calls["forbidden"] == 0
         want = canonical_solution(st.rep, st.bases, result.F)
         assert len(result.measure.atoms) == len(want.atoms)
         for (t, w), (t_want, w_want) in zip(result.measure.atoms, want.atoms):

@@ -164,7 +164,9 @@ def test_search_matches_per_candidate_search():
 
 def test_screen_passes_exactly_the_candidates_without_atoms_in_the_gap():
     """The screen of a batch keeps, in order, the candidates that check_gap_class
-    does not fail with code C, each with its analysis.atoms row."""
+    does not fail with code C, each with its row of the batch's spectrum: the
+    eigenvalues of its own U_F, whose atoms are analysis.atoms(F), and the
+    decision check_gap_class takes from them."""
     mixed = 0
     for state in indeterminate_states(7720):
         nc = assemble_coefficients(state.rep, state.bases)
@@ -176,7 +178,11 @@ def test_screen_passes_exactly_the_candidates_without_atoms_in_the_gap():
                     if all(code != "C" for _, code in check_gap_class(F, nc.Xi, analysis).failures)]
             mixed += 0 < len(want) < len(batch)
             assert [F.tobytes() for F, _ in survivors] == [F.tobytes() for F in want]
-            assert all(lams.tobytes() == analysis.atoms(F).tobytes() for F, lams in survivors)
+            assert all(mu.tobytes() == analysis.spectrum(F).tobytes() for F, mu in survivors)
+            assert all(analysis.atoms(F, mu).tobytes() == analysis.atoms(F).tobytes()
+                       for F, mu in survivors)
+            assert all(check_gap_class(F, nc.Xi, analysis, mu=mu)
+                       == check_gap_class(F, nc.Xi, analysis) for F, mu in survivors)
     assert mixed >= 4  # batches where the screen keeps some candidates and drops others
 
 

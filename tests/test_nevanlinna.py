@@ -7,8 +7,10 @@ from matmom import (ParameterError, analyze, assemble_coefficients, canonical_so
                     forbidden_matrix, invert_transform, transform_via_resolvent, verify_moments)
 from matmom.errors import EvaluationError
 
+from matmom.nevanlinna import extension_operator, random_unitary
+
 from conftest import (golden_B, golden_C, golden_D, golden_k, golden_transform,
-                      moments_from_measure, pick_parameter, random_measure)
+                      indeterminate_states, moments_from_measure, pick_parameter, random_measure)
 
 RNG_Z = np.random.default_rng(42)
 
@@ -136,8 +138,49 @@ def test_canonical_rejects_bad_parameters(ex21):
     with pytest.raises(ParameterError, match="unitary"):
         canonical_solution(ex21.rep, ex21.bases, np.array([[0.5]]))
     xi = forbidden_matrix(ex21.bases)
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match="not admissible"):
         canonical_solution(ex21.rep, ex21.bases, xi)  # unimodular but forbidden
+
+
+def near_forbidden(xi, rng, eps):
+    """polar(Xi) e^{i eps H} for a random Hermitian H of norm 1: a unitary within
+    about eps of the forbidden matrix."""
+    u, _, vh = np.linalg.svd(xi)
+    g = rng.normal(size=xi.shape) + 1j * rng.normal(size=xi.shape)
+    w, v = np.linalg.eigh(g + g.conj().T)
+    w /= np.abs(w).max()
+    return u @ vh @ (v * np.exp(1j * eps * w)) @ v.conj().T
+
+
+@pytest.mark.parametrize("base_seed", [7700, 7720, 7740])
+def test_spectrum_test_agrees_with_forbidden_matrix(ex21, base_seed):
+    """A unitary F is admissible exactly when U_F has no eigenvalue within
+    FIXED_POINT_TOL of 1 (extension_operator).  On ex21 (delta = 1) and random
+    indeterminate instances (delta = 2 and 3), for Haar F and F within eps of Xi:
+    every F that the forbidden-matrix test rejects fails the spectrum test, and
+    every F with sigma_min(F - Xi) >= 1e-6 passes both.  Between the cutoffs
+    (sigma_min of about 1e-9) the spectrum test alone may reject."""
+    rng = np.random.default_rng(base_seed)
+    counts = {"both reject": 0, "both pass": 0}
+    for state in [ex21] + indeterminate_states(base_seed):
+        xi = forbidden_matrix(state.bases)
+        candidates = list(random_unitary(rng, state.bases.delta, 8))
+        candidates += [near_forbidden(xi, rng, eps) for eps in (0.0, 1e-12, 1e-9, 1e-6, 1e-3)
+                       for _ in range(3)]
+        for F in candidates:
+            try:
+                extension_operator(state.bases, F)
+                spectrum_ok = True
+            except ParameterError as exc:
+                assert "not admissible" in str(exc)
+                spectrum_ok = False
+            forbidden_ok = check_constant_admissible(F, xi)
+            assert forbidden_ok or not spectrum_ok
+            if np.linalg.svd(F - xi, compute_uv=False)[-1] >= 1e-6:
+                assert spectrum_ok and forbidden_ok
+            counts["both reject"] += not (spectrum_ok or forbidden_ok)
+            counts["both pass"] += spectrum_ok and forbidden_ok
+    assert counts["both reject"] >= 15 and counts["both pass"] >= 50, counts
 
 
 def test_distinct_parameters_distinct_solutions(ex21, ex21_nc):
