@@ -21,9 +21,8 @@ from .hilbert_space import (BasisCollection, HilbertRep, OperatorModel, OrthoBas
 from .determinate import DeterminateModel, build_determinate_model, solve_determinate
 from .matpoly import MatrixPolynomial
 from .nevanlinna import (NevanlinnaCoefficients, SampledDistribution, assemble_coefficients,
-                         canonical_solution, check_constant_admissible, evaluate_transform,
-                         find_admissible_unitary, forbidden_matrix, invert_transform,
-                         transform_via_resolvent)
+                         canonical_solution, evaluate_transform, find_admissible_unitary,
+                         forbidden_matrix, invert_transform, transform_via_resolvent)
 from .gap import (GapAnalysis, GapClassDecision, GapSearchResult, analyze_gap,
                   check_gap_class, gap_solvable_search, verify_gap)
 
@@ -36,7 +35,7 @@ __all__ = [
     "SolvabilityError", "SolvabilityReport", "Tolerances", "analyze", "analyze_gap",
     "assemble_coefficients", "build_all_bases", "build_block_hankel",
     "build_determinate_model", "build_operator_model", "canonical_solution",
-    "check_constant_admissible", "check_gap_class", "check_solvable",
+    "check_gap_class", "check_solvable",
     "classify_determinacy", "evaluate_transform", "factor_gram",
     "find_admissible_unitary", "forbidden_matrix", "gap_solvable_search",
     "invert_transform", "parse_moments", "solve_determinate", "transform_via_resolvent",

@@ -24,7 +24,7 @@ from .moment_model import (TOLERANCE_NAMES, AtomicMeasure, GapSpec, Tolerances,
                            distribution_csv_rows, dumps, matrix_from_json, matrix_to_json,
                            parse_moments, verify_moments, write_distribution_csv)
 from .nevanlinna import (assemble_coefficients, canonical_solution, evaluate_transform,
-                         forbidden_matrix, outside_domain)
+                         outside_domain)
 from .solvability import build_block_hankel, check_solvable
 
 
@@ -244,8 +244,7 @@ def _cmd_gap_check(args, tol) -> int:
     }
     status = 0 if analysis.regular_type else 2
     if args.F is not None:
-        decision = check_gap_class(_parse_parameter(args.F, state.bases.delta),
-                                   forbidden_matrix(state.bases, tol), analysis, tol)
+        decision = check_gap_class(_parse_parameter(args.F, state.bases.delta), analysis, tol)
         payload["parameter"] = decision.to_json_obj()
         if not decision.accepted:
             status = 2

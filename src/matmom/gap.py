@@ -9,13 +9,15 @@ of non-regular type exactly when w is a unimodular eigenvalue of a0, and the
 canonical solution of a unitary F has its atoms at lam = i(mu+1)/(mu-1) for the
 eigenvalues mu of U_F = [[a0, W F], [Chat, T F]] (Krein: the zeros of
 det(G(w) F - w I)).  So the eigenvalues of U_F decide whether F puts an atom
-inside the gap; nothing is sampled.  The same eigenvalues decide whether a
-unitary F is admissible: it is not when one lies within FIXED_POINT_TOL of 1,
-an atom at infinity (nevanlinna.extension_operator).  The search screens its
-candidates in batches of 1, 2, 4, ... with one stacked eigvals each, and only
-those with no atom inside the gap go on, in order and with their row of that
-spectrum, to check_gap_class and to the verification of their canonical
-solution; no candidate needs a second eigvals.
+inside the gap; nothing is sampled.  The same eigenvalues decide whether any
+constant F, unitary or a contraction, is admissible: it is not when one lies
+within FIXED_POINT_TOL of 1, an atom at infinity (nevanlinna.extension_operator).
+The search screens its candidates in batches of 1, 2, 4, ... (doubling_batches)
+with one stacked eigvals each, and only those with no atom inside the gap go on,
+in order and with their row of that spectrum, to check_gap_class and to the
+verification of their canonical solution; no candidate needs a second eigvals.
+For delta > 1 the candidates are seeded Haar-random unitaries, drawn in stacks
+(haar_batches) that hold the matrices of successive single draws.
 """
 
 from __future__ import annotations
@@ -29,10 +31,12 @@ from .determinate import spectral_measure
 from .errors import ParameterError
 from .hilbert_space import BasisCollection, HilbertRep
 from .moment_model import AtomicMeasure, DEFAULT_TOL, GapSpec, Tolerances
-from .nevanlinna import (FIXED_POINT_TOL, NevanlinnaCoefficients, check_constant_admissible,
-                         doubling_batches, extended_colligation, extension_operator,
-                         fixed_point_distance, haar_batches, square_parameter)
+from .nevanlinna import (FIXED_POINT_TOL, NevanlinnaCoefficients, check_contraction,
+                         extended_colligation, extension_operator, fixed_point_distance,
+                         square_parameter)
 from .solvability import block_hankel
+
+BATCH_CAP = 256  # most candidates a search draws or screens with one numpy call
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,33 +121,33 @@ class GapClassDecision:
         return {"accepted": self.accepted, "failures": [[lam, code] for lam, code in self.failures]}
 
 
-def check_gap_class(F: np.ndarray, Xi: np.ndarray, analysis: GapAnalysis,
-                    tol: Tolerances = DEFAULT_TOL, mu: np.ndarray | None = None
-                    ) -> GapClassDecision:
+def check_gap_class(F: np.ndarray, analysis: GapAnalysis, tol: Tolerances = DEFAULT_TOL,
+                    mu: np.ndarray | None = None) -> GapClassDecision:
     """Membership test for a constant parameter against the gap class.
 
     Requires admissibility (A), unitarity within psd_tol (B) and no atom of
-    the canonical solution inside the gap (C).  A unitary F is judged from
-    the spectrum mu of U_F (analysis.spectrum(F), or mu when the caller has
-    computed it): it fails A when an eigenvalue lies within FIXED_POINT_TOL
-    of 1, the test of nevanlinna.extension_operator, and C at each lam of
+    the canonical solution inside the gap (C).  F is judged from the spectrum
+    mu of U_F (analysis.spectrum(F), or mu when the caller has computed it):
+    it fails A when an eigenvalue lies within FIXED_POINT_TOL of 1, the test of
+    nevanlinna.extension_operator.  A unitary F fails C at each lam of
     analysis.atoms(F, mu) that the gap contains with verify_gap's gap_tol
-    margin.  A non-regular point of the gap is an atom of every canonical
-    solution, so it fails C too.  Any other F fails B, after A when the
-    forbidden-matrix test check_constant_admissible against Xi rejects it
-    (ParameterError when F is not a contraction).
+    margin; a non-regular point of the gap is an atom of every canonical
+    solution, so it fails C too.  Any other F fails B (ParameterError when it
+    is not a contraction, nevanlinna.check_contraction).
     """
-    F = square_parameter(F, Xi.shape[0])
+    F = square_parameter(F, analysis.u.shape[0] - analysis.poles.size)
     unit_dev = float(np.abs(F.conj().T @ F - np.eye(F.shape[0])).max(initial=0.0))
-    if unit_dev > tol.psd_tol:
-        failures = [] if check_constant_admissible(F, Xi, tol) else [(None, "A")]
-        failures.append((None, "B"))
-    else:
-        if mu is None:
-            mu = analysis.spectrum(F)
-        failures = [(None, "A")] if fixed_point_distance(mu) <= FIXED_POINT_TOL else []
+    unitary = unit_dev <= tol.psd_tol
+    if not unitary:
+        check_contraction(F, tol)
+    if mu is None:
+        mu = analysis.spectrum(F)
+    failures = [(None, "A")] if fixed_point_distance(mu) <= FIXED_POINT_TOL else []
+    if unitary:
         failures.extend((float(lam), "C") for lam in analysis.atoms(F, mu)
                         if analysis.spec.contains(lam, margin=tol.gap_tol))
+    else:
+        failures.append((None, "B"))
     return GapClassDecision(accepted=not failures, failures=tuple(failures))
 
 
@@ -169,17 +173,48 @@ class GapSearchResult:
         return self.status == "found"
 
 
-def _try_candidate(rep, bases, F, mu, xi, analysis, spec, tol):
+def _try_candidate(rep, bases, F, mu, analysis, spec, tol):
     """The canonical solution of F when F is in the gap class and the solution
     verifies (gap avoided, moments within moment_tol), else None; mu is
     analysis.spectrum(F), which check_gap_class and extension_operator share."""
-    if not check_gap_class(F, xi, analysis, tol, mu=mu).accepted:
+    if not check_gap_class(F, analysis, tol, mu=mu).accepted:
         return None
     measure = spectral_measure(extension_operator(bases, F, tol, mu=mu), rep.first_block())
     if not verify_gap(measure, spec, tol):
         return None
     recon = block_hankel(measure.moments(2 * rep.d + 1, dim=rep.N), rep.d + 1, rep.N)
     return measure if np.abs(recon - rep.gram()).max() <= tol.moment_tol else None
+
+
+def random_unitary(rng: np.random.Generator, delta: int, size: int | None = None) -> np.ndarray:
+    """Haar-random delta x delta unitary, or a (size, delta, delta) stack of them:
+    QR of a complex Gaussian matrix with the phases of R's diagonal moved into Q.
+    Each matrix takes its real, then its imaginary delta x delta Gaussians, so a
+    stack holds the matrices of size successive single draws, bit for bit."""
+    shape = (2, delta, delta) if size is None else (size, 2, delta, delta)
+    parts = rng.normal(size=shape)
+    q, r = np.linalg.qr(parts[..., 0, :, :] + 1j * parts[..., 1, :, :])
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (diag / np.abs(diag))[..., None, :]
+
+
+def doubling_batches(count: int):
+    """(start, stop) slices of range(count) of lengths 1, 2, 4, ..., none longer than
+    BATCH_CAP: a search that succeeds early pays for few candidates, and a long one
+    makes few numpy calls."""
+    start, size = 0, 1
+    while start < count:
+        stop = min(start + size, count)
+        yield start, stop
+        start, size = stop, min(2 * size, BATCH_CAP)
+
+
+def haar_batches(seed: int, delta: int, count: int):
+    """count seeded Haar-random delta x delta unitaries, the draws of count successive
+    random_unitary calls, as stacks of the doubling_batches lengths."""
+    rng = np.random.default_rng(seed)
+    for start, stop in doubling_batches(count):
+        yield random_unitary(rng, delta, stop - start)
 
 
 def _arc_candidates(xi: np.ndarray, analysis: GapAnalysis):
@@ -234,7 +269,7 @@ def gap_solvable_search(rep: HilbertRep, bases: BasisCollection,
         batches = haar_batches(seed, bases.delta, int(budget))
     for batch in batches:
         for F, mu in _screened(batch, analysis, tol):
-            measure = _try_candidate(rep, bases, F, mu, nc.Xi, analysis, spec, tol)
+            measure = _try_candidate(rep, bases, F, mu, analysis, spec, tol)
             if measure is not None:
                 return GapSearchResult(status="found", F=F, measure=measure)
     return GapSearchResult(status="exhausted")

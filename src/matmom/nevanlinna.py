@@ -14,22 +14,20 @@ Sz.-Nagy and Foias); they and the eig of a0 are computed once per problem
 a constant F the transform is the compressed resolvent of
 U_F = [[a0, W F], [Chat, T F]]: the pivot above is the Schur complement of
 (z+i) I - (z-i) U_F, so one eig of U_F turns it into a sum of simple poles,
-whose partial fractions cancel the double pole at i.  A unitary F is
-admissible exactly when U_F, which is unitarily similar to the extension that
-generates its canonical solution, has no eigenvalue within FIXED_POINT_TOL of
-1 (extension_operator): that one spectrum decides it, and the forbidden-matrix
-test check_constant_admissible is kept for contractions.  For a
-callable F, k(z) cancels: A/k, B/k, C/k and D/k are pole-residue sums over
-the eigenvalues of a0, the points on the last axis, formed one block at a
+whose partial fractions cancel the double pole at i.  A constant F is
+admissible exactly when U_F, which for a unitary F is unitarily similar to the
+extension that generates its canonical solution, has no eigenvalue within
+FIXED_POINT_TOL of 1 (extension_operator, gap.check_gap_class): that one
+spectrum decides it.  The unitary -polar(Xi) of find_admissible_unitary keeps
+sigma_min(F - Xi) = 1 + sigma_min(Xi), the largest any unitary reaches, with
+no search.  For a callable F, k(z) cancels: A/k, B/k, C/k and D/k are
+pole-residue sums over the eigenvalues of a0, the points on the last axis, formed one block at a
 time, and the pivots that the norm of U certifies are solved by LU without
 pivoting.  A callable F is sampled with one call on all points where that
 call gives its pointwise values (see _whole_array_values).  The monomial
 coefficients of k, A, B, C and D are only printed; they are multiplied out
 of the factored form.  Stieltjes-Perron inversion extrapolates the transform
 to the real axis with Lagrange weights before it integrates, in one pass.
-Seeded Haar-random unitaries, for find_admissible_unitary and the gap search,
-are drawn in stacks of 1, 2, 4, ... (haar_batches) that hold the matrices of
-successive single draws.
 """
 
 from __future__ import annotations
@@ -46,13 +44,10 @@ from .hilbert_space import BasisCollection, HilbertRep, ip_matrix
 from .matpoly import MatrixPolynomial, poly_times, poly_trim
 from .moment_model import AtomicMeasure, DEFAULT_TOL, Tolerances
 
-FIXED_POINT_TOL = 1e-8  # a unitary F whose U_F has an eigenvalue this close to 1 is not admissible
+FIXED_POINT_TOL = 1e-8  # a constant F whose U_F has an eigenvalue this close to 1 is not admissible
 SAMPLE_BLOCK = 1024     # callable parameter values held at once: one small array per point
 SPOT_POINTS = 8         # per-point calls that check a whole-array call of a callable parameter
 SPOT_ULPS = 4.0         # the difference allowed there, in eps * max(1, largest |F(z)| entry)
-ADMISSIBLE_SEED = 0     # seed of find_admissible_unitary's Haar candidates when delta > 1
-ADMISSIBLE_TRIES = 128  # candidates find_admissible_unitary tests before it gives up
-BATCH_CAP = 256         # most candidates a search draws or screens with one numpy call
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,28 +135,13 @@ def forbidden_matrix(bases: BasisCollection, tol: Tolerances = DEFAULT_TOL) -> n
     return xi
 
 
-def check_constant_admissible(F: np.ndarray, Xi: np.ndarray,
-                              tol: Tolerances = DEFAULT_TOL) -> bool:
-    """Admissibility of a constant parameter matrix.
-
-    A constant contraction is inadmissible exactly when some nonzero vector
-    is annihilated by F - Xi while F preserves its norm.  The check runs
-    over the whole null space of F - Xi, not just individual singular
-    vectors.
-    """
-    F = np.asarray(F, dtype=complex)
-    Xi = np.asarray(Xi, dtype=complex)
-    svals_f = np.linalg.svd(F, compute_uv=False)
-    if svals_f.size and svals_f[0] > 1.0 + tol.psd_tol:
-        raise ParameterError(f"parameter is not a contraction (largest singular value {svals_f[0]:.6f})")
-    diff = F - Xi
-    _, svals, vh = np.linalg.svd(diff)
-    null_mask = svals <= tol.inv_tol * max(1.0, float(svals.max(initial=0.0)))
-    if not np.any(null_mask):
-        return True
-    null_basis = vh[null_mask].conj().T
-    reach = float(np.linalg.svd(F @ null_basis, compute_uv=False).max(initial=0.0))
-    return bool(reach < 1.0 - tol.inv_tol)
+def check_contraction(F: np.ndarray, tol: Tolerances) -> None:
+    """ParameterError unless the largest singular value of the matrix F, or of every
+    matrix of a (k, delta, delta) stack, is at most 1 + psd_tol."""
+    largest = float(np.linalg.svd(F, compute_uv=False).max(initial=0.0))
+    if largest > 1.0 + tol.psd_tol:
+        raise ParameterError(
+            f"parameter is not a contraction (largest singular value {largest:.6f})")
 
 
 def extended_colligation(u: np.ndarray, F: np.ndarray) -> np.ndarray:
@@ -279,13 +259,12 @@ def square_parameter(F, delta: int) -> np.ndarray:
 
 
 def _parameter_values(F, delta: int, points: np.ndarray, tol: Tolerances) -> np.ndarray:
-    """The parameter checked to be a delta x delta contraction (largest singular
-    value at most 1 + psd_tol): for constant F the matrix, with one SVD; for
-    callable F the (delta, delta, n) array of the values F(z), points last, from
-    one whole-array call where _whole_array_values accepts it and otherwise from
-    _sampled_values, and an SVD of only the points that _expanding_points flags.
-    A callable value with a non-finite entry raises ParameterError at the first
-    point that has one."""
+    """The parameter checked to be a delta x delta contraction (check_contraction):
+    for constant F the matrix, with one SVD; for callable F the (delta, delta, n)
+    array of the values F(z), points last, from one whole-array call where
+    _whole_array_values accepts it and otherwise from _sampled_values, and an SVD
+    of only the points that _expanding_points flags.  A callable value with a
+    non-finite entry raises ParameterError at the first point that has one."""
     if callable(F):
         vals = _whole_array_values(F, delta, points)
         if vals is None:
@@ -294,14 +273,11 @@ def _parameter_values(F, delta: int, points: np.ndarray, tol: Tolerances) -> np.
         if not finite.all():
             raise ParameterError(f"parameter is not finite at z={points[np.argmin(finite)]}")
         flagged = np.flatnonzero(_expanding_points(vals, 1.0 + tol.psd_tol))
-        largest = float(np.linalg.svd(np.moveaxis(vals[:, :, flagged], -1, 0),
-                                      compute_uv=False).max()) if flagged.size else 0.0
+        if flagged.size:
+            check_contraction(np.moveaxis(vals[:, :, flagged], -1, 0), tol)
     else:
         vals = square_parameter(F, delta)
-        largest = float(np.linalg.svd(vals, compute_uv=False)[0])
-    if largest > 1.0 + tol.psd_tol:
-        raise ParameterError(
-            f"parameter is not a contraction (largest singular value {largest:.6f})")
+        check_contraction(vals, tol)
     return vals
 
 
@@ -681,50 +657,15 @@ def transform_via_resolvent(rep: HilbertRep, bases: BasisCollection, F, z,
     return resolvent_transform(extension_operator(bases, F, tol), rep.first_block(), z)
 
 
-def random_unitary(rng: np.random.Generator, delta: int, size: int | None = None) -> np.ndarray:
-    """Haar-random delta x delta unitary, or a (size, delta, delta) stack of them:
-    QR of a complex Gaussian matrix with the phases of R's diagonal moved into Q.
-    Each matrix takes its real, then its imaginary delta x delta Gaussians, so a
-    stack holds the matrices of size successive single draws, bit for bit."""
-    shape = (2, delta, delta) if size is None else (size, 2, delta, delta)
-    parts = rng.normal(size=shape)
-    q, r = np.linalg.qr(parts[..., 0, :, :] + 1j * parts[..., 1, :, :])
-    diag = np.diagonal(r, axis1=-2, axis2=-1)
-    return q * (diag / np.abs(diag))[..., None, :]
-
-
-def doubling_batches(count: int):
-    """(start, stop) slices of range(count) of lengths 1, 2, 4, ..., none longer than
-    BATCH_CAP: a search that succeeds early pays for few candidates, and a long one
-    makes few numpy calls."""
-    start, size = 0, 1
-    while start < count:
-        stop = min(start + size, count)
-        yield start, stop
-        start, size = stop, min(2 * size, BATCH_CAP)
-
-
-def haar_batches(seed: int, delta: int, count: int):
-    """count seeded Haar-random delta x delta unitaries, the draws of count successive
-    random_unitary calls, as stacks of the doubling_batches lengths."""
-    rng = np.random.default_rng(seed)
-    for start, stop in doubling_batches(count):
-        yield random_unitary(rng, delta, stop - start)
-
-
 def find_admissible_unitary(Xi: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Deterministically search for an admissible unitary constant parameter."""
-    delta = Xi.shape[0]
-    if delta == 1:
-        golden = 2.0 * np.pi * (np.sqrt(5.0) - 1.0) / 2.0
-        candidates = (np.array([[np.exp(1j * j * golden)]]) for j in range(ADMISSIBLE_TRIES))
-    else:
-        candidates = (F for batch in haar_batches(ADMISSIBLE_SEED, delta, ADMISSIBLE_TRIES)
-                      for F in batch)
-    for F in candidates:
-        if check_constant_admissible(F, Xi, tol):
-            return F
-    raise ParameterError("no admissible unitary parameter found within the search budget")
+    """The unitary parameter F = -polar(Xi) = -U V^H, from one SVD Xi = U Sigma V^H.
+
+    F - Xi = -U (I + Sigma) V^H, so sigma_min(F - Xi) = 1 + sigma_min(Xi) >= 1, the
+    largest any unitary reaches: ||(F - Xi) v|| <= 1 + sigma_min(Xi) for the right
+    singular vector v of sigma_min(Xi).  tol is not used.
+    """
+    u, _, vh = np.linalg.svd(Xi)
+    return -(u @ vh)
 
 
 # ---------------------------------------------------------------------------

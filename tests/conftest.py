@@ -6,9 +6,9 @@ import pytest
 from matmom import (AtomicMeasure, GapSpec, MomentSequence, analyze, analyze_gap,
                     assemble_coefficients)
 from matmom.errors import ParameterError
-from matmom.gap import _family
+from matmom.gap import _family, random_unitary
 from matmom.moment_model import DEFAULT_TOL, dumps, matrix_to_json
-from matmom.nevanlinna import extended_colligation, fixed_point_distance, random_unitary
+from matmom.nevanlinna import extended_colligation, fixed_point_distance
 
 
 def example21_matrices():
@@ -111,6 +111,31 @@ def pick_parameter(rng, state, nc, min_fixed_dist=0.1, tries=48):
         if fixed_point_distance(mu) >= min_fixed_dist:
             return cand
     raise ParameterError("no well-separated admissible unitary found")
+
+
+def check_constant_admissible(F, Xi, tol=DEFAULT_TOL):
+    """The forbidden-matrix test of a constant parameter, an oracle for the spectrum
+    test of the library.
+
+    A constant contraction is inadmissible exactly when some nonzero vector
+    is annihilated by F - Xi while F preserves its norm.  The check runs
+    over the whole null space of F - Xi, not just individual singular
+    vectors.
+    """
+    F = np.asarray(F, dtype=complex)
+    Xi = np.asarray(Xi, dtype=complex)
+    svals_f = np.linalg.svd(F, compute_uv=False)
+    if svals_f.size and svals_f[0] > 1.0 + tol.psd_tol:
+        raise ParameterError(
+            f"parameter is not a contraction (largest singular value {svals_f[0]:.6f})")
+    diff = F - Xi
+    _, svals, vh = np.linalg.svd(diff)
+    null_mask = svals <= tol.inv_tol * max(1.0, float(svals.max(initial=0.0)))
+    if not np.any(null_mask):
+        return True
+    null_basis = vh[null_mask].conj().T
+    reach = float(np.linalg.svd(F @ null_basis, compute_uv=False).max(initial=0.0))
+    return bool(reach < 1.0 - tol.inv_tol)
 
 
 # ---------------------------------------------------------------------------

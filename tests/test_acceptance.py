@@ -13,8 +13,8 @@ import numpy as np
 from numpy.polynomial.polynomial import polyval
 
 from matmom import (MomentSequence, analyze, assemble_coefficients, build_block_hankel,
-                    build_determinate_model, canonical_solution, check_constant_admissible,
-                    check_gap_class, check_solvable, evaluate_transform, forbidden_matrix,
+                    build_determinate_model, canonical_solution, check_gap_class,
+                    check_solvable, evaluate_transform, forbidden_matrix,
                     gap_solvable_search, invert_transform, solve_determinate,
                     transform_via_resolvent, verify_gap, verify_moments, GapSpec)
 from matmom.gap import analyze_gap
@@ -134,8 +134,7 @@ def test_criterion_5_gap_golden():
 
     spec = GapSpec.parse("(-1,1)")
     analysis = analyze_gap(state.rep, state.bases, spec)
-    xi = forbidden_matrix(state.bases)
-    assert check_gap_class(np.array([[1.0]]), xi, analysis).accepted
+    assert check_gap_class(np.array([[1.0]]), analysis).accepted
 
     nc = assemble_coefficients(state.rep, state.bases)
     result = gap_solvable_search(state.rep, state.bases, nc, spec, budget=400)
@@ -225,11 +224,11 @@ def test_criterion_8_negative_controls(tmp_path):
 
     # non-unitary parameter rejected by the gap class
     analysis = analyze_gap(state.rep, state.bases, GapSpec.parse("(-1,1)"))
-    decision = check_gap_class(np.array([[0.5]]), xi, analysis)
+    decision = check_gap_class(np.array([[0.5]]), analysis)
     assert not decision.accepted
     assert any(code == "B" for _, code in decision.failures)
 
     # forbidden value rejected by the admissibility test
-    assert not check_constant_admissible(xi, xi)
+    assert check_gap_class(xi, analysis).failures[0] == (None, "A")
     _report(8, "kernel violation exits 2; non-unitary parameter fails the gap class; "
                "the forbidden value itself is inadmissible")

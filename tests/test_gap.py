@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -7,16 +9,16 @@ from matmom import (AtomicMeasure, GapSpec, ParameterError, analyze, analyze_gap
                     verify_moments)
 from matmom.hilbert_space import orthonormal_split
 
-from conftest import (gap_sequences, golden_shift_matrix, golden_w_tilde, indeterminate_states,
-                      moments_from_measure, point_reference, random_measure, w_tilde_table)
+from conftest import (check_constant_admissible, gap_sequences, golden_shift_matrix,
+                      golden_w_tilde, indeterminate_states, moments_from_measure, moments_json,
+                      point_reference, random_measure, w_tilde_table)
+from test_cli import run_cli
 
 
 @pytest.fixture(scope="module")
 def gap_setup(ex21):
     spec = GapSpec.parse("(-1,1)")
-    analysis = analyze_gap(ex21.rep, ex21.bases, spec)
-    xi = forbidden_matrix(ex21.bases)
-    return spec, analysis, xi
+    return spec, analyze_gap(ex21.rep, ex21.bases, spec)
 
 
 def test_gap_basis_golden(ex21):
@@ -78,39 +80,68 @@ def test_w_tilde_approaches_forbidden_matrix(ex21):
 
 
 def test_check_gap_class_accepts_unit(gap_setup):
-    spec, analysis, xi = gap_setup
+    spec, analysis = gap_setup
     assert analysis.regular_type
-    assert check_gap_class(np.array([[1.0]]), xi, analysis).accepted
+    assert check_gap_class(np.array([[1.0]]), analysis).accepted
 
 
 def test_check_gap_class_rejects_matched_value(ex21, gap_setup):
-    _, analysis, xi = gap_setup
+    _, analysis = gap_setup
     w0 = w_tilde_table(ex21.rep, ex21.bases, 0.0)[1][0]
-    decision = check_gap_class(w0, xi, analysis)
+    decision = check_gap_class(w0, analysis)
     assert not decision.accepted
     assert any(code == "C" and abs(lam) <= 1e-12 for lam, code in decision.failures)
 
 
 def test_check_gap_class_rejects_mis_sized_parameter(gap_setup):
-    _, analysis, xi = gap_setup
+    _, analysis = gap_setup
     with pytest.raises(ParameterError, match="parameter must be 1 x 1"):
-        check_gap_class(np.eye(2), xi, analysis)
+        check_gap_class(np.eye(2), analysis)
 
 
 def test_check_gap_class_rejects_contraction(gap_setup):
-    _, analysis, xi = gap_setup
-    decision = check_gap_class(np.array([[0.5]]), xi, analysis)
+    _, analysis = gap_setup
+    decision = check_gap_class(np.array([[0.5]]), analysis)
     assert not decision.accepted
     assert any(code == "B" for _, code in decision.failures)
 
 
+def test_contraction_admissibility_from_the_spectrum(tmp_path):
+    """A contraction F = U diag(1, 1/2, ...) V^H, from the SVD Xi = U Sigma V^H of a
+    unitary Xi, keeps the isometric null vector v_1 of F - Xi, so U_F has the eigenvalue
+    1: check_gap_class and gap-check --F report A and B, as the forbidden-matrix oracle
+    rejects it.  The strict contraction polar(Xi) / 2 reports B only.  delta = 2 and 3."""
+    spec = GapSpec.parse("(-0.5,0.5)")
+    deltas = set()
+    for state in indeterminate_states(7700)[1:3]:
+        xi = forbidden_matrix(state.bases)
+        u, sigma, vh = np.linalg.svd(xi)
+        assert np.abs(sigma - 1.0).max() < 1e-12
+        delta = state.bases.delta
+        touching = u @ np.diag([1.0] + [0.5] * (delta - 1)) @ vh
+        strict = 0.5 * u @ vh
+        assert not check_constant_admissible(touching, xi) and check_constant_admissible(strict, xi)
+        analysis = analyze_gap(state.rep, state.bases, spec)
+        path = tmp_path / f"delta{delta}.json"
+        path.write_text(moments_json(state.moments))
+        for F, codes in ((touching, [[None, "A"], [None, "B"]]), (strict, [[None, "B"]])):
+            assert check_gap_class(F, analysis).to_json_obj() == {"accepted": False,
+                                                                   "failures": codes}
+            f_arg = json.dumps([[[v.real, v.imag] for v in row] for row in F])
+            proc = run_cli("gap-check", str(path), "--delta", "(-0.5,0.5)", "--F", f_arg)
+            assert (proc.returncode, proc.stderr) == (2, "")
+            assert json.loads(proc.stdout)["parameter"]["failures"] == codes
+        deltas.add(delta)
+    assert deltas == {2, 3}
+
+
 def test_gap_class_monotone_under_shrinking(ex21, gap_setup):
-    spec, analysis, xi = gap_setup
+    spec, analysis = gap_setup
     sub_analysis = analyze_gap(ex21.rep, ex21.bases, GapSpec.parse("(-0.5,0.5)"))
     for phase in np.linspace(0, 2 * np.pi, 12, endpoint=False):
         F = np.array([[np.exp(1j * phase)]])
-        if check_gap_class(F, xi, analysis).accepted:
-            assert check_gap_class(F, xi, sub_analysis).accepted
+        if check_gap_class(F, analysis).accepted:
+            assert check_gap_class(F, sub_analysis).accepted
 
 
 def test_verify_gap_rules(ex21):
@@ -155,11 +186,11 @@ def test_gap_search_requires_indeterminate(point_mass_state, ex21_nc):
 def test_gap_class_acceptance_implies_gap_respected(ex21, ex21_nc, gap_setup):
     # the computational core of the gap theory: accepted constants generate
     # measures whose atoms avoid the gap
-    spec, analysis, xi = gap_setup
+    spec, analysis = gap_setup
     checked = 0
     for phase in np.linspace(0, 2 * np.pi, 40, endpoint=False):
         F = np.array([[np.exp(1j * phase)]])
-        if not check_gap_class(F, xi, analysis).accepted:
+        if not check_gap_class(F, analysis).accepted:
             continue
         try:
             measure = canonical_solution(ex21.rep, ex21.bases, F)
@@ -226,13 +257,12 @@ def test_oracle_gap_feasibility():
 def test_gap_search_checks_each_candidate_once(ex21, ex21_nc, monkeypatch):
     """The search makes one eigvals per screened batch and no other: check_gap_class
     decides admissibility and the gap from the screened spectrum, and the canonical
-    solution of an accepted candidate is built from it too, with no second spectrum,
-    no forbidden-matrix test and no forbidden matrix; it is the measure
-    canonical_solution gives."""
+    solution of an accepted candidate is built from it too, with no second spectrum
+    and no forbidden matrix; it is the measure canonical_solution gives."""
     import matmom.gap as gap_mod
     import matmom.nevanlinna as nev
 
-    calls = {"class": 0, "screen": 0, "eigvals": 0, "admissible": 0, "forbidden": 0}
+    calls = {"class": 0, "screen": 0, "eigvals": 0, "forbidden": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -250,16 +280,13 @@ def test_gap_search_checks_each_candidate_once(ex21, ex21_nc, monkeypatch):
         monkeypatch.setattr(gap_mod, "check_gap_class", counted("class", gap_mod.check_gap_class))
         monkeypatch.setattr(gap_mod, "_screened", counted("screen", gap_mod._screened))
         monkeypatch.setattr(np.linalg, "eigvals", counted("eigvals", np.linalg.eigvals))
-        for module in (nev, gap_mod):
-            monkeypatch.setattr(module, "check_constant_admissible",
-                                counted("admissible", nev.check_constant_admissible))
         monkeypatch.setattr(nev, "forbidden_matrix", counted("forbidden", nev.forbidden_matrix))
         result = gap_solvable_search(st.rep, st.bases, coeffs, spec, budget=200)
         monkeypatch.undo()
         assert result.found, spec
         assert calls["class"] >= 1 and calls["screen"] >= 1
         assert calls["eigvals"] == calls["screen"]
-        assert calls["admissible"] == calls["forbidden"] == 0
+        assert calls["forbidden"] == 0
         want = canonical_solution(st.rep, st.bases, result.F)
         assert len(result.measure.atoms) == len(want.atoms)
         for (t, w), (t_want, w_want) in zip(result.measure.atoms, want.atoms):

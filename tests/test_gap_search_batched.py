@@ -12,9 +12,8 @@ import matmom.hilbert_space as hilbert_space
 from matmom import (AtomicMeasure, GapSpec, ParameterError, analyze, analyze_gap,
                     assemble_coefficients, canonical_solution, check_gap_class,
                     gap_solvable_search, verify_gap)
-from matmom.gap import _screened
+from matmom.gap import BATCH_CAP, _screened, haar_batches, random_unitary
 from matmom.moment_model import DEFAULT_TOL
-from matmom.nevanlinna import BATCH_CAP, haar_batches, random_unitary
 from matmom.solvability import block_hankel
 
 from conftest import (indeterminate_states, moments_from_measure, moments_json,
@@ -68,7 +67,7 @@ def reference_search(state, nc, spec, budget, seed=0):
         rng = np.random.default_rng(seed)
         candidates = (loop_unitary(rng, bases.delta) for _ in range(budget))
     for F in candidates:
-        if not check_gap_class(F, nc.Xi, analysis).accepted:
+        if not check_gap_class(F, analysis).accepted:
             continue
         try:
             measure = canonical_solution(rep, bases, F)
@@ -175,14 +174,14 @@ def test_screen_passes_exactly_the_candidates_without_atoms_in_the_gap():
             batch = random_unitary(np.random.default_rng(2), state.bases.delta, 24)
             survivors = list(_screened(batch, analysis, DEFAULT_TOL))
             want = [F for F in batch
-                    if all(code != "C" for _, code in check_gap_class(F, nc.Xi, analysis).failures)]
+                    if all(code != "C" for _, code in check_gap_class(F, analysis).failures)]
             mixed += 0 < len(want) < len(batch)
             assert [F.tobytes() for F, _ in survivors] == [F.tobytes() for F in want]
             assert all(mu.tobytes() == analysis.spectrum(F).tobytes() for F, mu in survivors)
             assert all(analysis.atoms(F, mu).tobytes() == analysis.atoms(F).tobytes()
                        for F, mu in survivors)
-            assert all(check_gap_class(F, nc.Xi, analysis, mu=mu)
-                       == check_gap_class(F, nc.Xi, analysis) for F, mu in survivors)
+            assert all(check_gap_class(F, analysis, mu=mu)
+                       == check_gap_class(F, analysis) for F, mu in survivors)
     assert mixed >= 4  # batches where the screen keeps some candidates and drops others
 
 

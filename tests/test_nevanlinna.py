@@ -1,16 +1,20 @@
+from pathlib import Path
+
 import numpy as np
 from numpy.polynomial.polynomial import polyval
 import pytest
 
 from matmom import (ParameterError, analyze, assemble_coefficients, canonical_solution,
-                    check_constant_admissible, evaluate_transform, find_admissible_unitary,
-                    forbidden_matrix, invert_transform, transform_via_resolvent, verify_moments)
+                    evaluate_transform, find_admissible_unitary, forbidden_matrix,
+                    invert_transform, parse_moments, transform_via_resolvent, verify_moments)
 from matmom.errors import EvaluationError
+from matmom.gap import random_unitary
+from matmom.moment_model import DEFAULT_TOL
+from matmom.nevanlinna import extension_operator
 
-from matmom.nevanlinna import extension_operator, random_unitary
-
-from conftest import (golden_B, golden_C, golden_D, golden_k, golden_transform,
-                      indeterminate_states, moments_from_measure, pick_parameter, random_measure)
+from conftest import (check_constant_admissible, golden_B, golden_C, golden_D, golden_k,
+                      golden_transform, indeterminate_states, moments_from_measure,
+                      pick_parameter, random_measure)
 
 RNG_Z = np.random.default_rng(42)
 
@@ -245,10 +249,32 @@ def test_herglotz_property(ex21_nc):
 
 
 def test_find_admissible_unitary(ex21):
-    xi = forbidden_matrix(ex21.bases)
-    F = find_admissible_unitary(xi)
-    assert abs(abs(F[0, 0]) - 1.0) < 1e-12
-    assert check_constant_admissible(F, xi)
+    """The pick -polar(Xi) is unitary, keeps sigma_min(F - Xi) = 1 + sigma_min(Xi) >= 1,
+    and its extension passes the spectrum test, on ex21 (delta = 1) and on random
+    indeterminate instances (delta = 2 and 3) at three seeds."""
+    states = [ex21] + [s for seed in (7700, 7720, 7740) for s in indeterminate_states(seed)]
+    for state in states:
+        xi = forbidden_matrix(state.bases)
+        F = find_admissible_unitary(xi)
+        eye = np.eye(state.bases.delta)
+        assert np.abs(F.conj().T @ F - eye).max() < 1e-12
+        gap = np.linalg.svd(F - xi, compute_uv=False)[-1]
+        assert gap >= 1.0 - 1e-12
+        assert abs(gap - 1.0 - np.linalg.svd(xi, compute_uv=False)[-1]) < 1e-12
+        assert check_constant_admissible(F, xi)
+        extension_operator(state.bases, F)
+
+
+def test_pick_verifies_on_the_n4d6s1a9_rung():
+    """On the benchmark ladder's N4d6s1a9 moments (seed 1, realisation 0) the canonical
+    solution of the pick reproduces the moments within the default moment_tol, and its
+    atoms stay inside [-1, 1], where the generating measure's atoms lie."""
+    ms = parse_moments((Path(__file__).parent / "n4d6s1a9_moments.json").read_text())
+    state = analyze(ms)
+    nc = assemble_coefficients(state.rep, state.bases)
+    measure = canonical_solution(state.rep, state.bases, find_admissible_unitary(nc.Xi))
+    assert verify_moments(measure, ms, DEFAULT_TOL.moment_tol).passed
+    assert max(abs(t) for t, _ in measure.atoms) < 1.0
 
 
 def test_invert_transform_single_pole():
