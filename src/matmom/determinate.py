@@ -9,12 +9,16 @@ the atoms off either Hermitian matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
 from .errors import EvaluationError, ParameterError
 from .hilbert_space import BasisCollection, HilbertRep
 from .moment_model import AtomicMeasure, hermitize
+
+CLUSTER_WIDTH = 1e-8   # eigenvalues this close, relative to 1 + ||a||, make one atom
+STACK_BYTES = 1 << 16  # most bytes of eigenprojectors spectral_measure stacks in one matmul
 
 
 @dataclass(frozen=True, eq=False)
@@ -45,25 +49,46 @@ def cayley_inverse(u: np.ndarray) -> np.ndarray:
 def spectral_measure(a: np.ndarray, xc: np.ndarray) -> AtomicMeasure:
     """Atoms of the spectral measure of the Hermitian matrix a compressed to the columns of xc.
 
-    Eigenvalues closer than 1e-8 (1 + ||a||) are merged into one atom at
-    their mean, so repeated spectrum from block structure becomes a single
-    PSD weight.  The weight is xc* P xc for the summed eigenprojection P,
-    transposed back from the transform's transposed convention.
+    Eigenvalues closer than CLUSTER_WIDTH (1 + ||a||) are merged into one
+    atom at their mean, so repeated spectrum from block structure becomes a
+    single PSD weight.  The weight is xc* P xc for the summed eigenprojection
+    P = V V* of the cluster's eigenvectors V, transposed back from the
+    transform's transposed convention.
+
+    The weights are computed in stacks: a run of consecutive clusters of one
+    width, cut to at most STACK_BYTES of projectors, is one column slice of
+    eigh's eigenvectors, viewed as (clusters, r, width).  Each item of that
+    view is the strided slice a one-cluster product reads, and numpy's stacked
+    matmul multiplies each item with the same BLAS call as the matrix alone, so
+    every weight has the bits of the cluster-at-a-time product.
     """
-    if a.shape[0] == 0:
+    r = a.shape[0]
+    if r == 0:
         return AtomicMeasure(atoms=())
     evals, evecs = np.linalg.eigh(a)
     # ||a||_2 of a Hermitian a is its largest |eigenvalue|, read off the ascending ends
-    cluster_tol = 1e-8 * (1.0 + max(-float(evals[0]), float(evals[-1])))
-    atoms = []
-    start = 0
-    for i in range(1, len(evals) + 1):
-        if i == len(evals) or evals[i] - evals[i - 1] > cluster_tol:
-            vecs = evecs[:, start:i]
-            proj = vecs @ vecs.conj().T
-            atoms.append((float(evals[start:i].mean()), hermitize((xc.conj().T @ proj @ xc).T)))
-            start = i
-    return AtomicMeasure(atoms=tuple(atoms))
+    cluster_tol = CLUSTER_WIDTH * (1.0 + max(-float(evals[0]), float(evals[-1])))
+    edges = np.ones(r + 1, dtype=bool)
+    np.greater(evals[1:] - evals[:-1], cluster_tol, out=edges[1:-1])
+    bounds = edges.nonzero()[0]  # cluster k holds eigenvalues bounds[k] .. bounds[k+1]-1
+    xh = xc.conj().T
+    per_stack = max(1, STACK_BYTES // (evecs.itemsize * r * r))
+    locations = np.empty(bounds.size - 1)
+    weights = np.empty((bounds.size - 1,) + (xc.shape[1],) * 2, dtype=np.result_type(evecs, xc))
+    run_start = 0
+    for width, run in groupby((bounds[1:] - bounds[:-1]).tolist()):
+        run_stop = run_start + len(list(run))
+        for first in range(run_start, run_stop, per_stack):
+            last = min(first + per_stack, run_stop)
+            cols = slice(bounds[first], bounds[last])
+            vecs = evecs[:, cols].reshape(r, last - first, width).transpose(1, 0, 2)
+            m = xh @ (vecs @ vecs.conj().swapaxes(-1, -2)) @ xc
+            # hermitize(m.T) and the clusters' means, item by item
+            np.multiply(0.5, m.swapaxes(-1, -2) + m.conj(), out=weights[first:last])
+            np.divide(np.add.reduce(evals[cols].reshape(-1, width), axis=1), width,
+                      out=locations[first:last])
+        run_start = run_stop
+    return AtomicMeasure(atoms=tuple(zip(locations.tolist(), weights)))
 
 
 def resolvent_transform(a: np.ndarray, xc: np.ndarray, z) -> np.ndarray:

@@ -156,9 +156,12 @@ def verify_gap(measure: AtomicMeasure, spec: GapSpec, tol: Tolerances = DEFAULT_
 
     Atoms sitting on interval endpoints are allowed (the gap is open); the
     interior test keeps a gap_tol margin so boundary atoms survive roundoff.
+    All atoms are judged at once: GapSpec.interior on the locations, then the
+    traces of the stacked weights of the atoms inside, if any.
     """
-    return not any(float(np.trace(w).real) > tol.gap_tol and spec.contains(t, margin=tol.gap_tol)
-                   for t, w in measure.atoms)
+    inside = spec.interior(measure.locations, margin=tol.gap_tol)
+    return not (inside.any()
+                and (np.trace(measure.weights[inside], axis1=-2, axis2=-1).real > tol.gap_tol).any())
 
 
 @dataclass(frozen=True, eq=False)

@@ -16,6 +16,8 @@ import json
 import math
 import re
 from dataclasses import dataclass, fields
+from functools import lru_cache
+from itertools import chain
 from typing import IO, Iterable, Sequence
 
 import numpy as np
@@ -141,6 +143,9 @@ class AtomicMeasure:
             if lam_min < -tol.psd_tol * scale:
                 raise InputError(f"weight at t={t} is not PSD (min eigenvalue {lam_min:.3e})")
             items.append((t, w))
+        sizes = sorted({w.shape[0] for _, w in items})
+        if len(sizes) > 1:  # moments, weights and to_json_obj stack the weights
+            raise InputError(f"weight matrices must all have one size, got sizes {sizes}")
         items.sort(key=lambda p: p[0])
         # canonicalize: merge weights sitting at numerically identical points
         merged: list = []
@@ -168,14 +173,25 @@ class AtomicMeasure:
         if not self.atoms:
             return out
         factors = np.ones((len(self.atoms), count))
-        factors[:, 1:] = np.array([t for t, _ in self.atoms])[:, None]
-        weights = np.array([w for _, w in self.atoms], dtype=complex)
-        for term in np.cumprod(factors, axis=1)[:, :, None, None] * weights[:, None]:
+        factors[:, 1:] = self.locations[:, None]
+        for term in np.cumprod(factors, axis=1)[:, :, None, None] * self.weights[:, None]:
             out += term
         return out
 
+    @property
+    def locations(self) -> np.ndarray:
+        """The (size,) atom locations, increasing."""
+        return np.array([t for t, _ in self.atoms], dtype=float)
+
+    @property
+    def weights(self) -> np.ndarray:
+        """The (size, N, N) complex stack of the weight matrices, in atom order."""
+        return np.array([w for _, w in self.atoms], dtype=complex).reshape(
+            (self.size,) + (self.dim,) * 2)
+
     def to_json_obj(self) -> dict:
-        return {"atoms": [{"t": t, "W": matrix_to_json(w)} for t, w in self.atoms]}
+        weights = matrix_to_json(self.weights)  # every weight with one tolist
+        return {"atoms": [{"t": t, "W": w} for (t, _), w in zip(self.atoms, weights)]}
 
     @staticmethod
     def from_json_obj(obj: dict, tol: Tolerances = DEFAULT_TOL) -> "AtomicMeasure":
@@ -356,26 +372,64 @@ def _format_float(x: float) -> str:
 
 
 _FLOAT_ONLY = {float}
-_FLOAT_FORMAT = "{:.17g}".format
+_LIST_ONLY = {list}
+
+
+def _float_block(seq):
+    """(shape, values) of seq when it is a regular nested list of floats, with values
+    the floats in row-major order, else None.  Only exact float and list types pass,
+    so a bool, an int, a numpy scalar or a tuple inside leaves the block."""
+    shape, level = [], [seq]
+    while True:
+        widths = set(map(len, level))
+        if len(widths) != 1:
+            return None
+        shape.append(widths.pop())
+        # a list, not a tuple: tuples built straight from this iterator raised the
+        # peak RSS of printing the solve-ladder payloads by about 2 MB
+        items = list(chain.from_iterable(level))
+        kinds = set(map(type, items))
+        if kinds == _FLOAT_ONLY:
+            return tuple(shape), tuple(items)
+        if kinds != _LIST_ONLY:
+            return None
+        level = items
+
+
+@lru_cache(maxsize=64)
+def _block_template(shape: tuple) -> str:
+    """The %-template that prints a float block of this shape as dumps does."""
+    text = "%.17g"
+    for width in reversed(shape):
+        text = "[" + ", ".join([text] * width) + "]"
+    return text
+
+
+@lru_cache(maxsize=256)
+def _quoted(key: str) -> str:
+    return json.dumps(key)
 
 
 def dumps(obj) -> str:
     """Deterministic JSON with every float printed to 17 significant digits.
 
     Floats, lists and dicts, which make up measure payloads, are tested first;
-    none of them is a bool, an int, None or a str."""
+    none of them is a bool, an int, None or a str.  A regular nested list of
+    floats, such as a weight matrix of [re, im] pairs, is printed by one
+    %-template per shape; any other list, or a block holding NaN or an
+    infinity, is walked element by element."""
     if isinstance(obj, (float, np.floating)):
         return _format_float(float(obj))
     if isinstance(obj, (list, tuple)):
-        if set(map(type, obj)) == _FLOAT_ONLY:
-            text = ", ".join(map(_FLOAT_FORMAT, obj))
+        block = _float_block(obj)
+        if block is not None:
+            text = _block_template(block[0]) % block[1]
             # .17g spells nan and inf with an n, which no finite float's digits contain
             if "n" not in text:
-                return "[" + text + "]"
+                return text
         return "[" + ", ".join([dumps(v) for v in obj]) + "]"
     if isinstance(obj, dict):
-        parts = [f"{json.dumps(str(k))}: {dumps(v)}" for k, v in obj.items()]
-        return "{" + ", ".join(parts) + "}"
+        return "{" + ", ".join([f"{_quoted(str(k))}: {dumps(v)}" for k, v in obj.items()]) + "}"
     if obj is None:
         return "null"
     if isinstance(obj, bool):

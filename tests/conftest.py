@@ -7,7 +7,8 @@ from matmom import (AtomicMeasure, GapSpec, MomentSequence, analyze, analyze_gap
                     assemble_coefficients)
 from matmom.errors import ParameterError
 from matmom.gap import _family, random_unitary
-from matmom.moment_model import DEFAULT_TOL, dumps, matrix_to_json
+from matmom.determinate import CLUSTER_WIDTH
+from matmom.moment_model import DEFAULT_TOL, dumps, hermitize, matrix_to_json
 from matmom.nevanlinna import extended_colligation, fixed_point_distance
 
 
@@ -136,6 +137,31 @@ def check_constant_admissible(F, Xi, tol=DEFAULT_TOL):
     null_basis = vh[null_mask].conj().T
     reach = float(np.linalg.svd(F @ null_basis, compute_uv=False).max(initial=0.0))
     return bool(reach < 1.0 - tol.inv_tol)
+
+
+def spectral_measure_reference(a, xc):
+    """spectral_measure one cluster at a time, the oracle of the stacked library
+    function: (location, weight) pairs, the weight xc* P xc transposed back for
+    the summed eigenprojection P = V V* of each cluster of eigh(a)."""
+    if a.shape[0] == 0:
+        return ()
+    evals, evecs = np.linalg.eigh(a)
+    cluster_tol = CLUSTER_WIDTH * (1.0 + max(-float(evals[0]), float(evals[-1])))
+    atoms = []
+    start = 0
+    for i in range(1, len(evals) + 1):
+        if i == len(evals) or evals[i] - evals[i - 1] > cluster_tol:
+            vecs = evecs[:, start:i]
+            proj = vecs @ vecs.conj().T
+            atoms.append((float(evals[start:i].mean()), hermitize((xc.conj().T @ proj @ xc).T)))
+            start = i
+    return tuple(atoms)
+
+
+def verify_gap_reference(measure, spec, tol=DEFAULT_TOL):
+    """verify_gap one atom at a time, the oracle of the stacked library function."""
+    return not any(float(np.trace(w).real) > tol.gap_tol and spec.contains(t, margin=tol.gap_tol)
+                   for t, w in measure.atoms)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,18 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from matmom import (MomentSequence, ParameterError, analyze, build_determinate_model,
+from matmom import (MomentSequence, ParameterError, analyze, assemble_coefficients,
+                    build_determinate_model, find_admissible_unitary, parse_moments,
                     solve_determinate, verify_moments)
-from matmom.determinate import resolvent_transform
+from matmom import determinate
+from matmom.determinate import resolvent_transform, spectral_measure
 from matmom.errors import EvaluationError
+from matmom.nevanlinna import extension_operator
 
-from conftest import moments_from_measure, random_measure
+from conftest import (indeterminate_states, moments_from_measure, pick_parameter,
+                      random_measure, spectral_measure_reference)
 
 
 def analyze_scalar(*values, d):
@@ -107,3 +113,86 @@ def test_oracle_round_trip_large(n_dim, d, seed):
     rng = np.random.default_rng(900 + seed)
     measure = random_measure(rng, n_dim, d, spread=1.0, min_gap=0.25)
     assert check_round_trip(rng, n_dim, d, measure).MA.shape[0] == n_dim * d
+
+
+def assert_same_atoms(a, xc):
+    """spectral_measure gives the atoms of the cluster-at-a-time oracle bit for bit:
+    the same locations, signed zeros included, and weights of the same dtype and bytes."""
+    got = spectral_measure(a, xc).atoms
+    want = spectral_measure_reference(a, xc)
+    assert len(got) == len(want)
+    for (t_got, w_got), (t_want, w_want) in zip(got, want):
+        assert type(t_got) is float
+        assert np.float64(t_got).tobytes() == np.float64(t_want).tobytes()
+        assert w_got.dtype == w_want.dtype and w_got.shape == w_want.shape
+        assert w_got.tobytes() == w_want.tobytes()
+
+
+def random_hermitian(rng, r, spectrum=None):
+    """A complex Hermitian r x r matrix; with spectrum given, U diag(spectrum) U* for a
+    random unitary U, so equal entries of spectrum become one cluster of eigh."""
+    g = rng.normal(size=(r, r)) + 1j * rng.normal(size=(r, r))
+    if spectrum is None:
+        return 0.5 * (g + g.conj().T)
+    q = np.linalg.qr(g)[0]
+    a = (q * spectrum) @ q.conj().T
+    return 0.5 * (a + a.conj().T)
+
+
+def first_block(rng, r, n_dim):
+    return np.ascontiguousarray(rng.normal(size=(r, n_dim)) + 1j * rng.normal(size=(r, n_dim)))
+
+
+# the default, a cap below one projector at every r (one cluster per stack) and one
+# that splits the runs of small r
+@pytest.mark.parametrize("stack_bytes", [determinate.STACK_BYTES, 1, 2048])
+def test_spectral_measure_matches_cluster_loop(monkeypatch, stack_bytes):
+    """Random Hermitian matrices with r = 1 .. 60 cross the default cap, where a
+    stack holds 16 projectors at r = 16 and one from r = 46 on; N = 1 .. 4."""
+    monkeypatch.setattr(determinate, "STACK_BYTES", stack_bytes)
+    rng = np.random.default_rng(41)
+    for r in range(1, 61):
+        for n_dim in range(1, 5):
+            assert_same_atoms(random_hermitian(rng, r), first_block(rng, r, n_dim))
+
+
+@pytest.mark.parametrize("stack_bytes", [determinate.STACK_BYTES, 1, 2048])
+def test_spectral_measure_matches_cluster_loop_on_repeated_spectrum(monkeypatch, stack_bytes):
+    """Clusters of width 2 and 3 mixed with singletons, runs of equal widths, and a
+    cluster of width 9, whose mean numpy sums pairwise."""
+    monkeypatch.setattr(determinate, "STACK_BYTES", stack_bytes)
+    rng = np.random.default_rng(43)
+    layouts = [[2], [3], [1, 2], [2, 2, 2], [1, 1, 3, 3, 1], [3, 1, 2, 1, 2, 2, 1],
+               [2] * 8, [1] * 5 + [3] * 4, [9], [1, 9, 2]]
+    for widths in layouts:
+        centres = np.sort(rng.uniform(-3.0, 3.0, len(widths)))
+        spectrum = np.repeat(centres, widths)
+        a = random_hermitian(rng, spectrum.size, spectrum)
+        evals = np.linalg.eigvalsh(a)
+        gaps = np.diff(evals) > determinate.CLUSTER_WIDTH * (1.0 + np.abs(evals).max())
+        assert np.count_nonzero(gaps) == len(widths) - 1  # the layout survived eigh
+        for n_dim in (1, 2, 4):
+            assert_same_atoms(a, first_block(rng, spectrum.size, n_dim))
+
+
+def test_spectral_measure_matches_cluster_loop_on_the_pipeline():
+    """The extensions canonical_solution passes, for the benchmark ladder's N4d6s1a9
+    rung (r = 28, the library's pick) and for indeterminate instances (well-separated
+    unitary parameters), and the shifts solve_determinate passes (clusters of width N)."""
+    rng = np.random.default_rng(47)
+    ladder = analyze(parse_moments((Path(__file__).parent / "n4d6s1a9_moments.json").read_text()))
+    states = [(ladder, [find_admissible_unitary(
+        assemble_coefficients(ladder.rep, ladder.bases).Xi)])]
+    for state in indeterminate_states(200):
+        nc = assemble_coefficients(state.rep, state.bases)
+        states.append((state, [pick_parameter(rng, state, nc) for _ in range(2)]))
+    for state, parameters in states:
+        for F in parameters:
+            assert_same_atoms(extension_operator(state.bases, F), state.rep.first_block())
+    for n_dim, d in ((1, 1), (2, 1), (2, 3), (3, 2), (4, 3), (3, 4)):
+        measure = random_measure(rng, n_dim, d, spread=1.0, min_gap=0.25)
+        state = analyze(moments_from_measure(measure, n_dim, d))
+        assert state.determinate
+        dm = build_determinate_model(state.rep, state.bases)
+        assert_same_atoms(dm.MA, dm.R)
+        assert solve_determinate(dm).size == d

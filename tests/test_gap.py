@@ -8,10 +8,11 @@ from matmom import (AtomicMeasure, GapSpec, ParameterError, analyze, analyze_gap
                     find_admissible_unitary, forbidden_matrix, gap_solvable_search, verify_gap,
                     verify_moments)
 from matmom.hilbert_space import orthonormal_split
+from matmom.moment_model import DEFAULT_TOL
 
 from conftest import (check_constant_admissible, gap_sequences, golden_shift_matrix,
                       golden_w_tilde, indeterminate_states, moments_from_measure, moments_json,
-                      point_reference, random_measure, w_tilde_table)
+                      point_reference, random_measure, verify_gap_reference, w_tilde_table)
 from test_cli import run_cli
 
 
@@ -149,6 +150,39 @@ def test_verify_gap_rules(ex21):
     assert verify_gap(measure, GapSpec.parse("(-1,1)"))   # atom at 1 sits on the boundary
     assert not verify_gap(measure, GapSpec.parse("(0,2)"))
     assert verify_gap(AtomicMeasure(atoms=()), GapSpec.parse("(-100,100)"))
+
+
+def test_verify_gap_matches_atom_loop():
+    """The stacked verify_gap gives the per-atom verdict on atoms at an endpoint and
+    within, at or just past gap_tol of it, with weight traces just under, at and
+    just over gap_tol, for single gaps, unions and infinite endpoints, N = 1, 2, 9."""
+    tol = DEFAULT_TOL.gap_tol
+    specs = [GapSpec.parse(text) for text in
+             ("(-1,1)", "(-1,1),(3,inf)", "(-inf,-2),(0,0.5),(4,inf)", "(-inf,inf)", "")]
+    places = [-2.0, -1.0, 0.0, 0.5, 1.0, 3.0, 4.0]
+    offsets = [0.0, tol, 2 * tol, 0.5]
+    near = {p + sign * off for p in places for off in offsets for sign in (-1.0, 1.0)}
+    points = sorted(near | {float(np.nextafter(t, side)) for t in near
+                            for side in (-np.inf, np.inf)})
+    traces = [0.0, float(np.nextafter(tol, 0.0)), tol, float(np.nextafter(tol, 1.0)), 1.0]
+    rng = np.random.default_rng(53)
+    verdicts = set()
+    for n_dim in (1, 2, 9):
+        for spec in specs:
+            for trace in traces:
+                weight = np.eye(n_dim, dtype=complex) * (trace / n_dim)
+                for t in points:
+                    measure = AtomicMeasure(atoms=((t, weight),))
+                    want = verify_gap_reference(measure, spec)
+                    assert verify_gap(measure, spec) == want
+                    verdicts.add(want)
+            for _ in range(20):  # four atoms, each with a trace drawn from traces
+                picks = np.sort(rng.choice(points, size=4, replace=False))
+                atoms = tuple((float(t), np.eye(n_dim) * (traces[rng.integers(5)] / n_dim))
+                              for t in picks)
+                measure = AtomicMeasure(atoms=atoms)
+                assert verify_gap(measure, spec) == verify_gap_reference(measure, spec)
+    assert verdicts == {True, False}
 
 
 def test_gap_search_finds_witness(ex21, ex21_nc, ex21_moments):

@@ -116,6 +116,8 @@ def test_atomic_measure_validation():
         AtomicMeasure.from_atoms([(0.0, np.array([[0.0, 1.0], [0.0, 0.0]]))])
     with pytest.raises(InputError, match="an 'atoms' list"):
         AtomicMeasure.from_json_obj({"atoms": 5})
+    with pytest.raises(InputError, match=r"must all have one size, got sizes \[1, 2\]"):
+        AtomicMeasure.from_atoms([(0.0, np.eye(1)), (1.0, np.eye(2))])
     # sorting and merging of coincident support points
     m = AtomicMeasure.from_atoms([(2.0, np.eye(1)), (1.0, np.eye(1)), (1.0, np.eye(1))])
     assert [t for t, _ in m.atoms] == [1.0, 2.0]
@@ -264,9 +266,28 @@ def test_dumps_matches_reference_formatter():
          "e": [True, False, None, 3, np.int64(4), np.float32(0.1), "sé"]},
         {"m": np.array([[1.0, -0.0], [np.nan, 2.5]]), "z": [1 + 2j, complex(0.0, -0.0)]},
         measure.to_json_obj(),
+        # regular float blocks of depth 2 to 4, the last a stack of [re, im] matrices
+        [[1.0, 2.0], [3.0, -0.0]], [[0.5]], [[[1e-300, 5e-324], [-1e300, 0.1]]],
+        rng.normal(size=(3, 2, 2, 2)).tolist(), rng.normal(size=(1, 7)).tolist(),
+        (rng.normal(size=(16, 16)) * 10.0 ** rng.integers(-320, 300, size=(16, 16))).tolist(),
+        # ragged blocks, one with a regular flat count
+        [[1.0, 2.0], [3.0]], [[1.0], [2.0, 3.0]], [[1.0, 2.0], [3.0], [4.0, 5.0, 6.0]],
+        [[[1.0, 2.0]], [[3.0]]], [[[1.0, 2.0]], [3.0, 4.0]], [[1.0, 2.0], 3.0],
+        # blocks holding NaN, infinities, -0.0, an int or a bool at depth
+        [[1.0, math.nan], [2.0, 3.0]], [[[math.inf, 1.0]], [[-math.inf, -0.0]]],
+        [[-0.0, -0.0], [0.0, -0.0]], [[1.0, 2], [3.0, 4.0]], [[1.0, True], [False, 0.0]],
+        [[1.0, None]], [[1.0, "2"]],
+        # empty lists, tuples, numpy scalars and dicts with keys of other types
+        [[], []], [[[]]], [[], [1.0]], [[1.0], []], ((1.0, 2.0), (3.0, 4.0)),
+        [(1.0, 2.0), [3.0, 4.0]], ([1.0, 2.0], [3.0, 4.0]),
+        [[np.float64(1.0), 2.0]], [[np.float32(0.1), 1.0]], [np.int64(3), 1.0],
+        {1: [[1.0]], None: -0.0, 2.5: [math.nan], False: {"t": 1.0}, (1, 2): [[2.0, 1.0]]},
+        {"t": 0.25, "W": [[[1.0, 0.0], [0.0, -0.5]], [[0.0, 0.5], [2.0, 0.0]]]},
     ]
     for payload in payloads:
         assert dumps(payload) == _reference_dumps(payload)
+        assert dumps(payload) == _reference_dumps(payload)  # once more, from the caches
+    assert dumps([[1.0, True]]) == "[[1, true]]"
 
 
 def test_matrix_to_json_keeps_every_float_and_sign():
