@@ -65,7 +65,7 @@ def _parse_parameter(text: str, delta: int) -> np.ndarray:
             rows = [[row] for row in obj]  # reinterpret each row as a single pair
             alt = matrix_from_json(rows)
             if alt.shape[0] == alt.shape[1]:
-                return alt
+                mat = alt
         except InputError:
             pass
     if mat.shape[0] != mat.shape[1]:
@@ -231,6 +231,8 @@ def _cmd_canonical(args, tol) -> int:
 
 def _cmd_gap_check(args, tol) -> int:
     state, spec = _analyze(args, tol)
+    # parsed first: with delta = 0 on a determinate problem, any --F is an input error
+    F = None if args.F is None else _parse_parameter(args.F, state.bases.delta)
     if state.determinate:
         respects = verify_gap(_unique_solution(state), spec, tol)
         _emit({"determinate": True, "unique_solution_respects_gap": respects})
@@ -243,8 +245,8 @@ def _cmd_gap_check(args, tol) -> int:
         "non_regular_at": analysis.non_regular[:10].tolist(),
     }
     status = 0 if analysis.regular_type else 2
-    if args.F is not None:
-        decision = check_gap_class(_parse_parameter(args.F, state.bases.delta), analysis, tol)
+    if F is not None:
+        decision = check_gap_class(F, analysis, tol)
         payload["parameter"] = decision.to_json_obj()
         if not decision.accepted:
             status = 2

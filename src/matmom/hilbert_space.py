@@ -204,23 +204,15 @@ def build_operator_model(rep: HilbertRep, tol: Tolerances = DEFAULT_TOL) -> Oper
 
 
 @dataclass(frozen=True, eq=False)
-class BasisCollection:
-    """All orthonormal families attached to one moment problem.
-
-    domain / domain_comp come from orthogonalizing x_0..x_{dN+N-1};
-    range_basis / defect_basis from the difference sequence; cayley holds
-    the isometric images of the range basis and codefect_basis spans the
-    orthogonal complement of their span.
+class BasisCollection(OperatorModel):
+    """All orthonormal families attached to one moment problem: the operator
+    model's, and domain / domain_comp from orthogonalizing x_0..x_{dN+N-1} and
+    codefect_basis, which spans the orthogonal complement of the Cayley images.
     """
 
     domain: OrthoBasisSet        # f_j, basis of the operator domain
     domain_comp: OrthoBasisSet   # f'_j, basis of its orthogonal complement
-    range_basis: OrthoBasisSet   # u_j
-    defect_basis: OrthoBasisSet  # u'_j
-    cayley: np.ndarray           # (r, tau) columns v_j
     codefect_basis: OrthoBasisSet  # v'_j
-    rho: int
-    y: np.ndarray                # (r, dN) difference vectors
 
     @property
     def kappa(self) -> int:
@@ -229,14 +221,6 @@ class BasisCollection:
     @property
     def kappa_prime(self) -> int:
         return self.domain_comp.size
-
-    @property
-    def tau(self) -> int:
-        return self.range_basis.size
-
-    @property
-    def delta(self) -> int:
-        return self.defect_basis.size
 
     @cached_property
     def colligation(self) -> tuple:
@@ -290,16 +274,8 @@ def build_all_bases(rep: HilbertRep, model: OperatorModel,
     if tau != kappa:
         raise RankError(f"domain and range ranks disagree: kappa={kappa}, tau={tau}")
 
-    return BasisCollection(
-        domain=domain,
-        domain_comp=domain_comp,
-        range_basis=model.range_basis,
-        defect_basis=model.defect_basis,
-        cayley=model.cayley,
-        codefect_basis=codefect,
-        rho=model.rho,
-        y=model.y,
-    )
+    return BasisCollection(**vars(model), domain=domain, domain_comp=domain_comp,
+                           codefect_basis=codefect)
 
 
 def classify_determinacy(bases: BasisCollection) -> bool:

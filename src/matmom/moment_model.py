@@ -254,15 +254,9 @@ class GapSpec:
     def empty(self) -> bool:
         return not self.intervals
 
-    def contains(self, t: float, margin: float = 0.0) -> bool:
-        """True when t lies in the open interior, at least margin away from endpoints."""
-        for a, b in self.intervals:
-            if a + margin < t < b - margin:
-                return True
-        return False
-
     def interior(self, t: np.ndarray, margin: float = 0.0) -> np.ndarray:
-        """contains over an array: a boolean array of t's shape, for many points at once."""
+        """Boolean array of t's shape: True where t lies in an open interval, at least
+        margin away from its endpoints."""
         inside = np.zeros(t.shape, dtype=bool)
         for a, b in self.intervals:
             inside |= (a + margin < t) & (t < b - margin)

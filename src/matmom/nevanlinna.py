@@ -17,13 +17,14 @@ U_F = [[a0, W F], [Chat, T F]]: the pivot above is the Schur complement of
 whose partial fractions cancel the double pole at i.  A constant F is
 admissible exactly when U_F, which for a unitary F is unitarily similar to the
 extension that generates its canonical solution, has no eigenvalue within
-FIXED_POINT_TOL of 1 (extension_operator, gap.check_gap_class): that one
-spectrum decides it.  The unitary -polar(Xi) of find_admissible_unitary keeps
-sigma_min(F - Xi) = 1 + sigma_min(Xi), the largest any unitary reaches, with
-no search.  For a callable F, k(z) cancels: A/k, B/k, C/k and D/k are
-pole-residue sums over the eigenvalues of a0, the points on the last axis, formed one block at a
-time, and the pivots that the norm of U certifies are solved by LU without
-pivoting.  A callable F is sampled with one call on all points where that
+FIXED_POINT_TOL of 1 (extension_operator, and gap._verdict, which
+gap.check_gap_class and the gap search call): that one spectrum decides it.
+The unitary -polar(Xi) of find_admissible_unitary keeps sigma_min(F - Xi) =
+1 + sigma_min(Xi), the largest any unitary reaches, with no search.  For a
+callable F, k(z) cancels: A/k, B/k, C/k and D/k are pole-residue sums over
+the eigenvalues of a0, the points on the last axis, formed one block at a time,
+and the pivots that the norm of U certifies are solved by LU without pivoting.
+A callable F is sampled with one call on all points where that
 call gives its pointwise values (see _whole_array_values).  The monomial
 coefficients of k, A, B, C and D are only printed; they are multiplied out
 of the factored form.  Stieltjes-Perron inversion extrapolates the transform
@@ -602,10 +603,10 @@ def extension_matrix(bases: BasisCollection, F: np.ndarray) -> np.ndarray:
     return images @ q.conj().T
 
 
-def fixed_point_distance(mu: np.ndarray) -> float:
-    """Distance from 1 of the nearest of the eigenvalues mu of U_F: a unitary F is
-    admissible exactly when it exceeds FIXED_POINT_TOL."""
-    return float(np.abs(mu - 1.0).min(initial=np.inf))
+def fixed_point_distance(mu: np.ndarray) -> np.ndarray:
+    """Distance from 1 of the nearest of the eigenvalues mu of U_F, one per row of a
+    stack of spectra: a unitary F is admissible exactly when it exceeds FIXED_POINT_TOL."""
+    return np.abs(mu - 1.0).min(axis=-1, initial=np.inf)
 
 
 def extension_operator(bases: BasisCollection, F: np.ndarray, tol: Tolerances = DEFAULT_TOL,

@@ -581,6 +581,28 @@ def test_wrong_size_parameter_rejected(doc_path, args):
     assert "parameter matrix must be 1 x 1" in proc.stderr
 
 
+@pytest.mark.parametrize("f_arg", ["[[1,0]]", "[[[1,0]]]", "garbage", "[[1,"])
+def test_gap_check_parameter_on_determinate_problem_rejected(doc_path, f_arg):
+    """A determinate problem has delta = 0, so any --F, well-formed or not, is an
+    input error rather than ignored."""
+    proc = run_cli("gap-check", doc_path("two_atom"), "--delta", "(-1,1)", "--F", f_arg)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("input error: ")
+    assert ("cannot parse --F" in proc.stderr) == (f_arg in ("garbage", "[[1,"))
+
+
+def test_pair_row_shorthand_checked_against_delta(tmp_path):
+    """"[[1,0]]" read as the 1x1 shorthand is still checked against delta: with
+    delta = 2 it is an input error, like any --F that is not delta x delta."""
+    ms = moments_from_measure(random_measure(np.random.default_rng(7101), 2, 5), 2, 2)
+    path = tmp_path / "delta2.json"
+    path.write_text(moments_json(ms))
+    for args in (("canonical",), ("gap-check", "--delta", "(-1,1)")):
+        proc = run_cli(args[0], str(path), *args[1:], "--F", "[[1,0]]")
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert "parameter matrix must be 2 x 2" in proc.stderr
+
+
 def test_verify_wrong_size_weights_rejected(doc_path, tmp_path):
     mpath = tmp_path / "measure.json"
     mpath.write_text('{"atoms": [{"t": 1.0, "W": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}]}')

@@ -67,16 +67,16 @@ def test_regular_type_far_from_spectrum(ex21):
 
 def test_w_tilde_golden(ex21):
     lams = np.linspace(-1, 1, 103)[1:-1]
-    invertible, w = w_tilde_table(ex21.rep, ex21.bases, lams)
+    invertible, w = w_tilde_table(ex21.bases, lams)
     assert invertible.all()
     assert np.abs(w[:, 0, 0] - golden_w_tilde(lams)).max() < 1e-9
     assert np.abs(np.abs(w[:, 0, 0]) - 1.0).max() < 1e-10
-    assert abs(w_tilde_table(ex21.rep, ex21.bases, 0.0)[1][0, 0, 0] - (-(27 + 36j) / 45)) < 1e-12
+    assert abs(w_tilde_table(ex21.bases, 0.0)[1][0, 0, 0] - (-(27 + 36j) / 45)) < 1e-12
 
 
 def test_w_tilde_approaches_forbidden_matrix(ex21):
     xi = forbidden_matrix(ex21.bases)
-    w_far = w_tilde_table(ex21.rep, ex21.bases, 1e7)[1][0]
+    w_far = w_tilde_table(ex21.bases, 1e7)[1][0]
     assert np.abs(w_far - xi).max() < 1e-5
 
 
@@ -88,7 +88,7 @@ def test_check_gap_class_accepts_unit(gap_setup):
 
 def test_check_gap_class_rejects_matched_value(ex21, gap_setup):
     _, analysis = gap_setup
-    w0 = w_tilde_table(ex21.rep, ex21.bases, 0.0)[1][0]
+    w0 = w_tilde_table(ex21.bases, 0.0)[1][0]
     decision = check_gap_class(w0, analysis)
     assert not decision.accepted
     assert any(code == "C" and abs(lam) <= 1e-12 for lam, code in decision.failures)
@@ -251,7 +251,7 @@ def test_w_tilde_unitary_on_random_instances():
             _, invertible, _ = point_reference(state.rep, state.bases, lam)
             if not invertible:
                 continue
-            regular, w = w_tilde_table(state.rep, state.bases, lam)
+            regular, w = w_tilde_table(state.bases, lam)
             assert regular[0]
             svals = np.linalg.svd(w[0], compute_uv=False)
             assert np.abs(svals - 1.0).max() < 1e-8
@@ -289,14 +289,14 @@ def test_oracle_gap_feasibility():
 
 
 def test_gap_search_checks_each_candidate_once(ex21, ex21_nc, monkeypatch):
-    """The search makes one eigvals per screened batch and no other: check_gap_class
-    decides admissibility and the gap from the screened spectrum, and the canonical
-    solution of an accepted candidate is built from it too, with no second spectrum
-    and no forbidden matrix; it is the measure canonical_solution gives."""
+    """The search makes one eigvals per batch and no other: _verdict decides
+    admissibility, unitarity and the gap for the whole batch from that spectrum, and
+    the canonical solution of an accepted candidate is built from its row too, with no
+    second spectrum and no forbidden matrix; it is the measure canonical_solution gives."""
     import matmom.gap as gap_mod
     import matmom.nevanlinna as nev
 
-    calls = {"class": 0, "screen": 0, "eigvals": 0, "forbidden": 0}
+    calls = {"verdict": 0, "eigvals": 0, "forbidden": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -311,15 +311,14 @@ def test_gap_search_checks_each_candidate_once(ex21, ex21_nc, monkeypatch):
     cases = [(ex21, ex21_nc, GapSpec.parse("(-1,1)")),
              (state, nc, GapSpec.parse(f"({max(locs) + 0.5},inf)"))]
     for st, coeffs, spec in cases:
-        monkeypatch.setattr(gap_mod, "check_gap_class", counted("class", gap_mod.check_gap_class))
-        monkeypatch.setattr(gap_mod, "_screened", counted("screen", gap_mod._screened))
+        monkeypatch.setattr(gap_mod, "_verdict", counted("verdict", gap_mod._verdict))
         monkeypatch.setattr(np.linalg, "eigvals", counted("eigvals", np.linalg.eigvals))
         monkeypatch.setattr(nev, "forbidden_matrix", counted("forbidden", nev.forbidden_matrix))
         result = gap_solvable_search(st.rep, st.bases, coeffs, spec, budget=200)
         monkeypatch.undo()
         assert result.found, spec
-        assert calls["class"] >= 1 and calls["screen"] >= 1
-        assert calls["eigvals"] == calls["screen"]
+        assert calls["verdict"] >= 1
+        assert calls["eigvals"] == calls["verdict"]
         assert calls["forbidden"] == 0
         want = canonical_solution(st.rep, st.bases, result.F)
         assert len(result.measure.atoms) == len(want.atoms)

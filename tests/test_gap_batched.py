@@ -95,7 +95,7 @@ def test_analysis_rows_match_point_reference(ex21, monkeypatch):
     cases += [(state, np.concatenate([np.linspace(-3.0, 3.0, 41), locs]))
               for state, locs in random_indeterminate_states()]
     for state, grid in cases:
-        rows_invertible, rows_w = w_tilde_table(state.rep, state.bases, grid)
+        rows_invertible, rows_w = w_tilde_table(state.bases, grid)
         for i, lam in enumerate(grid):
             _, invertible, w_ref = point_reference(state.rep, state.bases, lam)
             assert rows_invertible[i] == invertible

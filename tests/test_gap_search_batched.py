@@ -1,6 +1,7 @@
-"""The gap search that screens candidates in batches, against the per-candidate search:
+"""The gap search that decides candidates in batches, against the per-candidate search:
 the same candidates in the same order and the same answers, bit for bit.  Also the
-whole-array moment checks against their loops, and the colligation built once."""
+batch verdict against check_gap_class, the whole-array moment checks against their
+loops, and the colligation built once."""
 
 import json
 from pathlib import Path
@@ -11,13 +12,13 @@ import pytest
 import matmom.hilbert_space as hilbert_space
 from matmom import (AtomicMeasure, GapSpec, ParameterError, analyze, analyze_gap,
                     assemble_coefficients, canonical_solution, check_gap_class,
-                    gap_solvable_search, verify_gap)
-from matmom.gap import BATCH_CAP, _screened, haar_batches, random_unitary
+                    forbidden_matrix, gap_solvable_search, verify_gap)
+from matmom.gap import BATCH_CAP, _verdict, haar_batches, random_unitary
 from matmom.moment_model import DEFAULT_TOL
 from matmom.solvability import block_hankel
 
-from conftest import (indeterminate_states, moments_from_measure, moments_json,
-                      random_measure)
+from conftest import (contains_reference, indeterminate_states, moments_from_measure,
+                      moments_json, random_measure, w_tilde_table)
 from test_cli import run_cli
 
 GOLDEN = json.loads((Path(__file__).parent / "gap_solve_stdout.json").read_text())
@@ -58,7 +59,8 @@ def reference_search(state, nc, spec, budget, seed=0):
     if not analysis.regular_type:
         return "not_regular", None, None
     if bases.delta == 1:
-        w = analysis.w_tilde[analysis.invertible, 0, 0]
+        invertible, w_tilde = w_tilde_table(bases, analysis.grid)
+        w = w_tilde[invertible, 0, 0]
         cuts = np.sort(np.angle(np.append(w, nc.Xi[0, 0])))
         widths = np.diff(cuts, append=cuts[0] + 2.0 * np.pi)
         candidates = [np.array([[np.exp(1j * (cuts[k] + 0.5 * widths[k]))]])
@@ -161,28 +163,82 @@ def test_search_matches_per_candidate_search():
     assert checked == {(delta, status) for delta in (1, 2, 3) for status in ("found", "exhausted")}
 
 
-def test_screen_passes_exactly_the_candidates_without_atoms_in_the_gap():
-    """The screen of a batch keeps, in order, the candidates that check_gap_class
-    does not fail with code C, each with its row of the batch's spectrum: the
-    eigenvalues of its own U_F, whose atoms are analysis.atoms(F), and the
-    decision check_gap_class takes from them."""
-    mixed = 0
-    for state in indeterminate_states(7720):
-        nc = assemble_coefficients(state.rep, state.bases)
+def test_batch_verdict_matches_check_gap_class(ex21):
+    """_verdict of a stack decides each parameter as check_gap_class decides it alone:
+    unitary exactly without code B, admissible exactly without code A, and the atoms
+    it marks inside the gap the lam's of code C, in order.  Each row of its spectrum
+    is the spectrum of that parameter's own U_F, bit for bit.  The stacks mix Haar
+    unitaries, 0.6 times Haar unitaries and the forbidden matrix Xi, in seeded order;
+    ex21's Xi fails code A.  A stack holding a non-contraction raises, as
+    check_gap_class does for that parameter."""
+    cases = [(ex21, forbidden_matrix(ex21.bases))]
+    cases += [(state, forbidden_matrix(state.bases)) for state in indeterminate_states(7720)]
+    codes, outcomes = set(), set()
+    for seed, (state, xi) in enumerate(cases):
+        rng = np.random.default_rng(seed)
+        haar = random_unitary(rng, state.bases.delta, 12)
+        stack = np.concatenate([haar[:6], 0.6 * haar[6:], xi[None]])
+        order = rng.permutation(len(stack))
+        stack, is_xi = stack[order], order == len(stack) - 1
         for text in ("(-0.5,0.5)", "(-1.5,-0.2),(0.3,1.2)", "(2,inf)"):
-            analysis = analyze_gap(state.rep, state.bases, GapSpec.parse(text))
-            batch = random_unitary(np.random.default_rng(2), state.bases.delta, 24)
-            survivors = list(_screened(batch, analysis, DEFAULT_TOL))
-            want = [F for F in batch
-                    if all(code != "C" for _, code in check_gap_class(F, analysis).failures)]
-            mixed += 0 < len(want) < len(batch)
-            assert [F.tobytes() for F, _ in survivors] == [F.tobytes() for F in want]
-            assert all(mu.tobytes() == analysis.spectrum(F).tobytes() for F, mu in survivors)
-            assert all(analysis.atoms(F, mu).tobytes() == analysis.atoms(F).tobytes()
-                       for F, mu in survivors)
-            assert all(check_gap_class(F, analysis, mu=mu)
-                       == check_gap_class(F, analysis) for F, mu in survivors)
-    assert mixed >= 4  # batches where the screen keeps some candidates and drops others
+            spec = GapSpec.parse(text)
+            analysis = analyze_gap(state.rep, state.bases, spec)
+            mu, unitary, admissible, inside = _verdict(stack, analysis, DEFAULT_TOL)
+            assert unitary[order < 6].all() and not unitary[(order >= 6) & ~is_xi].any()
+            for k, F in enumerate(stack):
+                assert mu[k].tobytes() == analysis.spectrum(F).tobytes()
+                atoms = analysis.atoms(mu[k])
+                assert inside[k].tolist() == [contains_reference(spec, lam, DEFAULT_TOL.gap_tol)
+                                              for lam in atoms]
+                failures = check_gap_class(F, analysis).failures
+                got = {code for _, code in failures}
+                codes |= got
+                outcomes.add(not failures)
+                assert admissible[k] == ("A" not in got) and unitary[k] == ("B" not in got)
+                assert [lam for lam, code in failures if code == "C"] == (
+                    atoms[inside[k]].tolist() if unitary[k] else [])
+            if state is ex21:
+                assert not admissible[is_xi].any()
+        bad = np.concatenate([stack, 1.5 * haar[:1]])
+        with pytest.raises(ParameterError, match="not a contraction"):
+            _verdict(bad, analysis, DEFAULT_TOL)
+        with pytest.raises(ParameterError, match="not a contraction"):
+            check_gap_class(bad[-1], analysis)
+    assert codes == {"A", "B", "C"} and outcomes == {True, False}
+
+
+def test_verdict_keeps_the_gap_tol_margin(ex21):
+    """An atom less than gap_tol inside a gap's end is not inside, as verify_gap judges
+    it; one more than gap_tol inside is, and check_gap_class reports it with code C."""
+    F = np.array([[np.exp(0.3j)]])
+    tol = DEFAULT_TOL.gap_tol
+    empty = analyze_gap(ex21.rep, ex21.bases, GapSpec.parse(""))
+    for k, lam in enumerate(empty.atoms(empty.spectrum(F))):
+        for depth, want in ((0.5 * tol, False), (2.0 * tol, True)):
+            spec = GapSpec.from_intervals([(lam - depth, lam + 1e-3)])
+            analysis = analyze_gap(ex21.rep, ex21.bases, spec)
+            _, _, _, inside = _verdict(F[None], analysis, DEFAULT_TOL)
+            assert inside[0, k] == want
+            assert ((lam, "C") in check_gap_class(F, analysis).failures) == want
+
+
+def test_search_skips_candidates_that_fail_a_or_b(monkeypatch):
+    """A candidate that fails code A or B is skipped, not handed to extension_operator
+    (which would raise): with Xi and a strict contraction drawn first, the search
+    returns the witness it finds alone."""
+    import matmom.gap as gap_mod
+
+    state = indeterminate_states(7700)[0]
+    nc = assemble_coefficients(state.rep, state.bases)
+    spec = GapSpec.parse("(40,inf)")
+    want = gap_solvable_search(state.rep, state.bases, nc, spec, budget=50)
+    assert want.found
+    analysis = analyze_gap(state.rep, state.bases, spec)
+    assert check_gap_class(nc.Xi, analysis).failures == ((None, "A"),)  # A alone
+    monkeypatch.setattr(gap_mod, "haar_batches",
+                        lambda seed, delta, count: iter([np.stack([nc.Xi, 0.6 * want.F, want.F])]))
+    got = gap_solvable_search(state.rep, state.bases, nc, spec, budget=50)
+    assert got.found and got.F.tobytes() == want.F.tobytes()
 
 
 def test_colligation_computed_once_per_problem(monkeypatch):
@@ -219,7 +275,7 @@ def test_screen_interior_matches_contains():
                              ends + 1e-9, ends - 1e-9])
     for margin in (0.0, 1e-8):
         mask = spec.interior(points.reshape(2, -1), margin=margin).ravel()
-        assert mask.tolist() == [spec.contains(t, margin=margin) for t in points]
+        assert mask.tolist() == [contains_reference(spec, t, margin=margin) for t in points]
 
 
 def test_moments_match_atom_by_atom_sum():

@@ -24,15 +24,13 @@ DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 # name -> each class whose method or property of that name has a caller; a comment names one
 SHARED_MEMBERS = {
-    "atoms": {"GapAnalysis"},  # gap.py: analysis.atoms(F)
-    "delta": {"OperatorModel",  # hilbert_space.py: model.delta
-              "BasisCollection"},  # nevanlinna.py: bases.delta
+    "atoms": {"GapAnalysis"},  # gap.py: analysis.atoms(mu)
+    "delta": {"OperatorModel"},  # hilbert_space.py: model.delta; nevanlinna.py: bases.delta
     "moments": {"AtomicMeasure"},  # gap.py: measure.moments(2 * rep.d + 1, dim=rep.N)
     "scale": {"MatrixPolynomial"},  # nevanlinna.py: MatrixPolynomial(inner).scale(...)
     "size": {"OrthoBasisSet",  # hilbert_space.py: range_basis.size
              "AtomicMeasure"},  # bench/workloads.py: measure.size
-    "tau": {"OperatorModel",  # hilbert_space.py: model.tau
-            "BasisCollection"},  # nevanlinna.py: bases.tau
+    "tau": {"OperatorModel"},  # hilbert_space.py: model.tau; nevanlinna.py: bases.tau
     "to_json_obj": {"AtomicMeasure",  # cli.py: measure.to_json_obj()
                     "GapClassDecision",  # cli.py: decision.to_json_obj()
                     "GapSpec",  # bench/workloads.py: self.spec.to_json_obj()
