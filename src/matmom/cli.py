@@ -121,16 +121,24 @@ def _unique_solution(state) -> AtomicMeasure:
 def _emit_measure(args, measure: AtomicMeasure, ms, tol: Tolerances, **extra) -> int:
     """Write the measure, its verify block and extra keys, and the CSV when asked.
 
-    Returns the exit status: 3 when the measure fails its own verification.
+    The CSV file is opened first, so a path that cannot be written is an input
+    error with nothing on stdout.  Returns the exit status: 3 when the measure
+    fails its own verification.
     """
     report = verify_moments(measure, ms, tol.moment_tol)
     payload = measure.to_json_obj()
     payload["verify"] = report.to_json_obj()
     payload.update(extra)
-    _emit(payload)
-    if args.csv:
-        with open(args.csv, "w", encoding="utf-8", newline="") as fh:
-            write_distribution_csv(fh, ms.N, distribution_csv_rows(measure, dim=ms.N))
+    if not args.csv:
+        _emit(payload)
+    else:
+        try:
+            fh = open(args.csv, "w", encoding="utf-8", newline="")
+        except OSError as exc:
+            raise InputError(f"cannot write {args.csv}: {exc}") from exc
+        with fh:
+            _emit(payload)
+            write_distribution_csv(fh, ms.N, distribution_csv_rows(measure, ms.N))
     return 0 if report.passed else 3
 
 

@@ -15,9 +15,10 @@ within FIXED_POINT_TOL of 1, an atom at infinity (nevanlinna.extension_operator)
 _verdict decides admissibility, unitarity and the atoms inside the gap for a
 whole stack of parameters from one stacked eigvals; check_gap_class is its view
 of one parameter.  The search takes its candidates in batches of 1, 2, 4, ...
-(doubling_batches), and only the accepted ones go on, in order and with their
-row of that spectrum, to the verification of their canonical solution; no
-candidate needs a second eigvals.  For delta = 1 the candidates are one angle
+(doubling_batches), and only the accepted ones go on, in order, to the
+verification of their canonical solution, the Cayley inverse of
+determinate.extension_matrix; no candidate needs a second eigvals or a second
+test of codes A and B.  For delta = 1 the candidates are one angle
 per arc between the values of W at the gap's finite endpoints (_family, the
 only place W is evaluated); for delta > 1 they are seeded Haar-random
 unitaries, drawn in stacks (haar_batches) that hold the matrices of successive
@@ -31,13 +32,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .determinate import spectral_measure
+from .determinate import cayley_inverse, extension_matrix, spectral_measure
 from .errors import ParameterError
 from .hilbert_space import BasisCollection, HilbertRep
 from .moment_model import AtomicMeasure, DEFAULT_TOL, GapSpec, Tolerances
 from .nevanlinna import (FIXED_POINT_TOL, NevanlinnaCoefficients, check_contraction,
-                         extended_colligation, extension_operator, fixed_point_distance,
-                         square_parameter)
+                         extended_colligation, fixed_point_distance, square_parameter)
 from .solvability import block_hankel
 
 BATCH_CAP = 256  # most candidates a search draws or decides with one numpy call
@@ -181,13 +181,12 @@ class GapSearchResult:
         return self.status == "found"
 
 
-def random_unitary(rng: np.random.Generator, delta: int, size: int | None = None) -> np.ndarray:
-    """Haar-random delta x delta unitary, or a (size, delta, delta) stack of them:
-    QR of a complex Gaussian matrix with the phases of R's diagonal moved into Q.
-    Each matrix takes its real, then its imaginary delta x delta Gaussians, so a
-    stack holds the matrices of size successive single draws, bit for bit."""
-    shape = (2, delta, delta) if size is None else (size, 2, delta, delta)
-    parts = rng.normal(size=shape)
+def random_unitary(rng: np.random.Generator, delta: int, size: int) -> np.ndarray:
+    """A (size, delta, delta) stack of Haar-random delta x delta unitaries: QR of a
+    complex Gaussian matrix with the phases of R's diagonal moved into Q.  Each
+    matrix takes its real, then its imaginary delta x delta Gaussians, so a stack
+    holds the matrices of size successive draws of one, bit for bit."""
+    parts = rng.normal(size=(size, 2, delta, delta))
     q, r = np.linalg.qr(parts[..., 0, :, :] + 1j * parts[..., 1, :, :])
     diag = np.diagonal(r, axis1=-2, axis2=-1)
     return q * (diag / np.abs(diag))[..., None, :]
@@ -254,9 +253,9 @@ def gap_solvable_search(rep: HilbertRep, bases: BasisCollection,
     else:
         batches = haar_batches(seed, bases.delta, int(budget))
     for batch in batches:
-        mu, unitary, admissible, inside = _verdict(batch, analysis, tol)
+        _, unitary, admissible, inside = _verdict(batch, analysis, tol)
         for k in np.flatnonzero(unitary & admissible & ~inside.any(axis=-1)):
-            measure = spectral_measure(extension_operator(bases, batch[k], tol, mu=mu[k]),
+            measure = spectral_measure(cayley_inverse(extension_matrix(bases, batch[k])),
                                        rep.first_block())
             if not verify_gap(measure, spec, tol):
                 continue

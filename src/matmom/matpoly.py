@@ -1,8 +1,9 @@
 """Dense matrix polynomials, coefficients stored lowest degree first.
 
 They hold the printed transform coefficients and the cubic psi term that
-assemble_coefficients folds into A.  evaluate_transform evaluates none of
-them: it sums pole-residue terms and the coefficients of psi(z) / (z+i).
+assemble_coefficients folds into A.  The library only prints them; only the
+tests evaluate them.  evaluate_transform sums pole-residue terms and the
+coefficients of psi(z) / (z+i).
 """
 
 from __future__ import annotations
@@ -52,26 +53,10 @@ class MatrixPolynomial:
             raise InputError(f"coefficient array must be (n, p, q), got shape {c.shape}")
         object.__setattr__(self, "coeffs", c)
 
-    @property
-    def shape(self) -> tuple:
-        return self.coeffs.shape[1:]
-
     def trim(self) -> "MatrixPolynomial":
         """poly_trim's rule on the largest |entry| of each coefficient."""
         mags = np.abs(self.coeffs).reshape(self.coeffs.shape[0], -1).max(axis=1, initial=0.0)
         return MatrixPolynomial(self.coeffs[: poly_trim(mags).size].copy())
-
-    def __call__(self, z) -> np.ndarray:
-        """Evaluate at scalar or array z; returns shape z.shape + (p, q).
-
-        Horner's rule runs over a (p, q) + z.shape array, the points last, and
-        the result is a view with the points moved first."""
-        z = np.asarray(z, dtype=complex)
-        out = np.zeros(self.shape + z.shape, dtype=complex)
-        for c in self.coeffs[::-1]:
-            out *= z
-            out += c.reshape(c.shape + (1,) * z.ndim)
-        return np.moveaxis(out, (0, 1), (-2, -1))
 
     def scale(self, scalar_coeffs: np.ndarray) -> "MatrixPolynomial":
         """Multiply by a scalar polynomial given as a 1-D coefficient array."""

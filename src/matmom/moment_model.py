@@ -164,12 +164,11 @@ class AtomicMeasure:
     def dim(self) -> int:
         return self.atoms[0][1].shape[0] if self.atoms else 0
 
-    def moments(self, count: int, dim: int | None = None) -> np.ndarray:
-        """(count, N, N) power moments sum_j t_j^n W_j for n = 0 .. count-1, by direct
+    def moments(self, count: int, dim: int) -> np.ndarray:
+        """(count, dim, dim) power moments sum_j t_j^n W_j for n = 0 .. count-1, by direct
         summation: t_j^n is the running product 1 t_j ... t_j (one cumprod), every
         t_j^n W_j is one product, and the terms are added onto zero in atom order."""
-        n_dim = self.dim if dim is None else dim
-        out = np.zeros((count, n_dim, n_dim), dtype=complex)
+        out = np.zeros((count, dim, dim), dtype=complex)
         if not self.atoms:
             return out
         factors = np.ones((len(self.atoms), count))
@@ -249,10 +248,6 @@ class GapSpec:
                 raise InputError(f"interval needs exactly two endpoints: ({chunk})")
             pairs.append((_parse_endpoint(parts[0]), _parse_endpoint(parts[1])))
         return GapSpec.from_intervals(pairs)
-
-    @property
-    def empty(self) -> bool:
-        return not self.intervals
 
     def interior(self, t: np.ndarray, margin: float = 0.0) -> np.ndarray:
         """Boolean array of t's shape: True where t lies in an open interval, at least
@@ -481,19 +476,18 @@ def verify_moments(measure: AtomicMeasure, ms: MomentSequence, tol: float) -> Mo
 # CSV distribution output
 # ---------------------------------------------------------------------------
 
-def distribution_csv_rows(measure: AtomicMeasure, dim: int | None = None):
-    """Breakpoint samples of the left-continuous distribution function.
+def distribution_csv_rows(measure: AtomicMeasure, dim: int):
+    """Breakpoint samples of the left-continuous distribution function, dim x dim.
 
     Emits one row below the support, one row at each atom (pre-jump value)
     and one row past the last atom carrying the total mass.
     """
-    n_dim = measure.dim if dim is None else dim
     if not measure.atoms:
-        yield 0.0, np.zeros((n_dim, n_dim), dtype=complex)
+        yield 0.0, np.zeros((dim, dim), dtype=complex)
         return
     first_t = measure.atoms[0][0]
-    yield first_t - 1.0, np.zeros((n_dim, n_dim), dtype=complex)
-    running = np.zeros((n_dim, n_dim), dtype=complex)
+    yield first_t - 1.0, np.zeros((dim, dim), dtype=complex)
+    running = np.zeros((dim, dim), dtype=complex)
     for t, w in measure.atoms:
         yield t, running.copy()
         running = running + w

@@ -39,7 +39,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .determinate import cayley_inverse, resolvent_transform, spectral_measure
+from .determinate import cayley_inverse, extension_matrix, resolvent_transform, spectral_measure
 from .errors import EvaluationError, ParameterError, RankError
 from .hilbert_space import BasisCollection, HilbertRep, ip_matrix
 from .matpoly import MatrixPolynomial, poly_times, poly_trim
@@ -49,6 +49,8 @@ FIXED_POINT_TOL = 1e-8  # a constant F whose U_F has an eigenvalue this close to
 SAMPLE_BLOCK = 1024     # callable parameter values held at once: one small array per point
 SPOT_POINTS = 8         # per-point calls that check a whole-array call of a callable parameter
 SPOT_ULPS = 4.0         # the difference allowed there, in eps * max(1, largest |F(z)| entry)
+EPS_SCHEDULE = (1e-2, 1e-3, 1e-4)  # the lines Im z = eps that invert_transform extrapolates from
+FAR_LIMIT = 1e150       # largest |z - i| evaluated: |z|^2 and (z+i)^2 still fit in a double
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,11 +77,6 @@ class NevanlinnaCoefficients:
     eigenvalues: np.ndarray       # (tau,) eigenvalues lam_j of a0, the poles' parameters
     residues: np.ndarray          # (tau, (N+delta)^2) residue of pole j, see assemble_coefficients
 
-    @property
-    def c0(self) -> np.ndarray:
-        # the defect-row block equals -w(z) c0; it shares its coefficient with Chat
-        return self.Chat
-
     @cached_property
     def u(self) -> np.ndarray:
         """The colligation U = [[a0, W], [Chat, T]] as one (tau+delta) square matrix,
@@ -105,7 +102,7 @@ class NevanlinnaCoefficients:
             "Chat": matrix_to_json(self.Chat),
             "K": matrix_to_json(self.K),
             "A0_coeff": matrix_to_json(self.a0),
-            "C0_coeff": matrix_to_json(self.c0),
+            "C0_coeff": matrix_to_json(self.Chat),  # the defect-row block is -w(z) Chat
             "psi": self.psi.to_json_obj(),
         }
 
@@ -155,12 +152,6 @@ def extended_colligation(u: np.ndarray, F: np.ndarray) -> np.ndarray:
     out[..., :tau] = u[:, :tau]
     out[..., tau:] = u[:, tau:] @ F
     return out
-
-
-def _diagonalize(m: np.ndarray, name: str, tol: Tolerances):
-    """(lam, V) with m = V diag(lam) V^{-1}, checked by _conditioned."""
-    lam, vecs = np.linalg.eig(m)
-    return lam, _conditioned(vecs, name, tol)
 
 
 def _conditioned(vecs: np.ndarray, name: str, tol: Tolerances) -> np.ndarray:
@@ -405,9 +396,10 @@ def _solve_pivots(pivot: np.ndarray, rhs: np.ndarray, lower: np.ndarray,
 
 def outside_domain(z) -> np.ndarray:
     """Mask of the points of z outside the transform's domain: the closed
-    lower half-plane and the point i."""
+    lower half-plane, the point i and the points with |z - i| above FAR_LIMIT."""
     z = np.asarray(z, dtype=complex)
-    return (z.imag <= 0.0) | (np.abs(z - 1j) < 1e-10)
+    dist = np.abs(z - 1j)
+    return (z.imag <= 0.0) | (dist < 1e-10) | (dist > FAR_LIMIT)
 
 
 def _colligation_transform(nc: NevanlinnaCoefficients, F: np.ndarray, flat: np.ndarray,
@@ -432,7 +424,8 @@ def _colligation_transform(nc: NevanlinnaCoefficients, F: np.ndarray, flat: np.n
     singular (_check_poles).
     """
     n_dim, size = nc.N, nc.tau + nc.delta
-    mu, vecs = _diagonalize(extended_colligation(nc.u, F), "U_F", tol)
+    mu, vecs = np.linalg.eig(extended_colligation(nc.u, F))
+    _conditioned(vecs, "U_F", tol)
     k_pad = np.zeros((size, n_dim), dtype=complex)
     k_pad[:nc.rho] = nc.K
     left = nc.K.conj().T @ vecs[:nc.rho]
@@ -547,13 +540,14 @@ def evaluate_transform(nc: NevanlinnaCoefficients, F, z,
                        tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Evaluate the solution transform for parameter F at z (scalar or array).
 
-    z must lie in the open upper half-plane away from i (EvaluationError for
-    the first point of z that does not, see outside_domain).  F is a constant
-    delta x delta contraction or a callable z -> matrix, checked to be a
-    contraction first (see _parameter_values).  A callable may be called once
-    with all n points as an (n, 1, 1) array; an (n, delta, delta) result must
-    hold at each point what a call with that point alone returns, and a result
-    refused by the checks of _whole_array_values leaves one call per point.
+    z must lie in the open upper half-plane away from i, with |z - i| at most
+    FAR_LIMIT (EvaluationError for the first point of z that does not, see
+    outside_domain).  F is a constant delta x delta contraction or a callable
+    z -> matrix, checked to be a contraction first (see _parameter_values).
+    A callable may be called once with all n points as an (n, 1, 1) array; an
+    (n, delta, delta) result must hold at each point what a call with that
+    point alone returns, and a result refused by the checks of
+    _whole_array_values leaves one call per point.
     Returns the transform of the transposed measure: entry (j, k) integrates
     1/(t - z) against dm_{k,j}.
 
@@ -572,8 +566,11 @@ def evaluate_transform(nc: NevanlinnaCoefficients, F, z,
         return np.zeros(z_arr.shape + (nc.N, nc.N), dtype=complex)
     outside = np.flatnonzero(outside_domain(flat))
     if outside.size:
-        if flat[outside[0]].imag <= 0.0:
+        first = flat[outside[0]]
+        if first.imag <= 0.0:
             raise EvaluationError("z must lie in the open upper half-plane")
+        if abs(first - 1j) > FAR_LIMIT:
+            raise EvaluationError(f"z must satisfy |z - i| <= {FAR_LIMIT:g}")
         raise EvaluationError("z = i is excluded from the transform domain")
 
     f_vals = _parameter_values(F, nc.delta, flat, tol)
@@ -596,30 +593,22 @@ def evaluate_transform(nc: NevanlinnaCoefficients, F, z,
 # Canonical solutions from unitary constant parameters
 # ---------------------------------------------------------------------------
 
-def extension_matrix(bases: BasisCollection, F: np.ndarray) -> np.ndarray:
-    """Unitary extension of the Cayley isometry determined by a unitary parameter."""
-    q = np.concatenate([bases.range_basis.vectors, bases.defect_basis.vectors], axis=1)
-    images = np.concatenate([bases.cayley, bases.codefect_basis.vectors @ F], axis=1)
-    return images @ q.conj().T
-
-
 def fixed_point_distance(mu: np.ndarray) -> np.ndarray:
     """Distance from 1 of the nearest of the eigenvalues mu of U_F, one per row of a
     stack of spectra: a unitary F is admissible exactly when it exceeds FIXED_POINT_TOL."""
     return np.abs(mu - 1.0).min(axis=-1, initial=np.inf)
 
 
-def extension_operator(bases: BasisCollection, F: np.ndarray, tol: Tolerances = DEFAULT_TOL,
-                       mu: np.ndarray | None = None) -> np.ndarray:
+def extension_operator(bases: BasisCollection, F: np.ndarray,
+                       tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Self-adjoint extension of the shift, as an r x r Hermitian matrix.
 
     Requires a unitary parameter F (within psd_tol) that is admissible: no
     eigenvalue of U_F = extended_colligation(bases.colligation_matrix, F) lies
     within FIXED_POINT_TOL of 1.  The extension is unitarily similar to U_F, so
     this is the test that it has no fixed point, and an eigenvalue at 1 is the
-    atom at infinity of a forbidden F.  mu, when given, is that spectrum already
-    computed by the caller.  ParameterError when F is not unitary or not
-    admissible.
+    atom at infinity of a forbidden F.  ParameterError when F is not unitary or
+    not admissible.
     """
     if bases.delta == 0:
         raise ParameterError("problem is determinate; use the determinate solver")
@@ -627,9 +616,8 @@ def extension_operator(bases: BasisCollection, F: np.ndarray, tol: Tolerances = 
     unit_dev = float(np.abs(F.conj().T @ F - np.eye(bases.delta)).max(initial=0.0))
     if unit_dev > tol.psd_tol:
         raise ParameterError(f"parameter is not unitary (deviation {unit_dev:.3e})")
-    if mu is None:
-        mu = np.linalg.eigvals(extended_colligation(bases.colligation_matrix, F))
-    fixed_dist = fixed_point_distance(mu)
+    fixed_dist = fixed_point_distance(
+        np.linalg.eigvals(extended_colligation(bases.colligation_matrix, F)))
     if fixed_dist <= FIXED_POINT_TOL:
         raise ParameterError(f"parameter is not admissible: U_F has an eigenvalue within "
                              f"{fixed_dist:.3e} of 1")
@@ -680,17 +668,16 @@ class SampledDistribution:
     grid: np.ndarray      # (L,) increasing real points
     values: np.ndarray    # (L, N, N) cumulative mass over (grid[0], grid[k])
     monotone: bool        # False when the extrapolated diagonals dip
-    eps_schedule: tuple
 
     def total_mass(self) -> np.ndarray:
         return self.values[-1]
 
 
-def invert_transform(evaluator, grid, eps_schedule=(1e-2, 1e-3, 1e-4)) -> SampledDistribution:
+def invert_transform(evaluator, grid) -> SampledDistribution:
     """Recover the cumulative measure from transform boundary values.
 
     Extrapolates the transform on the horizontal lines Im z = eps to eps -> 0
-    through the schedule, as one sum of the evaluator's outputs with the Lagrange
+    through EPS_SCHEDULE, as one sum of the evaluator's outputs with the Lagrange
     weights prod_{m != k} eps_m / (eps_m - eps_k) of polynomial interpolation at
     0, then integrates its matrix imaginary part by the trapezoid rule on the
     grid, in one pass.  The evaluator receives a full complex grid array and
@@ -700,16 +687,11 @@ def invert_transform(evaluator, grid, eps_schedule=(1e-2, 1e-3, 1e-4)) -> Sample
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 2 or np.any(np.diff(grid) <= 0):
         raise EvaluationError("grid must be a strictly increasing 1-D array")
-    eps_schedule = tuple(float(e) for e in eps_schedule)
-    if not eps_schedule or any(e <= 0 for e in eps_schedule):
-        raise EvaluationError("eps schedule must contain positive values")
-    if len(set(eps_schedule)) < len(eps_schedule):
-        raise EvaluationError("eps schedule must not repeat a value")
 
     extrap = None
-    for k, eps in enumerate(eps_schedule):
+    for k, eps in enumerate(EPS_SCHEDULE):
         # Lagrange weight of eps at 0 for interpolation in the schedule
-        weight = float(np.prod([e / (e - eps) for m, e in enumerate(eps_schedule) if m != k]))
+        weight = float(np.prod([e / (e - eps) for m, e in enumerate(EPS_SCHEDULE) if m != k]))
         vals = np.asarray(evaluator(grid + 1j * eps), dtype=complex)
         if vals.ndim == 1:
             vals = vals[:, None, None]
@@ -730,5 +712,4 @@ def invert_transform(evaluator, grid, eps_schedule=(1e-2, 1e-3, 1e-4)) -> Sample
         warnings.warn("extrapolated distribution is not monotone within tolerance",
                       RuntimeWarning, stacklevel=2)
     values = extrap.transpose(0, 2, 1)  # transposed-measure transform back to the measure
-    return SampledDistribution(grid=grid, values=values, monotone=monotone,
-                               eps_schedule=eps_schedule)
+    return SampledDistribution(grid=grid, values=values, monotone=monotone)

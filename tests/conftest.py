@@ -106,11 +106,24 @@ def pick_parameter(rng, state, nc, min_fixed_dist=0.1, tries=48):
         if nc.delta == 1:
             cand = np.array([[np.exp(1j * (0.37 + 0.61 * k))]])
         else:
-            cand = random_unitary(rng, nc.delta)
+            cand = random_unitary(rng, nc.delta, 1)[0]
         mu = np.linalg.eigvals(extended_colligation(state.bases.colligation_matrix, cand))
         if fixed_point_distance(mu) >= min_fixed_dist:
             return cand
     raise ParameterError("no well-separated admissible unitary found")
+
+
+def polyval_matrix(poly, z):
+    """The MatrixPolynomial poly at scalar or array z, shape z.shape + (p, q).
+
+    Horner's rule runs over a (p, q) + z.shape array, the points last, and the
+    result is a view with the points moved first."""
+    z = np.asarray(z, dtype=complex)
+    out = np.zeros(poly.coeffs.shape[1:] + z.shape, dtype=complex)
+    for c in poly.coeffs[::-1]:
+        out *= z
+        out += c.reshape(c.shape + (1,) * z.ndim)
+    return np.moveaxis(out, (0, 1), (-2, -1))
 
 
 def check_constant_admissible(F, Xi, tol=DEFAULT_TOL):

@@ -21,8 +21,8 @@ from matmom.gap import analyze_gap
 
 from conftest import (example21_matrices, golden_B, golden_D, golden_k,
                       golden_shift_matrix, golden_transform, golden_w_tilde,
-                      moments_from_measure, pick_parameter, point_reference, random_measure,
-                      w_tilde_table)
+                      moments_from_measure, pick_parameter, point_reference, polyval_matrix,
+                      random_measure, w_tilde_table)
 
 
 def _report(n, text):
@@ -74,8 +74,8 @@ def test_criterion_2_golden_coefficients():
     zs = rng.uniform(-3, 3, 10) + 1j * rng.uniform(0.2, 3.0, 10)
     for z in zs:
         for got, want in ((polyval(z, nc.k), golden_k(z)),
-                          (nc.B_poly(z), golden_B(z)),
-                          (nc.D_poly(z), golden_D(z))):
+                          (polyval_matrix(nc.B_poly, z), golden_B(z)),
+                          (polyval_matrix(nc.D_poly, z), golden_D(z))):
             scale = np.abs(want).max()
             assert np.abs(np.asarray(got) - want).max() / scale <= 1e-9
 

@@ -12,7 +12,7 @@ from matmom import (AtomicMeasure, Tolerances, analyze, assemble_coefficients,
 from matmom.errors import RankError
 from matmom.matpoly import MatrixPolynomial
 
-from conftest import indeterminate_states, moments_from_measure
+from conftest import indeterminate_states, moments_from_measure, polyval_matrix
 
 
 def interpolation_nodes(count):
@@ -29,12 +29,13 @@ def reference_adjugate(a0, z):
 
 
 def reference_interpolate(fn, degree, shape):
-    """Interpolation with one call of fn per node."""
+    """Interpolation with one call of fn per node, as a function of z."""
     nodes = interpolation_nodes(degree + 1)
     vander = np.vander(nodes, degree + 1, increasing=True)
     values = np.stack([np.asarray(fn(z), dtype=complex).reshape(-1) for z in nodes])
     coeffs = np.linalg.solve(vander, values).reshape((degree + 1,) + shape)
-    return MatrixPolynomial(coeffs).trim()
+    poly = MatrixPolynomial(coeffs).trim()
+    return lambda z: polyval_matrix(poly, z)
 
 
 def reference_psi(gamma, n_dim):
@@ -62,7 +63,7 @@ def reference_coefficients(state, nc):
 
     def a_fn(z):
         det, adj = reference_adjugate(a0, z)
-        return (z + 1j) * (kc @ adj[:rho, :rho] @ k_mat) + det * psi(z)
+        return (z + 1j) * (kc @ adj[:rho, :rho] @ k_mat) + det * polyval_matrix(psi, z)
 
     def b_fn(z):
         _, adj = reference_adjugate(a0, z)
@@ -92,8 +93,9 @@ def test_coefficients_match_per_node_reference(ex21):
         nc = assemble_coefficients(state.rep, state.bases)
         psi, ref = reference_coefficients(state, nc)
         assert np.array_equal(nc.psi.coeffs, psi.coeffs)
-        got = {"k": polyval(z, nc.k), "A": nc.A_poly(z), "B": nc.B_poly(z),
-               "C": nc.C_poly(z), "D": nc.D_poly(z)}
+        got = {"k": polyval(z, nc.k), "A": polyval_matrix(nc.A_poly, z),
+               "B": polyval_matrix(nc.B_poly, z), "C": polyval_matrix(nc.C_poly, z),
+               "D": polyval_matrix(nc.D_poly, z)}
         for name, fn in ref.items():
             want = fn(z)
             assert got[name].shape == want.shape

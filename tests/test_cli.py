@@ -567,6 +567,30 @@ def test_gap_solve_negative_seed_rejected(doc_path, tmp_path):
         assert "--seed must be non-negative" in proc.stderr
 
 
+def test_evaluate_far_point_refused(doc_path):
+    """A point beyond |z - i| = 1e150, where the squares of z overflow, is an evaluate
+    error with exit 2 and nothing on stderr, where it printed NaN and exited 0."""
+    for z in ("1e200+1j", "1.4e154j"):
+        proc = run_cli("evaluate", doc_path("ex21"), "--F", "[[1,0]]", "--z", "2j", "--z", z)
+        assert proc.returncode == 2 and proc.stderr == ""
+        assert proc.stdout == '{"error": "z must satisfy |z - i| <= 1e+150"}\n'
+
+
+@pytest.mark.parametrize("doc, args", [
+    ("two_atom", ("solve",)),
+    ("ex21", ("canonical", "--F", "[[1,0]]")),
+    ("ex21", ("gap-solve", "--delta", "(-1,1)")),
+])
+def test_unwritable_csv_rejected(doc_path, tmp_path, doc, args):
+    """A --csv path that cannot be written is an input error found before any output:
+    exit 1, nothing on stdout and no traceback."""
+    target = tmp_path / "missing" / "dist.csv"
+    proc = run_cli(args[0], doc_path(doc), *args[1:], "--csv", str(target))
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith(f"input error: cannot write {target}: ")
+    assert "Traceback" not in proc.stderr
+
+
 WRONG_SIZE_F = "[[[1,0],[0,0]],[[0,0],[1,0]]]"  # 2x2; the golden input has delta = 1
 
 

@@ -17,7 +17,7 @@ from matmom import assemble_coefficients, evaluate_transform, find_admissible_un
 from matmom.errors import EvaluationError, ParameterError
 from matmom.moment_model import DEFAULT_TOL
 
-from conftest import indeterminate_states, scalar_only, upper_points
+from conftest import indeterminate_states, polyval_matrix, scalar_only, upper_points
 
 BOUND = 1.0 + DEFAULT_TOL.psd_tol
 INV_TOL = DEFAULT_TOL.inv_tol
@@ -38,7 +38,7 @@ def reference_transform(nc, F, z, tol=DEFAULT_TOL):
     values, singular = [], []
     for w, f in zip(flat, f_vals):
         x = np.linalg.solve((w + 1j) * np.eye(nc.tau) - (w - 1j) * nc.a0, rhs)
-        a = (w + 1j) * nc.K.conj().T @ x[:rho, :n_dim] + nc.psi(w)
+        a = (w + 1j) * nc.K.conj().T @ x[:rho, :n_dim] + polyval_matrix(nc.psi, w)
         b = -(w * w + 1.0) * nc.K.conj().T @ x[:rho, n_dim:]
         c = (1j - w) * (nc.T + (w - 1j) * nc.Chat @ x[:, n_dim:])
         d = -(w - 1j) * nc.Chat @ x[:, :n_dim]

@@ -4,6 +4,7 @@ against the resolvent of the self-adjoint extension."""
 
 import json
 import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -85,13 +86,30 @@ def test_defective_extension_falls_back_to_pivot_path(ex21_nc):
     eig is refused, and the constant parameter takes the pivot path instead."""
     bad = replace(ex21_nc, a0=np.array([[0.5, 1.0], [0.0, 0.5]], dtype=complex))
     F = np.zeros((1, 1))
-    with pytest.raises(RankError, match="eigenvector matrix of U_F is ill-conditioned"):
-        nev._diagonalize(nev.extended_colligation(bad.u, F), "U_F", DEFAULT_TOL)
     z = np.array([0.5 + 1j, 2j])
+    with pytest.raises(RankError, match="eigenvector matrix of U_F is ill-conditioned"):
+        nev._colligation_transform(bad, F, z, DEFAULT_TOL)
     assert np.array_equal(evaluate_transform(bad, F, z), evaluate_transform(bad, lambda w: F, z))
     # the same matrix with distinct eigenvalues is diagonalised
     fine = replace(ex21_nc, a0=np.array([[0.5, 1.0], [0.0, -0.5]], dtype=complex))
     assert np.isfinite(evaluate_transform(fine, F, z)).all()
+
+
+def test_far_points_refused(ex21, ex21_nc):
+    """Beyond |z - i| = FAR_LIMIT the squares of z would overflow to NaN: a constant
+    and a callable F raise EvaluationError there, before any warning, and at 1e100j,
+    well inside, the value is finite and equals the resolvent's."""
+    F = find_admissible_unitary(ex21_nc.Xi)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for param in (F, lambda w: F):
+            for z in (1.4e154j, 1e200 + 1j, np.array([2j, 1e200 + 1j])):
+                with pytest.raises(EvaluationError, match=r"\|z - i\| <= 1e\+150"):
+                    evaluate_transform(ex21_nc, param, z)
+            got = evaluate_transform(ex21_nc, param, 1e100j)
+            want = transform_via_resolvent(ex21.rep, ex21.bases, F, 1e100j)
+            assert np.isfinite(got).all()
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def symmetric_state():

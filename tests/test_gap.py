@@ -291,12 +291,13 @@ def test_oracle_gap_feasibility():
 def test_gap_search_checks_each_candidate_once(ex21, ex21_nc, monkeypatch):
     """The search makes one eigvals per batch and no other: _verdict decides
     admissibility, unitarity and the gap for the whole batch from that spectrum, and
-    the canonical solution of an accepted candidate is built from its row too, with no
-    second spectrum and no forbidden matrix; it is the measure canonical_solution gives."""
+    the canonical solution of an accepted candidate is built with no second spectrum,
+    no extension_operator (which would decide codes A and B again) and no forbidden
+    matrix; it is the measure canonical_solution gives, bit for bit."""
     import matmom.gap as gap_mod
     import matmom.nevanlinna as nev
 
-    calls = {"verdict": 0, "eigvals": 0, "forbidden": 0}
+    calls = {"verdict": 0, "eigvals": 0, "forbidden": 0, "extension": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -314,12 +315,15 @@ def test_gap_search_checks_each_candidate_once(ex21, ex21_nc, monkeypatch):
         monkeypatch.setattr(gap_mod, "_verdict", counted("verdict", gap_mod._verdict))
         monkeypatch.setattr(np.linalg, "eigvals", counted("eigvals", np.linalg.eigvals))
         monkeypatch.setattr(nev, "forbidden_matrix", counted("forbidden", nev.forbidden_matrix))
+        extension = counted("extension", nev.extension_operator)
+        monkeypatch.setattr(nev, "extension_operator", extension)
+        monkeypatch.setattr(gap_mod, "extension_operator", extension, raising=False)
         result = gap_solvable_search(st.rep, st.bases, coeffs, spec, budget=200)
         monkeypatch.undo()
         assert result.found, spec
         assert calls["verdict"] >= 1
         assert calls["eigvals"] == calls["verdict"]
-        assert calls["forbidden"] == 0
+        assert calls["forbidden"] == calls["extension"] == 0
         want = canonical_solution(st.rep, st.bases, result.F)
         assert len(result.measure.atoms) == len(want.atoms)
         for (t, w), (t_want, w_want) in zip(result.measure.atoms, want.atoms):

@@ -47,7 +47,7 @@ def test_colligation_atoms_match_canonical_solution(ex21):
     cases = [(ex21, [np.array([[np.exp(1j * p)]]) for p in (0.0, 0.3, 2.0, 4.5)])]
     rng = np.random.default_rng(17)
     for state, _ in random_indeterminate_states() + [delta2_state()]:
-        cases.append((state, [random_unitary(rng, state.bases.delta) for _ in range(4)]))
+        cases.append((state, list(random_unitary(rng, state.bases.delta, 4))))
     checked = 0
     for state, params in cases:
         analysis = analyze_gap(state.rep, state.bases, GapSpec.parse(""))
@@ -92,7 +92,7 @@ def test_gap_class_equivalent_to_verify_gap_delta2():
     state, locs = delta2_state()
     assert state.bases.delta == 2
     rng = np.random.default_rng(23)
-    params = [random_unitary(rng, 2) for _ in range(50)]
+    params = list(random_unitary(rng, 2, 50))
     a, b = max(zip(locs, locs[1:]), key=lambda p: p[1] - p[0])
     assert_class_matches_canonical(state, params, GapSpec.from_intervals([(a, b)]))
 

@@ -107,14 +107,14 @@ def test_golden_documents_come_from_their_seeds():
 
 
 def test_batched_haar_draws_match_successive_draws():
-    """k draws at once are the k successive one-matrix draws, bit for bit, and a single
-    draw is the one-matrix QR it always was."""
+    """k draws at once are k successive draws of one, bit for bit, and those are the
+    one-matrix QR of loop_unitary."""
     for delta in (1, 2, 3, 5):
         for seed in range(4):
             for k in (1, 2, 7, 40):
                 batch = random_unitary(np.random.default_rng(seed), delta, k)
                 rng = np.random.default_rng(seed)
-                singles = [random_unitary(rng, delta) for _ in range(k)]
+                singles = [random_unitary(rng, delta, 1)[0] for _ in range(k)]
                 rng = np.random.default_rng(seed)
                 loops = [loop_unitary(rng, delta) for _ in range(k)]
                 assert batch.shape == (k, delta, delta)
@@ -128,7 +128,7 @@ def test_haar_batches_double_up_to_the_cap():
     assert sizes[:3] == [1, 2, 4] and max(sizes) == BATCH_CAP and sum(sizes) == count
     assert all(b == min(2 * a, BATCH_CAP) for a, b in zip(sizes, sizes[1:-1]))
     rng = np.random.default_rng(5)
-    singles = np.array([random_unitary(rng, 2) for _ in range(count)])
+    singles = np.array([random_unitary(rng, 2, 1)[0] for _ in range(count)])
     assert np.concatenate(batches).tobytes() == singles.tobytes()
 
 

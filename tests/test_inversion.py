@@ -10,11 +10,9 @@ import pytest
 
 from matmom import (assemble_coefficients, canonical_solution, evaluate_transform,
                     find_admissible_unitary, invert_transform)
-from matmom.errors import EvaluationError
+from matmom.nevanlinna import EPS_SCHEDULE
 
 from conftest import indeterminate_states
-
-SCHEDULES = [(1e-2,), (1e-2, 1e-3), (1e-2, 1e-3, 1e-4)]
 
 
 def neville_of_cumsums(evaluator, grid, eps_schedule):
@@ -52,19 +50,15 @@ def cases(ex21):
     }
 
 
-@pytest.mark.parametrize("schedule", SCHEDULES, ids=len)
+@pytest.mark.parametrize("schedule", [EPS_SCHEDULE], ids=len)
 @pytest.mark.parametrize("name", ["single pole", "ex21", "N=2"])
 def test_matches_neville_of_cumsums(cases, name, schedule):
     evaluator, grid = cases[name]
     want = neville_of_cumsums(evaluator, grid, schedule)
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", "extrapolated distribution is not monotone")
-        got = invert_transform(evaluator, grid, schedule)
+        got = invert_transform(evaluator, grid)
     assert got.values.shape == want.shape
     scale = max(1.0, float(np.abs(want[-1]).max()))
     assert np.abs(got.values - want).max() <= 1e-12 * scale
 
-
-def test_repeated_eps_rejected():
-    with pytest.raises(EvaluationError, match="must not repeat"):
-        invert_transform(lambda z: 1.0 / (1.0 - z), np.linspace(0.0, 2.0, 11), (1e-2, 1e-2))

@@ -138,7 +138,7 @@ def test_gap_spec_parse():
     spec = GapSpec.parse("(-1,1),(3,inf)")
     assert spec.intervals == ((-1.0, 1.0), (3.0, math.inf))
     assert spec.interior(np.array([0.0, 100.0, 1.0, 2.0])).tolist() == [True, True, False, False]
-    assert GapSpec.parse("").empty
+    assert GapSpec.parse("").intervals == ()
     with pytest.raises(InputError):
         GapSpec.parse("(1,-1)")
     with pytest.raises(InputError):

@@ -4,7 +4,10 @@ property of its classes, has a caller outside the tests.
 A name counts as used when it is read (a name or an attribute in Load context) outside
 its own definition, in the library's own code, in a python block of README.md or in the
 benchmark scripts bench/*.py.  Being listed in __all__, imported, assigned (a dataclass
-field of the same name is a store) or read in its own body does not count.
+field of the same name is a store) or read in its own body does not count, and neither
+does an attribute of a module that the file binds with its own `import`, other than
+matmom: np.empty and math.inf read numpy's and math's members (the python blocks of
+README.md run in one namespace, so they count as one file).
 
 A read of a member name cannot tell apart the classes that define it, so a member name
 that two or more classes define, as a method, a property or a dataclass field, is checked
@@ -42,16 +45,27 @@ SHARED_MEMBERS = {
 }
 
 
-def _reads(node, enclosing=()):
-    """(name, enclosing definitions) for every name and attribute read under node."""
+def _file_reads(tree):
+    """_reads over a whole file, leaving out the attributes of the modules other than
+    matmom that its `import` statements bind (np for `import numpy as np`)."""
+    modules = {alias.asname or alias.name.partition(".")[0]
+               for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for alias in node.names if alias.name.partition(".")[0] != "matmom"}
+    return _reads(tree, modules)
+
+
+def _reads(node, modules, enclosing=()):
+    """(name, enclosing definitions) for every name and attribute read under node,
+    except an attribute read on one of the module names."""
     if isinstance(node, DEFS):
         enclosing += (node,)
     if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
         yield node.id, enclosing
-    elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+    elif (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+          and not (isinstance(node.value, ast.Name) and node.value.id in modules)):
         yield node.attr, enclosing
     for child in ast.iter_child_nodes(node):
-        yield from _reads(child, enclosing)
+        yield from _reads(child, modules, enclosing)
 
 
 def _definitions(tree):
@@ -70,19 +84,25 @@ def test_no_library_code_only_tests_call():
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         defined += [(path.name, label, node) for label, node in _definitions(tree)]
-        reads += _reads(tree)
+        reads += _file_reads(tree)
     blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(encoding="utf-8"),
                         flags=re.S)
-    for block in blocks:
-        reads += _reads(ast.parse(block))
+    reads += _file_reads(ast.parse("\n".join(blocks)))
     for path in sorted((ROOT / "bench").glob("*.py")):
-        reads += _reads(ast.parse(path.read_text(), filename=str(path)))
+        reads += _file_reads(ast.parse(path.read_text(), filename=str(path)))
     readers = {}
     for name, enclosing in reads:
         readers.setdefault(name, []).append(enclosing)
     orphans = [f"{file}:{label}" for file, label, node in defined
                if all(node in enclosing for enclosing in readers.get(node.name, ()))]
     assert not orphans, f"defined but never used in src/matmom, README.md or bench/: {orphans}"
+
+
+def test_attribute_of_an_imported_module_is_not_a_read():
+    """np.empty reads numpy's member, not a library name; matmom.analyze reads one."""
+    tree = ast.parse("import matmom, numpy as np\nnp.empty(matmom.analyze)")
+    names = {name for name, _ in _file_reads(tree)}
+    assert "empty" not in names and {"analyze", "np", "matmom"} <= names
 
 
 def test_shared_member_names_are_checked_by_hand():
