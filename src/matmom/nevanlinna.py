@@ -321,21 +321,29 @@ def _sampled_values(F, delta: int, points: np.ndarray) -> np.ndarray:
 
 def _expanding_points(f: np.ndarray, bound: float) -> np.ndarray:
     """Mask of the points where the (k, k, n) values f, points last, may have
-    norm above bound: where LDL^H without pivoting of bound^2 I - f^H f meets a
-    pivot <= 0, in exact arithmetic where that matrix is not positive definite."""
+    norm above bound: where LDL^H without pivoting of g = bound^2 I - f^H f meets
+    a pivot <= 0, in exact arithmetic where g is not positive definite.  Only the
+    Hermitian half of g is formed: its real diagonal bound^2 - sum_m |f_mi|^2 and
+    its strict upper triangle, held negated as h_ij = sum_m conj(f_mi) f_mj, i < j.
+    Step j takes |g_ja|^2 / pivot from the diagonal entries a > j and
+    conj(g_ja) g_jb / pivot from the upper entries j < a < b."""
     k = f.shape[0]
     flags = ~(np.abs(f) <= bound).all(axis=(0, 1))  # flagged, and factored as 0: no overflow
     if flags.any():
         f = np.where(flags, 0.0, f)
-    g = _product(np.swapaxes(f.conj(), 0, 1), f)
-    np.negative(g, out=g)
-    g[range(k), range(k)] += bound * bound
+    diag = bound * bound - (f.real ** 2 + f.imag ** 2).sum(axis=0)
+    upper = [(f[:, i, None].conj() * f[:, i + 1:]).sum(axis=0) for i in range(k - 1)]
     for j in range(k):
-        pivot = g[j, j].real
+        pivot = diag[j]
         flags |= ~(pivot > 0.0)
+        if j + 1 == k:
+            break
         # Schur complement update of the trailing block; flagged points divide by 1
-        ratio = g[j + 1:, j] * (1.0 / np.where(flags, 1.0, pivot))
-        g[j + 1:, j + 1:] -= ratio[:, None] * g[j, None, j + 1:]
+        h = upper[j]
+        ratio = h * (1.0 / np.where(flags, 1.0, pivot))
+        diag[j + 1:] -= h.real * ratio.real + h.imag * ratio.imag
+        for a in range(j + 1, k - 1):
+            upper[a] += ratio[a - j - 1].conj() * h[a - j:]
     return flags
 
 
@@ -373,11 +381,14 @@ def _solve_pivots(pivot: np.ndarray, rhs: np.ndarray, lower: np.ndarray,
     overwriting rhs and, when every point is certified, pivot.  Where lower, a
     bound on the pivot's smallest singular value, exceeds twice the cutoff
     inv_tol * max(1, ||pivot||_F), the 2 for rounding, the point is certified and
-    solved by _lu_solve.  The others get np.linalg.svd (EvaluationError at the
-    first whose smallest singular value is at most inv_tol * max(1, largest)) and
-    np.linalg.solve."""
-    frob = np.sqrt((pivot.real ** 2 + pivot.imag ** 2).sum(axis=(0, 1)))
-    certified = lower > 2.0 * tol.inv_tol * np.maximum(1.0, frob)
+    solved by _lu_solve.  The rule is tested squared, with no square root:
+    lower > 0 and lower^2 > (2 inv_tol)^2 max(1, ||pivot||_F^2).  The others get
+    np.linalg.svd (EvaluationError at the first whose smallest singular value is
+    at most inv_tol * max(1, largest)) and np.linalg.solve."""
+    frob2 = (pivot.real ** 2 + pivot.imag ** 2).sum(axis=(0, 1))
+    cutoff = 2.0 * tol.inv_tol
+    certified = lower > 0.0
+    certified &= lower * lower > cutoff * cutoff * np.maximum(1.0, frob2)
     ok, rest = np.flatnonzero(certified), np.flatnonzero(~certified)
     if not rest.size:  # every point certified: solved in place, with no gathered copies
         return _lu_solve(pivot, rhs)
@@ -396,10 +407,11 @@ def _solve_pivots(pivot: np.ndarray, rhs: np.ndarray, lower: np.ndarray,
 
 def outside_domain(z) -> np.ndarray:
     """Mask of the points of z outside the transform's domain: the closed
-    lower half-plane, the point i and the points with |z - i| above FAR_LIMIT."""
+    lower half-plane, the point i, the points with |z - i| above FAR_LIMIT and
+    the non-finite points, whose |z - i| is NaN or inf."""
     z = np.asarray(z, dtype=complex)
     dist = np.abs(z - 1j)
-    return (z.imag <= 0.0) | (dist < 1e-10) | (dist > FAR_LIMIT)
+    return (z.imag <= 0.0) | (dist < 1e-10) | ~(dist <= FAR_LIMIT)
 
 
 def _colligation_transform(nc: NevanlinnaCoefficients, F: np.ndarray, flat: np.ndarray,
@@ -497,8 +509,9 @@ def _pivot_transform(nc: NevanlinnaCoefficients, f_vals: np.ndarray, flat: np.nd
     pivot (z+i) I + (C/k)(z) F(z) is the Schur complement of (z+i) I - (z-i) U_F,
     so its smallest singular value is at least
     l(z) = |z+i| - |z-i| ||U|| (1 + psd_tol) (one SVD of U per call).  Where l(z)
-    certifies the pivot (_solve_pivots), pivot / (z+i) = I - E with ||E|| < 1 has
-    a positive definite Hermitian part, and _lu_solve needs no pivoting.  With the
+    certifies the pivot, pivot / (z+i) = I - E with ||E|| < 1 has a positive
+    definite Hermitian part, and _lu_solve needs no pivoting; _solve_pivots
+    decides that from l(z)^2 and ||pivot||_F^2, with no square root.  With the
     prefactor 2i / (z^2+1)^2 the transform is
     2i / (z+i) (S_B F pivot^{-1} S_D + (S_A + psi(z) / (z+i)) / (z-i)^2).
     """
@@ -540,10 +553,11 @@ def evaluate_transform(nc: NevanlinnaCoefficients, F, z,
                        tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Evaluate the solution transform for parameter F at z (scalar or array).
 
-    z must lie in the open upper half-plane away from i, with |z - i| at most
-    FAR_LIMIT (EvaluationError for the first point of z that does not, see
-    outside_domain).  F is a constant delta x delta contraction or a callable
-    z -> matrix, checked to be a contraction first (see _parameter_values).
+    z must be finite and lie in the open upper half-plane away from i, with
+    |z - i| at most FAR_LIMIT (EvaluationError for the first point of z that
+    does not, see outside_domain).  F is a constant delta x delta contraction
+    or a callable z -> matrix, checked to be a contraction first (see
+    _parameter_values).
     A callable may be called once with all n points as an (n, 1, 1) array; an
     (n, delta, delta) result must hold at each point what a call with that
     point alone returns, and a result refused by the checks of
@@ -567,6 +581,8 @@ def evaluate_transform(nc: NevanlinnaCoefficients, F, z,
     outside = np.flatnonzero(outside_domain(flat))
     if outside.size:
         first = flat[outside[0]]
+        if not np.isfinite(first):
+            raise EvaluationError("z must be finite")
         if first.imag <= 0.0:
             raise EvaluationError("z must lie in the open upper half-plane")
         if abs(first - 1j) > FAR_LIMIT:
@@ -693,8 +709,6 @@ def invert_transform(evaluator, grid) -> SampledDistribution:
         # Lagrange weight of eps at 0 for interpolation in the schedule
         weight = float(np.prod([e / (e - eps) for m, e in enumerate(EPS_SCHEDULE) if m != k]))
         vals = np.asarray(evaluator(grid + 1j * eps), dtype=complex)
-        if vals.ndim == 1:
-            vals = vals[:, None, None]
         if extrap is None:
             extrap = weight * vals
         else:

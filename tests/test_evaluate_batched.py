@@ -85,7 +85,8 @@ def points_last(stack):
 
 def contraction_cases(rng, n, k):
     """(name, stack) for one n and k: generic stacks, and stacks whose top singular
-    value lies 1e-12 to 1e-7 relative above or below BOUND, a random side per matrix."""
+    value lies 1e-12 to 1e-7 relative above or below BOUND, a random side per matrix,
+    for k >= 2 also with that value carried by one off-diagonal entry."""
     yield "random", random_stack(rng, n, k)
     yield "random contraction", random_stack(rng, n, k, rng.uniform(0.0, 1.0, (n, k)))
     yield "huge entries", 1e200 * random_stack(rng, n, k)
@@ -93,6 +94,24 @@ def contraction_cases(rng, n, k):
         rel = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(low, high, n)
         svals = (BOUND * (1.0 + rel))[:, None] * np.geomspace(1.0, 0.3, k)
         yield f"top within 1e{low} to 1e{high} of the bound", random_stack(rng, n, k, svals)
+    if k >= 2:
+        rel = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-12, -7, n)
+        svals = (BOUND * (1.0 + rel))[:, None] * np.geomspace(1.0, 0.3, k)
+        yield "norm on one off-diagonal entry", off_diagonal_stack(rng, svals)
+
+
+def off_diagonal_stack(rng, svals):
+    """U diag(svals) V^H for near-identity unitaries U, V, with rows permuted by a
+    random pi and columns by pi shifted one place: each matrix keeps its singular
+    values, and its top one sits on the off-diagonal entry (pi_0, pi_1), with the
+    complex off-diagonal entries of f^H f that the screen's update reads."""
+    n, k = svals.shape
+    near = [np.linalg.qr(np.eye(k) + 0.05 * random_stack(rng, n, k))[0] for _ in range(2)]
+    f = (near[0] * svals[:, None, :]) @ np.swapaxes(near[1].conj(), 1, 2)
+    rows = np.argsort(rng.uniform(size=(n, k)), axis=1)
+    out = np.empty_like(f)
+    out[np.arange(n)[:, None, None], rows[:, :, None], np.roll(rows, -1, axis=1)[:, None, :]] = f
+    return out
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])

@@ -112,6 +112,25 @@ def test_far_points_refused(ex21, ex21_nc):
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
+def test_non_finite_points_refused(ex21_nc):
+    """A NaN in the real or the imaginary part of z is outside the domain: a constant
+    and a callable F raise EvaluationError("z must be finite") at the first such
+    point, before any warning, and a domain error at an earlier point still comes
+    first."""
+    F = find_admissible_unitary(ex21_nc.Xi)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for param in (F, lambda w: F):
+            for bad in (complex(np.nan, 1.0), complex(1.0, np.nan), complex(np.inf, 1.0)):
+                for z in (bad, np.array([2j, bad, -1j])):
+                    with pytest.raises(EvaluationError, match="^z must be finite$"):
+                        evaluate_transform(ex21_nc, param, z)
+                with pytest.raises(EvaluationError, match="upper half-plane"):
+                    evaluate_transform(ex21_nc, param, np.array([2j, -1j, bad]))
+    assert nev.outside_domain([complex(np.nan, 1.0), complex(1.0, np.nan), 2j]).tolist() \
+        == [True, True, False]
+
+
 def symmetric_state():
     """Moments (1, 0, 1): atoms at -1 and 1 of weight 1/2, indeterminate with tau = 1
     and a0 = 0, so U_F for F = 0 is nilpotent and not diagonalisable."""

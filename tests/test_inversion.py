@@ -19,8 +19,6 @@ def neville_of_cumsums(evaluator, grid, eps_schedule):
     cums = []
     for eps in eps_schedule:
         vals = np.asarray(evaluator(grid + 1j * eps), dtype=complex)
-        if vals.ndim == 1:
-            vals = vals[:, None, None]
         imag = (vals - vals.conj().transpose(0, 2, 1)) / 2j
         steps = 0.5 * (imag[1:] + imag[:-1]) * np.diff(grid)[:, None, None]
         cum = np.concatenate([np.zeros((1,) + imag.shape[1:]), np.cumsum(steps, axis=0)])
@@ -44,7 +42,7 @@ def canonical_case(state):
 def cases(ex21):
     n2 = next(s for s in indeterminate_states(7700) if s.rep.N == 2)
     return {
-        "single pole": ((lambda z: 1.0 / (1.0 - z)), np.arange(0.0, 2.0, 1e-3)),
+        "single pole": ((lambda z: (1.0 / (1.0 - z))[:, None, None]), np.arange(0.0, 2.0, 1e-3)),
         "ex21": canonical_case(ex21),
         "N=2": canonical_case(n2),
     }
