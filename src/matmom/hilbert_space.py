@@ -33,6 +33,19 @@ def ip_matrix(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     return left.conj().T @ right
 
 
+def block_square(a0: np.ndarray, w_mat: np.ndarray, chat: np.ndarray,
+                 t_mat: np.ndarray) -> np.ndarray:
+    """The complex square matrix [[a0, W], [Chat, T]], filled block by block: the
+    values of np.block without its per-call overhead."""
+    tau = a0.shape[0]
+    out = np.empty((tau + t_mat.shape[0],) * 2, dtype=complex)
+    out[:tau, :tau] = a0
+    out[:tau, tau:] = w_mat
+    out[tau:, :tau] = chat
+    out[tau:, tau:] = t_mat
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class HilbertRep:
     """Coordinates of the generating vectors in an r-dimensional space."""
@@ -241,8 +254,7 @@ class BasisCollection(OperatorModel):
     def colligation_matrix(self) -> np.ndarray:
         """The colligation U = [[a0, W], [Chat, T]] as one (tau+delta) square matrix,
         computed on first use and shared like the blocks."""
-        a0, w_mat, chat, t_mat = self.colligation
-        return np.block([[a0, w_mat], [chat, t_mat]])
+        return block_square(*self.colligation)
 
     @cached_property
     def a0_eig(self) -> tuple:

@@ -3,11 +3,16 @@
 They hold the printed transform coefficients and the cubic psi term that
 assemble_coefficients folds into A.  The library only prints them; only the
 tests evaluate them.  evaluate_transform sums pole-residue terms and the
-coefficients of psi(z) / (z+i).
+coefficients of psi(z) / (z+i).  poly_times loops over the shorter of its two
+factors; either way every output coefficient gets the same products, added
+onto zero in the same order, so the printed bytes do not depend on which
+factor is longer.  Both trims take their kept length from one list of
+coefficient magnitudes.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,23 +22,49 @@ from .errors import InputError
 TRIM_REL_TOL = 1e-12  # trailing coefficients this small relative to the largest are dropped
 
 
-def poly_trim(coeffs: np.ndarray) -> np.ndarray:
-    """Coefficients up to the last one above TRIM_REL_TOL times the largest; [0] if none."""
-    coeffs = np.asarray(coeffs, dtype=complex)
-    mags = np.abs(coeffs)
-    top = float(mags.max(initial=0.0))
+def _kept_length(mags: list) -> int:
+    """How many leading coefficients poly_trim keeps, given their magnitudes: up to
+    the last one above TRIM_REL_TOL times the largest, or 0 when all are zero.
+    IndexError when a magnitude is NaN or infinite: the cut is then NaN or infinite,
+    and no magnitude lies above it."""
+    if math.isnan(sum(mags)):  # Python's max skips a NaN that does not come first
+        raise IndexError("a NaN coefficient leaves no kept length")
+    top = max(mags, default=0.0)
     if top == 0.0:
-        return np.zeros(1, dtype=complex)
-    keep = np.nonzero(mags > TRIM_REL_TOL * top)[0]
-    return coeffs[: keep[-1] + 1].copy()
+        return 0
+    cut = TRIM_REL_TOL * top
+    for n in range(len(mags), 0, -1):
+        if mags[n - 1] > cut:
+            return n
+    raise IndexError("an infinite coefficient leaves no kept length")
+
+
+def poly_trim(coeffs: np.ndarray) -> np.ndarray:
+    """The 1-D coeffs up to the last one above TRIM_REL_TOL times the largest; [0] if none."""
+    coeffs = np.asarray(coeffs, dtype=complex)
+    n = _kept_length(np.abs(coeffs).tolist())
+    return coeffs[:n].copy() if n else np.zeros(1, dtype=complex)
 
 
 def poly_times(scalar, coeffs: np.ndarray, length: int) -> np.ndarray:
     """Coefficients of a scalar polynomial times an (n, p, q) matrix
-    polynomial, zero-padded to length coefficients."""
+    polynomial, zero-padded to length coefficients.
+
+    Output coefficient m is the sum over i ascending of scalar[i] coeffs[m-i],
+    added onto zero.  The loop runs over the shorter factor: over the scalar
+    coefficients, or, when the scalar polynomial is longer, over the matrix
+    coefficients from last to first, which adds the same products in the same
+    order.  The scalar stays the left operand: numpy's complex product is not
+    bitwise commutative."""
     out = np.zeros((length,) + coeffs.shape[1:], dtype=complex)
-    for i, c in enumerate(scalar):
-        out[i: i + coeffs.shape[0]] += c * coeffs
+    n = coeffs.shape[0]
+    if len(scalar) <= n:
+        for i, c in enumerate(scalar):
+            out[i: i + n] += c * coeffs
+    else:
+        column = np.asarray(scalar, dtype=complex).reshape((-1,) + (1,) * (coeffs.ndim - 1))
+        for j in range(n - 1, -1, -1):
+            out[j: j + column.shape[0]] += column * coeffs[j]
     return out
 
 
@@ -54,14 +85,10 @@ class MatrixPolynomial:
         object.__setattr__(self, "coeffs", c)
 
     def trim(self) -> "MatrixPolynomial":
-        """poly_trim's rule on the largest |entry| of each coefficient."""
-        mags = np.abs(self.coeffs).reshape(self.coeffs.shape[0], -1).max(axis=1, initial=0.0)
-        return MatrixPolynomial(self.coeffs[: poly_trim(mags).size].copy())
-
-    def scale(self, scalar_coeffs: np.ndarray) -> "MatrixPolynomial":
-        """Multiply by a scalar polynomial given as a 1-D coefficient array."""
-        length = self.coeffs.shape[0] + len(scalar_coeffs) - 1
-        return MatrixPolynomial(poly_times(scalar_coeffs, self.coeffs, length)).trim()
+        """poly_trim's rule on the largest |entry| of each coefficient; the zero
+        polynomial keeps its first coefficient."""
+        mags = np.abs(self.coeffs).max(axis=(1, 2), initial=0.0).tolist()
+        return MatrixPolynomial(self.coeffs[: max(_kept_length(mags), 1)].copy())
 
     def to_json_obj(self) -> list:
         from .moment_model import matrix_to_json

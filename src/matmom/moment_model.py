@@ -16,7 +16,7 @@ import json
 import math
 import re
 from dataclasses import dataclass, fields
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import chain
 from typing import IO, Iterable, Sequence
 
@@ -166,27 +166,35 @@ class AtomicMeasure:
 
     def moments(self, count: int, dim: int) -> np.ndarray:
         """(count, dim, dim) power moments sum_j t_j^n W_j for n = 0 .. count-1, by direct
-        summation: t_j^n is the running product 1 t_j ... t_j (one cumprod), every
-        t_j^n W_j is one product, and the terms are added onto zero in atom order."""
+        summation: t_j^n is the running product 1 t_j ... t_j (one multiply.accumulate,
+        what np.cumprod calls), every t_j^n W_j is one product, and the terms are added
+        onto zero in atom order."""
         out = np.zeros((count, dim, dim), dtype=complex)
         if not self.atoms:
             return out
-        factors = np.ones((len(self.atoms), count))
+        factors = np.empty((len(self.atoms), count))
+        factors[:, :1] = 1.0
         factors[:, 1:] = self.locations[:, None]
-        for term in np.cumprod(factors, axis=1)[:, :, None, None] * self.weights[:, None]:
+        powers = np.multiply.accumulate(factors, axis=1)
+        for term in powers[:, :, None, None] * self.weights[:, None]:
             out += term
         return out
 
-    @property
+    @cached_property
     def locations(self) -> np.ndarray:
-        """The (size,) atom locations, increasing."""
-        return np.array([t for t, _ in self.atoms], dtype=float)
+        """The (size,) atom locations, increasing; built on first use, read-only."""
+        out = np.array([t for t, _ in self.atoms], dtype=float)
+        out.setflags(write=False)
+        return out
 
-    @property
+    @cached_property
     def weights(self) -> np.ndarray:
-        """The (size, N, N) complex stack of the weight matrices, in atom order."""
-        return np.array([w for _, w in self.atoms], dtype=complex).reshape(
+        """The (size, N, N) complex stack of the weight matrices, in atom order; built
+        on first use, read-only."""
+        out = np.array([w for _, w in self.atoms], dtype=complex).reshape(
             (self.size,) + (self.dim,) * 2)
+        out.setflags(write=False)
+        return out
 
     def to_json_obj(self) -> dict:
         weights = matrix_to_json(self.weights)  # every weight with one tolist

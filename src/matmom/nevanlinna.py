@@ -27,21 +27,23 @@ and the pivots that the norm of U certifies are solved by LU without pivoting.
 A callable F is sampled with one call on all points where that
 call gives its pointwise values (see _whole_array_values).  The monomial
 coefficients of k, A, B, C and D are only printed; they are multiplied out
-of the factored form.  Stieltjes-Perron inversion extrapolates the transform
-to the real axis with Lagrange weights before it integrates, in one pass.
+of the factored form, A to D in one block array.  Stieltjes-Perron inversion
+extrapolates the transform to the real axis with Lagrange weights before it
+integrates, in one pass.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .determinate import cayley_inverse, extension_matrix, resolvent_transform, spectral_measure
 from .errors import EvaluationError, ParameterError, RankError
-from .hilbert_space import BasisCollection, HilbertRep, ip_matrix
+from .hilbert_space import BasisCollection, HilbertRep, block_square, ip_matrix
 from .matpoly import MatrixPolynomial, poly_times, poly_trim
 from .moment_model import AtomicMeasure, DEFAULT_TOL, Tolerances
 
@@ -82,7 +84,7 @@ class NevanlinnaCoefficients:
         """The colligation U = [[a0, W], [Chat, T]] as one (tau+delta) square matrix,
         formed on first use from this coefficient set's own blocks (a set made by
         dataclasses.replace forms its own)."""
-        return np.block([[self.a0, self.W], [self.Chat, self.T]])
+        return block_square(self.a0, self.W, self.Chat, self.T)
 
     def to_json_obj(self) -> dict:
         from .moment_model import matrix_to_json
@@ -157,11 +159,27 @@ def extended_colligation(u: np.ndarray, F: np.ndarray) -> np.ndarray:
 def _conditioned(vecs: np.ndarray, name: str, tol: Tolerances) -> np.ndarray:
     """vecs, or RankError when its condition number times eps exceeds rank_tol,
     where the pole-residue form that its inverse feeds is unreliable."""
-    cond = float(np.linalg.cond(vecs))
+    sigma = np.linalg.svd(vecs, compute_uv=False)  # the ratio np.linalg.cond takes
+    low = float(sigma[-1])
+    cond = float(sigma[0]) / low if low > 0.0 else math.inf
     if not cond * np.finfo(float).eps <= tol.rank_tol:
         raise RankError(f"eigenvector matrix of {name} is ill-conditioned (condition number "
                         f"{cond:.3e}); the pole-residue form of the transform is unreliable")
     return vecs
+
+
+@lru_cache(maxsize=64)
+def _block_multipliers(n_dim: int, delta: int) -> np.ndarray:
+    """(3, N+delta, N+delta): entry [i] of each block is the coefficient of z^i in its
+    multiplier, (z+i) for A, -(z^2+1) for B, -(z-i)^2 for C and (i-z) for D.  A zero
+    entry adds +-0 to a sum that starts at +0, which changes no bit.  Read-only."""
+    table = np.empty((3, n_dim + delta, n_dim + delta), dtype=complex)
+    table[:, :n_dim, :n_dim] = np.array([1j, 1.0, 0.0])[:, None, None]
+    table[:, :n_dim, n_dim:] = np.array([-1.0, 0.0, -1.0])[:, None, None]
+    table[:, n_dim:, :n_dim] = np.array([1j, -1.0, 0.0])[:, None, None]
+    table[:, n_dim:, n_dim:] = np.array([1.0, 2j, -1.0])[:, None, None]
+    table.setflags(write=False)
+    return table
 
 
 def assemble_coefficients(rep: HilbertRep, bases: BasisCollection,
@@ -201,8 +219,11 @@ def assemble_coefficients(rep: HilbertRep, bases: BasisCollection,
     g_kj = gamma[:n_dim, :n_dim].T
     g_sk_j = gamma[n_dim:2 * n_dim, :n_dim].T
     g_sk_sj = gamma[n_dim:2 * n_dim, n_dim:2 * n_dim].T
-    inner = np.stack([g_sk_sj - 1j * g_sk_j + g_kj, g_sk_j - 1j * g_kj, g_kj])
-    psi = MatrixPolynomial(inner).scale(np.array([-0.5, 0.5j]))  # times (i/2)(z+i)
+    inner = np.empty((3, n_dim, n_dim), dtype=complex)
+    inner[0] = g_sk_sj - 1j * g_sk_j + g_kj
+    inner[1] = g_sk_j - 1j * g_kj
+    inner[2] = g_kj
+    psi = MatrixPolynomial(poly_times([-0.5, 0.5j], inner, 4)).trim()  # times (i/2)(z+i)
 
     xi = forbidden_matrix(bases, tol)
     lam, vecs = bases.a0_eig
@@ -215,23 +236,29 @@ def assemble_coefficients(rep: HilbertRep, bases: BasisCollection,
     residues = (left.T[:, :, None] * right[:, None, :]).reshape(tau, -1)
 
     # linear factors (1 - lam_j) z + i (1 + lam_j) of k, lowest degree first
-    factors = np.stack([1j * (1.0 + lam), 1.0 - lam], axis=1)
-    prefix, suffix = [np.ones(1, dtype=complex)], [np.ones(1, dtype=complex)]
+    factors = np.empty((tau, 2), dtype=complex)
+    factors[:, 0] = 1j * (1.0 + lam)
+    factors[:, 1] = 1.0 - lam
+    one = np.ones(1, dtype=complex)
+    prefix, suffix = [one], [one]
     for j in range(tau - 1):
         prefix.append(np.convolve(prefix[-1], factors[j]))
         suffix.append(np.convolve(suffix[-1], factors[tau - 1 - j]))
     k_full = np.convolve(prefix[-1], factors[-1])
-    deflated = np.stack([np.convolve(p, s) for p, s in zip(prefix, suffix[::-1])])
+    deflated = np.empty((tau, tau), dtype=complex)
+    for j in range(tau):
+        deflated[j] = np.convolve(prefix[j], suffix[tau - 1 - j])
     # P = sum_j k_j R_j in blocks; A = (z+i) P_A + k psi, B = -(z^2+1) P_B,
-    # C = (i-z) k T - (z-i)^2 P_C and D = (i-z) P_D, padded to degree tau+3
+    # C = (i-z) k T - (z-i)^2 P_C and D = (i-z) P_D, all four in one array padded to
+    # degree tau+3, with one multiply-add per power of z in the blocks' multipliers
     num = (deflated.T @ residues).reshape(tau, n_dim + delta, n_dim + delta)
-    length = tau + 4
-    a_poly = poly_times([1j, 1.0], num[:, :n_dim, :n_dim], length) \
-        + poly_times(k_full, psi.coeffs, length)
-    b_poly = poly_times([-1.0, 0.0, -1.0], num[:, :n_dim, n_dim:], length)
-    c_poly = poly_times(np.convolve([1j, -1.0], k_full), t_mat[None], length) \
-        + poly_times([1.0, 2j, -1.0], num[:, n_dim:, n_dim:], length)
-    d_poly = poly_times([1j, -1.0], num[:, n_dim:, :n_dim], length)
+    blocks = np.zeros((tau + 4,) + num.shape[1:], dtype=complex)
+    for i, mult in enumerate(_block_multipliers(n_dim, delta)):
+        blocks[i: i + tau] += mult * num
+    blocks[:, :n_dim, :n_dim] += poly_times(k_full, psi.coeffs, tau + 4)
+    blocks[:, n_dim:, n_dim:] += poly_times(np.convolve([1j, -1.0], k_full), t_mat[None], tau + 4)
+    a_poly, b_poly = blocks[:, :n_dim, :n_dim], blocks[:, :n_dim, n_dim:]
+    d_poly, c_poly = blocks[:, n_dim:, :n_dim], blocks[:, n_dim:, n_dim:]
 
     return NevanlinnaCoefficients(
         N=n_dim, tau=tau, delta=delta, rho=rho, k=poly_trim(k_full),

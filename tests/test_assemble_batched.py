@@ -10,9 +10,9 @@ from numpy.polynomial.polynomial import polyval
 from matmom import (AtomicMeasure, Tolerances, analyze, assemble_coefficients,
                     evaluate_transform, find_admissible_unitary, transform_via_resolvent)
 from matmom.errors import RankError
-from matmom.matpoly import MatrixPolynomial
+from matmom.matpoly import MatrixPolynomial, poly_times
 
-from conftest import indeterminate_states, moments_from_measure, polyval_matrix
+from conftest import indeterminate_states, moments_from_measure, polyval_matrix, random_measure
 
 
 def interpolation_nodes(count):
@@ -48,7 +48,7 @@ def reference_psi(gamma, n_dim):
             inner[0, j, k] = g_sk_sj - 1j * g_sk_j + g_kj
             inner[1, j, k] = g_sk_j - 1j * g_kj
             inner[2, j, k] = g_kj
-    return MatrixPolynomial(inner).scale(np.array([-0.5, 0.5j]))
+    return MatrixPolynomial(poly_times([-0.5, 0.5j], inner, 4)).trim()  # times (i/2)(z+i)
 
 
 def reference_coefficients(state, nc):
@@ -130,3 +130,45 @@ def test_ill_conditioned_eigenvectors_raise(ex21):
     # kappa(V) * eps is about 2e-16 on the golden input: above a rank_tol of 1e-17
     with pytest.raises(RankError, match="eigenvector matrix of a0 is ill-conditioned"):
         assemble_coefficients(ex21.rep, ex21.bases, Tolerances(rank_tol=1e-17))
+
+
+def per_block_coefficients(nc, psi):
+    """A, B, C and D multiplied out one block at a time, each product by the loop over
+    the scalar coefficients (the former assembly), from nc's poles and residues."""
+    tau, n_dim, length = nc.tau, nc.N, nc.tau + 4
+    lam = nc.eigenvalues
+    factors = np.stack([1j * (1.0 + lam), 1.0 - lam], axis=1)
+    prefix, suffix = [np.ones(1, dtype=complex)], [np.ones(1, dtype=complex)]
+    for j in range(tau - 1):
+        prefix.append(np.convolve(prefix[-1], factors[j]))
+        suffix.append(np.convolve(suffix[-1], factors[tau - 1 - j]))
+    k_full = np.convolve(prefix[-1], factors[-1])
+    deflated = np.stack([np.convolve(p, s) for p, s in zip(prefix, suffix[::-1])])
+    num = (deflated.T @ nc.residues).reshape((tau,) + (n_dim + nc.delta,) * 2)
+
+    def times(scalar, coeffs):
+        out = np.zeros((length,) + coeffs.shape[1:], dtype=complex)
+        for i, c in enumerate(scalar):
+            out[i: i + coeffs.shape[0]] += c * coeffs
+        return out
+
+    return {
+        "A": times([1j, 1.0], num[:, :n_dim, :n_dim]) + times(k_full, psi.coeffs),
+        "B": times([-1.0, 0.0, -1.0], num[:, :n_dim, n_dim:]),
+        "C": times(np.convolve([1j, -1.0], k_full), nc.T[None])
+        + times([1.0, 2j, -1.0], num[:, n_dim:, n_dim:]),
+        "D": times([1j, -1.0], num[:, n_dim:, :n_dim]),
+    }
+
+
+def test_block_array_equals_per_block_products_bit_for_bit(ex21):
+    """The one (tau+4, N+delta, N+delta) array with its multiplier table gives every
+    byte of the per-block products: the table's zeros add +-0 to sums that start at +0."""
+    small = [analyze(moments_from_measure(random_measure(np.random.default_rng(seed), 1, 3),
+                                          1, 1)) for seed in range(3)]
+    for state in [ex21, *small, *indeterminate_states(7600)]:
+        nc = assemble_coefficients(state.rep, state.bases)
+        want = per_block_coefficients(nc, nc.psi)
+        for name, poly in [("A", nc.A_poly), ("B", nc.B_poly), ("C", nc.C_poly),
+                           ("D", nc.D_poly)]:
+            assert poly.coeffs.tobytes() == MatrixPolynomial(want[name]).trim().coeffs.tobytes()

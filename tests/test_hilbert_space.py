@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from matmom import (MomentSequence, analyze, build_block_hankel, classify_determinacy,
-                    factor_gram)
+from matmom import (MomentSequence, analyze, assemble_coefficients, build_block_hankel,
+                    classify_determinacy, factor_gram)
 from matmom.hilbert_space import orthonormal_split
 
-from conftest import moments_from_measure, random_measure
+from conftest import indeterminate_states, moments_from_measure, random_measure
 
 
 def test_factor_gram_example21(ex21):
@@ -170,3 +170,14 @@ def test_dimension_identities(seed):
     if b.tau:
         iso_dev = np.abs(b.cayley.conj().T @ b.cayley - np.eye(b.tau)).max()
         assert iso_dev < 1e-10
+
+
+def test_colligation_matrix_equals_np_block(ex21):
+    """block_square fills the four blocks np.block would join: every byte agrees, for the
+    bases' colligation_matrix and for the coefficient set's u."""
+    for state in [ex21, *indeterminate_states(910)]:
+        blocks = state.bases.colligation
+        joined = np.block([list(blocks[:2]), list(blocks[2:])])
+        assert state.bases.colligation_matrix.tobytes() == joined.tobytes()
+        assert state.bases.colligation_matrix.shape == joined.shape
+        assert assemble_coefficients(state.rep, state.bases).u.tobytes() == joined.tobytes()

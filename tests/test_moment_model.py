@@ -297,3 +297,38 @@ def test_matrix_to_json_keeps_every_float_and_sign():
     assert repr(got) == repr(want)
     assert repr(matrix_to_json(m.T)) == repr([[[float(v.real), float(v.imag)] for v in row]
                                               for row in m.T])
+
+
+def cumprod_moments(measure, count, dim):
+    """The former AtomicMeasure.moments: np.ones, then np.cumprod of the powers."""
+    out = np.zeros((count, dim, dim), dtype=complex)
+    if not measure.atoms:
+        return out
+    factors = np.ones((measure.size, count))
+    factors[:, 1:] = np.array([t for t, _ in measure.atoms])[:, None]
+    weights = np.array([w for _, w in measure.atoms], dtype=complex)
+    for term in np.cumprod(factors, axis=1)[:, :, None, None] * weights[:, None]:
+        out += term
+    return out
+
+
+def test_moments_equal_the_cumprod_loop_bit_for_bit():
+    rng = np.random.default_rng(17)
+    for n_dim, n_atoms in [(1, 1), (1, 5), (2, 4), (3, 7), (4, 2)]:
+        measure = random_measure(rng, n_dim, n_atoms, spread=rng.uniform(0.5, 6.0), min_gap=0.1)
+        for count in (0, 1, 2, 5, 13):
+            assert measure.moments(count, n_dim).tobytes() \
+                == cumprod_moments(measure, count, n_dim).tobytes()
+    empty = AtomicMeasure(atoms=())
+    assert empty.moments(3, 2).tobytes() == cumprod_moments(empty, 3, 2).tobytes()
+
+
+def test_measure_arrays_are_built_once_and_read_only():
+    measure = random_measure(np.random.default_rng(18), 2, 3)
+    for name in ("locations", "weights"):
+        array = getattr(measure, name)
+        assert getattr(measure, name) is array
+        with pytest.raises(ValueError):
+            array[0] = 0.0
+    assert measure.locations.tolist() == [t for t, _ in measure.atoms]
+    assert all(np.array_equal(w, ref) for w, (_, ref) in zip(measure.weights, measure.atoms))

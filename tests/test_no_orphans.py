@@ -30,7 +30,6 @@ SHARED_MEMBERS = {
     "atoms": {"GapAnalysis"},  # gap.py: analysis.atoms(mu)
     "delta": {"OperatorModel"},  # hilbert_space.py: model.delta; nevanlinna.py: bases.delta
     "moments": {"AtomicMeasure"},  # gap.py: measure.moments(2 * rep.d + 1, dim=rep.N)
-    "scale": {"MatrixPolynomial"},  # nevanlinna.py: MatrixPolynomial(inner).scale(...)
     "size": {"OrthoBasisSet",  # hilbert_space.py: range_basis.size
              "AtomicMeasure"},  # bench/workloads.py: measure.size
     "tau": {"OperatorModel"},  # hilbert_space.py: model.tau; nevanlinna.py: bases.tau
