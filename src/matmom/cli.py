@@ -297,10 +297,10 @@ def _cmd_verify(args, tol) -> int:
     except json.JSONDecodeError as exc:
         raise InputError(f"malformed measure document: {exc}") from exc
     measure = AtomicMeasure.from_json_obj(measure_obj, tol)
-    sizes = {w.shape[0] for _, w in measure.atoms} - {ms.N}
-    if sizes:
+    dim = measure.weights.shape[-1]
+    if measure.size and dim != ms.N:
         raise InputError(f"measure weights must be {ms.N} x {ms.N} like the moments, "
-                         f"got {min(sizes)} x {min(sizes)}")
+                         f"got {dim} x {dim}")
     report = verify_moments(measure, ms, tol.moment_tol)
     payload = report.to_json_obj()
     ok = report.passed

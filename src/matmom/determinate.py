@@ -70,11 +70,13 @@ def spectral_measure(a: np.ndarray, xc: np.ndarray) -> AtomicMeasure:
     eigh's eigenvectors, viewed as (clusters, r, width).  Each item of that
     view is the strided slice a one-cluster product reads, and numpy's stacked
     matmul multiplies each item with the same BLAS call as the matrix alone, so
-    every weight has the bits of the cluster-at-a-time product.
+    every weight has the bits of the cluster-at-a-time product.  The measure holds
+    the locations and weights arrays filled here.
     """
     r = a.shape[0]
     if r == 0:
-        return AtomicMeasure(atoms=())
+        return AtomicMeasure(locations=np.empty(0),
+                             weights=np.empty((0,) + (xc.shape[1],) * 2, dtype=complex))
     evals, evecs = np.linalg.eigh(a)
     # ||a||_2 of a Hermitian a is its largest |eigenvalue|, read off the ascending ends
     cluster_tol = CLUSTER_WIDTH * (1.0 + max(-float(evals[0]), float(evals[-1])))
@@ -98,7 +100,7 @@ def spectral_measure(a: np.ndarray, xc: np.ndarray) -> AtomicMeasure:
             np.divide(np.add.reduce(evals[cols].reshape(-1, width), axis=1), width,
                       out=locations[first:last])
         run_start = run_stop
-    return AtomicMeasure(atoms=tuple(zip(locations.tolist(), weights)))
+    return AtomicMeasure(locations=locations, weights=weights)
 
 
 def resolvent_transform(a: np.ndarray, xc: np.ndarray, z) -> np.ndarray:

@@ -20,9 +20,10 @@ verification of their canonical solution, the Cayley inverse of
 determinate.extension_matrix; no candidate needs a second eigvals or a second
 test of codes A and B.  For delta = 1 the candidates are one angle
 per arc between the values of W at the gap's finite endpoints (_family, the
-only place W is evaluated); for delta > 1 they are seeded Haar-random
-unitaries, drawn in stacks (haar_batches) that hold the matrices of successive
-single draws.
+only place W is evaluated, reads the residues of G off the pole-residue table of
+nevanlinna.assemble_coefficients, so nothing is solved twice); for delta > 1
+they are seeded Haar-random unitaries, drawn in stacks (haar_batches) that hold
+the matrices of successive single draws.
 """
 
 from __future__ import annotations
@@ -70,19 +71,18 @@ class GapAnalysis:
         return np.sort(_real_points(mu), axis=-1)
 
 
-def _family(bases: BasisCollection, lams: np.ndarray, tol: Tolerances):
-    """(invertible, W) at the finite real lams.  One eig of a0 = V diag(mu) V^{-1}
-    gives the residues (Chat V)[:, j] (V^{-1} W)[j, :] of G.  lam counts as
-    non-regular when w lies within inv_tol of a pole; W is NaN there and nothing
-    is divided."""
-    _, w_mat, chat, t_mat = bases.colligation
-    poles, vecs = bases.a0_eig
-    residues = (chat @ vecs).T[:, :, None] * np.linalg.solve(vecs, w_mat)[:, None, :]
+def _family(nc: NevanlinnaCoefficients, lams: np.ndarray, tol: Tolerances):
+    """(invertible, W) at the finite real lams.  The residues (Chat V)[:, j] (V^{-1} W)[j, :]
+    of G at the poles mu_j, for a0 = V diag(mu) V^{-1}, are the defect block of the
+    pole-residue table that assemble_coefficients built.  lam counts as non-regular
+    when w lies within inv_tol of a pole; W is NaN there and nothing is divided."""
+    size = nc.N + nc.delta
+    residues = nc.residues.reshape(nc.tau, size, size)[:, nc.N:, nc.N:]
     w = (lams + 1j) / (lams - 1j)
-    offsets = w[:, None] - poles[None, :]
+    offsets = w[:, None] - nc.eigenvalues[None, :]
     invertible = np.abs(offsets).min(axis=1, initial=np.inf) > tol.inv_tol
-    g = t_mat + np.einsum("nj,jkl->nkl", 1.0 / offsets[invertible], residues)
-    out = np.full((lams.size, bases.delta, bases.delta), np.nan, dtype=complex)
+    g = nc.T + np.einsum("nj,jkl->nkl", 1.0 / offsets[invertible], residues)
+    out = np.full((lams.size, nc.delta, nc.delta), np.nan, dtype=complex)
     out[invertible] = w[invertible, None, None] * np.linalg.inv(g)
     return invertible, out
 
@@ -211,15 +211,14 @@ def haar_batches(seed: int, delta: int, count: int):
         yield random_unitary(rng, delta, stop - start)
 
 
-def _arc_candidates(xi: np.ndarray, analysis: GapAnalysis, bases: BasisCollection,
-                    tol: Tolerances):
+def _arc_candidates(nc: NevanlinnaCoefficients, analysis: GapAnalysis, tol: Tolerances):
     """The (m, 1, 1) stack of one unimodular parameter per arc between the boundary
     values W(e) at the gap's finite endpoints e and Xi = W(+-inf), widest arc first,
     as batches of the doubling_batches lengths.  An atom enters or leaves the gap
     only where F passes a boundary value, so one angle decides its whole arc.  A
     non-finite W(e), at a non-regular endpoint, is skipped."""
-    invertible, w_tilde = _family(bases, analysis.grid, tol)
-    cuts = np.sort(np.angle(np.append(w_tilde[invertible, 0, 0], xi[0, 0])))
+    invertible, w_tilde = _family(nc, analysis.grid, tol)
+    cuts = np.sort(np.angle(np.append(w_tilde[invertible, 0, 0], nc.Xi[0, 0])))
     widths = np.diff(cuts, append=cuts[0] + 2.0 * np.pi)
     # widest first; the arcs of zero width, if any, sort last and are dropped
     order = np.argsort(-widths, kind="stable")[:np.count_nonzero(widths > 0.0)]
@@ -249,7 +248,7 @@ def gap_solvable_search(rep: HilbertRep, bases: BasisCollection,
     if not analysis.regular_type:
         return GapSearchResult(status="not_regular", witness=float(analysis.non_regular[0]))
     if bases.delta == 1:
-        batches = _arc_candidates(nc.Xi, analysis, bases, tol)
+        batches = _arc_candidates(nc, analysis, tol)
     else:
         batches = haar_batches(seed, bases.delta, int(budget))
     for batch in batches:
@@ -260,6 +259,6 @@ def gap_solvable_search(rep: HilbertRep, bases: BasisCollection,
             if not verify_gap(measure, spec, tol):
                 continue
             recon = block_hankel(measure.moments(2 * rep.d + 1, dim=rep.N), rep.d + 1, rep.N)
-            if np.abs(recon - rep.gram()).max() <= tol.moment_tol:
+            if np.abs(recon - rep.gram).max() <= tol.moment_tol:
                 return GapSearchResult(status="found", F=batch[k], measure=measure)
     return GapSearchResult(status="exhausted")

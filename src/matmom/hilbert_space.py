@@ -67,9 +67,13 @@ class HilbertRep:
         not numpy's strided loop."""
         return np.ascontiguousarray(self.X[:, : self.N])
 
+    @cached_property
     def gram(self) -> np.ndarray:
-        """Reconstructed Gram matrix with entry (n, m) = (x_n, x_m)."""
-        return self.X.T @ self.X.conj()
+        """Reconstructed Gram matrix with entry (n, m) = (x_n, x_m), formed on first use
+        and shared by every reader; read-only."""
+        out = self.X.T @ self.X.conj()
+        out.setflags(write=False)
+        return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,7 +167,7 @@ def factor_gram(h: HankelPair, tol: Tolerances = DEFAULT_TOL, *, N: int, d: int)
     X = np.sqrt(lam)[:, None] * u.T
     rep = HilbertRep(N=N, d=d, X=X)
     if lam_max > 0.0:
-        err = float(np.abs(rep.gram() - gamma).max(initial=0.0))
+        err = float(np.abs(rep.gram - gamma).max(initial=0.0))
         if err > 10.0 * (tol.rank_tol + tol.psd_tol) * scale:
             raise RankError(f"Gram factorization error {err:.3e} exceeds tolerance")
     return rep

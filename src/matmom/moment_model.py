@@ -16,7 +16,7 @@ import json
 import math
 import re
 from dataclasses import dataclass, fields
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import chain
 from typing import IO, Iterable, Sequence
 
@@ -69,7 +69,7 @@ class MomentSequence:
 
     N: int
     d: int
-    moments: tuple  # of (N, N) complex ndarrays, symmetrized
+    moments: np.ndarray  # (2d+1, N, N) complex, symmetrized
 
     @staticmethod
     def from_matrices(N: int, d: int, matrices: Sequence[np.ndarray],
@@ -92,7 +92,7 @@ class MomentSequence:
             # finite too; a NaN fails both
             if ((dev <= tol.hermitian_tol * scale) & (scale < math.inf)).all():
                 # symmetrize so downstream eigensolvers see exactly Hermitian input
-                return MomentSequence(N=int(N), d=int(d), moments=tuple(0.5 * (stack + adjoint)))
+                return MomentSequence(N=int(N), d=int(d), moments=0.5 * (stack + adjoint))
         # the stack failed: check each matrix in turn, so the error names the first
         # offender (finite entries whose modulus overflows fail the stack but pass here)
         cleaned = []
@@ -107,7 +107,7 @@ class MomentSequence:
             if dev > tol.hermitian_tol * scale:
                 raise InputError(f"not Hermitian at n={n}: max deviation {dev:.3e}")
             cleaned.append(hermitize(m))
-        return MomentSequence(N=int(N), d=int(d), moments=tuple(cleaned))
+        return MomentSequence(N=int(N), d=int(d), moments=np.array(cleaned))
 
     @property
     def count(self) -> int:
@@ -118,12 +118,19 @@ class MomentSequence:
 class AtomicMeasure:
     """A finitely atomic matrix measure: PSD weight matrices at real points.
 
-    Atom locations are strictly increasing; the associated distribution
-    function M(x) = sum of weights at points below x is non-decreasing and
-    left-continuous by construction.
+    The measure is its two arrays, both made read-only on construction: the
+    (n,) atom locations, strictly increasing, and the (n, N, N) stack of the
+    weights in atom order.  The associated distribution function M(x) = sum of
+    weights at points below x is non-decreasing and left-continuous by
+    construction.
     """
 
-    atoms: tuple  # of (t, W) pairs, t real, W (N, N) Hermitian PSD
+    locations: np.ndarray  # (n,) real
+    weights: np.ndarray    # (n, N, N) Hermitian PSD
+
+    def __post_init__(self):
+        self.locations.setflags(write=False)
+        self.weights.setflags(write=False)
 
     @staticmethod
     def from_atoms(pairs: Iterable, tol: Tolerances = DEFAULT_TOL) -> "AtomicMeasure":
@@ -144,7 +151,7 @@ class AtomicMeasure:
                 raise InputError(f"weight at t={t} is not PSD (min eigenvalue {lam_min:.3e})")
             items.append((t, w))
         sizes = sorted({w.shape[0] for _, w in items})
-        if len(sizes) > 1:  # moments, weights and to_json_obj stack the weights
+        if len(sizes) > 1:  # the weights are one stack
             raise InputError(f"weight matrices must all have one size, got sizes {sizes}")
         items.sort(key=lambda p: p[0])
         # canonicalize: merge weights sitting at numerically identical points
@@ -154,15 +161,19 @@ class AtomicMeasure:
                 merged[-1] = (merged[-1][0], merged[-1][1] + w)
             else:
                 merged.append((t, w))
-        return AtomicMeasure(atoms=tuple(merged))
+        return AtomicMeasure(
+            locations=np.array([t for t, _ in merged], dtype=float),
+            weights=np.array([w for _, w in merged], dtype=complex).reshape(
+                (len(merged),) + (sizes[0] if sizes else 0,) * 2))
+
+    @property
+    def atoms(self) -> tuple:
+        """The (t, W) pairs in atom order: t a float, W a view into weights."""
+        return tuple(zip(self.locations.tolist(), self.weights))
 
     @property
     def size(self) -> int:
-        return len(self.atoms)
-
-    @property
-    def dim(self) -> int:
-        return self.atoms[0][1].shape[0] if self.atoms else 0
+        return self.locations.size
 
     def moments(self, count: int, dim: int) -> np.ndarray:
         """(count, dim, dim) power moments sum_j t_j^n W_j for n = 0 .. count-1, by direct
@@ -170,9 +181,7 @@ class AtomicMeasure:
         what np.cumprod calls), every t_j^n W_j is one product, and the terms are added
         onto zero in atom order."""
         out = np.zeros((count, dim, dim), dtype=complex)
-        if not self.atoms:
-            return out
-        factors = np.empty((len(self.atoms), count))
+        factors = np.empty((self.size, count))
         factors[:, :1] = 1.0
         factors[:, 1:] = self.locations[:, None]
         powers = np.multiply.accumulate(factors, axis=1)
@@ -180,25 +189,9 @@ class AtomicMeasure:
             out += term
         return out
 
-    @cached_property
-    def locations(self) -> np.ndarray:
-        """The (size,) atom locations, increasing; built on first use, read-only."""
-        out = np.array([t for t, _ in self.atoms], dtype=float)
-        out.setflags(write=False)
-        return out
-
-    @cached_property
-    def weights(self) -> np.ndarray:
-        """The (size, N, N) complex stack of the weight matrices, in atom order; built
-        on first use, read-only."""
-        out = np.array([w for _, w in self.atoms], dtype=complex).reshape(
-            (self.size,) + (self.dim,) * 2)
-        out.setflags(write=False)
-        return out
-
     def to_json_obj(self) -> dict:
         weights = matrix_to_json(self.weights)  # every weight with one tolist
-        return {"atoms": [{"t": t, "W": w} for (t, _), w in zip(self.atoms, weights)]}
+        return {"atoms": [{"t": t, "W": w} for t, w in zip(self.locations.tolist(), weights)]}
 
     @staticmethod
     def from_json_obj(obj: dict, tol: Tolerances = DEFAULT_TOL) -> "AtomicMeasure":
@@ -305,8 +298,6 @@ def _as_complex(entry) -> complex:
         value = complex(entry[0], entry[1])
     elif _is_number(entry):
         value = complex(entry)
-    elif isinstance(entry, (list, tuple)) and len(entry) == 2 and all(map(_is_number, entry)):
-        value = complex(entry[0], entry[1])
     else:
         raise InputError(f"bad complex entry {entry!r} (expected number or [re, im])")
     if not cmath.isfinite(value):
@@ -316,11 +307,11 @@ def _as_complex(entry) -> complex:
 
 def matrix_from_json(rows) -> np.ndarray:
     """Read a complex matrix from nested lists; innermost [re, im] pairs are complex."""
-    if not isinstance(rows, (list, tuple)) or not rows:
+    if not isinstance(rows, list) or not rows:
         raise InputError("matrix must be a non-empty list of rows")
     data = []
     for row in rows:
-        if not isinstance(row, (list, tuple)) or not row:
+        if not isinstance(row, list) or not row:
             raise InputError("matrix row must be a non-empty list")
         data.append([_as_complex(entry) for entry in row])
     widths = {len(r) for r in data}
@@ -435,10 +426,6 @@ def dumps(obj) -> str:
         return str(int(obj))
     if isinstance(obj, str):
         return json.dumps(obj)
-    if isinstance(obj, np.ndarray):
-        return dumps(obj.tolist())
-    if isinstance(obj, complex):
-        return dumps([obj.real, obj.imag])
     raise InputError(f"cannot serialize object of type {type(obj).__name__}")
 
 
@@ -476,7 +463,7 @@ class MomentCheckReport:
 
 def verify_moments(measure: AtomicMeasure, ms: MomentSequence, tol: float) -> MomentCheckReport:
     """Compare direct-summation moments of the measure against the prescribed ones."""
-    devs = np.abs(measure.moments(ms.count, dim=ms.N) - np.array(ms.moments))
+    devs = np.abs(measure.moments(ms.count, dim=ms.N) - ms.moments)
     return MomentCheckReport(deviations=devs, tol=float(tol))
 
 
@@ -490,16 +477,16 @@ def distribution_csv_rows(measure: AtomicMeasure, dim: int):
     Emits one row below the support, one row at each atom (pre-jump value)
     and one row past the last atom carrying the total mass.
     """
-    if not measure.atoms:
+    if not measure.size:
         yield 0.0, np.zeros((dim, dim), dtype=complex)
         return
-    first_t = measure.atoms[0][0]
-    yield first_t - 1.0, np.zeros((dim, dim), dtype=complex)
+    locations = measure.locations.tolist()
+    yield locations[0] - 1.0, np.zeros((dim, dim), dtype=complex)
     running = np.zeros((dim, dim), dtype=complex)
-    for t, w in measure.atoms:
+    for t, w in zip(locations, measure.weights):
         yield t, running.copy()
         running = running + w
-    yield measure.atoms[-1][0] + 1.0, running
+    yield locations[-1] + 1.0, running
 
 
 def write_distribution_csv(fh: IO[str], dim: int, rows: Iterable) -> None:

@@ -215,7 +215,7 @@ def assemble_coefficients(rep: HilbertRep, bases: BasisCollection,
     k_mat = ip_matrix(bases.range_basis.vectors, bases.y[:, :n_dim])[:rho]  # (y_k, u_j), leading rows
 
     # cubic correction: entry (j, k) collects gamma values with shifted indices
-    gamma = rep.gram()
+    gamma = rep.gram
     g_kj = gamma[:n_dim, :n_dim].T
     g_sk_j = gamma[n_dim:2 * n_dim, :n_dim].T
     g_sk_sj = gamma[n_dim:2 * n_dim, n_dim:2 * n_dim].T

@@ -43,12 +43,12 @@ class SolvabilityReport:
         }
 
 
-def block_hankel(moments, size: int, n_dim: int) -> np.ndarray:
-    """The (size n_dim) square complex matrix with (i, j) block moments[i + j],
-    gathered from the moment stack in one indexing step."""
+def block_hankel(moments: np.ndarray, size: int, n_dim: int) -> np.ndarray:
+    """The (size n_dim) square matrix with (i, j) block moments[i + j], gathered from
+    the complex (count, n_dim, n_dim) moment stack in one indexing step."""
     steps = np.arange(size)
     index = steps[:, None] + steps
-    blocks = np.asarray(moments, dtype=complex)[index]  # (size, size, n_dim, n_dim)
+    blocks = moments[index]  # (size, size, n_dim, n_dim)
     return blocks.transpose(0, 2, 1, 3).reshape(size * n_dim, size * n_dim)
 
 

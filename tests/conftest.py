@@ -235,10 +235,26 @@ def point_reference(rep, bases, lam, tol=DEFAULT_TOL):
     return m_shift, True, (lam + 1j) / (lam - 1j) * (m_q @ np.linalg.inv(m_s))
 
 
-def w_tilde_table(bases, lams, tol=DEFAULT_TOL):
+def w_tilde_table(state, lams, tol=DEFAULT_TOL):
     """(invertible, W) of the closed-form gap layer at the finite real lams: gap._family
-    on the colligation of bases.  W is NaN where lam is not of regular type."""
-    return _family(bases, np.atleast_1d(np.asarray(lams, dtype=float)), tol)
+    on the coefficients of the analysed state.  W is NaN where lam is not of regular type."""
+    nc = assemble_coefficients(state.rep, state.bases, tol)
+    return _family(nc, np.atleast_1d(np.asarray(lams, dtype=float)), tol)
+
+
+def family_reference(bases, lams, tol=DEFAULT_TOL):
+    """gap._family as it was before it read the pole-residue table: the residues
+    (Chat V)[:, j] (V^{-1} W)[j, :] of G from one eig of a0 and one solve against V."""
+    _, w_mat, chat, t_mat = bases.colligation
+    poles, vecs = bases.a0_eig
+    residues = (chat @ vecs).T[:, :, None] * np.linalg.solve(vecs, w_mat)[:, None, :]
+    w = (lams + 1j) / (lams - 1j)
+    offsets = w[:, None] - poles[None, :]
+    invertible = np.abs(offsets).min(axis=1, initial=np.inf) > tol.inv_tol
+    g = t_mat + np.einsum("nj,jkl->nkl", 1.0 / offsets[invertible], residues)
+    out = np.full((lams.size, bases.delta, bases.delta), np.nan, dtype=complex)
+    out[invertible] = w[invertible, None, None] * np.linalg.inv(g)
+    return invertible, out
 
 
 def gap_sequences(rep, lams):

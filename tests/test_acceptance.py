@@ -128,7 +128,7 @@ def test_criterion_5_gap_golden():
         m, invertible, _ = point_reference(state.rep, state.bases, lam)
         assert invertible
         assert np.abs(m - golden_shift_matrix(lam)).max() <= 1e-10
-    regular, w = w_tilde_table(state.bases, grid)
+    regular, w = w_tilde_table(state, grid)
     assert regular.all()
     assert np.abs(w[:, 0, 0] - golden_w_tilde(grid)).max() <= 1e-9
 

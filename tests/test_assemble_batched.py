@@ -56,7 +56,7 @@ def reference_coefficients(state, nc):
     tau, delta, rho, n_dim = nc.tau, nc.delta, nc.rho, nc.N
     a0, w_mat, t_mat, chat, k_mat = nc.a0, nc.W, nc.T, nc.Chat, nc.K
     kc = k_mat.conj().T
-    psi = reference_psi(state.rep.gram(), n_dim)
+    psi = reference_psi(state.rep.gram, n_dim)
     k_nodes = interpolation_nodes(tau + 1)
     k = np.linalg.solve(np.vander(k_nodes, tau + 1, increasing=True),
                         [reference_adjugate(a0, z)[0] for z in k_nodes])

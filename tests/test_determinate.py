@@ -128,6 +128,29 @@ def assert_same_atoms(a, xc):
         assert w_got.tobytes() == w_want.tobytes()
 
 
+def test_spectral_measure_holds_the_arrays_it_fills(monkeypatch):
+    """The measure's locations and weights are the arrays spectral_measure allocates and
+    fills, not a restack of per-atom pairs, and each W of atoms is a view into weights."""
+    rng = np.random.default_rng(61)
+    a = random_hermitian(rng, 6, spectrum=[-1.0, -1.0, 0.5, 2.0, 2.0, 2.0])
+    xc = rng.normal(size=(6, 2)) + 1j * rng.normal(size=(6, 2))
+    allocated, empty = [], np.empty
+
+    def recording_empty(*args, **kwargs):
+        allocated.append(empty(*args, **kwargs))
+        return allocated[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(determinate.np, "empty", recording_empty)
+        measure = spectral_measure(a, xc)
+    assert measure.size == 3
+    assert any(np.shares_memory(measure.locations, x) for x in allocated)
+    assert any(np.shares_memory(measure.weights, x) for x in allocated)
+    assert all(np.shares_memory(w, measure.weights) for _, w in measure.atoms)
+    empty_measure = spectral_measure(np.zeros((0, 0)), np.zeros((0, 2)))
+    assert (empty_measure.locations.shape, empty_measure.weights.shape) == ((0,), (0, 2, 2))
+
+
 def random_hermitian(rng, r, spectrum=None):
     """A complex Hermitian r x r matrix; with spectrum given, U diag(spectrum) U* for a
     random unitary U, so equal entries of spectrum become one cluster of eigh."""

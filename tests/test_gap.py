@@ -7,12 +7,14 @@ from matmom import (AtomicMeasure, GapSpec, ParameterError, analyze, analyze_gap
                     assemble_coefficients, canonical_solution, check_gap_class,
                     find_admissible_unitary, forbidden_matrix, gap_solvable_search, verify_gap,
                     verify_moments)
+from matmom.gap import _family
 from matmom.hilbert_space import orthonormal_split
 from matmom.moment_model import DEFAULT_TOL
 
-from conftest import (check_constant_admissible, gap_sequences, golden_shift_matrix,
-                      golden_w_tilde, indeterminate_states, moments_from_measure, moments_json,
-                      point_reference, random_measure, verify_gap_reference, w_tilde_table)
+from conftest import (check_constant_admissible, family_reference, gap_sequences,
+                      golden_shift_matrix, golden_w_tilde, indeterminate_states,
+                      moments_from_measure, moments_json, point_reference, random_measure,
+                      verify_gap_reference, w_tilde_table)
 from test_cli import run_cli
 
 
@@ -67,16 +69,31 @@ def test_regular_type_far_from_spectrum(ex21):
 
 def test_w_tilde_golden(ex21):
     lams = np.linspace(-1, 1, 103)[1:-1]
-    invertible, w = w_tilde_table(ex21.bases, lams)
+    invertible, w = w_tilde_table(ex21, lams)
     assert invertible.all()
     assert np.abs(w[:, 0, 0] - golden_w_tilde(lams)).max() < 1e-9
     assert np.abs(np.abs(w[:, 0, 0]) - 1.0).max() < 1e-10
-    assert abs(w_tilde_table(ex21.bases, 0.0)[1][0, 0, 0] - (-(27 + 36j) / 45)) < 1e-12
+    assert abs(w_tilde_table(ex21, 0.0)[1][0, 0, 0] - (-(27 + 36j) / 45)) < 1e-12
+
+
+def test_family_reads_the_residue_table(ex21, monkeypatch):
+    """_family gives the W of the former solve against a0's eigenvectors bit for bit,
+    NaN rows included, from the coefficients' pole-residue table and with no solve."""
+    cases = [(ex21, np.linspace(-2.0, 2.0, 41))]  # not of regular type at 1
+    cases += [(state, np.linspace(-3.0, 3.0, 25)) for state in indeterminate_states(310)]
+    for state, lams in cases:
+        nc = assemble_coefficients(state.rep, state.bases)
+        want = family_reference(state.bases, lams)
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "solve", None)  # any call raises TypeError
+            got = _family(nc, lams, DEFAULT_TOL)
+        assert got[0].tolist() == want[0].tolist()
+        assert got[1].tobytes() == want[1].tobytes()
 
 
 def test_w_tilde_approaches_forbidden_matrix(ex21):
     xi = forbidden_matrix(ex21.bases)
-    w_far = w_tilde_table(ex21.bases, 1e7)[1][0]
+    w_far = w_tilde_table(ex21, 1e7)[1][0]
     assert np.abs(w_far - xi).max() < 1e-5
 
 
@@ -88,7 +105,7 @@ def test_check_gap_class_accepts_unit(gap_setup):
 
 def test_check_gap_class_rejects_matched_value(ex21, gap_setup):
     _, analysis = gap_setup
-    w0 = w_tilde_table(ex21.bases, 0.0)[1][0]
+    w0 = w_tilde_table(ex21, 0.0)[1][0]
     decision = check_gap_class(w0, analysis)
     assert not decision.accepted
     assert any(code == "C" and abs(lam) <= 1e-12 for lam, code in decision.failures)
@@ -149,7 +166,7 @@ def test_verify_gap_rules(ex21):
     measure = canonical_solution(ex21.rep, ex21.bases, np.array([[1.0]]))
     assert verify_gap(measure, GapSpec.parse("(-1,1)"))   # atom at 1 sits on the boundary
     assert not verify_gap(measure, GapSpec.parse("(0,2)"))
-    assert verify_gap(AtomicMeasure(atoms=()), GapSpec.parse("(-100,100)"))
+    assert verify_gap(AtomicMeasure.from_atoms(()), GapSpec.parse("(-100,100)"))
 
 
 def test_verify_gap_matches_atom_loop():
@@ -172,7 +189,7 @@ def test_verify_gap_matches_atom_loop():
             for trace in traces:
                 weight = np.eye(n_dim, dtype=complex) * (trace / n_dim)
                 for t in points:
-                    measure = AtomicMeasure(atoms=((t, weight),))
+                    measure = AtomicMeasure.from_atoms(((t, weight),))
                     want = verify_gap_reference(measure, spec)
                     assert verify_gap(measure, spec) == want
                     verdicts.add(want)
@@ -180,7 +197,7 @@ def test_verify_gap_matches_atom_loop():
                 picks = np.sort(rng.choice(points, size=4, replace=False))
                 atoms = tuple((float(t), np.eye(n_dim) * (traces[rng.integers(5)] / n_dim))
                               for t in picks)
-                measure = AtomicMeasure(atoms=atoms)
+                measure = AtomicMeasure.from_atoms(atoms)
                 assert verify_gap(measure, spec) == verify_gap_reference(measure, spec)
     assert verdicts == {True, False}
 
@@ -251,7 +268,7 @@ def test_w_tilde_unitary_on_random_instances():
             _, invertible, _ = point_reference(state.rep, state.bases, lam)
             if not invertible:
                 continue
-            regular, w = w_tilde_table(state.bases, lam)
+            regular, w = w_tilde_table(state, lam)
             assert regular[0]
             svals = np.linalg.svd(w[0], compute_uv=False)
             assert np.abs(svals - 1.0).max() < 1e-8

@@ -29,13 +29,13 @@ def test_closed_form_far_out(ex21):
     Gram-Schmidt loses digits in proportion to |lam| there; the closed form stays
     unitary and puts an atom of its own canonical solution at lam."""
     lams = np.concatenate([-np.logspace(-2, 3, 16), np.logspace(-2, 3, 16)])
-    regular, w_rows = w_tilde_table(ex21.bases, lams)
+    regular, w_rows = w_tilde_table(ex21, lams)
     assert np.array_equal(regular, lams != 1.0)  # the mandatory atom at 1
     assert np.abs(w_rows[regular, 0, 0] - golden_w_tilde(lams[regular])).max() < 1e-12
     for state, _ in random_indeterminate_states():
         analysis = analyze_gap(state.rep, state.bases, GapSpec.parse(""))
         eye = np.eye(state.bases.delta)
-        for lam, invertible, w in zip(lams, *w_tilde_table(state.bases, lams)):
+        for lam, invertible, w in zip(lams, *w_tilde_table(state, lams)):
             _, ref_invertible, w_ref = point_reference(state.rep, state.bases, lam)
             assert invertible and ref_invertible
             assert np.abs(w - w_ref).max() < 1e-13 * max(1.0, abs(lam))
@@ -111,7 +111,7 @@ def test_gap_ending_at_pole_raises_no_warning(ex21, ex21_nc, text):
         warnings.simplefilter("error")
         analysis = analyze_gap(ex21.rep, ex21.bases, spec)
         result = gap_solvable_search(ex21.rep, ex21.bases, ex21_nc, spec, analysis=analysis)
-        invertible, w_tilde = w_tilde_table(ex21.bases, analysis.grid)
+        invertible, w_tilde = w_tilde_table(ex21, analysis.grid)
     assert not invertible[analysis.grid == 1.0].any()
     assert np.isnan(w_tilde[~invertible]).all()
     assert result.status in ("found", "exhausted")

@@ -59,7 +59,7 @@ def reference_search(state, nc, spec, budget, seed=0):
     if not analysis.regular_type:
         return "not_regular", None, None
     if bases.delta == 1:
-        invertible, w_tilde = w_tilde_table(bases, analysis.grid)
+        invertible, w_tilde = w_tilde_table(state, analysis.grid)
         w = w_tilde[invertible, 0, 0]
         cuts = np.sort(np.angle(np.append(w, nc.Xi[0, 0])))
         widths = np.diff(cuts, append=cuts[0] + 2.0 * np.pi)
@@ -78,7 +78,7 @@ def reference_search(state, nc, spec, budget, seed=0):
         if not verify_gap(measure, spec):
             continue
         recon = loop_block_hankel(loop_moments(measure, 2 * rep.d + 1, rep.N), rep.d + 1, rep.N)
-        if np.abs(recon - rep.gram()).max() <= 1e-8:
+        if np.abs(recon - rep.gram).max() <= 1e-8:
             return "found", F, measure
     return "exhausted", None, None
 
@@ -284,16 +284,16 @@ def test_moments_match_atom_by_atom_sum():
         for n_atoms in (1, 4, 12):
             atoms = list(random_measure(rng, n_dim, n_atoms, spread=4.0, min_gap=0.1).atoms)
             atoms.append((-0.0, np.diag(-np.zeros(n_dim)) + 0j))  # an atom of signed zeros
-            measure = AtomicMeasure(atoms=tuple(atoms))
+            measure = AtomicMeasure.from_atoms(tuple(atoms))
             for count in (1, 3, 9):
                 got = measure.moments(count, dim=n_dim)
                 assert got.tobytes() == loop_moments(measure, count, n_dim).tobytes()
     # every term of entry (0, 1) has imaginary part -0.0: the sum onto zero makes it +0.0
     w = np.array([[1.0, complex(-0.5, -0.0)], [complex(-0.5, 0.0), 1.0]])
     for atoms in (((0.5, w),), ((0.5, w), (2.0, 2.0 * w))):
-        measure = AtomicMeasure(atoms=atoms)
+        measure = AtomicMeasure.from_atoms(atoms)
         assert measure.moments(5, dim=2).tobytes() == loop_moments(measure, 5, 2).tobytes()
-    assert AtomicMeasure(atoms=()).moments(3, dim=2).shape == (3, 2, 2)
+    assert AtomicMeasure.from_atoms(()).moments(3, dim=2).shape == (3, 2, 2)
 
 
 def test_block_hankel_gather_matches_slices():
@@ -303,7 +303,6 @@ def test_block_hankel_gather_matches_slices():
         moments = rng.normal(size=shape) + 1j * rng.normal(size=shape)
         want = loop_block_hankel(moments, size, n_dim)
         assert block_hankel(moments, size, n_dim).tobytes() == want.tobytes()
-        assert block_hankel(tuple(moments), size, n_dim).tobytes() == want.tobytes()
 
 
 def test_first_block_is_contiguous(ex21):

@@ -116,10 +116,17 @@ def test_cayley_isometry(ex21):
     assert np.abs(v.conj().T @ v - np.eye(2)).max() < 1e-12
 
 
+def test_gram_is_formed_once_and_read_only(ex21):
+    rep = ex21.rep
+    assert rep.gram is rep.gram
+    assert not rep.gram.flags.writeable
+    assert rep.gram.tobytes() == (rep.X.T @ rep.X.conj()).tobytes()
+
+
 def test_shift_symmetry_is_hankel_symmetry(ex21):
     # (x_{k+N}, x_j) = (x_k, x_{j+N}) for all indices with both sides defined
     rep = ex21.rep
-    gamma = rep.gram()
+    gamma = rep.gram
     n = rep.N
     for k in range(rep.dN):
         for j in range(rep.dN):

@@ -6,7 +6,7 @@ import pytest
 
 from matmom import (AtomicMeasure, GapSpec, InputError, MomentSequence, Tolerances,
                     parse_moments, verify_moments)
-from matmom.moment_model import dumps, matrix_from_json, matrix_to_json
+from matmom.moment_model import dumps, hermitize, matrix_from_json, matrix_to_json
 
 from conftest import example21_matrices, moments_from_measure, moments_json, random_measure
 
@@ -85,7 +85,7 @@ def test_moments_are_symmetrized():
 
 
 def test_verify_moments_zero_case():
-    empty = AtomicMeasure(atoms=())
+    empty = AtomicMeasure.from_atoms(())
     ms = MomentSequence.from_matrices(1, 1, [np.zeros((1, 1))] * 3)
     report = verify_moments(empty, ms, 0.0)
     assert report.passed and report.max_deviation == 0.0
@@ -205,7 +205,7 @@ def test_stacked_validation_equals_per_matrix_hermitize():
         # a Hermitian defect well inside hermitian_tol, which symmetrization removes
         raw = [m + 1e-13 * rng.normal(size=m.shape) for m in raw]
         ms = MomentSequence.from_matrices(n_dim, d, raw)
-        assert len(ms.moments) == 2 * d + 1
+        assert ms.moments.shape == (2 * d + 1, n_dim, n_dim)  # one array
         for got, m in zip(ms.moments, raw):
             want = 0.5 * (m + m.conj().T)
             assert got.shape == want.shape
@@ -213,8 +213,8 @@ def test_stacked_validation_equals_per_matrix_hermitize():
 
 
 def test_complex_entries_accepted_and_rejected():
-    got = matrix_from_json([[1, 2.5, [3, -4.0], (0.5, 6), [-0.0, 0]]])
-    assert np.array_equal(got, np.array([[1, 2.5, 3 - 4j, 0.5 + 6j, 0]], dtype=complex))
+    got = matrix_from_json([[1, 2.5, [3, -4.0], [-0.0, 0]]])
+    assert np.array_equal(got, np.array([[1, 2.5, 3 - 4j, 0]], dtype=complex))
     for bad in (True, "1.0", None, [1], [1, 2, 3], [True, 0], [0, "1"], {"re": 1}):
         with pytest.raises(InputError) as err:
             matrix_from_json([[bad]])
@@ -247,10 +247,6 @@ def _reference_dumps(obj) -> str:
         return str(int(obj))
     if isinstance(obj, str):
         return json.dumps(obj)
-    if isinstance(obj, np.ndarray):
-        return _reference_dumps(obj.tolist())
-    if isinstance(obj, complex):
-        return _reference_dumps([obj.real, obj.imag])
     raise TypeError(type(obj).__name__)
 
 
@@ -263,7 +259,6 @@ def test_dumps_matches_reference_formatter():
         [np.float64(0.1), 0.2], (0.5, 0.25), [1.0, [2.0, 3.0]], [1.0, "x"],
         {"a": [1.0, -0.0], "b": {"c": [math.nan, math.inf, -math.inf], "d": []},
          "e": [True, False, None, 3, np.int64(4), np.float32(0.1), "sé"]},
-        {"m": np.array([[1.0, -0.0], [np.nan, 2.5]]), "z": [1 + 2j, complex(0.0, -0.0)]},
         measure.to_json_obj(),
         # regular float blocks of depth 2 to 4, the last a stack of [re, im] matrices
         [[1.0, 2.0], [3.0, -0.0]], [[0.5]], [[[1e-300, 5e-324], [-1e300, 0.1]]],
@@ -319,8 +314,41 @@ def test_moments_equal_the_cumprod_loop_bit_for_bit():
         for count in (0, 1, 2, 5, 13):
             assert measure.moments(count, n_dim).tobytes() \
                 == cumprod_moments(measure, count, n_dim).tobytes()
-    empty = AtomicMeasure(atoms=())
+    empty = AtomicMeasure.from_atoms(())
     assert empty.moments(3, 2).tobytes() == cumprod_moments(empty, 3, 2).tobytes()
+
+
+def former_from_atoms(pairs):
+    """The (t, W) pairs of from_atoms before the measure became two arrays: every W
+    hermitized, the pairs sorted by t, and the weights at coincident points summed."""
+    items = sorted(((float(t), hermitize(np.asarray(w, dtype=complex))) for t, w in pairs),
+                   key=lambda p: p[0])
+    merged = []
+    for t, w in items:
+        if merged and t - merged[-1][0] <= 0.0:
+            merged[-1] = (merged[-1][0], merged[-1][1] + w)
+        else:
+            merged.append((t, w))
+    return merged
+
+
+def test_from_atoms_stacks_the_former_pairs():
+    rng = np.random.default_rng(19)
+    for n_dim in (1, 3):
+        pairs = list(random_measure(rng, n_dim, 5, min_gap=0.1).atoms)
+        # a second weight at an atom, and a signed zero merged with a zero
+        pairs += [(pairs[1][0], pairs[3][1]), (-0.0, np.eye(n_dim)), (0.0, 2.0 * np.eye(n_dim))]
+        rng.shuffle(pairs)
+        measure = AtomicMeasure.from_atoms(pairs)
+        want = former_from_atoms(pairs)
+        assert measure.size == len(want) == 6
+        assert measure.locations.tobytes() == np.array([t for t, _ in want]).tobytes()
+        assert measure.weights.tobytes() == np.array([w for _, w in want]).tobytes()
+        for (t, w), (t_ref, w_ref) in zip(measure.atoms, want):
+            assert type(t) is float and np.float64(t).tobytes() == np.float64(t_ref).tobytes()
+            assert w.tobytes() == w_ref.tobytes() and np.shares_memory(w, measure.weights)
+    empty = AtomicMeasure.from_atoms(())
+    assert (empty.locations.shape, empty.weights.shape, empty.atoms) == ((0,), (0, 0, 0), ())
 
 
 def test_measure_arrays_are_built_once_and_read_only():

@@ -27,7 +27,8 @@ DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 # name -> each class whose method or property of that name has a caller; a comment names one
 SHARED_MEMBERS = {
-    "atoms": {"GapAnalysis"},  # gap.py: analysis.atoms(mu)
+    "atoms": {"AtomicMeasure",  # bench/workloads.py: measure.atoms
+              "GapAnalysis"},  # gap.py: analysis.atoms(mu)
     "delta": {"OperatorModel"},  # hilbert_space.py: model.delta; nevanlinna.py: bases.delta
     "moments": {"AtomicMeasure"},  # gap.py: measure.moments(2 * rep.d + 1, dim=rep.N)
     "size": {"OrthoBasisSet",  # hilbert_space.py: range_basis.size

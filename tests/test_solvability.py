@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -92,3 +94,51 @@ def test_oracle_instances_always_solvable(seed):
     measure = random_measure(rng, n_dim, int(rng.integers(1, 7)))
     report = check_solvable(build_block_hankel(moments_from_measure(measure, n_dim, d)))
     assert report.solvable
+
+
+# ---------------------------------------------------------------------------
+# Wrong verdicts on exact-integer moments (ROADMAP item 13).  Unit atoms at integer
+# points have integer moments, exact in a double, and d + 1 = 4 or more distinct atoms
+# make Gamma_3 positive definite: the problem is solvable, r = 4 and indeterminate.
+# The library decides both instances wrongly today; the markers come off with the
+# fix (ROADMAP items 1 and 10), which strict=True enforces.
+# ---------------------------------------------------------------------------
+
+WRONG_DETERMINATE = (6, 8, 10, 12, 14)  # `inspect` says determinate, r = 3, exit 0
+WRONG_UNSOLVABLE = (10, 11, 12, 13)     # `check` says not solvable, exit 2
+
+
+def unit_atom_sums(locs, count):
+    """The power sums sum_j t_j^n, n < count, of unit atoms at the integer locs."""
+    return [sum(t ** n for t in locs) for n in range(count)]
+
+
+def unit_atom_moments(locs, d=3):
+    return scalar_moments(*map(float, unit_atom_sums(locs, 2 * d + 1)), d=d)
+
+
+@pytest.mark.parametrize("locs", [WRONG_DETERMINATE, WRONG_UNSOLVABLE])
+def test_unit_atom_hankel_is_exactly_positive_definite(locs):
+    """Every pivot of Gaussian elimination of Gamma_3, in rational arithmetic, is positive,
+    and every moment is below 2^53, so the library reads the exact data."""
+    sums = unit_atom_sums(locs, 7)
+    assert max(sums) < 2 ** 53
+    rows = [[Fraction(sums[i + j]) for j in range(4)] for i in range(4)]
+    for k in range(4):
+        assert rows[k][k] > 0
+        for i in range(k + 1, 4):
+            factor = rows[i][k] / rows[k][k]
+            rows[i] = [a - factor * b for a, b in zip(rows[i], rows[k])]
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="smallest eigenvalue of Gamma_3 falls under rank_tol")
+def test_five_integer_unit_atoms_are_indeterminate():
+    state = analyze(unit_atom_moments(WRONG_DETERMINATE))
+    assert (state.rep.r, state.determinate) == (4, False)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the kernel half of the test reads a rounding artefact")
+def test_four_integer_unit_atoms_are_solvable():
+    assert check_solvable(build_block_hankel(unit_atom_moments(WRONG_UNSOLVABLE))).solvable
