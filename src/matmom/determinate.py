@@ -2,9 +2,9 @@
 
 A determinate problem (delta = 0) has a unitary Cayley isometry V = (A+i)(A-i)^{-1},
 and the shift A is its Cayley inverse; a canonical solution takes the same inverse of
-the unitary extension of V by a unitary parameter F.  extension_matrix builds both, V
-with the empty parameter, and spectral_measure reads the atoms off either Hermitian
-matrix.
+the unitary extension of V by a unitary parameter F.  self_adjoint_extension forms
+that extension and its inverse in one function (the shift with the empty parameter),
+and spectral_measure reads the atoms off the Hermitian matrix it returns.
 """
 
 from __future__ import annotations
@@ -33,25 +33,23 @@ class DeterminateModel:
 
 def build_determinate_model(rep: HilbertRep, bases: BasisCollection) -> DeterminateModel:
     """The shift as the Cayley inverse of V = sum_j v_j u_j*, the Cayley isometry,
-    unitary when delta = 0 (extension_matrix with the empty parameter).
+    unitary when delta = 0 (self_adjoint_extension with the empty parameter).
     V = (A + i)(A - i)^{-1} has no eigenvalue 1, so there is no fixed-point test."""
     if bases.kappa_prime != 0:
         raise ParameterError("moment problem is indeterminate; determinate model unavailable")
     return DeterminateModel(R=rep.first_block(),
-                            MA=cayley_inverse(extension_matrix(bases, np.zeros((0, 0)))))
+                            MA=self_adjoint_extension(bases, np.zeros((0, 0))))
 
 
-def extension_matrix(bases: BasisCollection, F: np.ndarray) -> np.ndarray:
-    """The extension of the Cayley isometry that maps each u_j to v_j and the defect
-    basis u'_j to the columns of V'F, for the codefect basis V' and a delta x delta
-    parameter F: unitary for a unitary F, and the isometry itself for the empty F."""
+def self_adjoint_extension(bases: BasisCollection, F: np.ndarray) -> np.ndarray:
+    """The Hermitian Cayley inverse A = i (U - I)^{-1} (U + I) of the extension U of
+    the Cayley isometry that maps each u_j to v_j and the defect basis u'_j to the
+    columns of V'F, for the codefect basis V' and a delta x delta parameter F.  U is
+    unitary for a unitary F, and the isometry itself for the empty F; it must have
+    no eigenvalue 1."""
     q = np.concatenate([bases.range_basis.vectors, bases.defect_basis.vectors], axis=1)
     images = np.concatenate([bases.cayley, bases.codefect_basis.vectors @ F], axis=1)
-    return images @ q.conj().T
-
-
-def cayley_inverse(u: np.ndarray) -> np.ndarray:
-    """The Hermitian A = i (U - I)^{-1} (U + I) of a unitary U without eigenvalue 1."""
+    u = images @ q.conj().T
     eye = np.eye(u.shape[0])
     return hermitize(1j * np.linalg.solve(u - eye, u + eye))
 

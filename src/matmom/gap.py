@@ -9,16 +9,15 @@ of non-regular type exactly when w is a unimodular eigenvalue of a0, and the
 canonical solution of a unitary F has its atoms at lam = i(mu+1)/(mu-1) for the
 eigenvalues mu of U_F = [[a0, W F], [Chat, T F]] (Krein: the zeros of
 det(G(w) F - w I)).  So the eigenvalues of U_F decide whether F puts an atom
-inside the gap; nothing is sampled.  The same eigenvalues decide whether any
-constant F, unitary or a contraction, is admissible: it is not when one lies
-within FIXED_POINT_TOL of 1, an atom at infinity (nevanlinna.extension_operator).
-_verdict decides admissibility, unitarity and the atoms inside the gap for a
-whole stack of parameters from one stacked eigvals; check_gap_class is its view
-of one parameter.  The search takes its candidates in batches of 1, 2, 4, ...
-(doubling_batches), and only the accepted ones go on, in order, to the
-verification of their canonical solution, the Cayley inverse of
-determinate.extension_matrix; no candidate needs a second eigvals or a second
-test of codes A and B.  For delta = 1 the candidates are one angle
+inside the gap; nothing is sampled.  nevanlinna.parameter_verdict, the one test
+extension_operator makes too, decides unitarity and admissibility (no eigenvalue
+within FIXED_POINT_TOL of 1, an atom at infinity) for a whole stack of
+parameters from one stacked eigvals; _verdict adds the atoms inside the gap to
+its spectra, and check_gap_class is its view of one parameter.  The search takes
+its candidates in batches of 1, 2, 4, ... (doubling_batches), and only the
+accepted ones go on, in order, to the verification of their canonical solution,
+determinate.self_adjoint_extension; no candidate needs a second eigvals or a
+second test of codes A and B.  For delta = 1 the candidates are one angle
 per arc between the values of W at the gap's finite endpoints (_family, the
 only place W is evaluated, reads the residues of G off the pole-residue table of
 nevanlinna.assemble_coefficients, so nothing is solved twice); for delta > 1
@@ -33,12 +32,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .determinate import cayley_inverse, extension_matrix, spectral_measure
+from .determinate import self_adjoint_extension, spectral_measure
 from .errors import ParameterError
 from .hilbert_space import BasisCollection, HilbertRep
 from .moment_model import AtomicMeasure, DEFAULT_TOL, GapSpec, Tolerances
-from .nevanlinna import (FIXED_POINT_TOL, NevanlinnaCoefficients, check_contraction,
-                         extended_colligation, fixed_point_distance, square_parameter)
+from .nevanlinna import NevanlinnaCoefficients, parameter_verdict, square_parameter
 from .solvability import block_hankel
 
 BATCH_CAP = 256  # most candidates a search draws or decides with one numpy call
@@ -60,14 +58,9 @@ class GapAnalysis:
     def regular_type(self) -> bool:
         return self.non_regular.size == 0
 
-    def spectrum(self, F: np.ndarray) -> np.ndarray:
-        """The eigenvalues mu of U_F from one eigvals; for a (k, delta, delta) stack
-        of parameters the (k, r) rows of their spectra."""
-        return np.linalg.eigvals(extended_colligation(self.u, F))
-
     def atoms(self, mu: np.ndarray) -> np.ndarray:
-        """Sorted lam = i(mu+1)/(mu-1) over the eigenvalues mu = spectrum(F): the atoms
-        of the canonical solution of the unitary F, rows for rows of a stack."""
+        """Sorted lam = i(mu+1)/(mu-1) over the eigenvalues mu of U_F: the atoms of
+        the canonical solution of the unitary F, rows for rows of a stack."""
         return np.sort(_real_points(mu), axis=-1)
 
 
@@ -118,19 +111,11 @@ class GapClassDecision:
 
 
 def _verdict(F: np.ndarray, analysis: GapAnalysis, tol: Tolerances):
-    """(mu, unitary, admissible, inside) for a (k, delta, delta) stack of parameters,
-    from one eigvals: the (k, r) spectra mu of their U_F, whether each F is unitary
-    within psd_tol (code B) and admissible, with no eigenvalue within FIXED_POINT_TOL
-    of 1 (code A), and the (k, r) mask of its sorted atoms, analysis.atoms(mu), that
-    the gap contains with verify_gap's gap_tol margin (code C).  ParameterError,
-    before any spectrum, when an F that is not unitary is not a contraction
-    (nevanlinna.check_contraction)."""
-    gram = np.swapaxes(F.conj(), -1, -2) @ F - np.eye(F.shape[-1])
-    unitary = np.abs(gram).max(axis=(-2, -1), initial=0.0) <= tol.psd_tol
-    if not unitary.all():
-        check_contraction(F[~unitary], tol)
-    mu = analysis.spectrum(F)
-    admissible = fixed_point_distance(mu) > FIXED_POINT_TOL
+    """(mu, unitary, admissible, inside) for a (k, delta, delta) stack of parameters:
+    parameter_verdict's spectra mu, unitarity (code B) and admissibility (code A),
+    and the (k, r) mask of the sorted atoms, analysis.atoms(mu), that the gap
+    contains with verify_gap's gap_tol margin (code C)."""
+    mu, unitary, admissible = parameter_verdict(analysis.u, F, tol)
     inside = analysis.spec.interior(analysis.atoms(mu), margin=tol.gap_tol)
     return mu, unitary, admissible, inside
 
@@ -254,7 +239,7 @@ def gap_solvable_search(rep: HilbertRep, bases: BasisCollection,
     for batch in batches:
         _, unitary, admissible, inside = _verdict(batch, analysis, tol)
         for k in np.flatnonzero(unitary & admissible & ~inside.any(axis=-1)):
-            measure = spectral_measure(cayley_inverse(extension_matrix(bases, batch[k])),
+            measure = spectral_measure(self_adjoint_extension(bases, batch[k]),
                                        rep.first_block())
             if not verify_gap(measure, spec, tol):
                 continue

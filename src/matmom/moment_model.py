@@ -93,8 +93,8 @@ class MomentSequence:
             if ((dev <= tol.hermitian_tol * scale) & (scale < math.inf)).all():
                 # symmetrize so downstream eigensolvers see exactly Hermitian input
                 return MomentSequence(N=int(N), d=int(d), moments=0.5 * (stack + adjoint))
-        # the stack failed: check each matrix in turn, so the error names the first
-        # offender (finite entries whose modulus overflows fail the stack but pass here)
+        # the stack failed: check each matrix in turn by the stack's rule, so the error
+        # names the first offender
         cleaned = []
         for n, raw in enumerate(matrices):
             m = np.asarray(raw, dtype=complex)
@@ -104,6 +104,8 @@ class MomentSequence:
                 raise InputError(f"moment matrix n={n} has non-finite entries")
             dev = hermitian_deviation(m)
             scale = 1.0 + float(np.abs(m).max(initial=0.0))
+            if scale == math.inf:  # finite entries whose modulus overflows
+                raise InputError(f"moment matrix n={n} has an entry whose modulus overflows")
             if dev > tol.hermitian_tol * scale:
                 raise InputError(f"not Hermitian at n={n}: max deviation {dev:.3e}")
             cleaned.append(hermitize(m))
@@ -143,7 +145,7 @@ class AtomicMeasure:
             if w.ndim != 2 or w.shape[0] != w.shape[1]:
                 raise InputError(f"weight matrix must be square, got shape {w.shape}")
             scale = 1.0 + float(np.abs(w).max(initial=0.0))
-            if hermitian_deviation(w) > tol.psd_tol * scale:
+            if hermitian_deviation(w) > tol.hermitian_tol * scale:
                 raise InputError(f"weight at t={t} is not Hermitian")
             w = hermitize(w)
             lam_min = float(np.linalg.eigvalsh(w).min(initial=0.0)) if w.size else 0.0

@@ -17,8 +17,9 @@ U_F = [[a0, W F], [Chat, T F]]: the pivot above is the Schur complement of
 whose partial fractions cancel the double pole at i.  A constant F is
 admissible exactly when U_F, which for a unitary F is unitarily similar to the
 extension that generates its canonical solution, has no eigenvalue within
-FIXED_POINT_TOL of 1 (extension_operator, and gap._verdict, which
-gap.check_gap_class and the gap search call): that one spectrum decides it.
+FIXED_POINT_TOL of 1.  parameter_verdict reads that one spectrum, for a stack
+of parameters, and is the only test of a constant parameter: extension_operator
+and the gap layer (check_gap_class and the gap search) call it.
 The unitary -polar(Xi) of find_admissible_unitary keeps sigma_min(F - Xi) =
 1 + sigma_min(Xi), the largest any unitary reaches, with no search.  For a
 callable F, k(z) cancels: A/k, B/k, C/k and D/k are pole-residue sums over
@@ -41,7 +42,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .determinate import cayley_inverse, extension_matrix, resolvent_transform, spectral_measure
+from .determinate import resolvent_transform, self_adjoint_extension, spectral_measure
 from .errors import EvaluationError, ParameterError, RankError
 from .hilbert_space import BasisCollection, HilbertRep, block_square, ip_matrix
 from .matpoly import MatrixPolynomial, poly_times, poly_trim
@@ -154,6 +155,23 @@ def extended_colligation(u: np.ndarray, F: np.ndarray) -> np.ndarray:
     out[..., :tau] = u[:, :tau]
     out[..., tau:] = u[:, tau:] @ F
     return out
+
+
+def parameter_verdict(u: np.ndarray, F: np.ndarray, tol: Tolerances):
+    """(mu, unitary, admissible) for a (k, delta, delta) stack of constant parameters,
+    from one eigvals: the (k, r) spectra mu of their U_F = extended_colligation(u, F),
+    whether each F is unitary within psd_tol, and whether it is admissible, with no
+    eigenvalue of U_F within FIXED_POINT_TOL of 1; for one delta x delta F, its
+    spectrum and two booleans.  ParameterError, before any spectrum, when an F that
+    is not unitary is not a contraction (check_contraction).  The library judges a
+    constant parameter here and nowhere else."""
+    gram = np.swapaxes(F.conj(), -1, -2) @ F - np.eye(F.shape[-1])
+    unitary = np.abs(gram).max(axis=(-2, -1), initial=0.0) <= tol.psd_tol
+    if not unitary.all():
+        check_contraction(F[~unitary], tol)
+    mu = np.linalg.eigvals(extended_colligation(u, F))
+    admissible = np.abs(mu - 1.0).min(axis=-1, initial=np.inf) > FIXED_POINT_TOL
+    return mu, unitary, admissible
 
 
 def _conditioned(vecs: np.ndarray, name: str, tol: Tolerances) -> np.ndarray:
@@ -636,35 +654,27 @@ def evaluate_transform(nc: NevanlinnaCoefficients, F, z,
 # Canonical solutions from unitary constant parameters
 # ---------------------------------------------------------------------------
 
-def fixed_point_distance(mu: np.ndarray) -> np.ndarray:
-    """Distance from 1 of the nearest of the eigenvalues mu of U_F, one per row of a
-    stack of spectra: a unitary F is admissible exactly when it exceeds FIXED_POINT_TOL."""
-    return np.abs(mu - 1.0).min(axis=-1, initial=np.inf)
-
-
 def extension_operator(bases: BasisCollection, F: np.ndarray,
                        tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Self-adjoint extension of the shift, as an r x r Hermitian matrix.
 
-    Requires a unitary parameter F (within psd_tol) that is admissible: no
-    eigenvalue of U_F = extended_colligation(bases.colligation_matrix, F) lies
-    within FIXED_POINT_TOL of 1.  The extension is unitarily similar to U_F, so
-    this is the test that it has no fixed point, and an eigenvalue at 1 is the
-    atom at infinity of a forbidden F.  ParameterError when F is not unitary or
-    not admissible.
+    Requires a unitary parameter F that is admissible, as parameter_verdict
+    decides it.  The extension is unitarily similar to U_F, so the verdict's
+    fixed-point test is the test that it has no fixed point, and an eigenvalue
+    at 1 is the atom at infinity of a forbidden F.  ParameterError when F is not
+    a contraction, not unitary or not admissible.
     """
     if bases.delta == 0:
         raise ParameterError("problem is determinate; use the determinate solver")
     F = square_parameter(F, bases.delta)
-    unit_dev = float(np.abs(F.conj().T @ F - np.eye(bases.delta)).max(initial=0.0))
-    if unit_dev > tol.psd_tol:
+    mu, unitary, admissible = parameter_verdict(bases.colligation_matrix, F, tol)
+    if not unitary:
+        unit_dev = float(np.abs(F.conj().T @ F - np.eye(bases.delta)).max(initial=0.0))
         raise ParameterError(f"parameter is not unitary (deviation {unit_dev:.3e})")
-    fixed_dist = fixed_point_distance(
-        np.linalg.eigvals(extended_colligation(bases.colligation_matrix, F)))
-    if fixed_dist <= FIXED_POINT_TOL:
+    if not admissible:
         raise ParameterError(f"parameter is not admissible: U_F has an eigenvalue within "
-                             f"{fixed_dist:.3e} of 1")
-    return cayley_inverse(extension_matrix(bases, F))
+                             f"{np.abs(mu - 1.0).min():.3e} of 1")
+    return self_adjoint_extension(bases, F)
 
 
 def canonical_solution(rep: HilbertRep, bases: BasisCollection, F,

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -8,7 +11,15 @@ from matmom.errors import ParameterError
 from matmom.gap import _family, random_unitary
 from matmom.determinate import CLUSTER_WIDTH
 from matmom.moment_model import DEFAULT_TOL, dumps, hermitize, matrix_to_json
-from matmom.nevanlinna import extended_colligation, fixed_point_distance
+from matmom.nevanlinna import extended_colligation
+
+
+def run_cli(*args, stdin=None):
+    """The matmom CLI in a subprocess that turns every warning into an error, as the
+    test process does by its filterwarnings."""
+    return subprocess.run([sys.executable, "-m", "matmom.cli", *args],
+                          capture_output=True, text=True, input=stdin,
+                          env={**os.environ, "PYTHONWARNINGS": "error"})
 
 
 def example21_matrices():
@@ -108,7 +119,7 @@ def pick_parameter(rng, state, nc, min_fixed_dist=0.1, tries=48):
         else:
             cand = random_unitary(rng, nc.delta, 1)[0]
         mu = np.linalg.eigvals(extended_colligation(state.bases.colligation_matrix, cand))
-        if fixed_point_distance(mu) >= min_fixed_dist:
+        if np.abs(mu - 1.0).min() >= min_fixed_dist:
             return cand
     raise ParameterError("no well-separated admissible unitary found")
 

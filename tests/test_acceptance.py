@@ -4,8 +4,6 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the lines.
 """
 
 import json
-import subprocess
-import sys
 import time
 import warnings
 
@@ -22,7 +20,7 @@ from matmom.gap import analyze_gap
 from conftest import (example21_matrices, golden_B, golden_D, golden_k,
                       golden_shift_matrix, golden_transform, golden_w_tilde,
                       moments_from_measure, pick_parameter, point_reference, polyval_matrix,
-                      random_measure, w_tilde_table)
+                      random_measure, run_cli, w_tilde_table)
 
 
 def _report(n, text):
@@ -213,8 +211,7 @@ def test_criterion_8_negative_controls(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"N": 1, "d": 1,
                                "moments": [[[[0, 0]]], [[[0, 0]]], [[[1, 0]]]]}))
-    proc = subprocess.run([sys.executable, "-m", "matmom.cli", "check", str(bad)],
-                          capture_output=True, text=True)
+    proc = run_cli("check", str(bad))
     assert proc.returncode == 2
     assert json.loads(proc.stdout)["solvable"] is False
 

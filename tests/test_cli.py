@@ -1,6 +1,4 @@
 import json
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -8,7 +6,7 @@ import pytest
 from matmom import analyze
 
 from conftest import (golden_B, golden_C, golden_D, golden_k, golden_transform,
-                      moments_from_measure, moments_json, random_measure)
+                      moments_from_measure, moments_json, random_measure, run_cli)
 from test_assemble_batched import jittered_moments
 
 EX21_DOC = json.dumps({
@@ -30,11 +28,6 @@ TWO_ATOM_DOC = json.dumps({"N": 1, "d": 2,  # unit weights at -1 and 1: determin
 NAN_DOC = EX21_DOC.replace("[1, 0]]]", "[NaN, 0]]]", 1)
 DOCS = {"ex21": EX21_DOC, "point_mass": POINT_MASS_DOC, "two_atom": TWO_ATOM_DOC,
         "nan": NAN_DOC}
-
-
-def run_cli(*args, stdin=None):
-    return subprocess.run([sys.executable, "-m", "matmom.cli", *args],
-                          capture_output=True, text=True, input=stdin)
 
 
 @pytest.fixture()
@@ -152,6 +145,14 @@ def test_canonical_rejects_forbidden(ex21_path):
     assert "admissible" in json.loads(proc.stdout)["error"]
 
 
+def test_canonical_refuses_a_non_contraction_as_evaluate_does(ex21_path):
+    """canonical judges its parameter by the verdict gap-check uses, so F = 1.5 is
+    refused as not a contraction, with evaluate's message, not as not unitary."""
+    proc = run_cli("canonical", ex21_path, "--F", "[[1.5,0]]")
+    assert (proc.returncode, proc.stderr) == (2, "")
+    assert proc.stdout == EVALUATE_ERRORS[1][1]
+
+
 def test_parameter_next_to_the_forbidden_matrix_is_refused_by_both(ex21, ex21_path):
     """F = Xi e^{1e-9 i} on ex21 passes the forbidden-matrix test (|F - Xi| is above
     its inv_tol cutoff) but puts an eigenvalue of U_F within FIXED_POINT_TOL of 1.
@@ -224,6 +225,21 @@ def test_input_errors_exit_1(tmp_path):
     assert run_cli("evaluate", str(garbage)).returncode == 1  # missing required options
     proc = run_cli("gap-check", "-", "--delta", "(oops)", stdin=EX21_DOC)
     assert proc.returncode == 1
+
+
+def test_overflowing_moments_are_an_input_error(tmp_path):
+    """Finite entries whose modulus overflows (1.5e308 +- 1.5e308j off the diagonal of
+    S_0, Hermitian) are refused by the per-matrix check as by the stacked one: exit 1
+    with an input error, no warning and no traceback."""
+    one, zero, big = [1, 0], [0, 0], 1.5e308
+    eye = [[one, zero], [zero, one]]
+    doc = {"N": 2, "d": 1, "moments": [[[one, [big, big]], [[big, -big], one]], eye, eye]}
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(doc))
+    proc = run_cli("check", str(path))
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("input error:")
+    assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
 
 
 # stdout of the closed-form gap layer: grid_points counts the finite endpoints of the

@@ -17,8 +17,7 @@ from matmom.errors import EvaluationError, ParameterError, RankError
 from matmom.moment_model import DEFAULT_TOL
 from matmom.nevanlinna import transform_via_resolvent
 
-from conftest import indeterminate_states, scalar_only, upper_points
-from test_cli import run_cli
+from conftest import indeterminate_states, run_cli, scalar_only, upper_points
 
 
 def constant_parameters(nc, rng):

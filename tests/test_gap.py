@@ -14,8 +14,7 @@ from matmom.moment_model import DEFAULT_TOL
 from conftest import (check_constant_admissible, family_reference, gap_sequences,
                       golden_shift_matrix, golden_w_tilde, indeterminate_states,
                       moments_from_measure, moments_json, point_reference, random_measure,
-                      verify_gap_reference, w_tilde_table)
-from test_cli import run_cli
+                      run_cli, verify_gap_reference, w_tilde_table)
 
 
 @pytest.fixture(scope="module")

@@ -109,6 +109,15 @@ def test_verify_moments_random_round_trip():
     assert report.passed
 
 
+def test_weight_is_judged_hermitian_by_hermitian_tol():
+    """A weight's Hermitian deviation is compared with hermitian_tol, as the moments'
+    is; psd_tol governs only its smallest eigenvalue."""
+    asym = np.array([[1.0, 1e-7], [0.0, 1.0]])
+    AtomicMeasure.from_atoms([(0.0, asym)], Tolerances(hermitian_tol=1e-6))
+    with pytest.raises(InputError, match="not Hermitian"):
+        AtomicMeasure.from_atoms([(0.0, asym)], Tolerances(psd_tol=1e-6))
+
+
 def test_atomic_measure_validation():
     with pytest.raises(InputError, match="not PSD"):
         AtomicMeasure.from_atoms([(0.0, np.array([[-1.0]]))])
@@ -184,6 +193,7 @@ def test_from_matrices_names_the_first_offending_matrix():
     nan = np.array([[1.0, np.nan], [np.nan, 1.0]])
     inf = np.array([[1.0, np.inf], [0.0, 1.0]])  # Hermitian deviation and scale both inf
     small = np.eye(1)
+    big = np.array([[1.0, 1.5e308 + 1.5e308j], [1.5e308 - 1.5e308j, 1.0]])  # |entry| overflows
     cases = [
         ([skew, nan, ok], "not Hermitian at n=0: max deviation 1.000e+00"),
         ([ok, nan, skew], "moment matrix n=1 has non-finite entries"),
@@ -191,6 +201,7 @@ def test_from_matrices_names_the_first_offending_matrix():
         ([ok, small, nan], "moment matrix n=1 has shape (1, 1), expected (2, 2)"),
         ([ok, ok, inf], "moment matrix n=2 has non-finite entries"),
         ([ok, skew, [[1.0, 2.0]]], "not Hermitian at n=1: max deviation 1.000e+00"),
+        ([ok, big, skew], "moment matrix n=1 has an entry whose modulus overflows"),
     ]
     for mats, message in cases:
         with pytest.raises(InputError) as err:

@@ -4,8 +4,9 @@ import numpy as np
 from numpy.polynomial.polynomial import polyval
 import pytest
 
-from matmom import (ParameterError, analyze, assemble_coefficients, canonical_solution,
-                    evaluate_transform, find_admissible_unitary, forbidden_matrix,
+from matmom import (GapSpec, ParameterError, analyze, analyze_gap, assemble_coefficients,
+                    canonical_solution, check_gap_class, evaluate_transform,
+                    find_admissible_unitary, forbidden_matrix, gap_solvable_search,
                     invert_transform, parse_moments, transform_via_resolvent, verify_moments)
 from matmom.errors import EvaluationError
 from matmom.gap import random_unitary
@@ -185,6 +186,82 @@ def test_spectrum_test_agrees_with_forbidden_matrix(ex21, base_seed):
             counts["both reject"] += not (spectrum_ok or forbidden_ok)
             counts["both pass"] += spectrum_ok and forbidden_ok
     assert counts["both reject"] >= 15 and counts["both pass"] >= 50, counts
+
+
+@pytest.mark.parametrize("base_seed", [7700, 7720])
+def test_extension_operator_and_gap_class_share_one_verdict(ex21, base_seed):
+    """extension_operator refuses F as not unitary exactly when check_gap_class reports
+    code B, and otherwise as not admissible exactly when it reports code A: both read
+    parameter_verdict.  The candidates are those of the spectrum-test comparison above
+    and 0.5 times Haar unitaries, contractions that fail code B."""
+    rng = np.random.default_rng(base_seed)
+    seen = set()
+    for state in [ex21] + indeterminate_states(base_seed):
+        xi = forbidden_matrix(state.bases)
+        haar = random_unitary(rng, state.bases.delta, 12)
+        candidates = list(haar[:8]) + list(0.5 * haar[8:])
+        candidates += [near_forbidden(xi, rng, eps) for eps in (0.0, 1e-12, 1e-9, 1e-6, 1e-3)
+                       for _ in range(3)]
+        analysis = analyze_gap(state.rep, state.bases, GapSpec.parse("(-0.5,0.5)"))
+        for F in candidates:
+            codes = {code for _, code in check_gap_class(F, analysis).failures}
+            want = "not unitary" if "B" in codes else "not admissible" if "A" in codes else None
+            try:
+                extension_operator(state.bases, F)
+                got = None
+            except ParameterError as exc:
+                got = next(m for m in ("not unitary", "not admissible") if m in str(exc))
+            assert got == want
+            seen.add(got)
+    assert seen == {None, "not unitary", "not admissible"}
+
+
+def test_constant_parameters_reach_eigvals_only_through_the_verdict(ex21, ex21_nc, monkeypatch):
+    """canonical_solution, check_gap_class and gap_solvable_search compute no spectrum of
+    their own: every np.linalg.eigvals call runs inside parameter_verdict, and the
+    search calls parameter_verdict once per batch of candidates."""
+    import matmom.gap as gap_mod
+    import matmom.nevanlinna as nev
+
+    calls = {"verdict": 0, "eigvals": 0, "outside": 0, "batches": 0}
+    depth = [0]
+    verdict, eigvals, batches = nev.parameter_verdict, np.linalg.eigvals, gap_mod.doubling_batches
+
+    def counted_verdict(*args, **kwargs):
+        calls["verdict"] += 1
+        depth[0] += 1
+        try:
+            return verdict(*args, **kwargs)
+        finally:
+            depth[0] -= 1
+
+    def counted_eigvals(a):
+        calls["eigvals"] += 1
+        calls["outside"] += depth[0] == 0
+        return eigvals(a)
+
+    def counted_batches(count):
+        for item in batches(count):
+            calls["batches"] += 1
+            yield item
+
+    monkeypatch.setattr(nev, "parameter_verdict", counted_verdict)
+    monkeypatch.setattr(gap_mod, "parameter_verdict", counted_verdict)
+    monkeypatch.setattr(np.linalg, "eigvals", counted_eigvals)
+    monkeypatch.setattr(gap_mod, "doubling_batches", counted_batches)
+    state = next(s for s in indeterminate_states(7700) if s.bases.delta == 2)
+    nc = assemble_coefficients(state.rep, state.bases)
+    F = find_admissible_unitary(nc.Xi)
+    spec = GapSpec.parse("(-0.5,0.5)")
+    runs = [lambda: canonical_solution(state.rep, state.bases, F),
+            lambda: check_gap_class(F, analyze_gap(state.rep, state.bases, spec)),
+            lambda: gap_solvable_search(state.rep, state.bases, nc, spec, budget=40),
+            lambda: gap_solvable_search(ex21.rep, ex21.bases, ex21_nc, GapSpec.parse("(-1,1)"))]
+    for k, run in enumerate(runs):
+        calls.update(dict.fromkeys(calls, 0))
+        run()
+        assert calls["outside"] == 0 and calls["eigvals"] == calls["verdict"] >= 1
+        assert calls["verdict"] == (calls["batches"] if k >= 2 else 1)
 
 
 def test_distinct_parameters_distinct_solutions(ex21, ex21_nc):
