@@ -21,8 +21,8 @@ from .errors import InputError, MatMomError, RankError, SolvabilityError
 from .determinate import build_determinate_model, solve_determinate
 from .gap import analyze_gap, check_gap_class, gap_solvable_search, verify_gap
 from .moment_model import (TOLERANCE_NAMES, AtomicMeasure, GapSpec, Tolerances,
-                           distribution_csv_rows, dumps, matrix_from_json, matrix_to_json,
-                           parse_moments, verify_moments, write_distribution_csv)
+                           dumps, matrix_from_json, matrix_to_json, parse_moments,
+                           verify_moments, write_distribution_csv)
 from .nevanlinna import (assemble_coefficients, canonical_solution, evaluate_transform,
                          outside_domain)
 from .solvability import build_block_hankel, check_solvable
@@ -138,7 +138,7 @@ def _emit_measure(args, measure: AtomicMeasure, ms, tol: Tolerances, **extra) ->
             raise InputError(f"cannot write {args.csv}: {exc}") from exc
         with fh:
             _emit(payload)
-            write_distribution_csv(fh, ms.N, distribution_csv_rows(measure, ms.N))
+            write_distribution_csv(fh, measure, ms.N)
     return 0 if report.passed else 3
 
 

@@ -5,7 +5,9 @@ specifications and tolerances, together with JSON/CSV serialization and
 the moment-reconstruction check.
 
 Complex scalars are serialized as two-element ``[re, im]`` lists; a bare
-number is accepted on input and read as a real value.
+number is accepted on input and read as a real value.  Every Hermitian
+matrix read from outside, the moments and a measure's weights, is judged
+by one rule, ``hermitian_stack``, on its stacked array.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import re
 from dataclasses import dataclass, fields
 from functools import lru_cache
 from itertools import chain
-from typing import IO, Iterable, Sequence
+from typing import IO, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -59,8 +61,26 @@ def hermitize(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.conj().T)
 
 
-def hermitian_deviation(m: np.ndarray) -> float:
-    return float(np.abs(m - m.conj().T).max(initial=0.0))
+def hermitian_stack(stack: np.ndarray, tol: float, what: str, label: Callable[[int], str]):
+    """((M + M*)/2, 1 + max|M|) item by item for a (k, m, m) stack read from outside.
+    Every M must have finite entries, a finite 1 + max|M| (no modulus overflows)
+    and max|M - M*| <= tol (1 + max|M|); else InputError names the first M that
+    fails by its label(i), such as "n=3"."""
+    adjoint = stack.conj().swapaxes(1, 2)
+    with np.errstate(over="ignore", invalid="ignore"):  # huge or infinite entries fail below
+        dev = np.abs(stack - adjoint).max(axis=(1, 2), initial=0.0)
+    scale = 1.0 + np.abs(stack).max(axis=(1, 2), initial=0.0)
+    # an inf entry can pass the Hermitian test as inf <= inf, so scale must be finite
+    # too; a NaN fails both
+    ok = (dev <= tol * scale) & (scale < math.inf)
+    if not ok.all():
+        i = int(np.argmin(ok))  # the first that fails
+        if not np.isfinite(stack[i]).all():
+            raise InputError(f"{what} {label(i)} has non-finite entries")
+        if scale[i] == math.inf:  # finite entries whose modulus overflows
+            raise InputError(f"{what} {label(i)} has an entry whose modulus overflows")
+        raise InputError(f"not Hermitian at {label(i)}: max deviation {dev[i]:.3e}")
+    return 0.5 * (stack + adjoint), scale
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,32 +104,17 @@ class MomentSequence:
             stack = np.array(matrices, dtype=complex)
         except (TypeError, ValueError):  # ragged or non-numeric: the loop below names the culprit
             stack = None
-        if stack is not None and stack.shape == (2 * d + 1, N, N):
-            adjoint = stack.conj().swapaxes(1, 2)
-            dev = np.abs(stack - adjoint).max(axis=(1, 2))
-            scale = 1.0 + np.abs(stack).max(axis=(1, 2))
-            # an inf entry can pass the Hermitian test as inf <= inf, so scale must be
-            # finite too; a NaN fails both
-            if ((dev <= tol.hermitian_tol * scale) & (scale < math.inf)).all():
-                # symmetrize so downstream eigensolvers see exactly Hermitian input
-                return MomentSequence(N=int(N), d=int(d), moments=0.5 * (stack + adjoint))
-        # the stack failed: check each matrix in turn by the stack's rule, so the error
-        # names the first offender
-        cleaned = []
-        for n, raw in enumerate(matrices):
-            m = np.asarray(raw, dtype=complex)
-            if m.shape != (N, N):
-                raise InputError(f"moment matrix n={n} has shape {m.shape}, expected {(N, N)}")
-            if not np.isfinite(m).all():
-                raise InputError(f"moment matrix n={n} has non-finite entries")
-            dev = hermitian_deviation(m)
-            scale = 1.0 + float(np.abs(m).max(initial=0.0))
-            if scale == math.inf:  # finite entries whose modulus overflows
-                raise InputError(f"moment matrix n={n} has an entry whose modulus overflows")
-            if dev > tol.hermitian_tol * scale:
-                raise InputError(f"not Hermitian at n={n}: max deviation {dev:.3e}")
-            cleaned.append(hermitize(m))
-        return MomentSequence(N=int(N), d=int(d), moments=np.array(cleaned))
+        if stack is None or stack.shape != (2 * d + 1, N, N):
+            for n, raw in enumerate(matrices):
+                m = np.asarray(raw, dtype=complex)
+                if m.shape != (N, N):
+                    # the matrices before it are judged first, so the first offender is named
+                    hermitian_stack(np.array(matrices[:n], dtype=complex).reshape(n, N, N),
+                                    tol.hermitian_tol, "moment matrix", "n={}".format)
+                    raise InputError(f"moment matrix n={n} has shape {m.shape}, expected {(N, N)}")
+        # symmetrized so downstream eigensolvers see exactly Hermitian input
+        moments, _ = hermitian_stack(stack, tol.hermitian_tol, "moment matrix", "n={}".format)
+        return MomentSequence(N=int(N), d=int(d), moments=moments)
 
     @property
     def count(self) -> int:
@@ -136,37 +141,33 @@ class AtomicMeasure:
 
     @staticmethod
     def from_atoms(pairs: Iterable, tol: Tolerances = DEFAULT_TOL) -> "AtomicMeasure":
-        items = []
-        for t, raw in pairs:
+        locations, raw = [], []
+        for t, w in pairs:
             t = float(t)
             if not math.isfinite(t):
                 raise InputError(f"atom location must be finite, got {t!r}")
-            w = np.asarray(raw, dtype=complex)
+            w = np.asarray(w, dtype=complex)
             if w.ndim != 2 or w.shape[0] != w.shape[1]:
                 raise InputError(f"weight matrix must be square, got shape {w.shape}")
-            scale = 1.0 + float(np.abs(w).max(initial=0.0))
-            if hermitian_deviation(w) > tol.hermitian_tol * scale:
-                raise InputError(f"weight at t={t} is not Hermitian")
-            w = hermitize(w)
-            lam_min = float(np.linalg.eigvalsh(w).min(initial=0.0)) if w.size else 0.0
-            if lam_min < -tol.psd_tol * scale:
-                raise InputError(f"weight at t={t} is not PSD (min eigenvalue {lam_min:.3e})")
-            items.append((t, w))
-        sizes = sorted({w.shape[0] for _, w in items})
+            locations.append(t)
+            raw.append(w)
+        sizes = sorted({w.shape[0] for w in raw})
         if len(sizes) > 1:  # the weights are one stack
             raise InputError(f"weight matrices must all have one size, got sizes {sizes}")
-        items.sort(key=lambda p: p[0])
-        # canonicalize: merge weights sitting at numerically identical points
-        merged: list = []
-        for t, w in items:
-            if merged and t - merged[-1][0] <= 0.0:
-                merged[-1] = (merged[-1][0], merged[-1][1] + w)
-            else:
-                merged.append((t, w))
-        return AtomicMeasure(
-            locations=np.array([t for t, _ in merged], dtype=float),
-            weights=np.array([w for _, w in merged], dtype=complex).reshape(
-                (len(merged),) + (sizes[0] if sizes else 0,) * 2))
+        stack = np.array(raw, dtype=complex).reshape((len(raw),) + (sizes[0] if sizes else 0,) * 2)
+        weights, scale = hermitian_stack(stack, tol.hermitian_tol, "weight at",
+                                         lambda i: f"t={locations[i]}")
+        lam_min = np.linalg.eigvalsh(weights).min(axis=1, initial=0.0)
+        bad = np.flatnonzero(lam_min < -tol.psd_tol * scale)
+        if bad.size:
+            raise InputError(f"weight at t={locations[bad[0]]} is not PSD "
+                             f"(min eigenvalue {lam_min[bad[0]]:.3e})")
+        # sorted stably, and the weights at numerically identical points summed in order
+        order = np.argsort(locations, kind="stable")
+        t = np.array(locations)[order]
+        starts = np.flatnonzero(np.diff(t, prepend=-math.inf) > 0.0)
+        return AtomicMeasure(locations=t[starts],
+                             weights=np.add.reduceat(weights[order], starts, axis=0))
 
     @property
     def atoms(self) -> tuple:
@@ -473,36 +474,22 @@ def verify_moments(measure: AtomicMeasure, ms: MomentSequence, tol: float) -> Mo
 # CSV distribution output
 # ---------------------------------------------------------------------------
 
-def distribution_csv_rows(measure: AtomicMeasure, dim: int):
-    """Breakpoint samples of the left-continuous distribution function, dim x dim.
+def write_distribution_csv(fh: IO[str], measure: AtomicMeasure, dim: int) -> None:
+    """Write the left-continuous distribution function of the measure, dim x dim, as
+    CSV with one column pair per entry.
 
-    Emits one row below the support, one row at each atom (pre-jump value)
-    and one row past the last atom carrying the total mass.
+    One row below the support, one at each atom (its pre-jump value) and one past
+    the last atom carrying the total mass; the empty measure is one zero row at 0.
+    The masses are the running sums 0, 0 + w_0, ... of the weights in atom order.
     """
-    if not measure.size:
-        yield 0.0, np.zeros((dim, dim), dtype=complex)
-        return
-    locations = measure.locations.tolist()
-    yield locations[0] - 1.0, np.zeros((dim, dim), dtype=complex)
-    running = np.zeros((dim, dim), dtype=complex)
-    for t, w in zip(locations, measure.weights):
-        yield t, running.copy()
-        running = running + w
-    yield locations[-1] + 1.0, running
-
-
-def write_distribution_csv(fh: IO[str], dim: int, rows: Iterable) -> None:
-    """Write (lambda, matrix) samples as CSV with one column pair per entry."""
+    t = measure.locations
+    lam = np.concatenate([t[:1] - 1.0, t, t[-1:] + 1.0]) if t.size else np.zeros(1)
+    mass = np.zeros((lam.size, dim, dim), dtype=complex)
+    if t.size:
+        mass[2:] = measure.weights
+    np.cumsum(mass, axis=0, out=mass)
     writer = csv.writer(fh)
-    header = ["lambda"]
-    for k in range(dim):
-        for l in range(dim):
-            header += [f"m_{{{k},{l}}}_re", f"m_{{{k},{l}}}_im"]
-    writer.writerow(header)
-    for lam, mat in rows:
-        mat = np.asarray(mat, dtype=complex)
-        row = [_format_float(float(lam))]
-        for k in range(dim):
-            for l in range(dim):
-                row += [_format_float(float(mat[k, l].real)), _format_float(float(mat[k, l].imag))]
-        writer.writerow(row)
+    writer.writerow(["lambda"] + [f"m_{{{k},{l}}}_{part}" for k in range(dim)
+                                  for l in range(dim) for part in ("re", "im")])
+    for x, row in zip(lam.tolist(), mass.view(np.float64).reshape(lam.size, -1).tolist()):
+        writer.writerow([_format_float(x), *map(_format_float, row)])

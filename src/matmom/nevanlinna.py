@@ -140,7 +140,7 @@ def check_contraction(F: np.ndarray, tol: Tolerances) -> None:
     """ParameterError unless the largest singular value of the matrix F, or of every
     matrix of a (k, delta, delta) stack, is at most 1 + psd_tol."""
     largest = float(np.linalg.svd(F, compute_uv=False).max(initial=0.0))
-    if largest > 1.0 + tol.psd_tol:
+    if not largest <= 1.0 + tol.psd_tol:  # a NaN from an overflowing F fails too
         raise ParameterError(
             f"parameter is not a contraction (largest singular value {largest:.6f})")
 
@@ -165,7 +165,8 @@ def parameter_verdict(u: np.ndarray, F: np.ndarray, tol: Tolerances):
     spectrum and two booleans.  ParameterError, before any spectrum, when an F that
     is not unitary is not a contraction (check_contraction).  The library judges a
     constant parameter here and nowhere else."""
-    gram = np.swapaxes(F.conj(), -1, -2) @ F - np.eye(F.shape[-1])
+    with np.errstate(over="ignore", invalid="ignore"):  # a huge F is not unitary
+        gram = np.swapaxes(F.conj(), -1, -2) @ F - np.eye(F.shape[-1])
     unitary = np.abs(gram).max(axis=(-2, -1), initial=0.0) <= tol.psd_tol
     if not unitary.all():
         check_contraction(F[~unitary], tol)

@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 import os
 import subprocess
@@ -67,6 +69,35 @@ def random_measure(rng, n_dim, n_atoms, spread=2.5, min_gap=0.35):
         w = g @ g.conj().T / n_dim + 0.15 * np.eye(n_dim)
         atoms.append((loc, w))
     return AtomicMeasure.from_atoms(atoms)
+
+
+def former_distribution_csv(measure, dim):
+    """The distribution CSV as the former two-step writer printed it, the reference of
+    write_distribution_csv: one zero row below the support (at 0 for the empty
+    measure), the running sum running + w from zero at each atom before its jump
+    and the total past the last atom, written entry by entry with %.17g (finite
+    values only)."""
+    def rows():
+        if not measure.size:
+            yield 0.0, np.zeros((dim, dim), dtype=complex)
+            return
+        locations = measure.locations.tolist()
+        yield locations[0] - 1.0, np.zeros((dim, dim), dtype=complex)
+        running = np.zeros((dim, dim), dtype=complex)
+        for t, w in zip(locations, measure.weights):
+            yield t, running.copy()
+            running = running + w
+        yield locations[-1] + 1.0, running
+
+    fh = io.StringIO()
+    writer = csv.writer(fh)
+    writer.writerow(["lambda"] + [f"m_{{{k},{l}}}_{part}" for k in range(dim)
+                                  for l in range(dim) for part in ("re", "im")])
+    for lam, mat in rows():
+        writer.writerow([format(float(lam), ".17g")]
+                        + [format(float(part), ".17g") for v in mat.ravel()
+                           for part in (v.real, v.imag)])
+    return fh.getvalue()
 
 
 def moments_from_measure(measure, n_dim, d):

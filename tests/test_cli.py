@@ -649,3 +649,44 @@ def test_verify_wrong_size_weights_rejected(doc_path, tmp_path):
     proc = run_cli("verify", doc_path("point_mass"), "--measure", str(mpath))
     assert proc.returncode == 1 and proc.stdout == ""
     assert "measure weights must be 1 x 1" in proc.stderr
+
+
+# Hostile entries for every matrix the CLI reads: finite parts whose modulus overflows,
+# and a large finite entry.  The moment and weight matrices carry the entry at [0, 1]
+# and its conjugate at [1, 0]; the 1 x 1 parameter of ex21 is the entry itself.
+HOSTILE = {"overflow": (1.5e308, 1.5e308), "large": (1e200, 0.0)}
+HOSTILE_CASES = [
+    ("overflow", "moments", ("check", "{hostile}"), 1,
+     "moment matrix n=0 has an entry whose modulus overflows"),
+    ("large", "moments", ("check", "{hostile}"), 2, '"solvable": false'),
+    ("overflow", "weight", ("verify", "{ex21}", "--measure", "{hostile}"), 1,
+     "weight at t=0.5 has an entry whose modulus overflows"),
+    ("large", "weight", ("verify", "{ex21}", "--measure", "{hostile}"), 1,
+     "weight at t=0.5 is not PSD (min eigenvalue -1.000e+200)"),
+    *((kind, "F", args, 2, "parameter is not a contraction (largest singular value "
+       + ("nan)" if kind == "overflow" else "99999999999999996"))
+      for kind in HOSTILE
+      for args in (("canonical", "{ex21}", "--F", "{F}"),
+                   ("evaluate", "{ex21}", "--F", "{F}", "--z", "0.5+2j"),
+                   ("gap-check", "{ex21}", "--delta", "(-1,1)", "--F", "{F}"))),
+]
+
+
+@pytest.mark.parametrize("kind, target, args, status, message", HOSTILE_CASES,
+                         ids=[f"{c[0]}-{c[1]}-{c[2][0]}" for c in HOSTILE_CASES])
+def test_hostile_entries_are_refused_cleanly(tmp_path, kind, target, args, status, message):
+    re_, im = HOSTILE[kind]
+    one, zero = [1, 0], [0, 0]
+    off = [[one, [re_, im]], [[re_, -im], one]]
+    eye = [[one, zero], [zero, one]]
+    doc = ({"N": 2, "d": 1, "moments": [off, eye, eye]} if target == "moments"
+           else {"atoms": [{"t": 0.5, "W": off}]})
+    paths = {"ex21": tmp_path / "ex21.json", "hostile": tmp_path / "hostile.json"}
+    paths["ex21"].write_text(EX21_DOC)
+    paths["hostile"].write_text(json.dumps(doc))
+    fields = {name: str(path) for name, path in paths.items()}
+    fields["F"] = json.dumps([[re_, im]])
+    proc = run_cli(*(arg.format(**fields) for arg in args))
+    assert proc.returncode == status
+    assert message in (proc.stderr if status == 1 else proc.stdout)
+    assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
