@@ -1,10 +1,11 @@
 """Command-line interface: JSON in, JSON/CSV out.
 
 Exit codes: 0 success, 1 input error (including non-finite numbers such as
-NaN or Infinity in any input), 2 infeasible or misused subcommand (e.g.
-asking for the unique solution of an indeterminate problem), 3 numerical
-failure: a rank inconsistency, or an emitted measure whose own verify
-block fails.
+NaN or Infinity in any input, and evaluation points outside the transform's
+domain), 2 infeasible or misused subcommand (e.g. asking for the unique
+solution of an indeterminate problem), 3 numerical failure: a rank
+inconsistency, a singular pivot in evaluate, or an emitted measure whose own
+verify block fails.
 """
 
 from __future__ import annotations
@@ -17,14 +18,13 @@ import sys
 import numpy as np
 
 from . import analyze
-from .errors import InputError, MatMomError, RankError, SolvabilityError
+from .errors import EvaluationError, InputError, MatMomError, RankError, SolvabilityError
 from .determinate import build_determinate_model, solve_determinate
 from .gap import analyze_gap, check_gap_class, gap_solvable_search, verify_gap
 from .moment_model import (TOLERANCE_NAMES, AtomicMeasure, GapSpec, Tolerances,
                            dumps, matrix_from_json, matrix_to_json, parse_moments,
                            verify_moments, write_distribution_csv)
-from .nevanlinna import (assemble_coefficients, canonical_solution, evaluate_transform,
-                         outside_domain)
+from .nevanlinna import assemble_coefficients, canonical_solution, evaluate_transform
 from .solvability import build_block_hankel, check_solvable
 
 
@@ -218,13 +218,7 @@ def _cmd_evaluate(args, tol) -> int:
     nc = assemble_coefficients(state.rep, state.bases, tol)
     F = _parse_parameter(args.F, nc.delta)
     points = _parse_z_values(args.z)
-    # one call on the points before the first one outside the domain, which is
-    # then evaluated alone to raise: errors come in the order of the points
-    outside = np.flatnonzero(outside_domain(np.array(points)))
-    stop = int(outside[0]) if outside.size else len(points)
-    t_vals = evaluate_transform(nc, F, np.array(points[:stop]), tol)
-    if outside.size:
-        evaluate_transform(nc, F, points[stop], tol)
+    t_vals = evaluate_transform(nc, F, np.array(points), tol)
     _emit({"values": [{"z": [z.real, z.imag], "value": matrix_to_json(t_val)}
                       for z, t_val in zip(points, t_vals)]})
     return 0
@@ -340,7 +334,7 @@ def main(argv=None) -> int:
         return 2
     except MatMomError as exc:
         _emit({"error": str(exc)})
-        return 3 if isinstance(exc, RankError) else 2
+        return 3 if isinstance(exc, (RankError, EvaluationError)) else 2
 
 
 if __name__ == "__main__":

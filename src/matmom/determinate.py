@@ -14,7 +14,7 @@ from itertools import groupby
 
 import numpy as np
 
-from .errors import EvaluationError, ParameterError
+from .errors import InputError, ParameterError
 from .hilbert_space import BasisCollection, HilbertRep
 from .moment_model import AtomicMeasure, hermitize
 
@@ -111,7 +111,7 @@ def resolvent_transform(a: np.ndarray, xc: np.ndarray, z) -> np.ndarray:
     flat = np.atleast_1d(z_arr).ravel()
     real = flat[flat.imag == 0.0]
     if real.size:
-        raise EvaluationError(f"z must be non-real, got {complex(real[0])}")
+        raise InputError(f"z must be non-real, got {complex(real[0])}")
     eye = np.eye(a.shape[0])
     vals = [xc.conj().T @ np.linalg.solve(a - w * eye, xc) for w in flat]
     return np.array(vals, dtype=complex).reshape(z_arr.shape + (xc.shape[1],) * 2)

@@ -6,7 +6,8 @@ class MatMomError(Exception):
 
 
 class InputError(MatMomError):
-    """Malformed or invalid input data (documents, matrices, option strings)."""
+    """Malformed or invalid input data (documents, matrices, option strings, and
+    evaluation points outside the transform's domain or grids that do not increase)."""
 
 
 class SolvabilityError(MatMomError):
@@ -23,4 +24,5 @@ class ParameterError(MatMomError):
 
 
 class EvaluationError(MatMomError):
-    """Transform evaluation failed at a specific point (singular pivot, bad z)."""
+    """The transform cannot be evaluated reliably at a point of its domain (a
+    singular pivot: the parameter is not admissible there)."""

@@ -63,23 +63,26 @@ def hermitize(m: np.ndarray) -> np.ndarray:
 
 def hermitian_stack(stack: np.ndarray, tol: float, what: str, label: Callable[[int], str]):
     """((M + M*)/2, 1 + max|M|) item by item for a (k, m, m) stack read from outside.
-    Every M must have finite entries, a finite 1 + max|M| (no modulus overflows)
-    and max|M - M*| <= tol (1 + max|M|); else InputError names the first M that
-    fails by its label(i), such as "n=3"."""
+    Every M must have finite entries, a finite 2 (1 + max|M|) (no modulus
+    overflows, nor M + M*) and max|M - M*| <= tol (1 + max|M|); else InputError
+    names the first M that fails by its label(i), such as "n=3"."""
     adjoint = stack.conj().swapaxes(1, 2)
     with np.errstate(over="ignore", invalid="ignore"):  # huge or infinite entries fail below
         dev = np.abs(stack - adjoint).max(axis=(1, 2), initial=0.0)
-    scale = 1.0 + np.abs(stack).max(axis=(1, 2), initial=0.0)
-    # an inf entry can pass the Hermitian test as inf <= inf, so scale must be finite
-    # too; a NaN fails both
-    ok = (dev <= tol * scale) & (scale < math.inf)
+        scale = 1.0 + np.abs(stack).max(axis=(1, 2), initial=0.0)
+        # an inf entry can pass the Hermitian test as inf <= inf, so twice the scale
+        # must be finite too, which also keeps M + M* finite; a NaN fails both
+        ok = (dev <= tol * scale) & (2.0 * scale < math.inf)
     if not ok.all():
         i = int(np.argmin(ok))  # the first that fails
         if not np.isfinite(stack[i]).all():
             raise InputError(f"{what} {label(i)} has non-finite entries")
         if scale[i] == math.inf:  # finite entries whose modulus overflows
             raise InputError(f"{what} {label(i)} has an entry whose modulus overflows")
-        raise InputError(f"not Hermitian at {label(i)}: max deviation {dev[i]:.3e}")
+        if not dev[i] <= tol * scale[i]:
+            raise InputError(f"not Hermitian at {label(i)}: max deviation {dev[i]:.3e}")
+        raise InputError(f"{what} {label(i)} has an entry too large to symmetrize "
+                         f"(largest modulus {scale[i] - 1.0:.3e})")
     return 0.5 * (stack + adjoint), scale
 
 

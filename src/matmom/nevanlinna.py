@@ -43,7 +43,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .determinate import resolvent_transform, self_adjoint_extension, spectral_measure
-from .errors import EvaluationError, ParameterError, RankError
+from .errors import EvaluationError, InputError, ParameterError, RankError
 from .hilbert_space import BasisCollection, HilbertRep, block_square, ip_matrix
 from .matpoly import MatrixPolynomial, poly_times, poly_trim
 from .moment_model import AtomicMeasure, DEFAULT_TOL, Tolerances
@@ -142,7 +142,7 @@ def check_contraction(F: np.ndarray, tol: Tolerances) -> None:
     largest = float(np.linalg.svd(F, compute_uv=False).max(initial=0.0))
     if not largest <= 1.0 + tol.psd_tol:  # a NaN from an overflowing F fails too
         raise ParameterError(
-            f"parameter is not a contraction (largest singular value {largest:.6f})")
+            f"parameter is not a contraction (largest singular value {largest:.3e})")
 
 
 def extended_colligation(u: np.ndarray, F: np.ndarray) -> np.ndarray:
@@ -600,10 +600,10 @@ def evaluate_transform(nc: NevanlinnaCoefficients, F, z,
     """Evaluate the solution transform for parameter F at z (scalar or array).
 
     z must be finite and lie in the open upper half-plane away from i, with
-    |z - i| at most FAR_LIMIT (EvaluationError for the first point of z that
-    does not, see outside_domain).  F is a constant delta x delta contraction
-    or a callable z -> matrix, checked to be a contraction first (see
-    _parameter_values).
+    |z - i| at most FAR_LIMIT (InputError for the first point of z that does
+    not, see outside_domain).  Every point is checked before F, and both before
+    any arithmetic.  F is a constant delta x delta contraction or a callable
+    z -> matrix, checked to be a contraction (see _parameter_values).
     A callable may be called once with all n points as an (n, 1, 1) array; an
     (n, delta, delta) result must hold at each point what a call with that
     point alone returns, and a result refused by the checks of
@@ -628,12 +628,12 @@ def evaluate_transform(nc: NevanlinnaCoefficients, F, z,
     if outside.size:
         first = flat[outside[0]]
         if not np.isfinite(first):
-            raise EvaluationError("z must be finite")
+            raise InputError("z must be finite")
         if first.imag <= 0.0:
-            raise EvaluationError("z must lie in the open upper half-plane")
+            raise InputError("z must lie in the open upper half-plane")
         if abs(first - 1j) > FAR_LIMIT:
-            raise EvaluationError(f"z must satisfy |z - i| <= {FAR_LIMIT:g}")
-        raise EvaluationError("z = i is excluded from the transform domain")
+            raise InputError(f"z must satisfy |z - i| <= {FAR_LIMIT:g}")
+        raise InputError("z = i is excluded from the transform domain")
 
     f_vals = _parameter_values(F, nc.delta, flat, tol)
     if callable(F):
@@ -740,7 +740,7 @@ def invert_transform(evaluator, grid) -> SampledDistribution:
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 2 or np.any(np.diff(grid) <= 0):
-        raise EvaluationError("grid must be a strictly increasing 1-D array")
+        raise InputError("grid must be a strictly increasing 1-D array")
 
     extrap = None
     for k, eps in enumerate(EPS_SCHEDULE):

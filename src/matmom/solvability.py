@@ -75,7 +75,7 @@ def check_solvable(h: HankelPair, tol: Tolerances = DEFAULT_TOL) -> SolvabilityR
     evals_d = np.linalg.eigvalsh(h.gamma_d)
     lam_max = float(evals_d.max(initial=0.0))
     scale = lam_max if lam_max > 0.0 else 1.0
-    min_eig = float(evals_d.min(initial=0.0))
+    min_eig = float(evals_d[0])  # ascending, and gamma_d is never empty
 
     defect = 0.0
     if h.gamma_dm1.size:

@@ -52,6 +52,17 @@ def test_check_solvable(ex21_path):
     assert json.loads(proc.stdout)["solvable"] is True
 
 
+def test_check_prints_the_smallest_eigenvalue(tmp_path):
+    """Unit atoms at -1 and 1 (N=1, d=1, moments 2, 0, 2) give Gamma_1 = 2 I, whose
+    smallest eigenvalue 2 is printed as it is, not clipped to 0."""
+    path = tmp_path / "pm1.json"
+    path.write_text(json.dumps({"N": 1, "d": 1,
+                                "moments": [[[[2, 0]]], [[[0, 0]]], [[[2, 0]]]]}))
+    proc = run_cli("check", str(path))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert '"min_eigenvalue": 2,' in proc.stdout
+
+
 def test_check_detects_kernel_violation(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(UNSOLVABLE_DOC)
@@ -150,7 +161,7 @@ def test_canonical_refuses_a_non_contraction_as_evaluate_does(ex21_path):
     refused as not a contraction, with evaluate's message, not as not unitary."""
     proc = run_cli("canonical", ex21_path, "--F", "[[1.5,0]]")
     assert (proc.returncode, proc.stderr) == (2, "")
-    assert proc.stdout == EVALUATE_ERRORS[1][1]
+    assert proc.stdout == EVALUATE_ERRORS["non-contraction"][2]
 
 
 def test_parameter_next_to_the_forbidden_matrix_is_refused_by_both(ex21, ex21_path):
@@ -320,23 +331,34 @@ def test_evaluate_values_unchanged(ex21_path):
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
-# `evaluate` errors before the points were evaluated in one call: the first
-# point that raises decides, in the order the points are given
-EVALUATE_ERRORS = [
-    (("[[0,0]]", "--z=2j", "--z=0.5-1j", "--z=3j"),
-     '{"error": "z must lie in the open upper half-plane"}\n'),
-    (("[[1.5,0]]", "--z=2j", "--z=0.5-1j"),
-     '{"error": "parameter is not a contraction (largest singular value 1.500000)"}\n'),
-    (("[[0,0]]", "--z=1j", "--z=0.5-1j"),
-     '{"error": "z = i is excluded from the transform domain"}\n'),
-]
+# `evaluate` errors by kind: (args after --F, exit status, stdout, stderr).  A point
+# outside the domain is an input error, checked before the parameter; a parameter
+# that is not a contraction is refused; a singular pivot is a numerical failure
+EVALUATE_ERRORS = {
+    "lower-half-plane": (("[[0,0]]", "--z=2j", "--z=0.5-1j", "--z=3j"), 1, "",
+                         "input error: z must lie in the open upper half-plane\n"),
+    "z-equals-i": (("[[0,0]]", "--z=1j", "--z=0.5-1j"), 1, "",
+                   "input error: z = i is excluded from the transform domain\n"),
+    "far": (("[[0,0]]", "--z=2j", "--z=1e200+1j"), 1, "",
+            "input error: z must satisfy |z - i| <= 1e+150\n"),
+    "non-contraction": (("[[1.5,0]]", "--z=2j"), 2,
+                        '{"error": "parameter is not a contraction (largest singular value '
+                        '1.500e+00)"}\n', ""),
+    "singular-pivot": (("[[1,0]]", "--z=1+1e-13j"), 3,
+                       '{"error": "singular pivot at z=(1+1e-13j): (z+i) - (z-i) mu is '
+                       '1.417e-13 from zero for an eigenvalue mu of U_F (parameter not '
+                       'admissible at this point)"}\n', ""),
+    # every point is checked before the parameter, whatever the order of the points
+    "z-before-F": (("[[1.5,0]]", "--z=2j", "--z=0.5-1j"), 1, "",
+                   "input error: z must lie in the open upper half-plane\n"),
+}
 
 
-@pytest.mark.parametrize("args, stdout", EVALUATE_ERRORS)
-def test_evaluate_errors_unchanged(ex21_path, args, stdout):
+@pytest.mark.parametrize("kind", EVALUATE_ERRORS)
+def test_evaluate_errors_by_kind(ex21_path, kind):
+    args, status, stdout, stderr = EVALUATE_ERRORS[kind]
     proc = run_cli("evaluate", ex21_path, "--F", *args)
-    assert proc.returncode == 2
-    assert proc.stdout == stdout
+    assert (proc.returncode, proc.stdout, proc.stderr) == (status, stdout, stderr)
 
 
 # stdout and exit status of the commands whose bodies share the parse, analyse and
@@ -584,12 +606,12 @@ def test_gap_solve_negative_seed_rejected(doc_path, tmp_path):
 
 
 def test_evaluate_far_point_refused(doc_path):
-    """A point beyond |z - i| = 1e150, where the squares of z overflow, is an evaluate
-    error with exit 2 and nothing on stderr, where it printed NaN and exited 0."""
+    """A point beyond |z - i| = 1e150, where the squares of z overflow, is an input
+    error with exit 1 and nothing on stdout, where it printed NaN and exited 0."""
     for z in ("1e200+1j", "1.4e154j"):
         proc = run_cli("evaluate", doc_path("ex21"), "--F", "[[1,0]]", "--z", "2j", "--z", z)
-        assert proc.returncode == 2 and proc.stderr == ""
-        assert proc.stdout == '{"error": "z must satisfy |z - i| <= 1e+150"}\n'
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr == "input error: z must satisfy |z - i| <= 1e+150\n"
 
 
 @pytest.mark.parametrize("doc, args", [
@@ -652,19 +674,24 @@ def test_verify_wrong_size_weights_rejected(doc_path, tmp_path):
 
 
 # Hostile entries for every matrix the CLI reads: finite parts whose modulus overflows,
-# and a large finite entry.  The moment and weight matrices carry the entry at [0, 1]
-# and its conjugate at [1, 0]; the 1 x 1 parameter of ex21 is the entry itself.
-HOSTILE = {"overflow": (1.5e308, 1.5e308), "large": (1e200, 0.0)}
+# a finite entry whose double overflows, and a large finite entry.  The moment and
+# weight matrices carry the entry at [0, 1] and its conjugate at [1, 0]; the 1 x 1
+# parameter of ex21 is the entry itself.
+HOSTILE = {"overflow": (1.5e308, 1.5e308), "near-max": (1e308, 0.0), "large": (1e200, 0.0)}
 HOSTILE_CASES = [
     ("overflow", "moments", ("check", "{hostile}"), 1,
      "moment matrix n=0 has an entry whose modulus overflows"),
+    ("near-max", "moments", ("check", "{hostile}"), 1, "moment matrix n=0 has an entry "
+     "too large to symmetrize (largest modulus 1.000e+308)"),
     ("large", "moments", ("check", "{hostile}"), 2, '"solvable": false'),
     ("overflow", "weight", ("verify", "{ex21}", "--measure", "{hostile}"), 1,
      "weight at t=0.5 has an entry whose modulus overflows"),
+    ("near-max", "weight", ("verify", "{ex21}", "--measure", "{hostile}"), 1,
+     "weight at t=0.5 has an entry too large to symmetrize (largest modulus 1.000e+308)"),
     ("large", "weight", ("verify", "{ex21}", "--measure", "{hostile}"), 1,
      "weight at t=0.5 is not PSD (min eigenvalue -1.000e+200)"),
     *((kind, "F", args, 2, "parameter is not a contraction (largest singular value "
-       + ("nan)" if kind == "overflow" else "99999999999999996"))
+       + {"overflow": "nan)", "near-max": "1.000e+308)", "large": "1.000e+200)"}[kind])
       for kind in HOSTILE
       for args in (("canonical", "{ex21}", "--F", "{F}"),
                    ("evaluate", "{ex21}", "--F", "{F}", "--z", "0.5+2j"),

@@ -8,7 +8,7 @@ from matmom import (MomentSequence, ParameterError, analyze, assemble_coefficien
                     solve_determinate, verify_moments)
 from matmom import determinate
 from matmom.determinate import resolvent_transform, spectral_measure
-from matmom.errors import EvaluationError
+from matmom.errors import InputError
 from matmom.nevanlinna import extension_operator
 
 from conftest import (indeterminate_states, moments_from_measure, pick_parameter,
@@ -62,7 +62,7 @@ def test_stieltjes_point_mass(point_mass_state):
     _, state = point_mass_state
     dm = build_determinate_model(state.rep, state.bases)
     assert abs(resolvent_transform(dm.MA, dm.R, 1j) - 1j) < 1e-14
-    with pytest.raises(EvaluationError):
+    with pytest.raises(InputError):
         resolvent_transform(dm.MA, dm.R, 2.0)
 
 

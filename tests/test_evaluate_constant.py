@@ -13,7 +13,7 @@ import pytest
 import matmom.nevanlinna as nev
 from matmom import (MomentSequence, analyze, assemble_coefficients, evaluate_transform,
                     find_admissible_unitary)
-from matmom.errors import EvaluationError, ParameterError, RankError
+from matmom.errors import EvaluationError, InputError, ParameterError, RankError
 from matmom.moment_model import DEFAULT_TOL
 from matmom.nevanlinna import transform_via_resolvent
 
@@ -96,14 +96,14 @@ def test_defective_extension_falls_back_to_pivot_path(ex21_nc):
 
 def test_far_points_refused(ex21, ex21_nc):
     """Beyond |z - i| = FAR_LIMIT the squares of z would overflow to NaN: a constant
-    and a callable F raise EvaluationError there, before any warning, and at 1e100j,
+    and a callable F raise InputError there, before any warning, and at 1e100j,
     well inside, the value is finite and equals the resolvent's."""
     F = find_admissible_unitary(ex21_nc.Xi)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for param in (F, lambda w: F):
             for z in (1.4e154j, 1e200 + 1j, np.array([2j, 1e200 + 1j])):
-                with pytest.raises(EvaluationError, match=r"\|z - i\| <= 1e\+150"):
+                with pytest.raises(InputError, match=r"\|z - i\| <= 1e\+150"):
                     evaluate_transform(ex21_nc, param, z)
             got = evaluate_transform(ex21_nc, param, 1e100j)
             want = transform_via_resolvent(ex21.rep, ex21.bases, F, 1e100j)
@@ -113,7 +113,7 @@ def test_far_points_refused(ex21, ex21_nc):
 
 def test_non_finite_points_refused(ex21_nc):
     """A NaN in the real or the imaginary part of z is outside the domain: a constant
-    and a callable F raise EvaluationError("z must be finite") at the first such
+    and a callable F raise InputError("z must be finite") at the first such
     point, before any warning, and a domain error at an earlier point still comes
     first."""
     F = find_admissible_unitary(ex21_nc.Xi)
@@ -122,9 +122,9 @@ def test_non_finite_points_refused(ex21_nc):
         for param in (F, lambda w: F):
             for bad in (complex(np.nan, 1.0), complex(1.0, np.nan), complex(np.inf, 1.0)):
                 for z in (bad, np.array([2j, bad, -1j])):
-                    with pytest.raises(EvaluationError, match="^z must be finite$"):
+                    with pytest.raises(InputError, match="^z must be finite$"):
                         evaluate_transform(ex21_nc, param, z)
-                with pytest.raises(EvaluationError, match="upper half-plane"):
+                with pytest.raises(InputError, match="upper half-plane"):
                     evaluate_transform(ex21_nc, param, np.array([2j, -1j, bad]))
     assert nev.outside_domain([complex(np.nan, 1.0), complex(1.0, np.nan), 2j]).tolist() \
         == [True, True, False]

@@ -8,7 +8,7 @@ from matmom import (GapSpec, ParameterError, analyze, analyze_gap, assemble_coef
                     canonical_solution, check_gap_class, evaluate_transform,
                     find_admissible_unitary, forbidden_matrix, gap_solvable_search,
                     invert_transform, parse_moments, transform_via_resolvent, verify_moments)
-from matmom.errors import EvaluationError
+from matmom.errors import InputError
 from matmom.gap import random_unitary
 from matmom.moment_model import DEFAULT_TOL, matrix_to_json
 from matmom.nevanlinna import extension_operator
@@ -95,14 +95,25 @@ def test_transform_golden_values(ex21_nc):
 
 def test_transform_domain_errors(ex21_nc):
     F = np.zeros((1, 1))
-    with pytest.raises(EvaluationError):
+    with pytest.raises(InputError):
         evaluate_transform(ex21_nc, F, 1.0 - 1j)
-    with pytest.raises(EvaluationError):
+    with pytest.raises(InputError):
         evaluate_transform(ex21_nc, F, 1j)
-    with pytest.raises(EvaluationError):
+    with pytest.raises(InputError):
         evaluate_transform(ex21_nc, F, 0.5)
     with pytest.raises(ParameterError):
         evaluate_transform(ex21_nc, np.array([[1.5]]), 2j)
+
+
+def test_points_are_checked_before_the_parameter(ex21_nc):
+    """A point outside the domain is an input error even after a valid point and with
+    a parameter that is not a contraction; so is a grid that does not increase."""
+    for F in (np.array([[1.5]]), lambda w: np.array([[1.5]])):
+        with pytest.raises(InputError, match="upper half-plane"):
+            evaluate_transform(ex21_nc, F, np.array([2j, 0.5 - 1j]))
+    with pytest.raises(InputError, match="strictly increasing"):
+        invert_transform(lambda z: evaluate_transform(ex21_nc, np.zeros((1, 1)), z),
+                         np.array([0.0, 0.0, 1.0]))
 
 
 def test_transform_callable_parameter(ex21_nc):

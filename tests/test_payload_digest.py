@@ -17,5 +17,6 @@ def test_digest_is_reproducible_on_one_realisation():
     outputs = [proc.communicate() + (proc.returncode,) for proc in runs]
     for stdout, stderr, status in outputs:
         assert status == 0, stderr
-        assert re.fullmatch(r"\d+ payloads, sha256 [0-9a-f]{64}\n", stdout)
+        assert re.fullmatch(r"\d+ payloads, sha256 [0-9a-f]{64}\n"
+                            r"([a-z-]+: \d+ payloads, sha256 [0-9a-f]{64}\n)+", stdout)
     assert outputs[0][0] == outputs[1][0]

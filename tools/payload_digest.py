@@ -1,4 +1,4 @@
-"""One SHA-256 over the CLI payloads of the benchmark instances.
+"""SHA-256 digests of the CLI payloads of the benchmark instances.
 
 usage: PYTHONPATH=<checkout>/src python3 tools/payload_digest.py [--seeds 1 2] [--reps 0 ... 8]
 
@@ -7,8 +7,9 @@ and gap-search instances of each seed and realisation, as bench/instances.py and
 bench/workloads.py build them (both are only imported):
 
 - solve-ladder: ``check``; when it passes, ``inspect``, then ``solve --csv`` or
-  ``parametrize``, and for an indeterminate problem ``canonical --csv`` with the
-  F of ``find_admissible_unitary``;
+  ``parametrize``, and for an indeterminate problem, with the F of
+  ``find_admissible_unitary``, ``canonical --csv`` and ``evaluate`` of F and of
+  0.6 F at the points EVALUATE_POINTS;
 - gap-search: ``gap-solve --csv`` with the benchmark's random-candidate budget
   (the CLI default costs seconds per op when delta > 1), ``gap-check``, and for a
   found witness ``gap-check --F`` of its F;
@@ -16,9 +17,11 @@ bench/workloads.py build them (both are only imported):
 
 Each payload is its arguments, stdout, stderr, exit status and CSV bytes; a
 warning enters as its category and message, an uncaught exception as its type
-and message.  The script prints the payload count and the digest.  Run it with
-the ``src`` of two checkouts on PYTHONPATH in turn: equal digests mean the two
-print the same bytes on every payload.
+and message.  The script prints the payload count and the digest of all
+payloads, then one line of both for each subcommand.  Run it with the ``src`` of
+two checkouts on PYTHONPATH in turn: equal digests mean the two print the same
+bytes on every payload (of that subcommand), so a declared change to one
+subcommand leaves the others comparable.
 """
 
 import argparse
@@ -40,15 +43,24 @@ from matmom import analyze, assemble_coefficients, find_admissible_unitary  # no
 from matmom.cli import main  # noqa: E402
 from matmom.moment_model import dumps, matrix_to_json  # noqa: E402
 
+EVALUATE_POINTS = ("2j", "0.5+0.25j", "-1.5+3j", "0.3+0.05j")
+
 
 class Digest:
     def __init__(self):
         self.sha = hashlib.sha256()
         self.count = 0
+        self.commands = {}  # subcommand -> [sha, count]
 
-    def add(self, *fields: bytes) -> None:
+    def add(self, *fields: bytes, command: str | None = None) -> None:
+        shas = [self.sha]
+        if command is not None:
+            entry = self.commands.setdefault(command, [hashlib.sha256(), 0])
+            entry[1] += 1
+            shas.append(entry[0])
         for field in fields:  # length-prefixed, so no two payload lists collide
-            self.sha.update(len(field).to_bytes(8, "little") + field)
+            for sha in shas:
+                sha.update(len(field).to_bytes(8, "little") + field)
 
     def run(self, *argv: str, csv: bool = False) -> tuple:
         """(status, stdout) of one CLI call, added to the digest."""
@@ -67,7 +79,8 @@ class Digest:
             table = Path("out.csv").read_bytes()
             os.remove("out.csv")
         self.add("\0".join(argv).encode(), out.getvalue().encode(),
-                 (err.getvalue() + noise).encode(), str(status).encode(), table)
+                 (err.getvalue() + noise).encode(), str(status).encode(), table,
+                 command=argv[0])
         self.count += 1
         return status, out.getvalue()
 
@@ -98,6 +111,9 @@ def ladder_payloads(digest: Digest, op) -> None:
         return
     digest.verify(digest.run("canonical", "in.json", "--F", dumps(matrix_to_json(F)),
                              csv=True)[1])
+    for param in (F, 0.6 * F):
+        digest.run("evaluate", "in.json", "--F", dumps(matrix_to_json(param)),
+                   *(f"--z={z}" for z in EVALUATE_POINTS))
 
 
 def gap_payloads(digest: Digest, op) -> None:
@@ -131,6 +147,8 @@ def main_digest(argv=None) -> int:
         finally:
             os.chdir(home)
     print(f"{digest.count} payloads, sha256 {digest.sha.hexdigest()}")
+    for command, (sha, count) in sorted(digest.commands.items()):
+        print(f"{command}: {count} payloads, sha256 {sha.hexdigest()}")
     return 0
 
 
