@@ -1,7 +1,7 @@
 """Solutions vanishing on a prescribed open gap, from the unitary colligation.
 
-U = [[a0, W], [Chat, T]] (BasisCollection.colligation, built once per problem
-and shared with nevanlinna.assemble_coefficients, like the eig of a0) has the
+U = [[a0, W], [Chat, T]] (BasisCollection.colligation, one array per problem with its
+blocks as views, the u of the coefficients too, and shared like the eig of a0) has the
 characteristic function G(w) = T - Chat (a0 - w I)^{-1} W (Sz.-Nagy and Foias,
 Harmonic Analysis of Operators on Hilbert Space, ch. VI).  With
 w = (lam+i)/(lam-i), the moving unitary family is W(lam) = w G(w)^{-1}, lam is
@@ -19,8 +19,8 @@ accepted ones go on, in order, to the verification of their canonical solution,
 determinate.self_adjoint_extension; no candidate needs a second eigvals or a
 second test of codes A and B.  For delta = 1 the candidates are one angle
 per arc between the values of W at the gap's finite endpoints (_family, the
-only place W is evaluated, reads the residues of G off the pole-residue table of
-nevanlinna.assemble_coefficients, so nothing is solved twice); for delta > 1
+only place W is evaluated, reads the residues of G off the defect block of the
+residue table of assemble_coefficients, so nothing is solved twice); for delta > 1
 they are seeded Haar-random unitaries, drawn in stacks (haar_batches) that hold
 the matrices of successive single draws.
 """
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .determinate import self_adjoint_extension, spectral_measure
-from .errors import ParameterError
+from .errors import InputError, ParameterError
 from .hilbert_space import BasisCollection, HilbertRep
 from .moment_model import AtomicMeasure, DEFAULT_TOL, GapSpec, Tolerances
 from .nevanlinna import NevanlinnaCoefficients, parameter_verdict, square_parameter
@@ -44,7 +44,7 @@ BATCH_CAP = 256  # most candidates a search draws or decides with one numpy call
 
 @dataclass(frozen=True, eq=False)
 class GapAnalysis:
-    """Closed-form gap data.  u is the colligation as one r x r matrix, poles (tau,)
+    """Closed-form gap data.  u is the bases' r x r colligation array, poles (tau,)
     the eigenvalues of its block a0; non_regular holds the sorted non-regular lam
     inside the gap and grid (n,) the gap's finite endpoints."""
 
@@ -69,8 +69,7 @@ def _family(nc: NevanlinnaCoefficients, lams: np.ndarray, tol: Tolerances):
     of G at the poles mu_j, for a0 = V diag(mu) V^{-1}, are the defect block of the
     pole-residue table that assemble_coefficients built.  lam counts as non-regular
     when w lies within inv_tol of a pole; W is NaN there and nothing is divided."""
-    size = nc.N + nc.delta
-    residues = nc.residues.reshape(nc.tau, size, size)[:, nc.N:, nc.N:]
+    residues = nc.residues[:, nc.N:, nc.N:]
     w = (lams + 1j) / (lams - 1j)
     offsets = w[:, None] - nc.eigenvalues[None, :]
     invertible = np.abs(offsets).min(axis=1, initial=np.inf) > tol.inv_tol
@@ -97,7 +96,7 @@ def analyze_gap(rep: HilbertRep, bases: BasisCollection, spec: GapSpec,
     unimodular = _real_points(poles[np.abs(np.abs(poles) - 1.0) <= tol.inv_tol])
     non_regular = np.sort(unimodular[spec.interior(unimodular, margin=tol.gap_tol)])
     grid = np.array([e for pair in spec.intervals for e in pair if math.isfinite(e)], dtype=float)
-    return GapAnalysis(spec=spec, u=bases.colligation_matrix, poles=poles,
+    return GapAnalysis(spec=spec, u=bases.colligation, poles=poles,
                        non_regular=non_regular, grid=grid)
 
 
@@ -224,12 +223,14 @@ def gap_solvable_search(rep: HilbertRep, bases: BasisCollection,
     candidates are tested, and 'exhausted' is NOT a proof of infeasibility.
     Candidates come in batches of 1, 2, 4, ..., so the first batch is the first
     candidate alone; each batch gets one _verdict, and a candidate it accepts
-    is verified before the next one.
+    is verified before the next one.  InputError for an analysis of another gap.
     """
     if bases.delta == 0:
         raise ParameterError("gap search requires an indeterminate problem")
     if analysis is None:
         analysis = analyze_gap(rep, bases, spec, tol)
+    elif analysis.spec != spec:
+        raise InputError(f"gap analysis is for {analysis.spec.intervals}, not {spec.intervals}")
     if not analysis.regular_type:
         return GapSearchResult(status="not_regular", witness=float(analysis.non_regular[0]))
     if bases.delta == 1:
@@ -243,7 +244,7 @@ def gap_solvable_search(rep: HilbertRep, bases: BasisCollection,
                                        rep.first_block())
             if not verify_gap(measure, spec, tol):
                 continue
-            recon = block_hankel(measure.moments(2 * rep.d + 1, dim=rep.N), rep.d + 1, rep.N)
+            recon = block_hankel(measure.moments(2 * rep.d + 1), rep.d + 1, rep.N)
             if np.abs(recon - rep.gram).max() <= tol.moment_tol:
                 return GapSearchResult(status="found", F=batch[k], measure=measure)
     return GapSearchResult(status="exhausted")

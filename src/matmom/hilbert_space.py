@@ -6,8 +6,8 @@ A x_k = x_{k+N} on its natural domain, and builds all orthonormal
 families needed downstream: the domain split, the Cayley-transform
 range split, and the two defect-space bases.  Every family comes from
 orthonormal_split, one right-looking modified Gram-Schmidt of one matrix.
-The unitary colligation of the bases, their inner products, and the eig of
-its block a0 are computed once per BasisCollection, on first use.
+The unitary colligation of the bases, one array of their inner products whose blocks
+are views, and the eig of its block a0 are computed once per BasisCollection.
 
 Inner product convention: (f, g) = g* f in coordinates, linear in the
 first argument.  With that convention the coordinates returned by
@@ -31,19 +31,6 @@ from .solvability import HankelPair
 def ip_matrix(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """Matrix of pairwise inner products: entry (j, k) = (right_k, left_j)."""
     return left.conj().T @ right
-
-
-def block_square(a0: np.ndarray, w_mat: np.ndarray, chat: np.ndarray,
-                 t_mat: np.ndarray) -> np.ndarray:
-    """The complex square matrix [[a0, W], [Chat, T]], filled block by block: the
-    values of np.block without its per-call overhead."""
-    tau = a0.shape[0]
-    out = np.empty((tau + t_mat.shape[0],) * 2, dtype=complex)
-    out[:tau, :tau] = a0
-    out[:tau, tau:] = w_mat
-    out[tau:, :tau] = chat
-    out[tau:, tau:] = t_mat
-    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -240,31 +227,30 @@ class BasisCollection(OperatorModel):
         return self.domain_comp.size
 
     @cached_property
-    def colligation(self) -> tuple:
-        """Blocks (a0, W, Chat, T) of the unitary colligation U = [[a0, W], [Chat, T]],
-        computed on first use and then shared by every reader, who must not modify them.
+    def colligation(self) -> np.ndarray:
+        """The unitary colligation U = [[a0, W], [Chat, T]] as one read-only (tau+delta)
+        square array, formed on first use and shared by every reader; a0, W, Chat
+        and T are views of it (U[:tau, :tau] and so on), never copies.
 
-        They are the inner products of the Cayley images v and the codefect
+        Its blocks are the inner products of the Cayley images v and the codefect
         basis v' with the range basis u and the defect basis u': a0 = (v_k, u_j),
         W = (v'_l, u_j), Chat = (v_k, u'_j) and T = (v'_l, u'_j).  In the basis
         [u, u'] the unitary extension of a parameter F has the matrix
         U_F = [[a0, W F], [Chat, T F]].
         """
         u, up = self.range_basis.vectors, self.defect_basis.vectors
-        v, vp = self.cayley, self.codefect_basis.vectors
-        return ip_matrix(u, v), ip_matrix(u, vp), ip_matrix(up, v), ip_matrix(up, vp)
-
-    @cached_property
-    def colligation_matrix(self) -> np.ndarray:
-        """The colligation U = [[a0, W], [Chat, T]] as one (tau+delta) square matrix,
-        computed on first use and shared like the blocks."""
-        return block_square(*self.colligation)
+        v, vp, tau = self.cayley, self.codefect_basis.vectors, self.tau
+        out = np.empty((tau + self.delta,) * 2, dtype=complex)
+        out[:tau, :tau], out[:tau, tau:] = ip_matrix(u, v), ip_matrix(u, vp)
+        out[tau:, :tau], out[tau:, tau:] = ip_matrix(up, v), ip_matrix(up, vp)
+        out.setflags(write=False)
+        return out
 
     @cached_property
     def a0_eig(self) -> tuple:
-        """np.linalg.eig of a0: (lam, V) with a0 = V diag(lam) V^{-1}, computed on
-        first use and shared like the blocks."""
-        return np.linalg.eig(self.colligation[0])
+        """np.linalg.eig of the block a0 of the colligation: (lam, V) with
+        a0 = V diag(lam) V^{-1}, computed on first use and shared like U."""
+        return np.linalg.eig(self.colligation[:self.tau, :self.tau])
 
 
 def build_all_bases(rep: HilbertRep, model: OperatorModel,

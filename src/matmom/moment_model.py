@@ -181,18 +181,19 @@ class AtomicMeasure:
     def size(self) -> int:
         return self.locations.size
 
-    def moments(self, count: int, dim: int) -> np.ndarray:
-        """(count, dim, dim) power moments sum_j t_j^n W_j for n = 0 .. count-1, by direct
+    def moments(self, count: int) -> np.ndarray:
+        """(count, N, N) power moments sum_j t_j^n W_j for n = 0 .. count-1, by direct
         summation: t_j^n is the running product 1 t_j ... t_j (one multiply.accumulate,
         what np.cumprod calls), every t_j^n W_j is one product, and the terms are added
-        onto zero in atom order."""
-        out = np.zeros((count, dim, dim), dtype=complex)
+        onto zero in atom order.  An overflow gives inf or NaN, with no warning."""
+        out = np.zeros((count,) + self.weights.shape[1:], dtype=complex)
         factors = np.empty((self.size, count))
         factors[:, :1] = 1.0
         factors[:, 1:] = self.locations[:, None]
-        powers = np.multiply.accumulate(factors, axis=1)
-        for term in powers[:, :, None, None] * self.weights[:, None]:
-            out += term
+        with np.errstate(over="ignore", invalid="ignore"):
+            powers = np.multiply.accumulate(factors, axis=1)
+            for term in powers[:, :, None, None] * self.weights[:, None]:
+                out += term
         return out
 
     def to_json_obj(self) -> dict:
@@ -468,8 +469,15 @@ class MomentCheckReport:
 
 
 def verify_moments(measure: AtomicMeasure, ms: MomentSequence, tol: float) -> MomentCheckReport:
-    """Compare direct-summation moments of the measure against the prescribed ones."""
-    devs = np.abs(measure.moments(ms.count, dim=ms.N) - ms.moments)
+    """Compare direct-summation moments of the measure against the prescribed ones; a
+    reconstructed moment that overflows deviates by infinity.  InputError when the
+    weights are not N x N like the moments."""
+    recon = measure.moments(ms.count)
+    if recon.shape != ms.moments.shape:  # an empty (0, 0, 0) stack would broadcast
+        raise InputError(f"measure weights must be {ms.N} x {ms.N} like the moments, "
+                         f"got {recon.shape[-1]} x {recon.shape[-1]}")
+    with np.errstate(over="ignore"):  # two finite moments may differ by more than a double
+        devs = np.where(np.isfinite(recon), np.abs(recon - ms.moments), np.inf)
     return MomentCheckReport(deviations=devs, tol=float(tol))
 
 
@@ -477,15 +485,15 @@ def verify_moments(measure: AtomicMeasure, ms: MomentSequence, tol: float) -> Mo
 # CSV distribution output
 # ---------------------------------------------------------------------------
 
-def write_distribution_csv(fh: IO[str], measure: AtomicMeasure, dim: int) -> None:
-    """Write the left-continuous distribution function of the measure, dim x dim, as
-    CSV with one column pair per entry.
+def write_distribution_csv(fh: IO[str], measure: AtomicMeasure) -> None:
+    """Write the left-continuous distribution function of the measure, N x N like its
+    weights, as CSV with one column pair per entry.
 
     One row below the support, one at each atom (its pre-jump value) and one past
     the last atom carrying the total mass; the empty measure is one zero row at 0.
     The masses are the running sums 0, 0 + w_0, ... of the weights in atom order.
     """
-    t = measure.locations
+    t, dim = measure.locations, measure.weights.shape[-1]
     lam = np.concatenate([t[:1] - 1.0, t, t[-1:] + 1.0]) if t.size else np.zeros(1)
     mass = np.zeros((lam.size, dim, dim), dtype=complex)
     if t.size:

@@ -9,8 +9,9 @@ contraction-valued parameters that avoid the forbidden matrix
 isometrically at infinity.  a0, W, Chat and T, the inner products of the
 orthonormal families in hilbert_space, are the blocks of the unitary
 colligation U = [[a0, W], [Chat, T]] (the characteristic-function form of
-Sz.-Nagy and Foias); they and the eig of a0 are computed once per problem
-(BasisCollection.colligation and a0_eig) and shared with the gap layer.  For
+Sz.-Nagy and Foias), one array per problem with its blocks as views, shared with the
+gap layer like the eig of a0 (BasisCollection.colligation and a0_eig); one function
+turns an eig, of a0 or of U_F, into a table of block residues.  For
 a constant F the transform is the compressed resolvent of
 U_F = [[a0, W F], [Chat, T F]]: the pivot above is the Schur complement of
 (z+i) I - (z-i) U_F, so one eig of U_F turns it into a sum of simple poles,
@@ -38,13 +39,13 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
 from .determinate import resolvent_transform, self_adjoint_extension, spectral_measure
 from .errors import EvaluationError, InputError, ParameterError, RankError
-from .hilbert_space import BasisCollection, HilbertRep, block_square, ip_matrix
+from .hilbert_space import BasisCollection, HilbertRep, ip_matrix
 from .matpoly import MatrixPolynomial, poly_times, poly_trim
 from .moment_model import AtomicMeasure, DEFAULT_TOL, Tolerances
 
@@ -70,22 +71,28 @@ class NevanlinnaCoefficients:
     C_poly: MatrixPolynomial      # delta x delta
     D_poly: MatrixPolynomial      # delta x N
     Xi: np.ndarray                # (delta, delta) forbidden matrix
-    W: np.ndarray                 # (tau, delta)
-    T: np.ndarray                 # (delta, delta)
-    Chat: np.ndarray              # (delta, tau)
+    u: np.ndarray                 # (tau+delta)^2 colligation [[a0, W], [Chat, T]], read-only
     K: np.ndarray                 # (rho, N)
-    a0: np.ndarray                # (tau, tau); the i-block equals I - w(z) a0
     psi: MatrixPolynomial         # N x N cubic correction term
     psi_quotient: np.ndarray      # (3, N, N) coefficients of psi(z) / (z+i), lowest first
     eigenvalues: np.ndarray       # (tau,) eigenvalues lam_j of a0, the poles' parameters
-    residues: np.ndarray          # (tau, (N+delta)^2) residue of pole j, see assemble_coefficients
+    residues: np.ndarray          # (tau, N+delta, N+delta) residues, see assemble_coefficients
 
-    @cached_property
-    def u(self) -> np.ndarray:
-        """The colligation U = [[a0, W], [Chat, T]] as one (tau+delta) square matrix,
-        formed on first use from this coefficient set's own blocks (a set made by
-        dataclasses.replace forms its own)."""
-        return block_square(self.a0, self.W, self.Chat, self.T)
+    @property
+    def a0(self) -> np.ndarray:  # (tau, tau) view of u; the i-block equals I - w(z) a0
+        return self.u[:self.tau, :self.tau]
+
+    @property
+    def W(self) -> np.ndarray:  # (tau, delta) view of u
+        return self.u[:self.tau, self.tau:]
+
+    @property
+    def Chat(self) -> np.ndarray:  # (delta, tau) view of u
+        return self.u[self.tau:, :self.tau]
+
+    @property
+    def T(self) -> np.ndarray:  # (delta, delta) view of u
+        return self.u[self.tau:, self.tau:]
 
     def to_json_obj(self) -> dict:
         from .moment_model import matrix_to_json
@@ -175,16 +182,19 @@ def parameter_verdict(u: np.ndarray, F: np.ndarray, tol: Tolerances):
     return mu, unitary, admissible
 
 
-def _conditioned(vecs: np.ndarray, name: str, tol: Tolerances) -> np.ndarray:
-    """vecs, or RankError when its condition number times eps exceeds rank_tol,
-    where the pole-residue form that its inverse feeds is unreliable."""
+def _pole_residues(vecs: np.ndarray, left: list, rhs: np.ndarray, name: str, tol: Tolerances):
+    """The (m, p, q) residues res_j of L (x I - M)^{-1} rhs = sum_j res_j / (x - lam_j) for
+    M = V diag(lam) V^{-1}, V = vecs, named name: column j of L V times row j of V^{-1} rhs,
+    L the rows of the matrices in left, each on the leading rows of V.  RankError first
+    when cond(V) eps exceeds rank_tol, where that form is unreliable."""
     sigma = np.linalg.svd(vecs, compute_uv=False)  # the ratio np.linalg.cond takes
     low = float(sigma[-1])
     cond = float(sigma[0]) / low if low > 0.0 else math.inf
     if not cond * np.finfo(float).eps <= tol.rank_tol:
         raise RankError(f"eigenvector matrix of {name} is ill-conditioned (condition number "
                         f"{cond:.3e}); the pole-residue form of the transform is unreliable")
-    return vecs
+    cols = np.concatenate([mat @ vecs[:mat.shape[1]] for mat in left])
+    return cols.T[:, :, None] * np.linalg.solve(vecs, rhs)[:, None, :]
 
 
 @lru_cache(maxsize=64)
@@ -205,16 +215,16 @@ def assemble_coefficients(rep: HilbertRep, bases: BasisCollection,
                           tol: Tolerances = DEFAULT_TOL) -> NevanlinnaCoefficients:
     """Build all transform coefficients from inner products of the basis families.
 
-    a0, W, Chat and T are the blocks of the unitary colligation (see
-    BasisCollection.colligation); with K and the cubic psi they fix the
-    transform.  The eigendecomposition a0 = V diag(lam) V^{-1} (bases.a0_eig,
-    which gap.analyze_gap reads too) turns the resolvent
-    ((z+i) I - (z-i) a0)^{-1} = V diag(r) V^{-1}, r_j = 1/((z+i) - (z-i) lam_j),
-    into a pole-residue sum: row j of `residues` is the outer product of
-    column j of [K^* V[:rho]; Chat V] with row j of V^{-1} [K (rows < rho) | W],
-    flattened, so that sum_j r_j residues[j] is the (N+delta)^2 block matrix
-    [[K^* M^{-1} K, K^* M^{-1} W], [Chat M^{-1} K, Chat M^{-1} W]] with
-    M = (z+i) I - (z-i) a0 and K zero-padded to tau rows.
+    a0, W, Chat and T are the blocks of the unitary colligation
+    BasisCollection.colligation, which the coefficients keep as their u; with K
+    and the cubic psi they fix the transform.  The eigendecomposition
+    a0 = V diag(lam) V^{-1} (bases.a0_eig, which gap.analyze_gap reads too) turns
+    the resolvent ((z+i) I - (z-i) a0)^{-1} = V diag(r) V^{-1},
+    r_j = 1/((z+i) - (z-i) lam_j), into a pole-residue sum (_pole_residues):
+    residues[j] is the outer product of column j of [K^* V[:rho]; Chat V] with
+    row j of V^{-1} [K (rows < rho) | W], so that sum_j r_j residues[j] is the
+    (N+delta)^2 block matrix [[K^* M^{-1} K, K^* M^{-1} W], [Chat M^{-1} K, Chat M^{-1} W]]
+    with M = (z+i) I - (z-i) a0 and K zero-padded to tau rows.
 
     The printed polynomials follow from the factored k(z) = det M =
     prod_j ((1 - lam_j) z + i (1 + lam_j)): with k_j = k over its factor j
@@ -230,7 +240,7 @@ def assemble_coefficients(rep: HilbertRep, bases: BasisCollection,
     if rho < 1:
         raise RankError("no difference vector among the leading block survived; inconsistent data")
 
-    a0, w_mat, chat, t_mat = bases.colligation
+    u = bases.colligation
     k_mat = ip_matrix(bases.range_basis.vectors, bases.y[:, :n_dim])[:rho]  # (y_k, u_j), leading rows
 
     # cubic correction: entry (j, k) collects gamma values with shifted indices
@@ -246,13 +256,10 @@ def assemble_coefficients(rep: HilbertRep, bases: BasisCollection,
 
     xi = forbidden_matrix(bases, tol)
     lam, vecs = bases.a0_eig
-    _conditioned(vecs, "a0", tol)
     rhs = np.zeros((tau, n_dim + delta), dtype=complex)
     rhs[:rho, :n_dim] = k_mat
-    rhs[:, n_dim:] = w_mat
-    right = np.linalg.solve(vecs, rhs)
-    left = np.concatenate([k_mat.conj().T @ vecs[:rho], chat @ vecs])
-    residues = (left.T[:, :, None] * right[:, None, :]).reshape(tau, -1)
+    rhs[:, n_dim:] = u[:tau, tau:]
+    residues = _pole_residues(vecs, [k_mat.conj().T, u[tau:, :tau]], rhs, "a0", tol)
 
     # linear factors (1 - lam_j) z + i (1 + lam_j) of k, lowest degree first
     factors = np.empty((tau, 2), dtype=complex)
@@ -270,12 +277,13 @@ def assemble_coefficients(rep: HilbertRep, bases: BasisCollection,
     # P = sum_j k_j R_j in blocks; A = (z+i) P_A + k psi, B = -(z^2+1) P_B,
     # C = (i-z) k T - (z-i)^2 P_C and D = (i-z) P_D, all four in one array padded to
     # degree tau+3, with one multiply-add per power of z in the blocks' multipliers
-    num = (deflated.T @ residues).reshape(tau, n_dim + delta, n_dim + delta)
+    num = (deflated.T @ residues.reshape(tau, -1)).reshape(residues.shape)
     blocks = np.zeros((tau + 4,) + num.shape[1:], dtype=complex)
     for i, mult in enumerate(_block_multipliers(n_dim, delta)):
         blocks[i: i + tau] += mult * num
     blocks[:, :n_dim, :n_dim] += poly_times(k_full, psi.coeffs, tau + 4)
-    blocks[:, n_dim:, n_dim:] += poly_times(np.convolve([1j, -1.0], k_full), t_mat[None], tau + 4)
+    blocks[:, n_dim:, n_dim:] += poly_times(np.convolve([1j, -1.0], k_full), u[None, tau:, tau:],
+                                            tau + 4)
     a_poly, b_poly = blocks[:, :n_dim, :n_dim], blocks[:, :n_dim, n_dim:]
     d_poly, c_poly = blocks[:, n_dim:, :n_dim], blocks[:, n_dim:, n_dim:]
 
@@ -283,7 +291,7 @@ def assemble_coefficients(rep: HilbertRep, bases: BasisCollection,
         N=n_dim, tau=tau, delta=delta, rho=rho, k=poly_trim(k_full),
         A_poly=MatrixPolynomial(a_poly).trim(), B_poly=MatrixPolynomial(b_poly).trim(),
         C_poly=MatrixPolynomial(c_poly).trim(), D_poly=MatrixPolynomial(d_poly).trim(),
-        Xi=xi, W=w_mat, T=t_mat, Chat=chat, K=k_mat, a0=a0, psi=psi, psi_quotient=0.5j * inner,
+        Xi=xi, u=u, K=k_mat, psi=psi, psi_quotient=0.5j * inner,
         eigenvalues=lam, residues=residues,
     )
 
@@ -451,15 +459,6 @@ def _solve_pivots(pivot: np.ndarray, rhs: np.ndarray, lower: np.ndarray,
     return rhs
 
 
-def outside_domain(z) -> np.ndarray:
-    """Mask of the points of z outside the transform's domain: the closed
-    lower half-plane, the point i, the points with |z - i| above FAR_LIMIT and
-    the non-finite points, whose |z - i| is NaN or inf."""
-    z = np.asarray(z, dtype=complex)
-    dist = np.abs(z - 1j)
-    return (z.imag <= 0.0) | (dist < 1e-10) | ~(dist <= FAR_LIMIT)
-
-
 def _colligation_transform(nc: NevanlinnaCoefficients, F: np.ndarray, flat: np.ndarray,
                            tol: Tolerances) -> np.ndarray:
     """The transform of a constant F at the points, as a sum over the poles of a
@@ -483,11 +482,9 @@ def _colligation_transform(nc: NevanlinnaCoefficients, F: np.ndarray, flat: np.n
     """
     n_dim, size = nc.N, nc.tau + nc.delta
     mu, vecs = np.linalg.eig(extended_colligation(nc.u, F))
-    _conditioned(vecs, "U_F", tol)
     k_pad = np.zeros((size, n_dim), dtype=complex)
     k_pad[:nc.rho] = nc.K
-    left = nc.K.conj().T @ vecs[:nc.rho]
-    residues = (left.T[:, :, None] * np.linalg.solve(vecs, k_pad)[:, None, :]).reshape(size, -1)
+    residues = _pole_residues(vecs, [nc.K.conj().T], k_pad, "U_F", tol).reshape(size, -1)
     _check_poles(flat, mu, tol)
     zp, zm = flat + 1j, flat - 1j
     quotient = nc.psi_quotient.reshape(-1, n_dim * n_dim)  # (i/2) q
@@ -561,9 +558,8 @@ def _pivot_transform(nc: NevanlinnaCoefficients, f_vals: np.ndarray, flat: np.nd
     prefactor 2i / (z^2+1)^2 the transform is
     2i / (z+i) (S_B F pivot^{-1} S_D + (S_A + psi(z) / (z+i)) / (z-i)^2).
     """
-    n_dim, tau, size = nc.N, nc.tau, nc.N + nc.delta
+    n_dim, tau, residues = nc.N, nc.tau, nc.residues
     lead, tail = slice(None, n_dim), slice(n_dim, None)
-    residues = nc.residues.reshape(tau, size, size)
     zp, zm = flat + 1j, flat - 1j
     # terms: the r_j, then the powers 1, z, ... of z that psi / (z+i) multiplies
     terms = np.empty((tau + nc.psi_quotient.shape[0], flat.size), dtype=complex)
@@ -601,7 +597,7 @@ def evaluate_transform(nc: NevanlinnaCoefficients, F, z,
 
     z must be finite and lie in the open upper half-plane away from i, with
     |z - i| at most FAR_LIMIT (InputError for the first point of z that does
-    not, see outside_domain).  Every point is checked before F, and both before
+    not, from one mask of z).  Every point is checked before F, and both before
     any arithmetic.  F is a constant delta x delta contraction or a callable
     z -> matrix, checked to be a contraction (see _parameter_values).
     A callable may be called once with all n points as an (n, 1, 1) array; an
@@ -624,7 +620,8 @@ def evaluate_transform(nc: NevanlinnaCoefficients, F, z,
     flat = np.atleast_1d(z_arr).ravel()
     if flat.size == 0:
         return np.zeros(z_arr.shape + (nc.N, nc.N), dtype=complex)
-    outside = np.flatnonzero(outside_domain(flat))
+    dist = np.abs(flat - 1j)
+    outside = np.flatnonzero((flat.imag <= 0.0) | (dist < 1e-10) | ~(dist <= FAR_LIMIT))
     if outside.size:
         first = flat[outside[0]]
         if not np.isfinite(first):
@@ -668,7 +665,7 @@ def extension_operator(bases: BasisCollection, F: np.ndarray,
     if bases.delta == 0:
         raise ParameterError("problem is determinate; use the determinate solver")
     F = square_parameter(F, bases.delta)
-    mu, unitary, admissible = parameter_verdict(bases.colligation_matrix, F, tol)
+    mu, unitary, admissible = parameter_verdict(bases.colligation, F, tol)
     if not unitary:
         unit_dev = float(np.abs(F.conj().T @ F - np.eye(bases.delta)).max(initial=0.0))
         raise ParameterError(f"parameter is not unitary (deviation {unit_dev:.3e})")

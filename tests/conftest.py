@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -101,7 +102,7 @@ def former_distribution_csv(measure, dim):
 
 
 def moments_from_measure(measure, n_dim, d):
-    return MomentSequence.from_matrices(n_dim, d, measure.moments(2 * d + 1, dim=n_dim))
+    return MomentSequence.from_matrices(n_dim, d, measure.moments(2 * d + 1))
 
 
 def moments_json(ms):
@@ -149,7 +150,7 @@ def pick_parameter(rng, state, nc, min_fixed_dist=0.1, tries=48):
             cand = np.array([[np.exp(1j * (0.37 + 0.61 * k))]])
         else:
             cand = random_unitary(rng, nc.delta, 1)[0]
-        mu = np.linalg.eigvals(extended_colligation(state.bases.colligation_matrix, cand))
+        mu = np.linalg.eigvals(extended_colligation(state.bases.colligation, cand))
         if np.abs(mu - 1.0).min() >= min_fixed_dist:
             return cand
     raise ParameterError("no well-separated admissible unitary found")
@@ -277,6 +278,15 @@ def point_reference(rep, bases, lam, tol=DEFAULT_TOL):
     return m_shift, True, (lam + 1j) / (lam - 1j) * (m_q @ np.linalg.inv(m_s))
 
 
+def with_blocks(nc, **blocks):
+    """nc on a modified colligation: a copy of nc.u whose named blocks (a0, W, Chat or T)
+    are set to the given matrices; every other field, the residue table too, is nc's."""
+    out = replace(nc, u=nc.u.copy())
+    for name, block in blocks.items():
+        getattr(out, name)[...] = block
+    return out
+
+
 def w_tilde_table(state, lams, tol=DEFAULT_TOL):
     """(invertible, W) of the closed-form gap layer at the finite real lams: gap._family
     on the coefficients of the analysed state.  W is NaN where lam is not of regular type."""
@@ -287,7 +297,8 @@ def w_tilde_table(state, lams, tol=DEFAULT_TOL):
 def family_reference(bases, lams, tol=DEFAULT_TOL):
     """gap._family as it was before it read the pole-residue table: the residues
     (Chat V)[:, j] (V^{-1} W)[j, :] of G from one eig of a0 and one solve against V."""
-    _, w_mat, chat, t_mat = bases.colligation
+    u, tau = bases.colligation, bases.tau
+    w_mat, chat, t_mat = u[:tau, tau:].copy(), u[tau:, :tau].copy(), u[tau:, tau:].copy()
     poles, vecs = bases.a0_eig
     residues = (chat @ vecs).T[:, :, None] * np.linalg.solve(vecs, w_mat)[:, None, :]
     w = (lams + 1j) / (lams - 1j)

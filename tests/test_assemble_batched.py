@@ -144,7 +144,7 @@ def per_block_coefficients(nc, psi):
         suffix.append(np.convolve(suffix[-1], factors[tau - 1 - j]))
     k_full = np.convolve(prefix[-1], factors[-1])
     deflated = np.stack([np.convolve(p, s) for p, s in zip(prefix, suffix[::-1])])
-    num = (deflated.T @ nc.residues).reshape((tau,) + (n_dim + nc.delta,) * 2)
+    num = (deflated.T @ nc.residues.reshape(tau, -1)).reshape(nc.residues.shape)
 
     def times(scalar, coeffs):
         out = np.zeros((length,) + coeffs.shape[1:], dtype=complex)

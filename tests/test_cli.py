@@ -678,6 +678,10 @@ def test_verify_wrong_size_weights_rejected(doc_path, tmp_path):
 # weight matrices carry the entry at [0, 1] and its conjugate at [1, 0]; the 1 x 1
 # parameter of ex21 is the entry itself.
 HOSTILE = {"overflow": (1.5e308, 1.5e308), "near-max": (1e308, 0.0), "large": (1e200, 0.0)}
+OVERFLOWING_MEASURES = {
+    "wide-weight": {"atoms": [{"t": 2.0, "W": [[[8e307, 0], [0, 0]], [[0, 0], [1, 0]]]}]},
+    "far-atom": {"atoms": [{"t": 1e200, "W": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}]},
+}
 HOSTILE_CASES = [
     ("overflow", "moments", ("check", "{hostile}"), 1,
      "moment matrix n=0 has an entry whose modulus overflows"),
@@ -690,6 +694,9 @@ HOSTILE_CASES = [
      "weight at t=0.5 has an entry too large to symmetrize (largest modulus 1.000e+308)"),
     ("large", "weight", ("verify", "{ex21}", "--measure", "{hostile}"), 1,
      "weight at t=0.5 is not PSD (min eigenvalue -1.000e+200)"),
+    # weights that are accepted but whose moments overflow: to inf, and to inf * 0 = NaN
+    *(("overflow", target, ("verify", "{ex21}", "--measure", "{hostile}"), 2,
+       '"max_deviation": Infinity') for target in OVERFLOWING_MEASURES),
     *((kind, "F", args, 2, "parameter is not a contraction (largest singular value "
        + {"overflow": "nan)", "near-max": "1.000e+308)", "large": "1.000e+200)"}[kind])
       for kind in HOSTILE
@@ -707,7 +714,7 @@ def test_hostile_entries_are_refused_cleanly(tmp_path, kind, target, args, statu
     off = [[one, [re_, im]], [[re_, -im], one]]
     eye = [[one, zero], [zero, one]]
     doc = ({"N": 2, "d": 1, "moments": [off, eye, eye]} if target == "moments"
-           else {"atoms": [{"t": 0.5, "W": off}]})
+           else OVERFLOWING_MEASURES.get(target, {"atoms": [{"t": 0.5, "W": off}]}))
     paths = {"ex21": tmp_path / "ex21.json", "hostile": tmp_path / "hostile.json"}
     paths["ex21"].write_text(EX21_DOC)
     paths["hostile"].write_text(json.dumps(doc))

@@ -7,7 +7,6 @@ certifies and at points it does not; the whole-array call of a callable
 parameter against the loop of one call per point."""
 
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,7 +16,8 @@ from matmom import assemble_coefficients, evaluate_transform, find_admissible_un
 from matmom.errors import EvaluationError, ParameterError
 from matmom.moment_model import DEFAULT_TOL
 
-from conftest import indeterminate_states, polyval_matrix, scalar_only, upper_points
+from conftest import (indeterminate_states, polyval_matrix, scalar_only, upper_points,
+                      with_blocks)
 
 BOUND = 1.0 + DEFAULT_TOL.psd_tol
 INV_TOL = DEFAULT_TOL.inv_tol
@@ -206,7 +206,7 @@ def test_singular_pivot_raised_at_first_bad_point(ex21_nc):
     nc, z0 = ex21_nc, 0.25 + 0.5j
     m0 = (z0 + 1j) * np.eye(nc.tau) - (z0 - 1j) * nc.a0
     t_bad = (z0 + 1j) / (z0 - 1j) - (z0 - 1j) * nc.Chat @ np.linalg.solve(m0, nc.W)
-    bad = replace(nc, T=t_bad)
+    bad = with_blocks(nc, T=t_bad)
     z = np.array([1.0 + 1j, z0, -0.5 + 2j, z0])
     _, singular = reference_transform(bad, np.eye(1), z)
     assert singular.tolist() == [False, True, False, True]
@@ -222,7 +222,8 @@ def test_callable_singular_pivot_raised_at_first_bad_point(ex21_nc):
     certificate refuses z0 and LAPACK's verdict raises there."""
     nc, z0 = ex21_nc, 0.25 + 0.5j
     m0 = (z0 + 1j) * np.eye(nc.tau) - (z0 - 1j) * nc.a0
-    bad = replace(nc, T=(z0 + 1j) / (z0 - 1j) - (z0 - 1j) * nc.Chat @ np.linalg.solve(m0, nc.W))
+    t_bad = (z0 + 1j) / (z0 - 1j) - (z0 - 1j) * nc.Chat @ np.linalg.solve(m0, nc.W)
+    bad = with_blocks(nc, T=t_bad)
     z = np.array([1.0 + 1j, z0, -0.5 + 2j, z0])
     with pytest.raises(EvaluationError,
                        match=r"singular pivot at z=\(0\.25\+0\.5j\): smallest singular value"):
@@ -256,7 +257,7 @@ def test_uncertified_points_match_reference(ex21_nc, monkeypatch):
     rng = np.random.default_rng(31)
     deep = indeterminate_states(7300)[-1]
     for base in (ex21_nc, assemble_coefficients(deep.rep, deep.bases)):
-        nc = replace(base, T=1.5 * base.T)
+        nc = with_blocks(base, T=1.5 * base.T)
         assert 1.1 < np.linalg.norm(nc.u, 2) < 5.0
         x = rng.uniform(-3.0, 3.0, 64)
         near_i = 1j + 0.2 * np.exp(2j * np.pi * rng.uniform(size=16)) * rng.uniform(0.3, 1.0, 16)

@@ -5,7 +5,6 @@ against the resolvent of the self-adjoint extension."""
 import json
 import re
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,7 +16,7 @@ from matmom.errors import EvaluationError, InputError, ParameterError, RankError
 from matmom.moment_model import DEFAULT_TOL
 from matmom.nevanlinna import transform_via_resolvent
 
-from conftest import indeterminate_states, run_cli, scalar_only, upper_points
+from conftest import indeterminate_states, run_cli, scalar_only, upper_points, with_blocks
 
 
 def constant_parameters(nc, rng):
@@ -83,14 +82,14 @@ def test_constant_makes_one_eig(states, monkeypatch):
 def test_defective_extension_falls_back_to_pivot_path(ex21_nc):
     """With F = 0, U_F = [[a0, 0], [Chat, 0]] keeps the 2x2 Jordan block of a0: its
     eig is refused, and the constant parameter takes the pivot path instead."""
-    bad = replace(ex21_nc, a0=np.array([[0.5, 1.0], [0.0, 0.5]], dtype=complex))
+    bad = with_blocks(ex21_nc, a0=np.array([[0.5, 1.0], [0.0, 0.5]], dtype=complex))
     F = np.zeros((1, 1))
     z = np.array([0.5 + 1j, 2j])
     with pytest.raises(RankError, match="eigenvector matrix of U_F is ill-conditioned"):
         nev._colligation_transform(bad, F, z, DEFAULT_TOL)
     assert np.array_equal(evaluate_transform(bad, F, z), evaluate_transform(bad, lambda w: F, z))
     # the same matrix with distinct eigenvalues is diagonalised
-    fine = replace(ex21_nc, a0=np.array([[0.5, 1.0], [0.0, -0.5]], dtype=complex))
+    fine = with_blocks(ex21_nc, a0=np.array([[0.5, 1.0], [0.0, -0.5]], dtype=complex))
     assert np.isfinite(evaluate_transform(fine, F, z)).all()
 
 
@@ -126,8 +125,6 @@ def test_non_finite_points_refused(ex21_nc):
                         evaluate_transform(ex21_nc, param, z)
                 with pytest.raises(InputError, match="upper half-plane"):
                     evaluate_transform(ex21_nc, param, np.array([2j, -1j, bad]))
-    assert nev.outside_domain([complex(np.nan, 1.0), complex(1.0, np.nan), 2j]).tolist() \
-        == [True, True, False]
 
 
 def symmetric_state():

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from matmom import (AtomicMeasure, GapSpec, ParameterError, analyze, analyze_gap,
+from matmom import (AtomicMeasure, GapSpec, InputError, ParameterError, analyze, analyze_gap,
                     assemble_coefficients, canonical_solution, check_gap_class,
                     find_admissible_unitary, forbidden_matrix, gap_solvable_search, verify_gap,
                     verify_moments)
@@ -94,6 +94,32 @@ def test_w_tilde_approaches_forbidden_matrix(ex21):
     xi = forbidden_matrix(ex21.bases)
     w_far = w_tilde_table(ex21, 1e7)[1][0]
     assert np.abs(w_far - xi).max() < 1e-5
+
+
+def test_forbidden_matrix_is_the_family_at_infinity(ex21):
+    """Xi = W(+-inf) = G(1)^{-1}, with G(1) = T + sum_j R_j / (1 - mu_j) summed over the
+    defect block R_j of the residue table, agrees with forbidden_matrix's ratio of
+    projections to 1e-13."""
+    for state in [ex21, *indeterminate_states(410), *indeterminate_states(420)]:
+        nc = assemble_coefficients(state.rep, state.bases)
+        defect = nc.residues[:, nc.N:, nc.N:]
+        g_one = nc.T + np.einsum("j,jkl->kl", 1.0 / (1.0 - nc.eigenvalues), defect)
+        assert np.abs(np.linalg.inv(g_one) - forbidden_matrix(state.bases)).max() <= 1e-13
+
+
+def test_search_refuses_an_analysis_of_another_gap(ex21):
+    """The candidates are screened against analysis.spec and the witness is verified
+    against spec: an analysis of another gap is refused before any candidate."""
+    nc = assemble_coefficients(ex21.rep, ex21.bases)
+    spec = GapSpec.parse("(-1,1)")
+    analysis = analyze_gap(ex21.rep, ex21.bases, spec)
+    with pytest.raises(InputError,
+                       match=r"gap analysis is for \(\(-1\.0, 1\.0\),\), not \(\(2\.0, 3\.0\),\)"):
+        gap_solvable_search(ex21.rep, ex21.bases, nc, GapSpec.parse("(2,3)"), analysis=analysis)
+    want = gap_solvable_search(ex21.rep, ex21.bases, nc, spec)
+    got = gap_solvable_search(ex21.rep, ex21.bases, nc, GapSpec.parse("(-1, 1)"),
+                              analysis=analysis)
+    assert (got.status, got.witness) == (want.status, want.witness)
 
 
 def test_check_gap_class_accepts_unit(gap_setup):

@@ -129,7 +129,7 @@ TAIL_WEIGHTS = (np.array([[1.0, 0.3], [0.3, 0.5]]), np.array([[0.4, -0.2j], [0.2
 
 def tail_moments():
     measure = AtomicMeasure.from_atoms(list(zip(TAIL_LOCS, TAIL_WEIGHTS)))
-    return MomentSequence.from_matrices(2, 3, measure.moments(7, dim=2))
+    return MomentSequence.from_matrices(2, 3, measure.moments(7))
 
 
 @pytest.mark.parametrize("interval", [(-np.inf, -4.25), (4.2, np.inf)])

@@ -243,8 +243,10 @@ def test_search_skips_candidates_that_fail_a_or_b(monkeypatch):
 
 
 def test_colligation_computed_once_per_problem(monkeypatch):
-    """assemble_coefficients and analyze_gap share one colligation and one eig(a0) per
-    BasisCollection; another problem computes its own."""
+    """assemble_coefficients and analyze_gap share one colligation array, formed from four
+    ip_matrix products, and one eig(a0) per BasisCollection; another problem computes its
+    own.  The coefficients' blocks are views of that array, and their residue table has
+    the block shape (tau, N+delta, N+delta)."""
     calls = {"ip": 0, "eig": 0}
 
     def counted(name, fn):
@@ -262,10 +264,15 @@ def test_colligation_computed_once_per_problem(monkeypatch):
         analysis = analyze_gap(state.rep, state.bases, spec)
         analyze_gap(state.rep, state.bases, GapSpec.parse("(-20,-10)"))
         assert calls == {"ip": 4 * k, "eig": k}
-        assert nc.a0 is state.bases.colligation[0] and nc.T is state.bases.colligation[3]
-        assert analysis.u is state.bases.colligation_matrix
+        assert nc.u is analysis.u and analysis.u is state.bases.colligation
+        assert not nc.u.flags.writeable
+        tau = nc.tau
+        for view, block in ((nc.a0, np.s_[:tau, :tau]), (nc.W, np.s_[:tau, tau:]),
+                            (nc.Chat, np.s_[tau:, :tau]), (nc.T, np.s_[tau:, tau:])):
+            assert view.base is nc.u and np.array_equal(view, nc.u[block])
         assert analysis.poles is state.bases.a0_eig[0]
-        assert np.array_equal(nc.u, analysis.u)
+        assert nc.residues.shape == (tau, nc.N + nc.delta, nc.N + nc.delta)
+        assert calls == {"ip": 4 * k, "eig": k}
 
 
 def test_screen_interior_matches_contains():
@@ -287,14 +294,15 @@ def test_moments_match_atom_by_atom_sum():
             atoms.append((-0.0, np.diag(-np.zeros(n_dim)) + 0j))  # an atom of signed zeros
             measure = AtomicMeasure.from_atoms(tuple(atoms))
             for count in (1, 3, 9):
-                got = measure.moments(count, dim=n_dim)
+                got = measure.moments(count)
                 assert got.tobytes() == loop_moments(measure, count, n_dim).tobytes()
     # every term of entry (0, 1) has imaginary part -0.0: the sum onto zero makes it +0.0
     w = np.array([[1.0, complex(-0.5, -0.0)], [complex(-0.5, 0.0), 1.0]])
     for atoms in (((0.5, w),), ((0.5, w), (2.0, 2.0 * w))):
         measure = AtomicMeasure.from_atoms(atoms)
-        assert measure.moments(5, dim=2).tobytes() == loop_moments(measure, 5, 2).tobytes()
-    assert AtomicMeasure.from_atoms(()).moments(3, dim=2).shape == (3, 2, 2)
+        assert measure.moments(5).tobytes() == loop_moments(measure, 5, 2).tobytes()
+    empty = AtomicMeasure(locations=np.zeros(0), weights=np.zeros((0, 2, 2), dtype=complex))
+    assert empty.moments(3).shape == (3, 2, 2)
 
 
 def test_block_hankel_gather_matches_slices():

@@ -57,9 +57,9 @@ def test_overflowing_hermitian_deviation_is_judged_without_a_warning():
     assert str(err.value) == "not Hermitian at t=0.25: max deviation inf"
 
 
-def _csv(measure, dim):
+def _csv(measure):
     fh = io.StringIO()
-    write_distribution_csv(fh, measure, dim)
+    write_distribution_csv(fh, measure)
     return fh.getvalue()
 
 
@@ -72,11 +72,12 @@ def test_csv_writer_prints_the_former_bytes():
     signed = AtomicMeasure(locations=np.array([-0.0, 0.75]),
                            weights=np.array([zeros, zeros + np.eye(2)]))
     measures += [(signed, 2),
-                 (AtomicMeasure.from_atoms(()), 2),
+                 (AtomicMeasure(locations=np.zeros(0),
+                                weights=np.zeros((0, 2, 2), dtype=complex)), 2),
                  (AtomicMeasure(locations=np.zeros(0), weights=np.zeros((0, 3, 3), dtype=complex)), 3)]
     for measure, dim in measures:
-        assert _csv(measure, dim) == former_distribution_csv(measure, dim)
-    assert _csv(signed, 2).splitlines()[2].startswith("-0,0,0,")
+        assert _csv(measure) == former_distribution_csv(measure, dim)
+    assert _csv(signed).splitlines()[2].startswith("-0,0,0,")
 
 
 def _printed_measure(stdout, dim):

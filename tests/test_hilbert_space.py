@@ -3,7 +3,7 @@ import pytest
 
 from matmom import (MomentSequence, analyze, assemble_coefficients, build_block_hankel,
                     classify_determinacy, factor_gram)
-from matmom.hilbert_space import orthonormal_split
+from matmom.hilbert_space import ip_matrix, orthonormal_split
 
 from conftest import indeterminate_states, moments_from_measure, random_measure
 
@@ -180,11 +180,14 @@ def test_dimension_identities(seed):
 
 
 def test_colligation_matrix_equals_np_block(ex21):
-    """block_square fills the four blocks np.block would join: every byte agrees, for the
-    bases' colligation_matrix and for the coefficient set's u."""
+    """The colligation holds the four inner-product blocks np.block would join, every byte,
+    and the coefficient set keeps that same array as its u."""
     for state in [ex21, *indeterminate_states(910)]:
-        blocks = state.bases.colligation
-        joined = np.block([list(blocks[:2]), list(blocks[2:])])
-        assert state.bases.colligation_matrix.tobytes() == joined.tobytes()
-        assert state.bases.colligation_matrix.shape == joined.shape
-        assert assemble_coefficients(state.rep, state.bases).u.tobytes() == joined.tobytes()
+        b = state.bases
+        u, up, v, vp = (b.range_basis.vectors, b.defect_basis.vectors, b.cayley,
+                        b.codefect_basis.vectors)
+        joined = np.block([[ip_matrix(u, v), ip_matrix(u, vp)],
+                           [ip_matrix(up, v), ip_matrix(up, vp)]])
+        assert b.colligation.tobytes() == joined.tobytes()
+        assert b.colligation.shape == joined.shape
+        assert assemble_coefficients(state.rep, b).u is b.colligation

@@ -85,10 +85,14 @@ def test_moments_are_symmetrized():
 
 
 def test_verify_moments_zero_case():
-    empty = AtomicMeasure.from_atoms(())
+    empty = AtomicMeasure(locations=np.zeros(0), weights=np.zeros((0, 1, 1), dtype=complex))
     ms = MomentSequence.from_matrices(1, 1, [np.zeros((1, 1))] * 3)
     report = verify_moments(empty, ms, 0.0)
     assert report.passed and report.max_deviation == 0.0
+    # an empty list of atoms gives 0 x 0 weights: refused, not compared by broadcasting
+    with pytest.raises(InputError, match=r"^measure weights must be 1 x 1 like the moments, "
+                                         r"got 0 x 0$"):
+        verify_moments(AtomicMeasure.from_atoms(()), ms, 0.0)
 
 
 def test_verify_moments_single_atom_marginal():
@@ -212,7 +216,7 @@ def test_from_matrices_names_the_first_offending_matrix():
 def test_stacked_validation_equals_per_matrix_hermitize():
     rng = np.random.default_rng(11)
     for n_dim, d in ((1, 1), (2, 3), (3, 2)):
-        raw = random_measure(rng, n_dim, d + 2).moments(2 * d + 1, dim=n_dim)
+        raw = random_measure(rng, n_dim, d + 2).moments(2 * d + 1)
         # a Hermitian defect well inside hermitian_tol, which symmetrization removes
         raw = [m + 1e-13 * rng.normal(size=m.shape) for m in raw]
         ms = MomentSequence.from_matrices(n_dim, d, raw)
@@ -323,10 +327,10 @@ def test_moments_equal_the_cumprod_loop_bit_for_bit():
     for n_dim, n_atoms in [(1, 1), (1, 5), (2, 4), (3, 7), (4, 2)]:
         measure = random_measure(rng, n_dim, n_atoms, spread=rng.uniform(0.5, 6.0), min_gap=0.1)
         for count in (0, 1, 2, 5, 13):
-            assert measure.moments(count, n_dim).tobytes() \
+            assert measure.moments(count).tobytes() \
                 == cumprod_moments(measure, count, n_dim).tobytes()
-    empty = AtomicMeasure.from_atoms(())
-    assert empty.moments(3, 2).tobytes() == cumprod_moments(empty, 3, 2).tobytes()
+    empty = AtomicMeasure(locations=np.zeros(0), weights=np.zeros((0, 2, 2), dtype=complex))
+    assert empty.moments(3).tobytes() == cumprod_moments(empty, 3, 2).tobytes()
 
 
 def former_from_atoms(pairs):

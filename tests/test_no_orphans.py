@@ -30,7 +30,7 @@ SHARED_MEMBERS = {
     "atoms": {"AtomicMeasure",  # bench/workloads.py: measure.atoms
               "GapAnalysis"},  # gap.py: analysis.atoms(mu)
     "delta": {"OperatorModel"},  # hilbert_space.py: model.delta; nevanlinna.py: bases.delta
-    "moments": {"AtomicMeasure"},  # gap.py: measure.moments(2 * rep.d + 1, dim=rep.N)
+    "moments": {"AtomicMeasure"},  # gap.py: measure.moments(2 * rep.d + 1)
     "size": {"OrthoBasisSet",  # hilbert_space.py: range_basis.size
              "AtomicMeasure"},  # bench/workloads.py: measure.size
     "tau": {"OperatorModel"},  # hilbert_space.py: model.tau; nevanlinna.py: bases.tau
@@ -41,7 +41,6 @@ SHARED_MEMBERS = {
                     "MomentCheckReport",  # cli.py: report.to_json_obj() in _cmd_verify
                     "NevanlinnaCoefficients",  # cli.py: assemble_coefficients(...).to_json_obj()
                     "SolvabilityReport"},  # cli.py: report.to_json_obj() in _cmd_check
-    "u": {"NevanlinnaCoefficients"},  # nevanlinna.py: nc.u
 }
 
 

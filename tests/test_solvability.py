@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -7,7 +8,7 @@ from matmom import (MomentSequence, SolvabilityError, analyze, build_block_hanke
                     check_solvable)
 from matmom.solvability import HankelPair
 
-from conftest import example21_matrices, moments_from_measure, random_measure
+from conftest import example21_matrices, moments_from_measure, random_measure, run_cli
 
 
 def scalar_moments(*values, d=1):
@@ -136,6 +137,17 @@ def test_unit_atom_hankel_is_exactly_positive_definite(locs):
 def test_five_integer_unit_atoms_are_indeterminate():
     state = analyze(unit_atom_moments(WRONG_DETERMINATE))
     assert (state.rep.r, state.determinate) == (4, False)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="Gamma_0 = [1] is at the kernel cutoff rank_tol * 1e10")
+def test_two_far_atoms_are_solvable(tmp_path):
+    """Moments (1, 0, 1e10) of two atoms at -1e5 and 1e5, of weight 1/2 each: the
+    problem is solvable, but check prints "solvable": false and exits 2."""
+    path = tmp_path / "far.json"
+    path.write_text('{"N": 1, "d": 1, "moments": [[[[1, 0]]], [[[0, 0]]], [[[1e10, 0]]]]}')
+    proc = run_cli("check", str(path))
+    assert (proc.returncode, json.loads(proc.stdout)["solvable"]) == (0, True)
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,
