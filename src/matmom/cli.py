@@ -290,9 +290,7 @@ def _cmd_verify(args, tol) -> int:
         measure_obj = json.loads(_read_text(args.measure))
     except json.JSONDecodeError as exc:
         raise InputError(f"malformed measure document: {exc}") from exc
-    measure = AtomicMeasure.from_json_obj(measure_obj, tol)
-    if not measure.size:  # no atom to give the weights their size
-        measure = AtomicMeasure(measure.locations, np.zeros((0, ms.N, ms.N), dtype=complex))
+    measure = AtomicMeasure.from_json_obj(measure_obj, ms.N, tol)
     report = verify_moments(measure, ms, tol.moment_tol)
     payload = report.to_json_obj()
     ok = report.passed

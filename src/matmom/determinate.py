@@ -73,8 +73,7 @@ def spectral_measure(a: np.ndarray, xc: np.ndarray) -> AtomicMeasure:
     """
     r = a.shape[0]
     if r == 0:
-        return AtomicMeasure(locations=np.empty(0),
-                             weights=np.empty((0,) + (xc.shape[1],) * 2, dtype=complex))
+        return AtomicMeasure.from_atoms((), xc.shape[1])
     evals, evecs = np.linalg.eigh(a)
     # ||a||_2 of a Hermitian a is its largest |eigenvalue|, read off the ascending ends
     cluster_tol = CLUSTER_WIDTH * (1.0 + max(-float(evals[0]), float(evals[-1])))

@@ -130,33 +130,27 @@ def orthonormal_split(seq: np.ndarray, n_lead: int, rank_tol: float = DEFAULT_TO
 
 
 def factor_gram(h: HankelPair, tol: Tolerances = DEFAULT_TOL, *, N: int, d: int) -> HilbertRep:
-    """Realize the Gram matrix by explicit coordinates.
-
-    Eigenvalues of gamma_d below rank_tol * lambda_max are dropped (slightly
-    negative ones down to -psd_tol * lambda_max are treated as roundoff
-    zeros); anything more negative is a solvability violation.
-    """
+    """Realize the Gram matrix by explicit coordinates from h.spectrum, the eigh of
+    gamma_d that check_solvable reads.  Eigenvalues up to rank_tol * scale are
+    dropped; a gamma_d that fails check_solvable's PSD test, h.is_psd, raises
+    SolvabilityError."""
     gamma = h.gamma_d
     size = gamma.shape[0]
     if size != (d + 1) * N:
         raise RankError(f"Hankel size {size} does not match N={N}, d={d}")
 
-    evals, evecs = np.linalg.eigh(gamma)
-    lam_max = float(evals.max(initial=0.0))
-    scale = lam_max if lam_max > 0.0 else 1.0
-    if float(evals.min(initial=0.0)) < -tol.psd_tol * scale:
+    evals, evecs, scale = h.spectrum
+    if not h.is_psd(tol):
         raise SolvabilityError(
-            f"Gram matrix has negative eigenvalue {evals.min():.3e}; problem not solvable")
+            f"Gram matrix has negative eigenvalue {evals[0]:.3e}; problem not solvable")
     keep = evals > tol.rank_tol * scale
-    lam = evals[keep]
-    u = evecs[:, keep]
     # X = sqrt(lam) . U^T gives (x_n, x_m) = gamma[n, m] under (f, g) = g* f
-    X = np.sqrt(lam)[:, None] * u.T
+    X = np.sqrt(evals[keep])[:, None] * evecs[:, keep].T
     rep = HilbertRep(N=N, d=d, X=X)
-    if lam_max > 0.0:
-        err = float(np.abs(rep.gram - gamma).max(initial=0.0))
-        if err > 10.0 * (tol.rank_tol + tol.psd_tol) * scale:
-            raise RankError(f"Gram factorization error {err:.3e} exceeds tolerance")
+    # with no positive eigenvalue nothing is kept, and a PSD gamma_d has |entries| <= psd_tol
+    err = float(np.abs(rep.gram - gamma).max(initial=0.0))
+    if err > 10.0 * (tol.rank_tol + tol.psd_tol) * scale:
+        raise RankError(f"Gram factorization error {err:.3e} exceeds tolerance")
     return rep
 
 

@@ -4,10 +4,10 @@ They hold the printed transform coefficients and the cubic psi term that
 assemble_coefficients folds into A.  The library only prints them; only the
 tests evaluate them.  evaluate_transform sums pole-residue terms and the
 coefficients of psi(z) / (z+i).  poly_times loops over the shorter of its two
-factors; either way every output coefficient gets the same products, added
-onto zero in the same order, so the printed bytes do not depend on which
-factor is longer.  Both trims take their kept length from one list of
-coefficient magnitudes.
+factors; each loop order gives the bytes of the loop over the scalar coefficients
+in the regime where it runs, but not outside it (on 1 x 1 blocks the matrix loop
+on a shorter scalar changed the last bit on 414 of 3000 random inputs).  Both
+trims take their kept length from one list of coefficient magnitudes.
 """
 
 from __future__ import annotations
@@ -53,9 +53,9 @@ def poly_times(scalar, coeffs: np.ndarray, length: int) -> np.ndarray:
     Output coefficient m is the sum over i ascending of scalar[i] coeffs[m-i],
     added onto zero.  The loop runs over the shorter factor: over the scalar
     coefficients, or, when the scalar polynomial is longer, over the matrix
-    coefficients from last to first, which adds the same products in the same
-    order.  The scalar stays the left operand: numpy's complex product is not
-    bitwise commutative."""
+    coefficients from last to first, which then gives the scalar loop's bytes (not
+    always on a shorter scalar).  The scalar stays the left operand: numpy's complex
+    product is not bitwise commutative."""
     out = np.zeros((length,) + coeffs.shape[1:], dtype=complex)
     n = coeffs.shape[0]
     if len(scalar) <= n:

@@ -143,21 +143,20 @@ class AtomicMeasure:
         self.weights.setflags(write=False)
 
     @staticmethod
-    def from_atoms(pairs: Iterable, tol: Tolerances = DEFAULT_TOL) -> "AtomicMeasure":
+    def from_atoms(pairs: Iterable, N: int, tol: Tolerances = DEFAULT_TOL) -> "AtomicMeasure":
+        """The measure of the (t, W) pairs, every W N x N; no pairs give (0, N, N) weights."""
         locations, raw = [], []
         for t, w in pairs:
             t = float(t)
             if not math.isfinite(t):
                 raise InputError(f"atom location must be finite, got {t!r}")
             w = np.asarray(w, dtype=complex)
-            if w.ndim != 2 or w.shape[0] != w.shape[1]:
-                raise InputError(f"weight matrix must be square, got shape {w.shape}")
+            if w.shape != (N, N):
+                raise InputError(f"measure weights must be {N} x {N} like the moments, "
+                                 f"got shape {w.shape} at t={t}")
             locations.append(t)
             raw.append(w)
-        sizes = sorted({w.shape[0] for w in raw})
-        if len(sizes) > 1:  # the weights are one stack
-            raise InputError(f"weight matrices must all have one size, got sizes {sizes}")
-        stack = np.array(raw, dtype=complex).reshape((len(raw),) + (sizes[0] if sizes else 0,) * 2)
+        stack = np.array(raw, dtype=complex).reshape(len(raw), N, N)
         weights, scale = hermitian_stack(stack, tol.hermitian_tol, "weight at",
                                          lambda i: f"t={locations[i]}")
         lam_min = np.linalg.eigvalsh(weights).min(axis=1, initial=0.0)
@@ -201,7 +200,7 @@ class AtomicMeasure:
         return {"atoms": [{"t": t, "W": w} for t, w in zip(self.locations.tolist(), weights)]}
 
     @staticmethod
-    def from_json_obj(obj: dict, tol: Tolerances = DEFAULT_TOL) -> "AtomicMeasure":
+    def from_json_obj(obj: dict, N: int, tol: Tolerances = DEFAULT_TOL) -> "AtomicMeasure":
         if not isinstance(obj, dict) or not isinstance(obj.get("atoms"), list):
             raise InputError("measure document must be an object with an 'atoms' list")
         pairs = []
@@ -211,7 +210,7 @@ class AtomicMeasure:
             if not _is_number(entry["t"]):
                 raise InputError(f"atom location must be a number, got {entry['t']!r}")
             pairs.append((entry["t"], matrix_from_json(entry["W"])))
-        return AtomicMeasure.from_atoms(pairs, tol)
+        return AtomicMeasure.from_atoms(pairs, N, tol)
 
 
 @dataclass(frozen=True)
@@ -471,9 +470,9 @@ class MomentCheckReport:
 def verify_moments(measure: AtomicMeasure, ms: MomentSequence, tol: float) -> MomentCheckReport:
     """Compare direct-summation moments of the measure against the prescribed ones; a
     reconstructed moment that overflows deviates by infinity.  InputError when the
-    weights are not N x N like the moments."""
+    weights are not N x N like the moments (from_atoms refuses those already)."""
     recon = measure.moments(ms.count)
-    if recon.shape != ms.moments.shape:  # an empty (0, 0, 0) stack would broadcast
+    if recon.shape != ms.moments.shape:  # (n, 1, 1) or (0, 0, 0) weights would broadcast
         raise InputError(f"measure weights must be {ms.N} x {ms.N} like the moments, "
                          f"got {recon.shape[-1]} x {recon.shape[-1]}")
     with np.errstate(over="ignore"):  # two finite moments may differ by more than a double

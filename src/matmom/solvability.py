@@ -7,7 +7,8 @@ section is contained in the kernel of the twice-shifted section.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -26,6 +27,22 @@ class HankelPair:
     gamma_hat: np.ndarray   # (dN, dN)
     gamma_dm1: np.ndarray   # (dN, dN)
 
+    @cached_property
+    def spectrum(self) -> tuple:
+        """(evals, evecs, scale): the one eigh of gamma_d, read-only, ascending, made on
+        first use and read by check_solvable and factor_gram, and the scale of every
+        cutoff on it, the largest eigenvalue or 1 when that is not positive."""
+        evals, evecs = np.linalg.eigh(self.gamma_d)
+        evals.setflags(write=False)
+        evecs.setflags(write=False)
+        lam_max = float(evals.max(initial=0.0))
+        return evals, evecs, lam_max if lam_max > 0.0 else 1.0
+
+    def is_psd(self, tol: Tolerances) -> bool:
+        """The one PSD test of gamma_d: no eigenvalue below -psd_tol * scale."""
+        evals, _, scale = self.spectrum
+        return bool(evals[0] >= -tol.psd_tol * scale)  # gamma_d is never empty
+
 
 @dataclass(frozen=True)
 class SolvabilityReport:
@@ -35,12 +52,7 @@ class SolvabilityReport:
     scale: float
 
     def to_json_obj(self) -> dict:
-        return {
-            "solvable": self.solvable,
-            "min_eigenvalue": self.min_eigenvalue,
-            "kernel_inclusion_defect": self.kernel_inclusion_defect,
-            "scale": self.scale,
-        }
+        return asdict(self)
 
 
 def block_hankel(moments: np.ndarray, size: int, n_dim: int) -> np.ndarray:
@@ -64,19 +76,12 @@ def build_block_hankel(ms: MomentSequence) -> HankelPair:
 
 
 def check_solvable(h: HankelPair, tol: Tolerances = DEFAULT_TOL) -> SolvabilityReport:
-    """Decide solvability from the Hankel pair.
-
-    PSD is tested through the smallest eigenvalue of gamma_d.  The kernel
-    inclusion is tested by mapping an orthonormal kernel basis of gamma_dm1
-    (eigenvectors below the rank cutoff) through gamma_hat and measuring the
-    largest image norm.  All cutoffs are relative to the largest eigenvalue
-    of gamma_d (or 1 when it is not positive).
+    """Decide solvability from the Hankel pair: HankelPair.is_psd, and the kernel
+    inclusion, tested by mapping an orthonormal kernel basis of gamma_dm1 (eigenvectors
+    below the rank cutoff) through gamma_hat and measuring the largest image norm.
+    Every cutoff is relative to the scale of h.spectrum, which factor_gram reads too.
     """
-    evals_d = np.linalg.eigvalsh(h.gamma_d)
-    lam_max = float(evals_d.max(initial=0.0))
-    scale = lam_max if lam_max > 0.0 else 1.0
-    min_eig = float(evals_d[0])  # ascending, and gamma_d is never empty
-
+    evals_d, _, scale = h.spectrum
     defect = 0.0
     if h.gamma_dm1.size:
         evals, evecs = np.linalg.eigh(h.gamma_dm1)
@@ -85,10 +90,9 @@ def check_solvable(h: HankelPair, tol: Tolerances = DEFAULT_TOL) -> SolvabilityR
             images = h.gamma_hat @ kernel
             defect = float(np.linalg.norm(images, axis=0).max(initial=0.0))
 
-    solvable = min_eig >= -tol.psd_tol * scale and defect <= tol.psd_tol * scale
     return SolvabilityReport(
-        solvable=bool(solvable),
-        min_eigenvalue=min_eig,
+        solvable=h.is_psd(tol) and defect <= tol.psd_tol * scale,
+        min_eigenvalue=float(evals_d[0]),
         kernel_inclusion_defect=defect,
         scale=scale,
     )

@@ -69,7 +69,7 @@ def random_measure(rng, n_dim, n_atoms, spread=2.5, min_gap=0.35):
         g = rng.normal(size=(n_dim, n_dim)) + 1j * rng.normal(size=(n_dim, n_dim))
         w = g @ g.conj().T / n_dim + 0.15 * np.eye(n_dim)
         atoms.append((loc, w))
-    return AtomicMeasure.from_atoms(atoms)
+    return AtomicMeasure.from_atoms(atoms, n_dim)
 
 
 def former_distribution_csv(measure, dim):

@@ -110,7 +110,7 @@ def jittered_moments(seed, n_dim=4, d=6, n_atoms=7):
     for loc in locs:
         g = rng.normal(size=(n_dim, n_dim)) + 1j * rng.normal(size=(n_dim, n_dim))
         atoms.append((loc, g @ g.conj().T / n_dim + 0.15 * np.eye(n_dim)))
-    return moments_from_measure(AtomicMeasure.from_atoms(atoms), n_dim, d)
+    return moments_from_measure(AtomicMeasure.from_atoms(atoms, n_dim), n_dim, d)
 
 
 def test_tau24_instance_matches_resolvent():

@@ -673,6 +673,21 @@ def test_verify_wrong_size_weights_rejected(doc_path, tmp_path):
     assert "measure weights must be 1 x 1" in proc.stderr
 
 
+def test_verify_empty_measure_has_the_moments_size(tmp_path):
+    """An empty atom list is the zero measure of N x N weights, for N = 2 and N = 1."""
+    mpath = tmp_path / "measure.json"
+    mpath.write_text('{"atoms": []}')
+    cases = ((EX21_DOC, 2, '{"passed": false, "tol": 1e-08, "max_deviation": 1, '
+                           '"max_per_moment": [1, 1, 1], "gap_respected": true}\n'),
+             (ZERO_DOC, 0, '{"passed": true, "tol": 1e-08, "max_deviation": 0, '
+                           '"max_per_moment": [0, 0, 0], "gap_respected": true}\n'))
+    for doc, status, stdout in cases:
+        (tmp_path / "in.json").write_text(doc)
+        proc = run_cli("verify", str(tmp_path / "in.json"), "--measure", str(mpath),
+                       "--gap", "(-1,1)")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (status, stdout, "")
+
+
 # Hostile entries for every matrix the CLI reads: finite parts whose modulus overflows,
 # a finite entry whose double overflows, and a large finite entry.  The moment and
 # weight matrices carry the entry at [0, 1] and its conjugate at [1, 0]; the 1 x 1

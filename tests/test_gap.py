@@ -191,7 +191,7 @@ def test_verify_gap_rules(ex21):
     measure = canonical_solution(ex21.rep, ex21.bases, np.array([[1.0]]))
     assert verify_gap(measure, GapSpec.parse("(-1,1)"))   # atom at 1 sits on the boundary
     assert not verify_gap(measure, GapSpec.parse("(0,2)"))
-    assert verify_gap(AtomicMeasure.from_atoms(()), GapSpec.parse("(-100,100)"))
+    assert verify_gap(AtomicMeasure.from_atoms((), 2), GapSpec.parse("(-100,100)"))
 
 
 def test_verify_gap_matches_atom_loop():
@@ -214,7 +214,7 @@ def test_verify_gap_matches_atom_loop():
             for trace in traces:
                 weight = np.eye(n_dim, dtype=complex) * (trace / n_dim)
                 for t in points:
-                    measure = AtomicMeasure.from_atoms(((t, weight),))
+                    measure = AtomicMeasure.from_atoms(((t, weight),), n_dim)
                     want = verify_gap_reference(measure, spec)
                     assert verify_gap(measure, spec) == want
                     verdicts.add(want)
@@ -222,7 +222,7 @@ def test_verify_gap_matches_atom_loop():
                 picks = np.sort(rng.choice(points, size=4, replace=False))
                 atoms = tuple((float(t), np.eye(n_dim) * (traces[rng.integers(5)] / n_dim))
                               for t in picks)
-                measure = AtomicMeasure.from_atoms(atoms)
+                measure = AtomicMeasure.from_atoms(atoms, n_dim)
                 assert verify_gap(measure, spec) == verify_gap_reference(measure, spec)
     assert verdicts == {True, False}
 

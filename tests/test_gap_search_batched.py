@@ -292,16 +292,16 @@ def test_moments_match_atom_by_atom_sum():
         for n_atoms in (1, 4, 12):
             atoms = list(random_measure(rng, n_dim, n_atoms, spread=4.0, min_gap=0.1).atoms)
             atoms.append((-0.0, np.diag(-np.zeros(n_dim)) + 0j))  # an atom of signed zeros
-            measure = AtomicMeasure.from_atoms(tuple(atoms))
+            measure = AtomicMeasure.from_atoms(atoms, n_dim)
             for count in (1, 3, 9):
                 got = measure.moments(count)
                 assert got.tobytes() == loop_moments(measure, count, n_dim).tobytes()
     # every term of entry (0, 1) has imaginary part -0.0: the sum onto zero makes it +0.0
     w = np.array([[1.0, complex(-0.5, -0.0)], [complex(-0.5, 0.0), 1.0]])
     for atoms in (((0.5, w),), ((0.5, w), (2.0, 2.0 * w))):
-        measure = AtomicMeasure.from_atoms(atoms)
+        measure = AtomicMeasure.from_atoms(atoms, 2)
         assert measure.moments(5).tobytes() == loop_moments(measure, 5, 2).tobytes()
-    empty = AtomicMeasure(locations=np.zeros(0), weights=np.zeros((0, 2, 2), dtype=complex))
+    empty = AtomicMeasure.from_atoms((), 2)
     assert empty.moments(3).shape == (3, 2, 2)
 
 

@@ -18,7 +18,7 @@ from test_cli import EX21_DOC
 def test_from_atoms_refuses_a_nan_weight():
     nan = np.array([[1.0, np.nan], [np.nan, 1.0]])
     with pytest.raises(InputError) as err:
-        AtomicMeasure.from_atoms([(0.5, np.eye(2)), (1.5, nan)])
+        AtomicMeasure.from_atoms([(0.5, np.eye(2)), (1.5, nan)], 2)
     assert str(err.value) == "weight at t=1.5 has non-finite entries"
 
 
@@ -31,8 +31,10 @@ def test_from_atoms_names_the_first_offender():
     big = np.array([[1.0, 1.5e308 + 1.5e308j], [1.5e308 - 1.5e308j, 1.0]])
     cases = [
         ([(0.0, skew), (1.0, nan), (np.inf, eye)], "atom location must be finite, got inf"),
-        ([(0.0, skew), (1.0, np.ones(3))], "weight matrix must be square, got shape (3,)"),
-        ([(0.0, nan), (1.0, np.eye(3))], "weight matrices must all have one size, got sizes [2, 3]"),
+        ([(0.0, skew), (1.0, np.ones(3))],
+         "measure weights must be 2 x 2 like the moments, got shape (3,) at t=1.0"),
+        ([(0.0, nan), (1.0, np.eye(3))],
+         "measure weights must be 2 x 2 like the moments, got shape (3, 3) at t=1.0"),
         ([(2.0, eye), (1.0, nan), (0.0, skew)], "weight at t=1.0 has non-finite entries"),
         ([(2.0, big), (1.0, skew)], "weight at t=2.0 has an entry whose modulus overflows"),
         ([(0.0, -eye), (1.0, skew)], "not Hermitian at t=1.0: max deviation 1.000e+00"),
@@ -41,7 +43,7 @@ def test_from_atoms_names_the_first_offender():
     ]
     for pairs, message in cases:
         with pytest.raises(InputError) as err:
-            AtomicMeasure.from_atoms(pairs)
+            AtomicMeasure.from_atoms(pairs, 2)
         assert str(err.value) == message
 
 
@@ -53,7 +55,7 @@ def test_overflowing_hermitian_deviation_is_judged_without_a_warning():
         MomentSequence.from_matrices(2, 1, [skew, np.eye(2), np.eye(2)])
     assert str(err.value) == "not Hermitian at n=0: max deviation inf"
     with pytest.raises(InputError) as err:
-        AtomicMeasure.from_atoms([(0.25, skew)])
+        AtomicMeasure.from_atoms([(0.25, skew)], 2)
     assert str(err.value) == "not Hermitian at t=0.25: max deviation inf"
 
 
@@ -72,9 +74,7 @@ def test_csv_writer_prints_the_former_bytes():
     signed = AtomicMeasure(locations=np.array([-0.0, 0.75]),
                            weights=np.array([zeros, zeros + np.eye(2)]))
     measures += [(signed, 2),
-                 (AtomicMeasure(locations=np.zeros(0),
-                                weights=np.zeros((0, 2, 2), dtype=complex)), 2),
-                 (AtomicMeasure(locations=np.zeros(0), weights=np.zeros((0, 3, 3), dtype=complex)), 3)]
+                 (AtomicMeasure.from_atoms((), 2), 2), (AtomicMeasure.from_atoms((), 3), 3)]
     for measure, dim in measures:
         assert _csv(measure) == former_distribution_csv(measure, dim)
     assert _csv(signed).splitlines()[2].startswith("-0,0,0,")

@@ -70,7 +70,7 @@ def test_rejects_non_finite_numbers():
         with pytest.raises(InputError, match="is not finite"):
             parse_moments(EX21_DOC.replace("[1, 0]]]", bad + "]]", 1))
     with pytest.raises(InputError, match="is not finite"):
-        AtomicMeasure.from_json_obj({"atoms": [{"t": 0.0, "W": [[math.nan]]}]})
+        AtomicMeasure.from_json_obj({"atoms": [{"t": 0.0, "W": [[math.nan]]}]}, 1)
 
 def test_moments_are_symmetrized():
     eps = 1e-12
@@ -85,18 +85,18 @@ def test_moments_are_symmetrized():
 
 
 def test_verify_moments_zero_case():
-    empty = AtomicMeasure(locations=np.zeros(0), weights=np.zeros((0, 1, 1), dtype=complex))
+    empty = AtomicMeasure.from_atoms((), 1)
     ms = MomentSequence.from_matrices(1, 1, [np.zeros((1, 1))] * 3)
     report = verify_moments(empty, ms, 0.0)
     assert report.passed and report.max_deviation == 0.0
-    # an empty list of atoms gives 0 x 0 weights: refused, not compared by broadcasting
+    # weights of another size are refused, not compared by broadcasting
     with pytest.raises(InputError, match=r"^measure weights must be 1 x 1 like the moments, "
-                                         r"got 0 x 0$"):
-        verify_moments(AtomicMeasure.from_atoms(()), ms, 0.0)
+                                         r"got 2 x 2$"):
+        verify_moments(AtomicMeasure.from_atoms((), 2), ms, 0.0)
 
 
 def test_verify_moments_single_atom_marginal():
-    measure = AtomicMeasure.from_atoms([(1.0, np.diag([0.0, 1.0]))])
+    measure = AtomicMeasure.from_atoms([(1.0, np.diag([0.0, 1.0]))], 2)
     ms = MomentSequence.from_matrices(2, 1, example21_matrices())
     report = verify_moments(measure, ms, 1.0)
     # the (1,1) marginal of the golden instance is matched exactly by a unit atom at 1
@@ -117,22 +117,22 @@ def test_weight_is_judged_hermitian_by_hermitian_tol():
     """A weight's Hermitian deviation is compared with hermitian_tol, as the moments'
     is; psd_tol governs only its smallest eigenvalue."""
     asym = np.array([[1.0, 1e-7], [0.0, 1.0]])
-    AtomicMeasure.from_atoms([(0.0, asym)], Tolerances(hermitian_tol=1e-6))
+    AtomicMeasure.from_atoms([(0.0, asym)], 2, Tolerances(hermitian_tol=1e-6))
     with pytest.raises(InputError, match="not Hermitian"):
-        AtomicMeasure.from_atoms([(0.0, asym)], Tolerances(psd_tol=1e-6))
+        AtomicMeasure.from_atoms([(0.0, asym)], 2, Tolerances(psd_tol=1e-6))
 
 
 def test_atomic_measure_validation():
     with pytest.raises(InputError, match="not PSD"):
-        AtomicMeasure.from_atoms([(0.0, np.array([[-1.0]]))])
+        AtomicMeasure.from_atoms([(0.0, np.array([[-1.0]]))], 1)
     with pytest.raises(InputError, match="not Hermitian"):
-        AtomicMeasure.from_atoms([(0.0, np.array([[0.0, 1.0], [0.0, 0.0]]))])
+        AtomicMeasure.from_atoms([(0.0, np.array([[0.0, 1.0], [0.0, 0.0]]))], 2)
     with pytest.raises(InputError, match="an 'atoms' list"):
-        AtomicMeasure.from_json_obj({"atoms": 5})
-    with pytest.raises(InputError, match=r"must all have one size, got sizes \[1, 2\]"):
-        AtomicMeasure.from_atoms([(0.0, np.eye(1)), (1.0, np.eye(2))])
+        AtomicMeasure.from_json_obj({"atoms": 5}, 1)
+    with pytest.raises(InputError, match=r"must be 1 x 1 like the moments, got shape \(2, 2\) at t=1.0$"):
+        AtomicMeasure.from_atoms([(0.0, np.eye(1)), (1.0, np.eye(2))], 1)
     # sorting and merging of coincident support points
-    m = AtomicMeasure.from_atoms([(2.0, np.eye(1)), (1.0, np.eye(1)), (1.0, np.eye(1))])
+    m = AtomicMeasure.from_atoms([(2.0, np.eye(1)), (1.0, np.eye(1)), (1.0, np.eye(1))], 1)
     assert [t for t, _ in m.atoms] == [1.0, 2.0]
     assert m.atoms[0][1][0, 0] == 2.0
 
@@ -140,7 +140,7 @@ def test_atomic_measure_validation():
 def test_measure_json_round_trip():
     rng = np.random.default_rng(3)
     measure = random_measure(rng, 2, 3)
-    again = AtomicMeasure.from_json_obj(json.loads(dumps(measure.to_json_obj())))
+    again = AtomicMeasure.from_json_obj(json.loads(dumps(measure.to_json_obj())), 2)
     assert again.size == measure.size
     for (t1, w1), (t2, w2) in zip(again.atoms, measure.atoms):
         assert t1 == t2
@@ -329,7 +329,7 @@ def test_moments_equal_the_cumprod_loop_bit_for_bit():
         for count in (0, 1, 2, 5, 13):
             assert measure.moments(count).tobytes() \
                 == cumprod_moments(measure, count, n_dim).tobytes()
-    empty = AtomicMeasure(locations=np.zeros(0), weights=np.zeros((0, 2, 2), dtype=complex))
+    empty = AtomicMeasure.from_atoms((), 2)
     assert empty.moments(3).tobytes() == cumprod_moments(empty, 3, 2).tobytes()
 
 
@@ -354,7 +354,7 @@ def test_from_atoms_stacks_the_former_pairs():
         # a second weight at an atom, and a signed zero merged with a zero
         pairs += [(pairs[1][0], pairs[3][1]), (-0.0, np.eye(n_dim)), (0.0, 2.0 * np.eye(n_dim))]
         rng.shuffle(pairs)
-        measure = AtomicMeasure.from_atoms(pairs)
+        measure = AtomicMeasure.from_atoms(pairs, n_dim)
         want = former_from_atoms(pairs)
         assert measure.size == len(want) == 6
         assert measure.locations.tobytes() == np.array([t for t, _ in want]).tobytes()
@@ -362,8 +362,8 @@ def test_from_atoms_stacks_the_former_pairs():
         for (t, w), (t_ref, w_ref) in zip(measure.atoms, want):
             assert type(t) is float and np.float64(t).tobytes() == np.float64(t_ref).tobytes()
             assert w.tobytes() == w_ref.tobytes() and np.shares_memory(w, measure.weights)
-    empty = AtomicMeasure.from_atoms(())
-    assert (empty.locations.shape, empty.weights.shape, empty.atoms) == ((0,), (0, 0, 0), ())
+    empty = AtomicMeasure.from_atoms((), 3)
+    assert (empty.locations.shape, empty.weights.shape, empty.atoms) == ((0,), (0, 3, 3), ())
 
 
 def test_measure_arrays_are_built_once_and_read_only():

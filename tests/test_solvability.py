@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from matmom import (MomentSequence, SolvabilityError, analyze, build_block_hankel,
-                    check_solvable)
+                    check_solvable, factor_gram)
+from matmom.moment_model import DEFAULT_TOL
 from matmom.solvability import HankelPair
 
 from conftest import example21_matrices, moments_from_measure, random_measure, run_cli
@@ -95,6 +96,59 @@ def test_oracle_instances_always_solvable(seed):
     measure = random_measure(rng, n_dim, int(rng.integers(1, 7)))
     report = check_solvable(build_block_hankel(moments_from_measure(measure, n_dim, d)))
     assert report.solvable
+
+
+def count_decompositions(monkeypatch, shape) -> dict:
+    """Wrap np.linalg.eigh and eigvalsh to count their calls on a matrix of this shape."""
+    calls = {"eigh": 0, "eigvalsh": 0}
+    for name in calls:
+        def counted(a, *args, _name=name, _original=getattr(np.linalg, name), **kwargs):
+            calls[_name] += np.shape(a) == shape
+            return _original(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+def test_gamma_d_is_decomposed_once(monkeypatch):
+    """check_solvable and factor_gram read one eigh of gamma_d per HankelPair, and
+    analyze makes one; the factor is the one eigh of gamma_d gives, bit for bit."""
+    ms = moments_from_measure(random_measure(np.random.default_rng(7), 2, 4), 2, 2)
+    h = build_block_hankel(ms)
+    calls = count_decompositions(monkeypatch, h.gamma_d.shape)
+    assert check_solvable(h).solvable
+    rep = factor_gram(h, N=ms.N, d=ms.d)
+    assert calls == {"eigh": 1, "eigvalsh": 0}
+    evals, evecs, scale = h.spectrum
+    assert h.spectrum[0] is evals and not evals.flags.writeable and not evecs.flags.writeable
+    assert scale == evals[-1] and check_solvable(h).scale == scale
+    ref_vals, ref_vecs = np.linalg.eigh(h.gamma_d)  # the factor of a fresh eigh
+    keep = ref_vals > DEFAULT_TOL.rank_tol * scale
+    assert rep.X.tobytes() == (np.sqrt(ref_vals[keep])[:, None] * ref_vecs[:, keep].T).tobytes()
+    assert calls == {"eigh": 2, "eigvalsh": 0}
+    analyze(ms)
+    assert calls == {"eigh": 3, "eigvalsh": 0}
+
+
+@pytest.mark.parametrize("ulps", [-3, -1, 0, 1, 3])
+def test_psd_verdicts_agree_at_the_cutoff(ulps):
+    """A smallest eigenvalue a few ulps on either side of -psd_tol * scale: check_solvable
+    says solvable exactly when factor_gram factors instead of raising SolvabilityError."""
+    cutoff = -DEFAULT_TOL.psd_tol * 4.0
+    lam = cutoff
+    for _ in range(abs(ulps)):
+        lam = float(np.nextafter(lam, np.copysign(np.inf, ulps)))
+    # N = 1, d = 1: Gamma_0 = [4] has no kernel, so only the PSD half can say no
+    h = HankelPair(gamma_d=np.diag([4.0, lam]).astype(complex),
+                   gamma_hat=np.array([[lam + 0j]]), gamma_dm1=np.array([[4.0 + 0j]]))
+    evals, _, scale = h.spectrum
+    assert (evals.tolist(), scale) == ([lam, 4.0], 4.0)
+    report = check_solvable(h)
+    assert report.solvable is (ulps >= 0) and report.kernel_inclusion_defect == 0.0
+    if report.solvable:
+        assert factor_gram(h, N=1, d=1).r == 1
+    else:
+        with pytest.raises(SolvabilityError, match="negative eigenvalue"):
+            factor_gram(h, N=1, d=1)
 
 
 # ---------------------------------------------------------------------------
