@@ -35,6 +35,9 @@ def test_from_atoms_names_the_first_offender():
          "measure weights must be 2 x 2 like the moments, got shape (3,) at t=1.0"),
         ([(0.0, nan), (1.0, np.eye(3))],
          "measure weights must be 2 x 2 like the moments, got shape (3, 3) at t=1.0"),
+        # a wrong size wins over the same weight's own Hermitian and PSD faults
+        ([(0.5, -np.triu(np.ones((3, 3))))],
+         "measure weights must be 2 x 2 like the moments, got shape (3, 3) at t=0.5"),
         ([(2.0, eye), (1.0, nan), (0.0, skew)], "weight at t=1.0 has non-finite entries"),
         ([(2.0, big), (1.0, skew)], "weight at t=2.0 has an entry whose modulus overflows"),
         ([(0.0, -eye), (1.0, skew)], "not Hermitian at t=1.0: max deviation 1.000e+00"),

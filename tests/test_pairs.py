@@ -43,24 +43,24 @@ def run_pairs(*args):
 
 def test_pairs_alternate_and_summarise(tmp_path):
     parent, change = checkout(tmp_path, "parent", 2.0), checkout(tmp_path, "change", 1.0)
-    proc = run_pairs(parent, change, "--pairs", 3, "--seconds", 1, "--first-seed", 5)
+    proc = run_pairs(parent, change, "--pairs", 3)
     assert proc.returncode == 0, proc.stderr
     # one seed per pair, both sides on it, the side that goes first alternating
     assert (tmp_path / "runs.log").read_text().split("\n") == [
-        "parent 5", "change 5", "change 6", "parent 6", "parent 7", "change 7", ""]
+        "parent 1", "change 1", "change 2", "parent 2", "parent 3", "change 3", ""]
     lines = proc.stdout.splitlines()
-    assert lines[0] == "workload w: 3 pairs, seeds 5-7, 1 s per run"
+    assert lines[0] == "workload w: 3 pairs, seeds 1-3, 30 s per run"
     latency, throughput = lines[2].split(), lines[3].split()
-    assert latency[:9] == ["latency_p50_ms", "lower", "2.06", "[2.055,", "2.065]",
-                           "1.06", "[1.055,", "1.065]", "-48.54%"]
+    assert latency[:9] == ["latency_p50_ms", "lower", "2.02", "[2.015,", "2.025]",
+                           "1.02", "[1.015,", "1.025]", "-49.50%"]
     assert latency[-1] == "3/3" and throughput[-1] == "3/3"
     # the other way round, every pair is lost and both shifts exceed their bounds
-    proc = run_pairs(change, parent, "--pairs", 3, "--seconds", 1)
+    proc = run_pairs(change, parent, "--pairs", 3)
     assert proc.stdout.splitlines()[2].endswith("0/3  WORSE")
     assert proc.stdout.splitlines()[3].endswith("0/3  WORSE")
 
 
 def test_pairs_refuse_a_run_with_failed_ops(tmp_path):
     parent, change = checkout(tmp_path, "parent", 2.0), checkout(tmp_path, "change", 1.0, 1)
-    proc = run_pairs(parent, change, "--pairs", 2, "--seconds", 1)
+    proc = run_pairs(parent, change, "--pairs", 2)
     assert proc.returncode == 1 and "failed 1" in proc.stderr and proc.stdout == ""

@@ -1,13 +1,12 @@
 """Alternating pairs of benchmark runs of two checkouts, summarised per end-to-end metric.
 
-usage: python3 tools/pairs.py PARENT CHANGE [--workload W ...] [--pairs 10] [--seconds 30]
-                              [--first-seed 1]
+usage: python3 tools/pairs.py PARENT CHANGE [--pairs 10]
 
-For each workload (default: every workload of CHANGE's BENCHMARK.json), pair k runs
-``python3 bench/run.py --workload W --seed S --seconds T --trace 0`` once in each
-checkout, one run after the other, with S = first-seed + k: both runs of a pair share
-their seed, and every pair has its own.  PARENT runs first in even pairs and CHANGE in
-odd ones, so a drift of the machine's speed falls on both sides alike.  A run that exits
+For each workload of CHANGE's BENCHMARK.json, pair k = 1 .. pairs runs
+``python3 bench/run.py --workload W --seed k --seconds 30 --trace 0`` once in each
+checkout, one run after the other: both runs of a pair share their seed, and every pair
+has its own.  30 s is the run length of bench/baseline.json.  PARENT runs first in odd pairs and CHANGE in
+even ones, so a drift of the machine's speed falls on both sides alike.  A run that exits
 non-zero, or whose result has "correct" other than true or "failed" above 0, stops the
 script with exit status 1 and the run named on stderr.
 
@@ -25,14 +24,17 @@ import sys
 from pathlib import Path
 
 
+SECONDS = 30
+
+
 class RunRefused(Exception):
     """A benchmark run that failed, or whose result is not correct or has failed ops."""
 
 
-def bench_run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+def bench_run(checkout: Path, workload: str, seed: int) -> dict:
     """The end-to-end metric values of one ``bench/run.py --trace 0`` run in checkout."""
     cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
+           "--seconds", str(SECONDS), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=False)
     label = f"{checkout} {workload} seed {seed}"
     if proc.returncode != 0:
@@ -62,9 +64,9 @@ def summary(metric: dict, parent: list, change: list) -> dict:
             "worse": sign * shift > metric["bound"]}
 
 
-def report(workload: str, seeds: list, seconds: float, metrics: list, runs: dict) -> None:
+def report(workload: str, seeds: list, metrics: list, runs: dict) -> None:
     print(f"workload {workload}: {len(seeds)} pairs, seeds {seeds[0]}-{seeds[-1]}, "
-          f"{seconds:g} s per run")
+          f"{SECONDS} s per run")
     print(f"  {'metric':18s} {'better':6s} {'parent median [q1, q3]':33s} "
           f"{'change median [q1, q3]':33s} {'shift':>7s} {'bound':>6s}  change won")
     for metric in metrics:
@@ -80,26 +82,22 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path, help="checkout to compare against")
     parser.add_argument("change", type=Path, help="checkout with the change")
-    parser.add_argument("--workload", action="append", help="default: every workload")
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=30.0)
-    parser.add_argument("--first-seed", type=int, default=1)
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
-    workloads = args.workload or [w["name"] for w in spec["workloads"]]
-    seeds = list(range(args.first_seed, args.first_seed + args.pairs))
+    seeds = list(range(1, args.pairs + 1))
     sides = {"parent": args.parent, "change": args.change}
     try:
-        for workload in workloads:
+        for workload in (w["name"] for w in spec["workloads"]):
             runs = {side: {m["name"]: [] for m in spec["end_to_end"]} for side in sides}
-            for k, seed in enumerate(seeds):
-                for side in (("parent", "change") if k % 2 == 0 else ("change", "parent")):
-                    values = bench_run(sides[side], workload, seed, args.seconds)
+            for seed in seeds:
+                for side in (("parent", "change") if seed % 2 else ("change", "parent")):
+                    values = bench_run(sides[side], workload, seed)
                     for name, series in runs[side].items():
                         series.append(values[name])
-            report(workload, seeds, args.seconds, spec["end_to_end"], runs)
+            report(workload, seeds, spec["end_to_end"], runs)
             sys.stdout.flush()
     except RunRefused as exc:
         sys.stderr.write(f"refused run: {exc}\n")
